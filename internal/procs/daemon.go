@@ -63,10 +63,13 @@ type PdDaemon struct {
 	busy       bool
 	down       bool
 	epoch      int // bumped on Crash; stale CPU callbacks check it
-	relayQ     []*forward.Message
+	relayQ     des.FIFO[*forward.Message]
 	nextPipe   int
 	thinSeq    int
 	flushTimer *des.Event
+
+	// jobFree recycles job records (see daemonJob).
+	jobFree []*daemonJob
 
 	// Metrics.
 	MessagesForwarded int
@@ -126,17 +129,12 @@ func (d *PdDaemon) Crash() {
 	d.down = true
 	d.epoch++
 	d.CrashCount++
-	lost := 0
-	for _, m := range d.relayQ {
-		lost += len(m.Samples)
-		if d.Obs != nil {
-			for _, s := range m.Samples {
-				d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-			}
-		}
+	before := d.CrashLostSamples
+	for i := 0; i < d.relayQ.Len(); i++ {
+		d.crashLoss((*d.relayQ.At(i)).Samples)
 	}
-	d.CrashLostSamples += lost
-	d.relayQ = nil
+	lost := d.CrashLostSamples - before
+	d.relayQ.Clear()
 	d.cancelFlush()
 	d.busy = false
 	if d.Obs != nil {
@@ -179,18 +177,13 @@ func (d *PdDaemon) available() int {
 // crashed daemon drops the message (no acknowledgement is generated).
 func (d *PdDaemon) Receive(msg *forward.Message) {
 	if d.down {
-		d.CrashLostSamples += len(msg.Samples)
-		if d.Obs != nil {
-			for _, s := range msg.Samples {
-				d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-			}
-		}
+		d.crashLoss(msg.Samples)
 		return
 	}
 	if d.Obs != nil {
 		d.Obs.MessageReceived(d.Node, d.Sim.Now(), msg.Samples, msg.Hops)
 	}
-	d.relayQ = append(d.relayQ, msg)
+	d.relayQ.Push(msg)
 	d.Wake()
 }
 
@@ -211,27 +204,11 @@ func (d *PdDaemon) Wake() {
 		return
 	}
 	// Relaying children's data takes priority: it keeps the tree draining.
-	if len(d.relayQ) > 0 {
-		msg := d.relayQ[0]
-		d.relayQ = d.relayQ[1:]
+	if d.relayQ.Len() > 0 {
+		j := d.newJob()
+		j.epoch, j.msg = d.epoch, d.relayQ.Pop()
 		d.busy = true
-		epoch := d.epoch
-		d.CPU.Submit(OwnerPd, d.Cost.MergeCPU(d.R), func() {
-			if d.epoch != epoch { // crashed mid-merge: message lost
-				d.CrashLostSamples += len(msg.Samples)
-				if d.Obs != nil {
-					for _, s := range msg.Samples {
-						d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-					}
-				}
-				return
-			}
-			d.MessagesMerged++
-			msg.Hops++
-			d.send(msg)
-			d.busy = false
-			d.Wake()
-		})
+		d.CPU.Submit(OwnerPd, d.Cost.MergeCPU(d.R), j.cpuDone)
 		return
 	}
 	capTotal := d.capacity()
@@ -264,23 +241,7 @@ func (d *PdDaemon) Wake() {
 			continue // batch fully thinned away; keep draining
 		}
 		d.cancelFlush()
-		d.busy = true
-		epoch := d.epoch
-		d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(batch)), func() {
-			if d.epoch != epoch { // crashed mid-collection: batch lost
-				d.CrashLostSamples += len(batch)
-				if d.Obs != nil {
-					for _, s := range batch {
-						d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-					}
-				}
-				return
-			}
-			d.observe(strat, batch, capTotal)
-			d.send(&forward.Message{Samples: batch, FromNode: d.Node, Hops: 1})
-			d.busy = false
-			d.Wake()
-		})
+		d.collect(batch)
 		return
 	}
 }
@@ -289,7 +250,7 @@ func (d *PdDaemon) Wake() {
 // the strategy, at the simulated instant the message is handed to the
 // network. Every input is a simulated-clock or buffer-state quantity, so
 // feedback-driven strategies remain byte-reproducible.
-func (d *PdDaemon) observe(strat forward.Strategy, batch []resources.Sample, capTotal int) {
+func (d *PdDaemon) observe(batch []resources.Sample) {
 	now := d.Sim.Now()
 	newest, oldest := batch[0].GenTime, batch[0].GenTime
 	for _, s := range batch[1:] {
@@ -300,13 +261,13 @@ func (d *PdDaemon) observe(strat forward.Strategy, batch []resources.Sample, cap
 			oldest = s.GenTime
 		}
 	}
-	strat.Observe(forward.Feedback{
+	d.strategy().Observe(forward.Feedback{
 		Now:         now,
 		Samples:     len(batch),
 		NewestAgeUS: now - newest,
 		OldestAgeUS: now - oldest,
 		Buffered:    d.available(),
-		Capacity:    capTotal,
+		Capacity:    d.capacity(),
 	})
 }
 
@@ -320,25 +281,15 @@ func (d *PdDaemon) flush() {
 	if len(batch) == 0 {
 		return
 	}
-	capTotal := d.capacity()
-	strat := d.strategy()
+	d.collect(batch)
+}
+
+// collect starts the CPU work of collecting batch into a message.
+func (d *PdDaemon) collect(batch []resources.Sample) {
+	j := d.newJob()
+	j.epoch, j.batch = d.epoch, batch
 	d.busy = true
-	epoch := d.epoch
-	d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(batch)), func() {
-		if d.epoch != epoch {
-			d.CrashLostSamples += len(batch)
-			if d.Obs != nil {
-				for _, s := range batch {
-					d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-				}
-			}
-			return
-		}
-		d.observe(strat, batch, capTotal)
-		d.send(&forward.Message{Samples: batch, FromNode: d.Node, Hops: 1})
-		d.busy = false
-		d.Wake()
-	})
+	d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(batch)), j.cpuDone)
 }
 
 func (d *PdDaemon) cancelFlush() {
@@ -386,19 +337,95 @@ func (d *PdDaemon) drain(want int) []resources.Sample {
 	return out
 }
 
-// send transmits a message over the network; delivery happens when the
+// daemonJob carries one message through the daemon: the CPU work that
+// produces it (merging a relayed message, or collecting a local batch),
+// then its network transfer. Records are free-listed per daemon with both
+// completion closures bound once, so the sample path allocates only the
+// message and its batch. A crash does not withdraw a job from the CPU, so
+// after Restore a stale job and a new one can be outstanding together and
+// finish in either order; each owns its record and epoch.
+type daemonJob struct {
+	epoch   int
+	msg     *forward.Message   // relay job, then the message in transfer
+	batch   []resources.Sample // collection job
+	deliver func(*forward.Message)
+	cpuDone func() // calls PdDaemon.jobDone(this)
+	netDone func() // calls PdDaemon.sent(this)
+}
+
+func (d *PdDaemon) newJob() *daemonJob {
+	if n := len(d.jobFree); n > 0 {
+		j := d.jobFree[n-1]
+		d.jobFree[n-1] = nil
+		d.jobFree = d.jobFree[:n-1]
+		return j
+	}
+	j := &daemonJob{}
+	j.cpuDone = func() { d.jobDone(j) }
+	j.netDone = func() { d.sent(j) }
+	return j
+}
+
+// release clears a record's payload and returns it to the free list.
+func (d *PdDaemon) release(j *daemonJob) {
+	*j = daemonJob{cpuDone: j.cpuDone, netDone: j.netDone}
+	d.jobFree = append(d.jobFree, j)
+}
+
+// jobDone runs when a job's CPU work completes: a job started before the
+// latest crash loses its samples; otherwise the message goes out.
+func (d *PdDaemon) jobDone(j *daemonJob) {
+	if d.epoch != j.epoch { // crashed mid-merge or mid-collection
+		if j.msg != nil {
+			d.crashLoss(j.msg.Samples)
+		} else {
+			d.crashLoss(j.batch)
+		}
+		d.release(j)
+		return
+	}
+	if j.msg != nil {
+		d.MessagesMerged++
+		j.msg.Hops++
+	} else {
+		d.observe(j.batch)
+		j.msg = &forward.Message{Samples: j.batch, FromNode: d.Node, Hops: 1}
+	}
+	d.send(j)
+	d.busy = false
+	d.Wake()
+}
+
+// crashLoss accounts samples discarded by a crash.
+func (d *PdDaemon) crashLoss(samples []resources.Sample) {
+	d.CrashLostSamples += len(samples)
+	if d.Obs != nil {
+		for _, s := range samples {
+			d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
+		}
+	}
+}
+
+// send transmits j's message over the network; delivery happens when the
 // network occupancy completes.
-func (d *PdDaemon) send(msg *forward.Message) {
+func (d *PdDaemon) send(j *daemonJob) {
+	msg := j.msg
 	d.MessagesForwarded++
 	d.SamplesForwarded += len(msg.Samples)
 	if d.Obs != nil {
 		d.Obs.MessageForwarded(d.Node, d.Sim.Now(), msg.Samples, msg.Hops)
 	}
 	netLen := d.Cost.MsgNet(d.R, len(msg.Samples))
-	deliver := d.Deliver
-	d.Net.Submit(OwnerPd, netLen, func() {
-		if deliver != nil {
-			deliver(msg)
-		}
-	})
+	j.deliver = d.Deliver
+	d.Net.Submit(OwnerPd, netLen, j.netDone)
+}
+
+// sent runs when j's transfer completes. The record is recycled before
+// delivery, which may start further daemon work.
+func (d *PdDaemon) sent(j *daemonJob) {
+	msg, deliver := j.msg, j.deliver
+	d.release(j)
+	if deliver != nil {
+		deliver(msg)
+	}
 }

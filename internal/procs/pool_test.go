@@ -1,0 +1,122 @@
+package procs
+
+import (
+	"testing"
+
+	"rocc/internal/forward"
+	"rocc/internal/resources"
+)
+
+// A CF daemon forwarding one sample from its pipe to delivery allocates
+// exactly the message and its one-sample batch: pipe, CPU job, network
+// transfer and the events between them all reuse pooled storage.
+func TestDaemonCFForwardAllocatesOnlyMessage(t *testing.T) {
+	r := newRig(64)
+	d, _ := newDaemon(r, forward.CF, 1)
+	delivered := 0
+	d.Deliver = func(*forward.Message) { delivered++ }
+	forwardOne := func() {
+		r.pipe.Put(resources.Sample{GenTime: r.sim.Now()}, nil)
+		r.sim.RunAll()
+	}
+	forwardOne() // warm up the pools
+	allocs := testing.AllocsPerRun(100, forwardOne)
+	if allocs != 2 {
+		t.Fatalf("forwarding one sample allocated %.2f objects, want 2 (message + batch)", allocs)
+	}
+	if delivered != 102 {
+		t.Fatalf("delivered %d messages, want 102", delivered)
+	}
+}
+
+// jobRecorder records sample losses and forwarded messages in order;
+// every other hook is a no-op.
+type jobRecorder struct {
+	lost   []resources.Sample
+	events []string // "lost" or "forwarded", one per hook call
+}
+
+func (*jobRecorder) SampleGenerated(float64, resources.Sample, bool)       {}
+func (*jobRecorder) BatchCollected(int, float64, int)                      {}
+func (*jobRecorder) MessageReceived(int, float64, []resources.Sample, int) {}
+func (*jobRecorder) MessageDelivered(float64, int, int)                    {}
+func (*jobRecorder) SampleDelivered(float64, resources.Sample, float64)    {}
+func (*jobRecorder) DaemonCrashed(int, float64, int)                       {}
+func (*jobRecorder) DaemonRestored(int, float64)                           {}
+func (*jobRecorder) MessageRetransmitted(int, float64, int)                {}
+
+func (r *jobRecorder) MessageForwarded(int, float64, []resources.Sample, int) {
+	r.events = append(r.events, "forwarded")
+}
+
+func (r *jobRecorder) SampleLost(_ int, _ float64, s resources.Sample, reason LossReason) {
+	if reason != LossCrash {
+		panic("unexpected loss reason " + reason.String())
+	}
+	r.lost = append(r.lost, s)
+	r.events = append(r.events, "lost")
+}
+
+// A crash does not withdraw the daemon's collection job from the CPU, so
+// a Restore before that job completes leaves two jobs outstanding: the
+// stale one and the one collecting the next sample. Round-robin slicing
+// can finish them in either order. Either way the stale batch is lost
+// exactly once, the new batch is delivered, and each job holds its own
+// pooled record.
+func TestDaemonCrashRestoreWithJobOnCPU(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		quantum    float64
+		staleFirst bool
+	}{
+		// The stale job collects 20 samples (427 us of CPU from t=10), the
+		// new one 1 sample (275 us from t=70): run to completion, the stale
+		// job ends first; sliced finely, the shorter new job does.
+		{"stale job finishes first", 10000, true},
+		{"new job finishes first", 10, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(64)
+			r.cpu = resources.NewCPU(r.sim, 1, tc.quantum)
+			d, delivered := newDaemon(r, forward.BF, 32)
+			d.FlushTimeout = 10 // a partial batch goes out 10 us after it starts waiting
+			rec := &jobRecorder{}
+			d.Obs = rec
+
+			for i := 1; i <= 20; i++ {
+				r.pipe.Put(resources.Sample{GenTime: 0, Seq: i}, nil)
+			}
+			r.sim.Run(50) // job 1 (samples 1-20) is on the CPU from t=10
+			d.Crash()
+			r.pipe.Put(resources.Sample{GenTime: 50, Seq: 21}, nil) // waits in the pipe
+			r.sim.Run(60)
+			d.Restore()
+			r.sim.Run(70) // job 2 (sample 21) starts while job 1 is outstanding
+			if got := r.cpu.Running() + r.cpu.QueueLen(); got != 2 {
+				t.Fatalf("%d CPU requests outstanding, want 2", got)
+			}
+			if len(d.jobFree) != 0 {
+				t.Fatalf("%d free job records while two jobs are outstanding", len(d.jobFree))
+			}
+			r.sim.RunAll()
+
+			if d.CrashLostSamples != 20 || len(rec.lost) != 20 {
+				t.Fatalf("crash-lost samples %d, lost hooks %d, want 20 each", d.CrashLostSamples, len(rec.lost))
+			}
+			for i, s := range rec.lost {
+				if s.Seq != i+1 {
+					t.Fatalf("lost sample %d has seq %d, want %d", i, s.Seq, i+1)
+				}
+			}
+			if len(*delivered) != 1 || len((*delivered)[0].Samples) != 1 || (*delivered)[0].Samples[0].Seq != 21 {
+				t.Fatalf("delivered %+v, want one message carrying sample 21", *delivered)
+			}
+			if staleFirst := rec.events[0] == "lost"; staleFirst != tc.staleFirst {
+				t.Fatalf("stale job finished first = %v, want %v", staleFirst, tc.staleFirst)
+			}
+			if len(d.jobFree) != 2 || d.jobFree[0] == d.jobFree[1] {
+				t.Fatalf("free list holds %d records after both jobs, want 2 distinct", len(d.jobFree))
+			}
+		})
+	}
+}

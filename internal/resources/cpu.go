@@ -29,17 +29,17 @@ type CPU struct {
 	cores   int
 	quantum float64
 
-	ready   []*cpuReq
+	ready   des.FIFO[cpuReq]
 	running int
 
 	busy      tally
 	busyTotal float64
 
-	// free recycles completed request records; each carries a fire
-	// closure bound once at allocation, so the per-slice hot path
-	// (Submit → dispatch → slice expiry) allocates nothing in steady
-	// state.
-	free []*cpuReq
+	// free holds idle core slots. A request waits in ready by value and
+	// takes a slot only while it holds a core, so at most cores slots ever
+	// exist and the per-slice hot path (Submit → dispatch → slice expiry)
+	// allocates nothing once they do, however long the ready queue grows.
+	free []*cpuSlot
 
 	// OnOccupancy, if set, observes every completed occupancy slice
 	// (owner, slice start time, slice length) — the hook the simulation
@@ -50,14 +50,15 @@ type CPU struct {
 type cpuReq struct {
 	owner     string
 	remaining float64
-	slice     float64 // current quantum slice, set by dispatch
 	onDone    func()
-	fire      func() // calls CPU.complete(this); bound once, reused forever
 }
 
-// maxReqFree caps the request free list (a burst of queued work must not
-// pin memory for the rest of a run).
-const maxReqFree = 1024
+// cpuSlot is a core running one request's current quantum slice.
+type cpuSlot struct {
+	req   cpuReq
+	slice float64 // current quantum slice, set by dispatch
+	fire  func()  // calls CPU.complete(this); bound once, reused forever
+}
 
 // NewCPU returns a CPU with the given core count and scheduling quantum in
 // microseconds. It panics on non-positive arguments.
@@ -84,38 +85,38 @@ func (c *CPU) Submit(owner string, length float64, onDone func()) {
 		}
 		return
 	}
-	var req *cpuReq
-	if n := len(c.free); n > 0 {
-		req = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		req.owner, req.remaining, req.onDone = owner, length, onDone
-	} else {
-		req = &cpuReq{owner: owner, remaining: length, onDone: onDone}
-		req.fire = func() { c.complete(req) }
-	}
-	c.ready = append(c.ready, req)
+	c.ready.Push(cpuReq{owner: owner, remaining: length, onDone: onDone})
 	c.dispatch()
 }
 
 func (c *CPU) dispatch() {
-	for c.running < c.cores && len(c.ready) > 0 {
-		req := c.ready[0]
-		c.ready = c.ready[1:]
+	for c.running < c.cores && c.ready.Len() > 0 {
+		var slot *cpuSlot
+		if n := len(c.free); n > 0 {
+			slot = c.free[n-1]
+			c.free[n-1] = nil
+			c.free = c.free[:n-1]
+		} else {
+			slot = &cpuSlot{}
+			slot.fire = func() { c.complete(slot) }
+		}
+		slot.req = c.ready.Pop()
 		c.running++
-		slice := req.remaining
+		slice := slot.req.remaining
 		if slice > c.quantum {
 			slice = c.quantum
 		}
-		req.slice = slice
-		c.sim.Schedule(slice, req.fire)
+		slot.slice = slice
+		c.sim.Schedule(slice, slot.fire)
 	}
 }
 
-// complete runs at a slice's expiry: account the slice, then finish the
-// request (recycling its record) or requeue its remainder.
-func (c *CPU) complete(req *cpuReq) {
-	slice := req.slice
+// complete runs at a slice's expiry: account the slice, free the core
+// slot, then finish the request or requeue its remainder.
+func (c *CPU) complete(slot *cpuSlot) {
+	req, slice := slot.req, slot.slice
+	slot.req = cpuReq{}
+	c.free = append(c.free, slot)
 	c.busy.add(req.owner, slice)
 	c.busyTotal += slice
 	if c.OnOccupancy != nil {
@@ -124,22 +125,17 @@ func (c *CPU) complete(req *cpuReq) {
 	req.remaining -= slice
 	c.running--
 	if req.remaining <= epsilon {
-		done := req.onDone
-		req.onDone = nil
-		if len(c.free) < maxReqFree {
-			c.free = append(c.free, req)
-		}
-		if done != nil {
-			done()
+		if req.onDone != nil {
+			req.onDone()
 		}
 	} else {
-		c.ready = append(c.ready, req)
+		c.ready.Push(req)
 	}
 	c.dispatch()
 }
 
 // QueueLen returns the number of requests waiting (not running).
-func (c *CPU) QueueLen() int { return len(c.ready) }
+func (c *CPU) QueueLen() int { return c.ready.Len() }
 
 // Running returns the number of requests currently holding a core.
 func (c *CPU) Running() int { return c.running }

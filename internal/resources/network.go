@@ -20,7 +20,7 @@ type Network struct {
 	sim       *des.Simulator
 	contended bool
 
-	queue   []*netReq
+	queue   des.FIFO[*netReq]
 	serving bool
 
 	// busy accumulates per-owner occupancy time and completed-transfer
@@ -45,6 +45,10 @@ type netReq struct {
 	fire   func() // calls Network.complete(this); bound once, reused forever
 }
 
+// maxReqFree caps the request free list (a burst of in-flight transfers
+// must not pin memory for the rest of a run).
+const maxReqFree = 1024
+
 // NewNetwork returns a network resource. contended selects the single
 // FIFO-channel discipline; otherwise transfers do not queue.
 func NewNetwork(sim *des.Simulator, contended bool) *Network {
@@ -65,7 +69,7 @@ func (n *Network) Submit(owner string, length float64, onDone func()) {
 		n.sim.Schedule(length, req.fire)
 		return
 	}
-	n.queue = append(n.queue, req)
+	n.queue.Push(req)
 	n.serve()
 }
 
@@ -83,11 +87,10 @@ func (n *Network) newReq(owner string, length float64, onDone func()) *netReq {
 }
 
 func (n *Network) serve() {
-	if n.serving || len(n.queue) == 0 {
+	if n.serving || n.queue.Len() == 0 {
 		return
 	}
-	req := n.queue[0]
-	n.queue = n.queue[1:]
+	req := n.queue.Pop()
 	n.serving = true
 	n.sim.Schedule(req.length, req.fire)
 }
@@ -124,7 +127,7 @@ func (n *Network) account(owner string, length float64) {
 }
 
 // QueueLen returns the number of requests waiting (contended mode only).
-func (n *Network) QueueLen() int { return len(n.queue) }
+func (n *Network) QueueLen() int { return n.queue.Len() }
 
 // Busy returns accumulated channel occupancy for an owner class.
 func (n *Network) Busy(owner string) float64 { return n.busy.get(owner) }

@@ -69,8 +69,8 @@ type Pipe struct {
 	capacity int
 	limit    int // fault-injected capacity squeeze; 0 = no limit
 	policy   OverflowPolicy
-	items    []Sample
-	blocked  []blockedPut
+	items    des.FIFO[Sample]
+	blocked  des.FIFO[blockedPut]
 
 	// onData, if set, fires whenever a sample enters the pipe; the daemon
 	// uses it to wake up (it may be waiting on a batch threshold, so every
@@ -164,13 +164,13 @@ func (p *Pipe) now() des.Time {
 }
 
 // Len returns the number of buffered samples.
-func (p *Pipe) Len() int { return len(p.items) }
+func (p *Pipe) Len() int { return p.items.Len() }
 
 // Cap returns the pipe capacity.
 func (p *Pipe) Cap() int { return p.capacity }
 
 // Blocked returns the number of writers currently blocked on a full pipe.
-func (p *Pipe) Blocked() int { return len(p.blocked) }
+func (p *Pipe) Blocked() int { return p.blocked.Len() }
 
 // Puts returns the total samples accepted into the pipe.
 func (p *Pipe) Puts() int { return p.puts }
@@ -192,8 +192,8 @@ func (p *Pipe) BlockedWaitTotal() float64 {
 	w := p.blockedWait
 	if p.clock != nil {
 		now := p.now()
-		for _, bp := range p.blocked {
-			w += now - bp.since
+		for i := 0; i < p.blocked.Len(); i++ {
+			w += now - p.blocked.At(i).since
 		}
 	}
 	return w
@@ -207,8 +207,8 @@ func (p *Pipe) ResetAccounting() {
 	p.puts = 0
 	p.blockedWait = 0
 	now := p.now()
-	for i := range p.blocked {
-		p.blocked[i].since = now
+	for i := 0; i < p.blocked.Len(); i++ {
+		p.blocked.At(i).since = now
 	}
 }
 
@@ -220,7 +220,7 @@ func (p *Pipe) ResetAccounting() {
 // both drop policies the writer proceeds (Put returns true). onAccepted
 // may be nil.
 func (p *Pipe) Put(s Sample, onAccepted func()) bool {
-	if len(p.items) < p.effCap() {
+	if p.items.Len() < p.effCap() {
 		p.accept(s)
 		return true
 	}
@@ -233,8 +233,7 @@ func (p *Pipe) Put(s Sample, onAccepted func()) bool {
 		}
 		return true
 	case DropOldest:
-		evicted := p.items[0]
-		p.items = p.items[1:]
+		evicted := p.items.Pop()
 		p.dropped++
 		p.droppedOld++
 		if p.obs != nil {
@@ -243,7 +242,7 @@ func (p *Pipe) Put(s Sample, onAccepted func()) bool {
 		p.accept(s)
 		return true
 	}
-	p.blocked = append(p.blocked, blockedPut{s: s, onAccepted: onAccepted, since: p.now()})
+	p.blocked.Push(blockedPut{s: s, onAccepted: onAccepted, since: p.now()})
 	if p.obs != nil {
 		p.obs.PipeBlocked(p.obsID, p.now(), s)
 	}
@@ -253,7 +252,7 @@ func (p *Pipe) Put(s Sample, onAccepted func()) bool {
 // TryPut writes a sample if there is room, otherwise drops it and returns
 // false. It models lossy instrumentation buffers for ablation experiments.
 func (p *Pipe) TryPut(s Sample) bool {
-	if len(p.items) < p.effCap() {
+	if p.items.Len() < p.effCap() {
 		p.accept(s)
 		return true
 	}
@@ -266,10 +265,10 @@ func (p *Pipe) TryPut(s Sample) bool {
 }
 
 func (p *Pipe) accept(s Sample) {
-	p.items = append(p.items, s)
+	p.items.Push(s)
 	p.puts++
 	if p.obs != nil {
-		p.obs.PipePut(p.obsID, p.now(), s, len(p.items))
+		p.obs.PipePut(p.obsID, p.now(), s, p.items.Len())
 	}
 	if p.onData != nil {
 		p.onData()
@@ -280,13 +279,12 @@ func (p *Pipe) accept(s Sample) {
 // are blocked, blocked samples enter the pipe in FIFO order and their
 // onAccepted callbacks fire.
 func (p *Pipe) Get() (Sample, bool) {
-	if len(p.items) == 0 {
+	if p.items.Len() == 0 {
 		return Sample{}, false
 	}
-	s := p.items[0]
-	p.items = p.items[1:]
+	s := p.items.Pop()
 	if p.obs != nil {
-		p.obs.PipeGet(p.obsID, p.now(), s, len(p.items))
+		p.obs.PipeGet(p.obsID, p.now(), s, p.items.Len())
 	}
 	p.admitBlocked()
 	return s, true
@@ -295,9 +293,8 @@ func (p *Pipe) Get() (Sample, bool) {
 // admitBlocked moves blocked writers into the pipe while space allows,
 // oldest first, accounting their completed wait time.
 func (p *Pipe) admitBlocked() {
-	for len(p.blocked) > 0 && len(p.items) < p.effCap() {
-		bp := p.blocked[0]
-		p.blocked = p.blocked[1:]
+	for p.blocked.Len() > 0 && p.items.Len() < p.effCap() {
+		bp := p.blocked.Pop()
 		if p.clock != nil {
 			p.blockedWait += p.now() - bp.since
 		}
@@ -312,8 +309,8 @@ func (p *Pipe) admitBlocked() {
 // <= 0), unblocking writers as space frees. The daemon uses Drain to build
 // a batch under the BF policy.
 func (p *Pipe) Drain(max int) []Sample {
-	if max <= 0 || max > len(p.items)+len(p.blocked) {
-		max = len(p.items) // blocked items enter as space frees below
+	if max <= 0 || max > p.items.Len()+p.blocked.Len() {
+		max = p.items.Len() // blocked items enter as space frees below
 	}
 	var out []Sample
 	for len(out) < max {
