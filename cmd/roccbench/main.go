@@ -59,7 +59,7 @@ func main() {
 		jsonOut   = cli.JSON(flag.CommandLine)
 		outPath   = cli.Out(flag.CommandLine)
 		httpAddr  = cli.HTTP(flag.CommandLine)
-		calName   = flag.String("calendar", "auto", "event calendar: auto, heap, bucket, list (results identical; perf only)")
+		calName   = flag.String("calendar", "auto", "event calendar: auto, heap, bucket (results identical; perf only)")
 		compare   = flag.String("compare", "", "check this -json perf record against -baseline and exit")
 		baseline  = flag.String("baseline", "", "baseline perf record for -compare")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run")

@@ -34,7 +34,6 @@ func main() {
 		squeeze = flag.Float64("squeeze-mtbf", 0, "pipe capacity-squeeze mean interval in milliseconds (0 = none)")
 		nodes   = flag.Int("nodes", 8, "number of nodes (CPUs for SMP)")
 		spMS    = flag.Float64("sp", 20, "sampling period in milliseconds")
-		batch   = flag.Int("batch", 16, "batch size under the BF policy")
 		policy  = cli.Policy(flag.CommandLine)
 		dur     = flag.Float64("duration", 10, "simulated seconds per run")
 		seed    = flag.Uint64("seed", 1, "random seed (model and fault schedules)")
@@ -57,7 +56,6 @@ func main() {
 		SqueezeMTBFUS:    *squeeze * 1000,
 		SamplingPeriodUS: *spMS * 1000,
 		Nodes:            *nodes,
-		BatchSize:        *batch,
 	}
 	if policy.Given() {
 		spec := policy.Spec()

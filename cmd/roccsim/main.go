@@ -4,13 +4,13 @@
 // Examples:
 //
 //	roccsim -arch now -nodes 8 -sp 40 -policy cf
-//	roccsim -arch mpp -nodes 256 -policy bf -batch 32 -forward tree
-//	roccsim -arch smp -nodes 16 -procs 32 -pds 2 -policy bf -batch 32
+//	roccsim -arch mpp -nodes 256 -policy bf:32 -forward tree
+//	roccsim -arch smp -nodes 16 -procs 32 -pds 2 -policy bf:32
 //	roccsim -nodes 8 -reps 5 -json -out run.json  # scenario + results as JSON
 //	roccsim -nodes 8 -trace run.json            # Chrome/Perfetto trace
 //	roccsim -nodes 8 -trace run.txt             # AIX-like text trace
 //	roccsim -nodes 64 -duration 1000 -http :0   # live /metrics + pprof while it runs
-//	roccsim -nodes 8 -policy bf -batch 64 -stages  # per-stage latency waterfall
+//	roccsim -nodes 8 -policy bf:64 -stages      # per-stage latency waterfall
 //	roccsim -cpuprofile cpu.pprof -log - -loglevel debug
 package main
 
@@ -37,6 +37,9 @@ import (
 	"rocc/internal/trace"
 )
 
+// defaultBatch is the batch size of a bare -policy bf.
+const defaultBatch = 32
+
 func main() {
 	var (
 		arch     = flag.String("arch", "now", "architecture: now, smp, mpp")
@@ -45,7 +48,6 @@ func main() {
 		pds      = flag.Int("pds", 1, "Paradyn daemons (per node; total for SMP)")
 		spMS     = flag.Float64("sp", 40, "sampling period in milliseconds (0 = uninstrumented)")
 		policy   = cli.Policy(flag.CommandLine)
-		batch    = flag.Int("batch", 32, "batch size under the BF policy")
 		fwd      = flag.String("forward", "direct", "forwarding configuration: direct or tree (MPP)")
 		dur      = flag.Float64("duration", 100, "simulated seconds")
 		seed     = cli.Seed(flag.CommandLine)
@@ -69,7 +71,7 @@ func main() {
 		execTr   = flag.String("exectrace", "", "write a Go runtime execution trace")
 		logDest  = flag.String("log", "", "write structured run logs to this file (\"-\" = stderr)")
 		logLevel = flag.String("loglevel", "info", "log level: debug, info, warn, error")
-		calName  = flag.String("calendar", "auto", "event calendar: auto, heap, bucket, list (results identical; perf only)")
+		calName  = flag.String("calendar", "auto", "event calendar: auto, heap, bucket (results identical; perf only)")
 	)
 	flag.Parse()
 
@@ -103,7 +105,7 @@ func main() {
 	cfg.AppProcs = *procs
 	cfg.Pds = *pds
 	cfg.SamplingPeriod = *spMS * 1000
-	policy.Apply(&cfg.Policy, &cfg.BatchSize, &cfg.Strategy, *batch)
+	cfg.Strategy = policy.Strategy(defaultBatch)
 	fwdCfg, err := forward.ParseConfig(*fwd)
 	if err != nil {
 		fatal("%v", err)
@@ -171,7 +173,7 @@ func main() {
 		}
 		logger.SetClock(func() float64 { return float64(m.Sim.Now()) })
 		logger.Info("run started", "arch", cfg.Arch.String(), "nodes", cfg.Nodes,
-			"policy", cfg.Policy.String(), "duration_sec", cfg.Duration/1e6, "seed", cfg.Seed)
+			"policy", policyName(cfg), "duration_sec", cfg.Duration/1e6, "seed", cfg.Seed)
 		res = m.Run()
 		logger.Info("run finished",
 			"generated", c.Metrics.Generated.Value(),
@@ -187,7 +189,7 @@ func main() {
 		*reps = 1
 	} else {
 		logger.Info("run started", "arch", cfg.Arch.String(), "nodes", cfg.Nodes,
-			"policy", cfg.Policy.String(), "duration_sec", cfg.Duration/1e6,
+			"policy", policyName(cfg), "duration_sec", cfg.Duration/1e6,
 			"seed", cfg.Seed, "reps", *reps)
 		var err error
 		rep, err = core.RunReplicationsParallel(cfg, *reps, *parallel)
@@ -330,14 +332,19 @@ func openLogger(dest, level string) *obs.Logger {
 	return obs.NewLogger(f, lv)
 }
 
-// policyLabel renders the forwarding policy for titles: the strategy's
-// -policy spec when one is wired, the legacy "CF(batch 1)"/"BF(batch n)"
-// form otherwise (so legacy output is unchanged).
+// policyLabel renders the forwarding policy for titles: "CF(batch 1)" or
+// "BF(batch n)" for a fixed policy, the -policy spec otherwise.
 func policyLabel(cfg core.Config) string {
-	if cfg.Strategy != nil {
-		return cfg.Strategy.String()
+	if p, batch := forward.PolicyOf(cfg.Strategy); batch > 0 {
+		return fmt.Sprintf("%s(batch %d)", p, batch)
 	}
-	return fmt.Sprintf("%s(batch %d)", cfg.Policy, cfg.BatchSize)
+	return cfg.Strategy.String()
+}
+
+// policyName is the run log's policy field: CF or BF.
+func policyName(cfg core.Config) string {
+	p, _ := forward.PolicyOf(cfg.Strategy)
+	return p.String()
 }
 
 // printResult renders the metric table for a (possibly replicated) run.

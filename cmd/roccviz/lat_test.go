@@ -23,8 +23,7 @@ func latTestConfigs() map[string]core.Config {
 		cfg.Duration = 2e6
 		cfg.Warmup = 0 // full paths in the trace: reconstruction is exact
 		cfg.Seed = 21
-		cfg.Policy = forward.BF
-		cfg.BatchSize = 8
+		cfg.Strategy = forward.NewFixedBF(8)
 		return cfg
 	}
 

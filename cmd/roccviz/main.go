@@ -23,6 +23,7 @@ import (
 
 	"rocc/internal/cli"
 	"rocc/internal/core"
+	"rocc/internal/forward"
 	"rocc/internal/obs"
 	"rocc/internal/obs/live"
 	"rocc/internal/obs/prov"
@@ -30,13 +31,15 @@ import (
 	"rocc/internal/trace"
 )
 
+// defaultBatch is the batch size of a bare -policy bf.
+const defaultBatch = 32
+
 func main() {
 	var (
 		arch    = flag.String("arch", "now", "architecture: now, smp, mpp")
 		nodes   = flag.Int("nodes", 8, "number of nodes (CPUs for SMP)")
 		spMS    = flag.Float64("sp", 40, "sampling period in milliseconds")
 		policy  = cli.Policy(flag.CommandLine)
-		batch   = flag.Int("batch", 32, "batch size under the BF policy")
 		dur     = flag.Float64("duration", 10, "simulated seconds")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		windows = flag.Int("windows", 10, "occupancy timeline windows")
@@ -83,7 +86,7 @@ func main() {
 	}
 	cfg.Nodes = *nodes
 	cfg.SamplingPeriod = *spMS * 1000
-	policy.Apply(&cfg.Policy, &cfg.BatchSize, &cfg.Strategy, *batch)
+	cfg.Strategy = policy.Strategy(defaultBatch)
 	cfg.Duration = *dur * 1e6
 	cfg.Seed = *seed
 
@@ -129,9 +132,9 @@ func main() {
 			len(c.Sink.Spans()), len(c.Sink.Events()), *export)
 	}
 
-	policyName := fmt.Sprint(cfg.Policy)
-	if cfg.Strategy != nil {
-		policyName = cfg.Strategy.String()
+	policyName := cfg.Strategy.String()
+	if p, batch := forward.PolicyOf(cfg.Strategy); batch > 0 {
+		policyName = p.String()
 	}
 	ct := report.NewTable(
 		fmt.Sprintf("Telemetry: %s, %d nodes, SP=%.1f ms, %s", cfg.Arch, cfg.Nodes, cfg.SamplingPeriod/1000, policyName),

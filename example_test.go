@@ -13,8 +13,7 @@ import (
 func ExampleSimulate() {
 	cfg := rocc.DefaultConfig() // 8-node NOW, 40 ms sampling, Table 2 workload
 	cfg.Duration = 10e6         // 10 simulated seconds
-	cfg.Policy = rocc.BF
-	cfg.BatchSize = 32
+	cfg.Strategy = rocc.NewFixedBFStrategy(32)
 	res, err := rocc.Simulate(cfg)
 	if err != nil {
 		log.Fatal(err)

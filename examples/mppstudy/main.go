@@ -15,8 +15,7 @@ func run(nodes int, fwd rocc.Forwarding, barrierMS float64) rocc.Result {
 	cfg := rocc.DefaultConfig()
 	cfg.Arch = rocc.MPP
 	cfg.Nodes = nodes
-	cfg.Policy = rocc.BF
-	cfg.BatchSize = 32
+	cfg.Strategy = rocc.NewFixedBFStrategy(32)
 	cfg.SamplingPeriod = 10000
 	cfg.Forwarding = fwd
 	cfg.BarrierPeriod = barrierMS * 1000

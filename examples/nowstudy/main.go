@@ -16,12 +16,11 @@ func main() {
 	fmt.Printf("%-8s  %-26s  %-26s\n", "SP(ms)", "CF Pd util/node (%)", "BF Pd util/node (%)")
 	for _, spMS := range []float64{1, 2, 4, 8, 16, 32, 64} {
 		var cells []string
-		for _, policy := range []rocc.Policy{rocc.CF, rocc.BF} {
+		for _, s := range []rocc.ForwardStrategy{rocc.NewCFStrategy(), rocc.NewFixedBFStrategy(32)} {
 			cfg := rocc.DefaultConfig()
 			cfg.Duration = 10e6
 			cfg.SamplingPeriod = spMS * 1000
-			cfg.Policy = policy
-			cfg.BatchSize = 32
+			cfg.Strategy = s
 			rep, err := rocc.SimulateReplications(cfg, 5)
 			if err != nil {
 				log.Fatal(err)
@@ -39,8 +38,7 @@ func main() {
 		cfg.Duration = 10e6
 		cfg.SamplingPeriod = 5000
 		if batch > 1 {
-			cfg.Policy = rocc.BF
-			cfg.BatchSize = batch
+			cfg.Strategy = rocc.NewFixedBFStrategy(batch)
 		}
 		res, err := rocc.Simulate(cfg)
 		if err != nil {

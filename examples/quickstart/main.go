@@ -19,7 +19,7 @@ func main() {
 
 	// Collect-and-forward: the daemon makes one forwarding system call per
 	// sample (the pre-release Paradyn policy).
-	cfg.Policy = rocc.CF
+	cfg.Strategy = rocc.NewCFStrategy()
 	cf, err := rocc.Simulate(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -27,8 +27,7 @@ func main() {
 
 	// Batch-and-forward: 32 samples per system call (the policy this
 	// study's feedback added to Paradyn release 1.0).
-	cfg.Policy = rocc.BF
-	cfg.BatchSize = 32
+	cfg.Strategy = rocc.NewFixedBFStrategy(32)
 	bf, err := rocc.Simulate(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -11,7 +11,7 @@ import (
 	"rocc"
 )
 
-func throughput(cpus, pds int, policy rocc.Policy) float64 {
+func throughput(cpus, pds int, strategy rocc.ForwardStrategy) float64 {
 	cfg := rocc.DefaultConfig()
 	cfg.Arch = rocc.SMP
 	cfg.Nodes = cpus
@@ -20,8 +20,7 @@ func throughput(cpus, pds int, policy rocc.Policy) float64 {
 		pds = cpus
 	}
 	cfg.Pds = pds
-	cfg.Policy = policy
-	cfg.BatchSize = 32
+	cfg.Strategy = strategy
 	cfg.SamplingPeriod = 5000
 	cfg.Duration = 10e6
 	res, err := rocc.Simulate(cfg)
@@ -32,8 +31,11 @@ func throughput(cpus, pds int, policy rocc.Policy) float64 {
 }
 
 func main() {
-	for _, policy := range []rocc.Policy{rocc.CF, rocc.BF} {
-		fmt.Printf("== Daemon forwarding throughput (samples/sec), %s policy ==\n", policy)
+	for _, policy := range []struct {
+		name     string
+		strategy rocc.ForwardStrategy
+	}{{"CF", rocc.NewCFStrategy()}, {"BF", rocc.NewFixedBFStrategy(32)}} {
+		fmt.Printf("== Daemon forwarding throughput (samples/sec), %s policy ==\n", policy.name)
 		fmt.Printf("%-6s", "CPUs")
 		for pds := 1; pds <= 4; pds++ {
 			fmt.Printf("  %8d Pd", pds)
@@ -42,7 +44,7 @@ func main() {
 		for _, cpus := range []int{1, 2, 4, 8, 16} {
 			fmt.Printf("%-6d", cpus)
 			for pds := 1; pds <= 4; pds++ {
-				fmt.Printf("  %11.1f", throughput(cpus, pds, policy))
+				fmt.Printf("  %11.1f", throughput(cpus, pds, policy.strategy))
 			}
 			fmt.Println()
 		}

@@ -181,29 +181,10 @@ func (v *PolicyValue) Given() bool { return v.given }
 // Spec returns the parsed strategy spec (the zero spec if not given).
 func (v *PolicyValue) Spec() forward.StrategySpec { return v.spec }
 
-// Apply writes the spec onto a core-style destination: an adaptive spec
-// installs the strategy, a fixed spec sets the legacy Policy/BatchSize
-// fields (so legacy paths — and their golden outputs — stay engaged for
-// cf/bf). defaultBatch supplies the tool's -batch default for bare "bf".
-func (v *PolicyValue) Apply(p *forward.Policy, batch *int, strategy *forward.Strategy, defaultBatch int) {
-	if !v.given {
-		return
-	}
-	switch {
-	case v.spec.Adaptive:
-		*p = forward.BF
-		*strategy = v.spec.NewStrategy(defaultBatch)
-	case v.spec.Policy == forward.CF:
-		*p = forward.CF
-		*batch = 1
-	default:
-		*p = forward.BF
-		if v.spec.Batch > 0 {
-			*batch = v.spec.Batch
-		} else if defaultBatch > 0 {
-			*batch = defaultBatch
-		}
-	}
+// Strategy returns the strategy the flag denotes: CF when -policy was not
+// given, and a fixed BF at the tool's defaultBatch for a bare "bf".
+func (v *PolicyValue) Strategy(defaultBatch int) forward.Strategy {
+	return v.spec.NewStrategy(defaultBatch)
 }
 
 // nopCloser wraps stdout so Output callers can defer Close uniformly.

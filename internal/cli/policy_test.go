@@ -49,12 +49,9 @@ func TestPolicyFlagNotGiven(t *testing.T) {
 	if v.Given() {
 		t.Fatal("Given() true without the flag")
 	}
-	// Apply must be a no-op when the flag was not given.
-	p, batch := forward.CF, 99
-	var strat forward.Strategy
-	v.Apply(&p, &batch, &strat, 32)
-	if p != forward.CF || batch != 99 || strat != nil {
-		t.Fatalf("Apply without flag mutated state: %v %d %v", p, batch, strat)
+	// Without the flag the tool runs CF, whatever its batch default.
+	if got := v.Strategy(32).String(); got != "cf" {
+		t.Fatalf("Strategy without flag = %q, want cf", got)
 	}
 }
 
@@ -82,39 +79,22 @@ func TestPolicyFlagRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestPolicyApply(t *testing.T) {
-	apply := func(arg string) (forward.Policy, int, forward.Strategy) {
+func TestPolicyStrategy(t *testing.T) {
+	cases := []struct{ arg, want string }{
+		{"cf", "cf"},
+		{"bf:16", "bf:16"},
+		{"bf", "bf:32"}, // bare bf takes the tool's batch default
+		{"abf", "abf"},
+		{"abf:1.5", "abf:1.5"},
+	}
+	for _, c := range cases {
 		fs, v := newPolicyFS()
-		if err := fs.Parse([]string{"-policy", arg}); err != nil {
-			t.Fatalf("-policy %s: %v", arg, err)
+		if err := fs.Parse([]string{"-policy", c.arg}); err != nil {
+			t.Fatalf("-policy %s: %v", c.arg, err)
 		}
-		p, batch := forward.CF, 0
-		var strat forward.Strategy
-		v.Apply(&p, &batch, &strat, 32)
-		return p, batch, strat
-	}
-
-	if p, batch, strat := apply("cf"); p != forward.CF || batch != 1 || strat != nil {
-		t.Fatalf("cf applied %v %d %v", p, batch, strat)
-	}
-	if p, batch, strat := apply("bf:16"); p != forward.BF || batch != 16 || strat != nil {
-		t.Fatalf("bf:16 applied %v %d %v", p, batch, strat)
-	}
-	// Bare bf takes the tool's -batch default, keeping the legacy fields
-	// (and golden outputs) engaged.
-	if p, batch, strat := apply("bf"); p != forward.BF || batch != 32 || strat != nil {
-		t.Fatalf("bf applied %v %d %v", p, batch, strat)
-	}
-	// Adaptive installs a Strategy rather than the legacy fields.
-	p, _, strat := apply("abf")
-	if p != forward.BF || strat == nil {
-		t.Fatalf("abf applied %v strategy %v", p, strat)
-	}
-	if strat.String() != "abf" {
-		t.Fatalf("abf strategy renders %q", strat.String())
-	}
-	if _, _, strat := apply("abf:1.5"); strat == nil || strat.String() != "abf:1.5" {
-		t.Fatalf("abf:1.5 strategy %v", strat)
+		if got := v.Strategy(32).String(); got != c.want {
+			t.Errorf("-policy %s: strategy %q, want %q", c.arg, got, c.want)
+		}
 	}
 }
 

@@ -20,8 +20,7 @@ func calendarCases() map[string]Config {
 	now := shortCfg()
 
 	bf := shortCfg()
-	bf.Policy = forward.BF
-	bf.BatchSize = 10
+	bf.Strategy = forward.NewFixedBF(10)
 	bf.FlushTimeout = 50000
 
 	smp := shortCfg()
@@ -35,8 +34,7 @@ func calendarCases() map[string]Config {
 	mpp.Arch = MPP
 	mpp.Nodes = 16
 	mpp.Forwarding = forward.Tree
-	mpp.Policy = forward.BF
-	mpp.BatchSize = 4
+	mpp.Strategy = forward.NewFixedBF(4)
 
 	barrier := shortCfg()
 	barrier.BarrierPeriod = 200000

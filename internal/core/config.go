@@ -2,7 +2,7 @@
 // the Paradyn instrumentation system — the paper's primary contribution.
 // A Config selects the architecture (NOW, SMP, or MPP), the instrumentation
 // workload factors of the 2^k·r experiments (number of nodes, sampling
-// period, forwarding policy and batch size, application type, forwarding
+// period, forwarding strategy, application type, forwarding
 // configuration), and the Table 2 workload parameterization. Model.Run
 // executes the discrete-event simulation and reports the paper's metrics:
 // direct IS overhead, monitoring latency, data-forwarding throughput, and
@@ -146,20 +146,11 @@ type Config struct {
 	// microseconds; zero runs the uninstrumented baseline.
 	SamplingPeriod float64
 
-	// Policy and BatchSize select CF or BF forwarding; CF forces an
-	// effective batch of one. They are the legacy closed-enum surface:
-	// Validate maps them onto the equivalent forward.Strategy when
-	// Strategy is nil, byte-identically to the pre-strategy model.
-	Policy    forward.Policy
-	BatchSize int
-
-	// Strategy, when non-nil, overrides Policy/BatchSize with a pluggable
-	// forwarding strategy (forward.NewCF, forward.NewFixedBF,
-	// forward.NewAdaptiveBF, or a custom implementation). The value is a
-	// prototype: each daemon receives its own Clone, so stateful
-	// controllers never share state across daemons. For informational
-	// surfaces (scenario specs, result labels) Policy/BatchSize are kept
-	// coherent when a built-in strategy is recognized.
+	// Strategy selects the forwarding policy: forward.NewCF,
+	// forward.NewFixedBF, forward.NewAdaptiveBF, or a custom
+	// implementation. Nil means CF. The value is a prototype: each daemon
+	// receives its own Clone, so stateful controllers never share state
+	// across daemons.
 	Strategy forward.Strategy
 
 	// Forwarding selects direct or binary-tree forwarding (MPP).
@@ -297,8 +288,7 @@ func DefaultConfig() Config {
 		AppProcs:       1,
 		Pds:            1,
 		SamplingPeriod: 40000,
-		Policy:         forward.CF,
-		BatchSize:      1,
+		Strategy:       forward.NewCF(),
 		Forwarding:     forward.Direct,
 		PipeCapacity:   256,
 		Quantum:        10000,
@@ -352,31 +342,11 @@ func (c Config) Validate() (Config, error) {
 		c.Quantum = 10000
 	}
 	if c.Strategy == nil {
-		if c.Policy == forward.CF {
-			c.BatchSize = 1
-		} else if c.BatchSize < 1 {
-			return c, errors.New("core: BF policy needs BatchSize >= 1")
-		}
-	} else {
-		if v, ok := c.Strategy.(forward.Validator); ok {
-			if err := v.Validate(); err != nil {
-				return c, err
-			}
-		}
-		// Keep the legacy fields coherent for labels and scenario specs:
-		// built-in strategies render as -policy specs, which recover the
-		// equivalent Policy/BatchSize. Custom strategies label as BF.
-		if spec, err := forward.ParseStrategySpec(c.Strategy.String()); err == nil {
-			c.Policy = spec.Policy
-			if !spec.Adaptive {
-				if spec.Policy == forward.CF {
-					c.BatchSize = 1
-				} else if spec.Batch > 0 {
-					c.BatchSize = spec.Batch
-				}
-			}
-		} else {
-			c.Policy = forward.BF
+		c.Strategy = forward.NewCF()
+	}
+	if v, ok := c.Strategy.(forward.Validator); ok {
+		if err := v.Validate(); err != nil {
+			return c, err
 		}
 	}
 	if c.Workload == (Workload{}) {

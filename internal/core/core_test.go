@@ -37,8 +37,8 @@ func TestValidateDefaults(t *testing.T) {
 	if v.Workload.AppCPU == nil || v.Cost.PerMsgCPU == nil {
 		t.Fatal("workload/cost defaults not applied")
 	}
-	if v.BatchSize != 1 {
-		t.Fatal("CF must force batch size 1")
+	if v.Strategy != forward.NewCF() {
+		t.Fatalf("nil Strategy validated to %v, want cf", v.Strategy)
 	}
 }
 
@@ -48,7 +48,8 @@ func TestValidateErrors(t *testing.T) {
 		{Nodes: 1, AppProcs: 0, Duration: 1},
 		{Nodes: 1, AppProcs: 1, Duration: 0},
 		{Nodes: 1, AppProcs: 1, Duration: 1, SamplingPeriod: -1},
-		{Nodes: 1, AppProcs: 1, Duration: 1, Policy: forward.BF, BatchSize: 0},
+		{Nodes: 1, AppProcs: 1, Duration: 1,
+			Strategy: forward.NewAdaptiveBF(forward.ControllerConfig{MinBatch: 9, MaxBatch: 3})},
 		{Nodes: 1, AppProcs: 1, Duration: 1, Arch: SMP, Pds: 5},
 		{Nodes: 1, AppProcs: 1, Duration: 1, Arch: NOW, Forwarding: forward.Tree},
 	}
@@ -170,12 +171,11 @@ func TestBFReducesOverheadVsCF(t *testing.T) {
 	base.SamplingPeriod = 5000 // 5 ms: high sampling rate
 
 	cf := base
-	cf.Policy = forward.CF
+	cf.Strategy = forward.NewCF()
 	rcf := mustRun(t, cf)
 
 	bf := base
-	bf.Policy = forward.BF
-	bf.BatchSize = 32
+	bf.Strategy = forward.NewFixedBF(32)
 	rbf := mustRun(t, bf)
 
 	if rcf.PdCPUTimePerNodeSec <= 0 {

@@ -57,8 +57,7 @@ func TestMessageRateFollowsEquationOne(t *testing.T) {
 		cfg.AppProcs = procs
 		cfg.SamplingPeriod = spUS
 		if batch > 1 {
-			cfg.Policy = forward.BF
-			cfg.BatchSize = batch
+			cfg.Strategy = forward.NewFixedBF(batch)
 		}
 		m, err := New(cfg)
 		if err != nil {

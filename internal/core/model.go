@@ -64,16 +64,6 @@ const (
 	streamOther
 )
 
-// cloneStrategy hands each daemon its own strategy instance; nil (the
-// legacy Policy/BatchSize path) passes through so the daemon derives the
-// equivalent built-in itself.
-func cloneStrategy(s forward.Strategy) forward.Strategy {
-	if s == nil {
-		return nil
-	}
-	return s.Clone()
-}
-
 func streamID(kind, node, idx int) uint64 {
 	return uint64(kind)<<40 | uint64(node)<<20 | uint64(idx)
 }
@@ -223,9 +213,7 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 			d := &procs.PdDaemon{
 				Sim: m.Sim, CPU: m.NodeCPUs[node], Net: m.Net,
 				R:            master.Derive(streamID(streamPd, node, k)),
-				Policy:       cfg.Policy,
-				BatchSize:    cfg.BatchSize,
-				Strategy:     cloneStrategy(cfg.Strategy),
+				Strategy:     cfg.Strategy.Clone(),
 				Cost:         cfg.Cost,
 				Node:         node,
 				FlushTimeout: cfg.FlushTimeout,
@@ -301,9 +289,7 @@ func (m *Model) buildSMP(master *rng.Stream) {
 		d := &procs.PdDaemon{
 			Sim: m.Sim, CPU: cpu, Net: m.Net,
 			R:            master.Derive(streamID(streamPd, 0, k)),
-			Policy:       cfg.Policy,
-			BatchSize:    cfg.BatchSize,
-			Strategy:     cloneStrategy(cfg.Strategy),
+			Strategy:     cfg.Strategy.Clone(),
 			Cost:         cfg.Cost,
 			Node:         0,
 			FlushTimeout: cfg.FlushTimeout,

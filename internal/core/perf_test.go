@@ -45,8 +45,7 @@ func BenchmarkModelMPP256Tree(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Arch = MPP
 	cfg.Nodes = 256
-	cfg.Policy = forward.BF
-	cfg.BatchSize = 32
+	cfg.Strategy = forward.NewFixedBF(32)
 	cfg.Forwarding = forward.Tree
 	cfg.Duration = 1e6
 	benchModel(b, cfg)

@@ -24,8 +24,7 @@ func provChaosConfigs() map[string]Config {
 		cfg.Duration = 4e6
 		cfg.Warmup = 0 // exact in-flight identity needs no carryover
 		cfg.Seed = 11
-		cfg.Policy = forward.BF
-		cfg.BatchSize = 8
+		cfg.Strategy = forward.NewFixedBF(8)
 		return cfg
 	}
 
@@ -142,8 +141,7 @@ func TestProvenanceLeavesResultUnchanged(t *testing.T) {
 	plainCfg.Nodes = 4
 	plainCfg.Duration = 4e6
 	plainCfg.Warmup = 1e6
-	plainCfg.Policy = forward.BF
-	plainCfg.BatchSize = 16
+	plainCfg.Strategy = forward.NewFixedBF(16)
 	cfgs["plain-warmup"] = plainCfg
 
 	for name, cfg := range cfgs {
@@ -196,8 +194,7 @@ func TestProvenanceStagesOnResult(t *testing.T) {
 	cfg.AppProcs = 4
 	cfg.Duration = 4e6
 	cfg.SamplingPeriod = 10000
-	cfg.Policy = forward.BF
-	cfg.BatchSize = 64
+	cfg.Strategy = forward.NewFixedBF(64)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

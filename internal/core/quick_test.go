@@ -38,8 +38,7 @@ func TestQuickModelInvariants(t *testing.T) {
 			}
 		}
 		if batch := int(batch8) % 65; batch > 1 {
-			cfg.Policy = forward.BF
-			cfg.BatchSize = batch
+			cfg.Strategy = forward.NewFixedBF(batch)
 		}
 		if flags&2 == 2 {
 			cfg.BarrierPeriod = 20000

@@ -8,108 +8,6 @@ import (
 	"rocc/internal/forward"
 )
 
-// shimShapes are the scenario shapes of the deprecation-shim contract:
-// the operating points of the table4/fig16 factorial family, the fig19
-// batch sweep, and the MPP tree configurations.
-func shimShapes() []Config {
-	base := DefaultConfig()
-	base.Duration = 0.5e6
-
-	now8cf := base
-	now8cf.Policy = forward.CF
-
-	now8bf16 := base
-	now8bf16.Policy = forward.BF
-	now8bf16.BatchSize = 16
-	now8bf16.SamplingPeriod = 8000
-
-	now4bf2 := base
-	now4bf2.Nodes = 4
-	now4bf2.Policy = forward.BF
-	now4bf2.BatchSize = 2
-	now4bf2.Warmup = 0.1e6
-
-	now1bf128 := base
-	now1bf128.Nodes = 1
-	now1bf128.AppProcs = 8
-	now1bf128.Policy = forward.BF
-	now1bf128.BatchSize = 128
-	now1bf128.SamplingPeriod = 1000
-
-	smp16 := base
-	smp16.Arch = SMP
-	smp16.Nodes = 16
-	smp16.AppProcs = 16
-	smp16.Pds = 2
-	smp16.Policy = forward.BF
-	smp16.BatchSize = 32
-	smp16.SamplingPeriod = 8000
-
-	mpp8tree := base
-	mpp8tree.Arch = MPP
-	mpp8tree.Policy = forward.BF
-	mpp8tree.BatchSize = 8
-	mpp8tree.Forwarding = forward.Tree
-	mpp8tree.SamplingPeriod = 20000
-
-	return []Config{now8cf, now8bf16, now4bf2, now1bf128, smp16, mpp8tree}
-}
-
-// The deprecation shim: a legacy Config{Policy, BatchSize} and the same
-// Config with the mapped Strategy installed explicitly must produce
-// byte-identical Results on every scenario shape.
-func TestLegacyPolicyEqualsExplicitStrategy(t *testing.T) {
-	for _, cfg := range shimShapes() {
-		legacy, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		explicit := cfg
-		explicit.Strategy = forward.FromPolicy(cfg.Policy, cfg.BatchSize)
-		mapped, err := New(explicit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := legacy.Run(), mapped.Run()
-		// The Cfg snapshots differ (one carries the Strategy field); the
-		// metrics must not.
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s %s batch %d: legacy and explicit-strategy results differ\nlegacy:   %+v\nstrategy: %+v",
-				cfg.Arch, cfg.Policy, cfg.BatchSize, a, b)
-		}
-	}
-}
-
-// Validate keeps the legacy Policy/BatchSize fields coherent with an
-// installed Strategy, so downstream consumers (scenario serialization,
-// result labeling) see the truth through either surface.
-func TestValidateSyncsLegacyFieldsFromStrategy(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Duration = 1e5
-	cfg.Strategy = forward.NewFixedBF(9)
-	v, err := cfg.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Policy != forward.BF || v.BatchSize != 9 {
-		t.Fatalf("bf:9 strategy synced to %v/%d", v.Policy, v.BatchSize)
-	}
-	cfg.Strategy = forward.NewCF()
-	if v, err = cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if v.Policy != forward.CF || v.BatchSize != 1 {
-		t.Fatalf("cf strategy synced to %v/%d", v.Policy, v.BatchSize)
-	}
-	cfg.Strategy = forward.NewAdaptiveBF(forward.ControllerConfig{})
-	if v, err = cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if v.Policy != forward.BF {
-		t.Fatalf("abf strategy synced to %v", v.Policy)
-	}
-}
-
 // An invalid adaptive controller configuration surfaces from Validate,
 // before any run starts.
 func TestValidateRejectsInvalidController(t *testing.T) {
@@ -142,7 +40,7 @@ func TestAdaptiveDeterministicAcrossCalendarsAndWorkers(t *testing.T) {
 	base := adaptiveOverloadConfig()
 
 	var ref Result
-	for i, kind := range []des.CalendarKind{des.CalendarHeap, des.CalendarBucket, des.CalendarList} {
+	for i, kind := range []des.CalendarKind{des.CalendarHeap, des.CalendarBucket} {
 		cfg := base
 		cfg.Calendar = kind
 		m, err := New(cfg)
@@ -303,13 +201,12 @@ func TestAdaptiveConvergesUnderBurstySchedule(t *testing.T) {
 	}
 }
 
-// Legacy (nil-Strategy) runs must not report adaptive telemetry, keeping
-// their JSON output byte-identical to the pre-redesign encoder.
+// Fixed-strategy runs must not report adaptive telemetry, keeping their
+// JSON output free of the adaptive fields.
 func TestLegacyRunsOmitAdaptiveTelemetry(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 0.5e6
-	cfg.Policy = forward.BF
-	cfg.BatchSize = 16
+	cfg.Strategy = forward.NewFixedBF(16)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +214,6 @@ func TestLegacyRunsOmitAdaptiveTelemetry(t *testing.T) {
 	res := m.Run()
 	if res.AdaptiveFinalBatchMean != 0 || res.AdaptiveFinalBatchMin != 0 ||
 		res.AdaptiveFinalBatchMax != 0 || res.AdaptiveAdjustments != 0 {
-		t.Fatalf("legacy run reports adaptive telemetry: %+v", res)
+		t.Fatalf("fixed-BF run reports adaptive telemetry: %+v", res)
 	}
 }

@@ -87,86 +87,3 @@ func (h *HeapCalendar) down(i int) {
 		i = smallest
 	}
 }
-
-// ListCalendar is a sorted doubly-linked-list future event list: O(n)
-// insertion scanning from the tail (fast for mostly-increasing schedules),
-// O(1) pop. Retained for the event-queue ablation study
-// (BenchmarkAblationEventQueue); the heap wins on the ROCC workloads.
-type ListCalendar struct {
-	head, tail *listNode
-	n          int
-}
-
-type listNode struct {
-	e          *Event
-	prev, next *listNode
-}
-
-// NewListCalendar returns an empty list calendar.
-func NewListCalendar() *ListCalendar { return &ListCalendar{} }
-
-// Len implements Calendar.
-func (l *ListCalendar) Len() int { return l.n }
-
-// Peek implements Calendar: the next event without removing it.
-func (l *ListCalendar) Peek() *Event {
-	if l.head == nil {
-		return nil
-	}
-	return l.head.e
-}
-
-// Push implements Calendar.
-func (l *ListCalendar) Push(e *Event) {
-	node := &listNode{e: e}
-	l.n++
-	if l.tail == nil {
-		l.head, l.tail = node, node
-		return
-	}
-	// Scan backward for the insertion point: stable for equal times because
-	// new events (higher seq) go after existing ones.
-	cur := l.tail
-	for cur != nil && after(cur.e, e) {
-		cur = cur.prev
-	}
-	if cur == nil { // new head
-		node.next = l.head
-		l.head.prev = node
-		l.head = node
-		return
-	}
-	node.prev = cur
-	node.next = cur.next
-	if cur.next != nil {
-		cur.next.prev = node
-	} else {
-		l.tail = node
-	}
-	cur.next = node
-}
-
-// after reports whether a sorts after b in (time, seq) order.
-func after(a, b *Event) bool {
-	if a.time != b.time {
-		return a.time > b.time
-	}
-	return a.seq > b.seq
-}
-
-// Pop implements Calendar.
-func (l *ListCalendar) Pop() *Event {
-	if l.head == nil {
-		return nil
-	}
-	node := l.head
-	l.head = node.next
-	if l.head != nil {
-		l.head.prev = nil
-	} else {
-		l.tail = nil
-	}
-	l.n--
-	node.e.index = -1
-	return node.e
-}

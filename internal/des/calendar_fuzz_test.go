@@ -7,9 +7,9 @@ import (
 )
 
 // FuzzCalendarDifferential drives one Push/Pop/Cancel op sequence, decoded
-// from the fuzz input, through HeapCalendar, ListCalendar, and
-// BucketCalendar in lockstep, and asserts that at every step all three
-// agree on Len() and pop the same (time, seq, canceled) event. Events are
+// from the fuzz input, through HeapCalendar (the oracle) and
+// BucketCalendar in lockstep, and asserts that at every step both agree
+// on Len() and pop the same (time, seq, canceled) event. Events are
 // distinct structs per calendar (each implementation owns its queued
 // events' index/bslot fields) but share time, seq, and cancellation fate.
 //
@@ -17,7 +17,7 @@ import (
 //   - b%4 == 0..1 → Push at a time derived from the second byte (equal
 //     times are common on purpose, to stress the seq tie-break; time can
 //     also fall below earlier pushes, stressing the bucket scan pull-back)
-//   - b%4 == 2    → Pop from all three, compare
+//   - b%4 == 2    → Pop from both, compare
 //   - b%4 == 3    → Cancel a pending event picked by the second byte
 //     (canceled events still flow through the calendars; the simulator,
 //     not the calendar, discards them)
@@ -32,7 +32,7 @@ func FuzzCalendarDifferential(f *testing.F) {
 	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cals := []Calendar{NewHeapCalendar(), NewListCalendar(), NewBucketCalendar()}
+		cals := []Calendar{NewHeapCalendar(), NewBucketCalendar()}
 		// pending[k] holds the queued events of calendar k, same order
 		// across calendars, so "cancel the j-th pending event" is the
 		// same logical event everywhere.

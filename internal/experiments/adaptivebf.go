@@ -96,6 +96,9 @@ func RunAdaptiveBFSweep(opt Options, ab AdaptiveBFOptions) ([]AdaptiveBFCell, er
 	case opt.Policy != nil:
 		cand = *opt.Policy
 	}
+	if !cand.Adaptive && cand.Policy == forward.BF && cand.Batch == 0 {
+		return nil, fmt.Errorf("experiments: candidate %q needs a batch size (bf:<n>)", cand)
+	}
 
 	// Variant order: CF, the fixed batches, then the candidate.
 	specs := []forward.StrategySpec{{Policy: forward.CF, Batch: 1}}
@@ -130,16 +133,7 @@ func RunAdaptiveBFSweep(opt Options, ab AdaptiveBFOptions) ([]AdaptiveBFCell, er
 				cfg.Nodes = k.nodes
 				cfg.SamplingPeriod = k.spMS * 1000
 				cfg.Seed = seed
-				switch {
-				case spec.Adaptive:
-					cfg.Policy = forward.BF
-					cfg.Strategy = spec.NewStrategy(0)
-				case spec.Policy == forward.CF:
-					cfg.Policy = forward.CF
-				default:
-					cfg.Policy = forward.BF
-					cfg.BatchSize = spec.Batch
-				}
+				cfg.Strategy = spec.NewStrategy(0)
 				jobs = append(jobs, job{ci, vi, ri, cfg})
 			}
 		}

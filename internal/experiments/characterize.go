@@ -190,7 +190,7 @@ func runTable3(w io.Writer, opt Options) error {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 1
 	cfg.SamplingPeriod = 40000
-	cfg.Policy = forward.CF
+	cfg.Strategy = forward.NewCF()
 	cfg.Duration = dur
 	cfg.Seed = opt.Seed
 	m, err := core.New(cfg)

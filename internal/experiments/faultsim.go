@@ -38,13 +38,11 @@ type FaultSweepOptions struct {
 	SamplingPeriodUS float64
 	// Nodes is the node count (CPU count for SMP).
 	Nodes int
-	// BatchSize is the BF batch size.
-	BatchSize int
 	// Policy, when non-nil, pins the policy axis (roccfault -policy):
 	// only matrix rows of the matching family run (cf keeps the CF rows,
-	// bf and abf the BF rows), an explicit bf:<n> overrides BatchSize, and
-	// an adaptive spec installs the controller on the surviving rows. Nil
-	// sweeps the full CF × BF matrix exactly as before.
+	// bf and abf the BF rows), and the BF rows run the spec's strategy,
+	// with faultSweepBatch for a bare bf. Nil sweeps the full CF × BF
+	// matrix, BF at faultSweepBatch.
 	Policy *forward.StrategySpec
 }
 
@@ -56,9 +54,11 @@ func DefaultFaultSweep() FaultSweepOptions {
 		DupFraction:      0.5,
 		SamplingPeriodUS: 20000,
 		Nodes:            8,
-		BatchSize:        16,
 	}
 }
+
+// faultSweepBatch is the sweep's BF batch size.
+const faultSweepBatch = 16
 
 // faultVariant is one architecture × policy × forwarding combination.
 type faultVariant struct {
@@ -114,12 +114,6 @@ func FaultSweep(w io.Writer, opt Options, sw FaultSweepOptions) error {
 	}
 	if sw.SamplingPeriodUS <= 0 {
 		sw.SamplingPeriodUS = 20000
-	}
-	if sw.BatchSize <= 0 {
-		sw.BatchSize = 16
-	}
-	if sw.Policy != nil && sw.Policy.Batch > 0 {
-		sw.BatchSize = sw.Policy.Batch
 	}
 
 	title := "IS survivability under injected faults"
@@ -194,13 +188,13 @@ func runFaultVariant(v faultVariant, sw FaultSweepOptions, opt Options, plan fau
 	cfg := core.DefaultConfig()
 	cfg.Arch = v.arch
 	cfg.Nodes = sw.Nodes
-	cfg.Policy = v.policy
 	cfg.Forwarding = v.fwd
 	if v.policy == forward.BF {
-		cfg.BatchSize = sw.BatchSize
-	}
-	if sw.Policy != nil && sw.Policy.Adaptive && v.policy == forward.BF {
-		cfg.Strategy = sw.Policy.NewStrategy(sw.BatchSize)
+		spec := forward.StrategySpec{Policy: forward.BF}
+		if sw.Policy != nil {
+			spec = *sw.Policy
+		}
+		cfg.Strategy = spec.NewStrategy(faultSweepBatch)
 	}
 	if v.arch == core.SMP {
 		// SMP: AppProcs is the machine total, one process per CPU.

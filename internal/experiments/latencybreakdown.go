@@ -151,17 +151,7 @@ func RunLatencyBreakdown(opt Options, lb LatencyBreakdownOptions) ([]LatencyBrea
 			for ri, seed := range seeds {
 				cfg := base
 				cfg.Seed = seed
-				switch {
-				case spec.Adaptive:
-					cfg.Policy = forward.BF
-					cfg.Strategy = spec.NewStrategy(0)
-				case spec.Policy == forward.CF:
-					cfg.Policy = forward.CF
-					cfg.BatchSize = 1
-				default:
-					cfg.Policy = forward.BF
-					cfg.BatchSize = spec.Batch
-				}
+				cfg.Strategy = spec.NewStrategy(0)
 				jobs = append(jobs, job{ci, vi, ri, cfg})
 			}
 		}

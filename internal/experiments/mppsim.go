@@ -68,8 +68,7 @@ func mppVariants(nodes int, modify func(cfg *core.Config, x float64)) []simVaria
 			cfg := core.DefaultConfig()
 			cfg.Arch = core.MPP
 			cfg.Nodes = nodes
-			cfg.Policy = forward.BF
-			cfg.BatchSize = 32
+			cfg.Strategy = forward.NewFixedBF(32)
 			cfg.SamplingPeriod = 40000
 			cfg.Forwarding = fwd
 			modify(&cfg, x)

@@ -77,12 +77,11 @@ func runFig16(w io.Writer, opt Options) error {
 func runFig17(w io.Writer, opt Options) error {
 	opt = opt.normalized()
 	localVariants := func(procs int, sp float64) []simVariant {
-		mk := func(policy forward.Policy, batch int) func(float64) core.Config {
+		mk := func(s forward.Strategy) func(float64) core.Config {
 			return func(x float64) core.Config {
 				cfg := core.DefaultConfig()
 				cfg.Nodes = 1 // local level of detail: a single node
-				cfg.Policy = policy
-				cfg.BatchSize = batch
+				cfg.Strategy = s
 				if procs < 0 { // x is the process count
 					cfg.AppProcs = int(x)
 					cfg.SamplingPeriod = sp
@@ -94,8 +93,8 @@ func runFig17(w io.Writer, opt Options) error {
 			}
 		}
 		return []simVariant{
-			{"CF", mk(forward.CF, 1)},
-			{"BF(32)", mk(forward.BF, 32)},
+			{"CF", mk(forward.NewCF())},
+			{"BF(32)", mk(forward.NewFixedBF(32))},
 		}
 	}
 	panels := []struct {
@@ -142,19 +141,18 @@ func runFig17(w io.Writer, opt Options) error {
 
 // nowGlobalVariants builds the CF / BF / uninstrumented series.
 func nowGlobalVariants(modify func(cfg *core.Config, x float64)) []simVariant {
-	mk := func(policy forward.Policy, batch int, sp float64) func(float64) core.Config {
+	mk := func(s forward.Strategy, sp float64) func(float64) core.Config {
 		return func(x float64) core.Config {
 			cfg := core.DefaultConfig()
-			cfg.Policy = policy
-			cfg.BatchSize = batch
+			cfg.Strategy = s
 			cfg.SamplingPeriod = sp
 			modify(&cfg, x)
 			return cfg
 		}
 	}
 	return []simVariant{
-		{"CF", mk(forward.CF, 1, 40000)},
-		{"BF(32)", mk(forward.BF, 32, 40000)},
+		{"CF", mk(forward.NewCF(), 40000)},
+		{"BF(32)", mk(forward.NewFixedBF(32), 40000)},
 		{"uninstrumented", func(x float64) core.Config {
 			cfg := core.DefaultConfig()
 			cfg.SamplingPeriod = 0
@@ -189,8 +187,7 @@ func runFig19(w io.Writer, opt Options) error {
 			cfg := core.DefaultConfig()
 			cfg.SamplingPeriod = spMS * 1000
 			if b > 1 {
-				cfg.Policy = forward.BF
-				cfg.BatchSize = int(b)
+				cfg.Strategy = forward.NewFixedBF(int(b))
 			}
 			return cfg
 		}

@@ -65,7 +65,7 @@ func runFig20(w io.Writer, opt Options) error {
 func runFig21(w io.Writer, opt Options) error {
 	opt = opt.normalized()
 	cpus := []float64{1, 2, 4, 8, 12, 16}
-	variants := func(policy forward.Policy, batch int) []simVariant {
+	variants := func(s forward.Strategy) []simVariant {
 		var out []simVariant
 		for pds := 1; pds <= 4; pds++ {
 			pds := pds
@@ -83,8 +83,7 @@ func runFig21(w io.Writer, opt Options) error {
 					} else {
 						cfg.Pds = pds
 					}
-					cfg.Policy = policy
-					cfg.BatchSize = batch
+					cfg.Strategy = s
 					cfg.SamplingPeriod = 40000
 					return cfg
 				},
@@ -96,8 +95,8 @@ func runFig21(w io.Writer, opt Options) error {
 		title string
 		vs    []simVariant
 	}{
-		{"Figure 21(a): CF policy (SP = 40 ms)", variants(forward.CF, 1)},
-		{"Figure 21(b): BF policy (batch = 32)", variants(forward.BF, 32)},
+		{"Figure 21(a): CF policy (SP = 40 ms)", variants(forward.NewCF())},
+		{"Figure 21(b): BF policy (batch = 32)", variants(forward.NewFixedBF(32))},
 	}
 	for _, p := range panels {
 		results, err := runGrid(opt, cpus, p.vs)
@@ -123,7 +122,7 @@ func runFig21(w io.Writer, opt Options) error {
 
 // smpSimVariants builds the 1-4 daemon series plus an uninstrumented
 // baseline for one SMP panel.
-func smpSimVariants(policy forward.Policy, batch int, modify func(cfg *core.Config, x float64)) []simVariant {
+func smpSimVariants(s forward.Strategy, modify func(cfg *core.Config, x float64)) []simVariant {
 	var out []simVariant
 	for pds := 1; pds <= 4; pds++ {
 		pds := pds
@@ -135,8 +134,7 @@ func smpSimVariants(policy forward.Policy, batch int, modify func(cfg *core.Conf
 				cfg.Nodes = 16
 				cfg.AppProcs = 32
 				cfg.Pds = pds
-				cfg.Policy = policy
-				cfg.BatchSize = batch
+				cfg.Strategy = s
 				cfg.SamplingPeriod = 40000
 				modify(&cfg, x)
 				return cfg
@@ -163,11 +161,11 @@ func smpSimVariants(policy forward.Policy, batch int, modify func(cfg *core.Conf
 func smpPanelPair(w io.Writer, opt Options, figName, xlabel string, xs []float64,
 	modify func(cfg *core.Config, x float64)) error {
 	if err := simSweep(w, opt, figName+"(a): CF policy", xlabel, xs,
-		smpSimVariants(forward.CF, 1, modify)); err != nil {
+		smpSimVariants(forward.NewCF(), modify)); err != nil {
 		return err
 	}
 	return simSweep(w, opt, figName+"(b): BF policy (batch 32)", xlabel, xs,
-		smpSimVariants(forward.BF, 32, modify))
+		smpSimVariants(forward.NewFixedBF(32), modify))
 }
 
 func runFig22(w io.Writer, opt Options) error {

@@ -9,16 +9,14 @@ import (
 // daemon's pipes (buffered plus blocked writers against capacity) and the
 // depth of the uplink retry queue — and while either is above its
 // watermark it doubles the daemon's sample thinning factor (dropping
-// resolution to preserve liveness, up to MaxThinning) and halves the BF
-// batch size (smaller batches drain pipes sooner). When pressure clears
-// it backs both off toward their configured values, one step per period.
+// resolution to preserve liveness, up to MaxThinning). When pressure
+// clears it halves the factor back toward 1, one step per period.
 type Degrader struct {
 	inj  *Injector
 	d    *procs.PdDaemon
 	link *Link // may be nil (no uplink pressure signal)
 
-	baseBatch int
-	clear     int // consecutive unpressured ticks (decay hysteresis)
+	clear int // consecutive unpressured ticks (decay hysteresis)
 
 	// ResidencyUS accumulates simulated time spent in degraded mode
 	// (thinning factor above 1); Engagements counts entries into it.
@@ -32,7 +30,7 @@ func (inj *Injector) AttachDegrader(d *procs.PdDaemon, link *Link) *Degrader {
 	if !inj.Plan.Resilience.Degrade {
 		return nil
 	}
-	g := &Degrader{inj: inj, d: d, link: link, baseBatch: d.BatchSize}
+	g := &Degrader{inj: inj, d: d, link: link}
 	inj.degraders = append(inj.degraders, g)
 	inj.Sim.Schedule(inj.Plan.Resilience.DegradePeriod, g.tick)
 	return g
@@ -65,9 +63,6 @@ func (g *Degrader) tick() {
 				}
 			}
 			g.d.Thinning = thin
-			if g.d.BatchSize > 1 {
-				g.d.BatchSize /= 2 // BF batch backoff: drain pipes sooner
-			}
 			if !wasDegraded && g.d.Thinning > 1 {
 				g.Engagements++
 			}
@@ -78,12 +73,6 @@ func (g *Degrader) tick() {
 			// the controller oscillates between thinning and congestion.
 			if g.d.Thinning > 1 {
 				g.d.Thinning /= 2
-			}
-			if g.d.BatchSize < g.baseBatch {
-				g.d.BatchSize *= 2
-				if g.d.BatchSize > g.baseBatch {
-					g.d.BatchSize = g.baseBatch
-				}
 			}
 		}
 		if g.d.Thinning > 1 {

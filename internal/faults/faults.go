@@ -16,9 +16,8 @@
 // The Resilience policies respond to injected faults: per-uplink
 // ack/timeout/retransmission with exponential backoff and a retry budget
 // (Link), receiver-side duplicate suppression, and an adaptive
-// degradation controller (Degrader) that engages sample thinning and
-// batch-size backoff when pipe occupancy or the retry queue crosses a
-// watermark.
+// degradation controller (Degrader) that engages sample thinning when
+// pipe occupancy or the retry queue crosses a watermark.
 package faults
 
 import (
@@ -72,9 +71,9 @@ type Resilience struct {
 	AckDelay    float64 // ack transit time (default 100 us)
 
 	// Degrade enables the adaptive degradation controller: a periodic
-	// loop per daemon that doubles sample thinning (and halves the BF
-	// batch size) while pipe occupancy or the uplink retry queue is above
-	// its watermark, and backs off when pressure clears.
+	// loop per daemon that doubles sample thinning while pipe occupancy
+	// or the uplink retry queue is above its watermark, and backs off
+	// when pressure clears.
 	Degrade        bool
 	DegradePeriod  float64 // control-loop period (default 50000 us)
 	PipeWatermark  float64 // pipe occupancy fraction that engages thinning (default 0.75)

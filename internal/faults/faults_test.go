@@ -233,7 +233,7 @@ func TestScheduleCrashesAlternates(t *testing.T) {
 	net := resources.NewNetwork(sim, false)
 	d := &procs.PdDaemon{
 		Sim: sim, CPU: cpu, Net: net, R: rng.New(1),
-		Policy: forward.CF, Cost: constCost(), Node: 0,
+		Strategy: forward.NewCF(), Cost: constCost(), Node: 0,
 	}
 	inj, err := NewInjector(sim, Plan{
 		Seed: 9, CrashMTBF: 10000, CrashDowntime: rng.Constant{Value: 2000},
@@ -299,8 +299,7 @@ func TestSchedulePipeSqueezes(t *testing.T) {
 }
 
 // TestDegraderEngagesAndBacksOff drives the controller directly: pressure
-// on the daemon's pipe escalates thinning and shrinks the batch; relief
-// decays both back.
+// on the daemon's pipe escalates thinning; relief decays it back.
 func TestDegraderEngagesAndBacksOff(t *testing.T) {
 	sim := des.New()
 	cpu := resources.NewCPU(sim, 1, 10000)
@@ -308,8 +307,8 @@ func TestDegraderEngagesAndBacksOff(t *testing.T) {
 	pipe := resources.NewPipe(8)
 	d := &procs.PdDaemon{
 		Sim: sim, CPU: cpu, Net: net, R: rng.New(2),
-		Pipes:  []*resources.Pipe{pipe},
-		Policy: forward.BF, BatchSize: 8, Cost: constCost(), Node: 0,
+		Pipes:    []*resources.Pipe{pipe},
+		Strategy: forward.NewFixedBF(8), Cost: constCost(), Node: 0,
 		Deliver: func(*forward.Message) {},
 	}
 	inj, err := NewInjector(sim, Plan{
@@ -341,20 +340,14 @@ func TestDegraderEngagesAndBacksOff(t *testing.T) {
 	}
 	// The loop may step one tick past 3500 and see the controller already
 	// decaying, so assert on the peak escalation observed between events.
-	peakThin, minBatch := 0, 8
+	peakThin := 0
 	for sim.Step() && sim.Now() <= 3500 {
 		if d.Thinning > peakThin {
 			peakThin = d.Thinning
 		}
-		if d.BatchSize < minBatch {
-			minBatch = d.BatchSize
-		}
 	}
 	if peakThin != 4 {
 		t.Fatalf("peak thinning=%d after 3 pressured ticks with max 4, want 4", peakThin)
-	}
-	if minBatch >= 8 {
-		t.Fatalf("batch size %d not backed off from 8", minBatch)
 	}
 	if g.Engagements != 1 {
 		t.Fatalf("engagements=%d, want 1", g.Engagements)
@@ -370,9 +363,6 @@ func TestDegraderEngagesAndBacksOff(t *testing.T) {
 	}
 	if d.Thinning > 1 {
 		t.Fatalf("thinning=%d did not decay to 1 after pressure cleared", d.Thinning)
-	}
-	if d.BatchSize != 8 {
-		t.Fatalf("batch size %d did not recover to 8", d.BatchSize)
 	}
 }
 

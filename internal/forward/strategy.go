@@ -119,17 +119,17 @@ func NewCF() Strategy { return cfStrategy{} }
 func (cfStrategy) Decide(now float64, buffered, capacity int) (Action, int) {
 	return ForwardNow, 1
 }
-func (cfStrategy) Observe(Feedback)  {}
-func (cfStrategy) Clone() Strategy   { return cfStrategy{} }
-func (cfStrategy) String() string    { return "cf" }
+func (cfStrategy) Observe(Feedback) {}
+func (cfStrategy) Clone() Strategy  { return cfStrategy{} }
+func (cfStrategy) String() string   { return "cf" }
 
 // fixedBFStrategy accumulates a fixed batch before forwarding.
 type fixedBFStrategy struct{ batch int }
 
 // NewFixedBF returns the batch-and-forward strategy at a fixed batch
-// size (>= 1), the policy added to Paradyn release 1.0. The daemon clamps
-// the target to its total buffering, exactly like the legacy
-// Config.BatchSize field, so an oversized batch cannot deadlock.
+// size (>= 1), the policy added to Paradyn release 1.0. The target is
+// clamped to the daemon's total buffering, so an oversized batch cannot
+// deadlock.
 func NewFixedBF(batch int) Strategy {
 	if batch < 1 {
 		batch = 1
@@ -151,15 +151,18 @@ func (s fixedBFStrategy) Observe(Feedback) {}
 func (s fixedBFStrategy) Clone() Strategy  { return s }
 func (s fixedBFStrategy) String() string   { return fmt.Sprintf("bf:%d", s.batch) }
 
-// FromPolicy maps the legacy (Policy, BatchSize) pair onto the strategy
-// it always denoted: CF ignores the batch size (it forces batch 1), BF
-// yields a fixed batch. This is the deprecation shim that keeps every
-// pre-redesign Config, experiment, and golden output byte-identical.
-func FromPolicy(p Policy, batchSize int) Strategy {
-	if p == CF {
-		return NewCF()
+// PolicyOf reads the (policy, batch) pair off a strategy, for labels:
+// nil and NewCF are (CF, 1), NewFixedBF(n) is (BF, n). Any other strategy
+// (adaptive BF or a custom one) is (BF, 0): batch-and-forward with no
+// fixed batch.
+func PolicyOf(s Strategy) (Policy, int) {
+	switch v := s.(type) {
+	case nil, cfStrategy:
+		return CF, 1
+	case fixedBFStrategy:
+		return BF, v.batch
 	}
-	return NewFixedBF(batchSize)
+	return BF, 0
 }
 
 // ControllerConfig parameterizes the adaptive BF batch-size controller.

@@ -48,15 +48,22 @@ func TestFixedBFStrategyDecide(t *testing.T) {
 	}
 }
 
-func TestFromPolicy(t *testing.T) {
-	if got := FromPolicy(CF, 32).String(); got != "cf" {
-		t.Fatalf("CF maps to %q", got)
+func TestPolicyOf(t *testing.T) {
+	cases := []struct {
+		s     Strategy
+		p     Policy
+		batch int
+	}{
+		{nil, CF, 1},
+		{NewCF(), CF, 1},
+		{NewFixedBF(32), BF, 32},
+		{NewFixedBF(0), BF, 1},
+		{NewAdaptiveBF(ControllerConfig{}), BF, 0},
 	}
-	if got := FromPolicy(BF, 32).String(); got != "bf:32" {
-		t.Fatalf("BF/32 maps to %q", got)
-	}
-	if got := FromPolicy(BF, 0).String(); got != "bf:1" {
-		t.Fatalf("BF/0 maps to %q", got)
+	for _, c := range cases {
+		if p, b := PolicyOf(c.s); p != c.p || b != c.batch {
+			t.Errorf("PolicyOf(%v) = %v,%d, want %v,%d", c.s, p, b, c.p, c.batch)
+		}
 	}
 }
 

@@ -26,19 +26,15 @@ type PdDaemon struct {
 	Net *resources.Network
 	R   *rng.Stream
 
-	Pipes     []*resources.Pipe
-	Policy    forward.Policy
-	BatchSize int
-	Cost      forward.CostModel
-	Node      int
+	Pipes []*resources.Pipe
+	Cost  forward.CostModel
+	Node  int
 
 	// Strategy schedules forwarding: each time the daemon is free it asks
 	// the strategy whether to forward a batch, keep accumulating, or flush
 	// everything, and reports completion feedback for every batch it
-	// collects locally. Nil derives the strategy from the legacy
-	// Policy/BatchSize pair (CF forces batch 1), which reproduces the
-	// pre-strategy daemon byte for byte. Each daemon must own its instance
-	// (the model wires one Clone per daemon).
+	// collects locally. It must be set before Start, and each daemon must
+	// own its instance (the model wires one Clone per daemon).
 	Strategy forward.Strategy
 
 	// Deliver routes a fully transmitted message to its destination (the
@@ -93,25 +89,15 @@ func (d *PdDaemon) ResetAccounting() {
 	d.CrashLostSamples = 0
 }
 
-// Start registers the daemon's pipe wake-ups and resolves the forwarding
-// strategy (deriving it from the legacy Policy/BatchSize fields if none
-// was wired, and seeding cost-model-aware strategies).
+// Start registers the daemon's pipe wake-ups and seeds cost-model-aware
+// strategies.
 func (d *PdDaemon) Start() {
-	if cs, ok := d.strategy().(forward.CostSeeder); ok {
+	if cs, ok := d.Strategy.(forward.CostSeeder); ok {
 		cs.SeedFromCost(d.Cost)
 	}
 	for _, p := range d.Pipes {
 		p.SetOnData(d.Wake)
 	}
-}
-
-// strategy returns the daemon's forwarding strategy, deriving the legacy
-// one on first use.
-func (d *PdDaemon) strategy() forward.Strategy {
-	if d.Strategy == nil {
-		d.Strategy = forward.FromPolicy(d.Policy, d.BatchSize)
-	}
-	return d.Strategy
 }
 
 // Down reports whether the daemon is currently crashed.
@@ -212,7 +198,7 @@ func (d *PdDaemon) Wake() {
 		return
 	}
 	capTotal := d.capacity()
-	strat := d.strategy()
+	strat := d.Strategy
 	for {
 		avail := d.available()
 		if avail == 0 {
@@ -261,7 +247,7 @@ func (d *PdDaemon) observe(batch []resources.Sample) {
 			oldest = s.GenTime
 		}
 	}
-	d.strategy().Observe(forward.Feedback{
+	d.Strategy.Observe(forward.Feedback{
 		Now:         now,
 		Samples:     len(batch),
 		NewestAgeUS: now - newest,

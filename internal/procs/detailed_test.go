@@ -102,7 +102,7 @@ func TestResetAccounting(t *testing.T) {
 	// Fresh rig: the app above keeps rescheduling itself, so its simulator
 	// never drains; the daemon check needs a quiescent one.
 	r2 := newRig(64)
-	d, _ := newDaemon(r2, forward.CF, 1)
+	d, _ := newDaemon(r2, forward.NewCF())
 	r2.pipe.Put(resources.Sample{}, nil)
 	r2.sim.RunAll()
 	if d.SamplesForwarded == 0 {

@@ -12,7 +12,7 @@ import (
 // transfer and the events between them all reuse pooled storage.
 func TestDaemonCFForwardAllocatesOnlyMessage(t *testing.T) {
 	r := newRig(64)
-	d, _ := newDaemon(r, forward.CF, 1)
+	d, _ := newDaemon(r, forward.NewCF())
 	delivered := 0
 	d.Deliver = func(*forward.Message) { delivered++ }
 	forwardOne := func() {
@@ -78,7 +78,7 @@ func TestDaemonCrashRestoreWithJobOnCPU(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(64)
 			r.cpu = resources.NewCPU(r.sim, 1, tc.quantum)
-			d, delivered := newDaemon(r, forward.BF, 32)
+			d, delivered := newDaemon(r, forward.NewFixedBF(32))
 			d.FlushTimeout = 10 // a partial batch goes out 10 us after it starts waiting
 			rec := &jobRecorder{}
 			d.Obs = rec

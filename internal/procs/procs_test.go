@@ -147,13 +147,12 @@ func TestBarrierSingleParticipant(t *testing.T) {
 	}
 }
 
-func newDaemon(r *rig, policy forward.Policy, batch int) (*PdDaemon, *[]*forward.Message) {
+func newDaemon(r *rig, strategy forward.Strategy) (*PdDaemon, *[]*forward.Message) {
 	var delivered []*forward.Message
 	d := &PdDaemon{
 		Sim: r.sim, CPU: r.cpu, Net: r.net, R: rng.New(7),
-		Pipes:     []*resources.Pipe{r.pipe},
-		Policy:    policy,
-		BatchSize: batch,
+		Pipes:    []*resources.Pipe{r.pipe},
+		Strategy: strategy,
 		Cost: forward.CostModel{
 			PerMsgCPU:    rng.Constant{Value: 267},
 			PerSampleCPU: 8,
@@ -169,7 +168,7 @@ func newDaemon(r *rig, policy forward.Policy, batch int) (*PdDaemon, *[]*forward
 
 func TestDaemonCFForwardsEachSample(t *testing.T) {
 	r := newRig(64)
-	d, delivered := newDaemon(r, forward.CF, 1)
+	d, delivered := newDaemon(r, forward.NewCF())
 	for i := 0; i < 5; i++ {
 		r.pipe.Put(resources.Sample{GenTime: float64(i)}, nil)
 	}
@@ -196,7 +195,7 @@ func TestDaemonCFForwardsEachSample(t *testing.T) {
 
 func TestDaemonBFWaitsForBatch(t *testing.T) {
 	r := newRig(64)
-	d, delivered := newDaemon(r, forward.BF, 4)
+	d, delivered := newDaemon(r, forward.NewFixedBF(4))
 	for i := 0; i < 3; i++ {
 		r.pipe.Put(resources.Sample{GenTime: float64(i)}, nil)
 	}
@@ -220,17 +219,17 @@ func TestDaemonBFWaitsForBatch(t *testing.T) {
 
 func TestDaemonBFOverheadReduction(t *testing.T) {
 	// The headline claim: with batch 32, daemon CPU is cut by >60%.
-	runPolicy := func(policy forward.Policy, batch int) float64 {
+	runPolicy := func(strategy forward.Strategy) float64 {
 		r := newRig(256)
-		_, _ = newDaemon(r, policy, batch)
+		_, _ = newDaemon(r, strategy)
 		for i := 0; i < 320; i++ {
 			r.pipe.Put(resources.Sample{GenTime: float64(i)}, nil)
 			r.sim.RunAll()
 		}
 		return r.cpu.Busy(OwnerPd)
 	}
-	cf := runPolicy(forward.CF, 1)
-	bf := runPolicy(forward.BF, 32)
+	cf := runPolicy(forward.NewCF())
+	bf := runPolicy(forward.NewFixedBF(32))
 	if reduction := 1 - bf/cf; reduction < 0.60 {
 		t.Fatalf("BF reduced daemon CPU by only %.0f%%", reduction*100)
 	}
@@ -238,7 +237,7 @@ func TestDaemonBFOverheadReduction(t *testing.T) {
 
 func TestDaemonFlushTimeout(t *testing.T) {
 	r := newRig(64)
-	d, delivered := newDaemon(r, forward.BF, 100)
+	d, delivered := newDaemon(r, forward.NewFixedBF(100))
 	d.FlushTimeout = 50000
 	r.pipe.Put(resources.Sample{GenTime: 0}, nil)
 	r.pipe.Put(resources.Sample{GenTime: 1}, nil)
@@ -254,18 +253,18 @@ func TestDaemonFlushTimeout(t *testing.T) {
 func TestDaemonBatchClampedToPipeCapacity(t *testing.T) {
 	// Batch larger than total buffering must clamp, not deadlock.
 	r := newRig(4)
-	d, _ := newDaemon(r, forward.BF, 1000)
+	d, _ := newDaemon(r, forward.NewFixedBF(1000))
 	if capTotal := d.capacity(); capTotal != 5 { // cap 4 + 1 blocked writer
 		t.Fatalf("capacity %d, want 5", capTotal)
 	}
-	if _, thr := d.strategy().Decide(0, 5, d.capacity()); thr != 5 {
+	if _, thr := d.Strategy.Decide(0, 5, d.capacity()); thr != 5 {
 		t.Fatalf("threshold %d, want 5", thr)
 	}
 }
 
 func TestDaemonRelayMergesAndForwards(t *testing.T) {
 	r := newRig(8)
-	d, delivered := newDaemon(r, forward.CF, 1)
+	d, delivered := newDaemon(r, forward.NewCF())
 	msg := &forward.Message{Samples: []resources.Sample{{GenTime: 5}}, FromNode: 3, Hops: 1}
 	d.Receive(msg)
 	r.sim.RunAll()
@@ -283,7 +282,7 @@ func TestDaemonRelayMergesAndForwards(t *testing.T) {
 
 func TestDaemonRelayPriority(t *testing.T) {
 	r := newRig(8)
-	d, delivered := newDaemon(r, forward.CF, 1)
+	d, delivered := newDaemon(r, forward.NewCF())
 	// Stage both local samples and a relayed message before any dispatch.
 	r.pipe.SetOnData(func() {}) // suppress auto-wake to control ordering
 	r.pipe.Put(resources.Sample{GenTime: 1}, nil)
@@ -365,7 +364,7 @@ func TestOpenSourceIndependentStreams(t *testing.T) {
 
 func TestDaemonCrashLosesInMemoryStateOnly(t *testing.T) {
 	r := newRig(64)
-	d, delivered := newDaemon(r, forward.CF, 1)
+	d, delivered := newDaemon(r, forward.NewCF())
 	// A relayed message and an in-preparation batch are both in memory.
 	d.Receive(&forward.Message{Samples: make([]resources.Sample, 3), FromNode: 9, Hops: 1})
 	r.pipe.Put(resources.Sample{GenTime: 1}, nil)
@@ -402,7 +401,7 @@ func TestDaemonCrashLosesInMemoryStateOnly(t *testing.T) {
 
 func TestDaemonThinningForwardsSubset(t *testing.T) {
 	r := newRig(64)
-	d, delivered := newDaemon(r, forward.CF, 1)
+	d, delivered := newDaemon(r, forward.NewCF())
 	d.Thinning = 4 // keep 1 in 4
 	for i := 0; i < 8; i++ {
 		r.pipe.Put(resources.Sample{GenTime: float64(i)}, nil)

@@ -108,9 +108,9 @@ func Table4Grid() Grid {
 			cfg.Arch = core.NOW
 			cfg.Nodes = int(pick(0))
 			cfg.SamplingPeriod = pick(1)
-			if pick(2) > 1 {
-				cfg.Policy = forward.BF
-				cfg.BatchSize = int(pick(2))
+			batch := int(pick(2))
+			if batch > 1 {
+				cfg.Strategy = forward.NewFixedBF(batch)
 			}
 			app := core.ComputeIntensive
 			if pick(3) > 0 {
@@ -118,7 +118,7 @@ func Table4Grid() Grid {
 			}
 			cfg.Workload = app.Apply(core.DefaultWorkload())
 			return cfg, fmt.Sprintf("n=%d sp=%.0fms b=%d %s",
-				cfg.Nodes, cfg.SamplingPeriod/1000, cfg.BatchSize, app)
+				cfg.Nodes, cfg.SamplingPeriod/1000, batch, app)
 		})
 	return g
 }
@@ -136,9 +136,9 @@ func Table5Grid() Grid {
 			cfg.Nodes = int(pick(0))
 			cfg.AppProcs = cfg.Nodes // paper: #app processes = #nodes
 			cfg.SamplingPeriod = pick(1)
-			if pick(2) > 1 {
-				cfg.Policy = forward.BF
-				cfg.BatchSize = int(pick(2))
+			batch := int(pick(2))
+			if batch > 1 {
+				cfg.Strategy = forward.NewFixedBF(batch)
 			}
 			app := core.ComputeIntensive
 			if pick(3) > 0 {
@@ -146,7 +146,7 @@ func Table5Grid() Grid {
 			}
 			cfg.Workload = app.Apply(core.DefaultWorkload())
 			return cfg, fmt.Sprintf("n=%d sp=%.0fms b=%d %s",
-				cfg.Nodes, cfg.SamplingPeriod/1000, cfg.BatchSize, app)
+				cfg.Nodes, cfg.SamplingPeriod/1000, batch, app)
 		})
 	return g
 }
@@ -163,9 +163,9 @@ func Table6Grid() Grid {
 			cfg.Arch = core.MPP
 			cfg.Nodes = int(pick(0))
 			cfg.SamplingPeriod = pick(1)
-			if pick(2) > 1 {
-				cfg.Policy = forward.BF
-				cfg.BatchSize = int(pick(2))
+			batch := int(pick(2))
+			if batch > 1 {
+				cfg.Strategy = forward.NewFixedBF(batch)
 			}
 			fwd := forward.Direct
 			if pick(3) > 0 {
@@ -173,7 +173,7 @@ func Table6Grid() Grid {
 			}
 			cfg.Forwarding = fwd
 			return cfg, fmt.Sprintf("n=%d sp=%.0fms b=%d %s",
-				cfg.Nodes, cfg.SamplingPeriod/1000, cfg.BatchSize, fwd)
+				cfg.Nodes, cfg.SamplingPeriod/1000, batch, fwd)
 		})
 	return g
 }
@@ -182,12 +182,10 @@ func Table6Grid() Grid {
 // given batch size when batch > 1.
 func policyOf(cfg *core.Config, batch int) string {
 	if batch > 1 {
-		cfg.Policy = forward.BF
-		cfg.BatchSize = batch
+		cfg.Strategy = forward.NewFixedBF(batch)
 		return fmt.Sprintf("BF(%d)", batch)
 	}
-	cfg.Policy = forward.CF
-	cfg.BatchSize = 1
+	cfg.Strategy = forward.NewCF()
 	return "CF"
 }
 

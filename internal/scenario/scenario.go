@@ -108,8 +108,8 @@ type Spec struct {
 	AppProcs       int          `json:"app_procs"`
 	Pds            int          `json:"pds,omitempty"`
 	SamplingPeriod float64      `json:"sampling_period_us"`
-	Policy         string       `json:"policy"` // a -policy spec: cf, bf, bf:<n>, abf, abf:<ms>
-	BatchSize      int          `json:"batch_size,omitempty"`
+	Policy         string       `json:"policy"`               // a -policy spec: cf, bf:<n>, abf, abf:<ms>
+	BatchSize      int          `json:"batch_size,omitempty"` // older files' batch for a bare "bf"; never written
 	Forwarding     string       `json:"forwarding,omitempty"` // direct, tree
 	PipeCapacity   int          `json:"pipe_capacity,omitempty"`
 	Quantum        float64      `json:"quantum_us,omitempty"`
@@ -147,18 +147,13 @@ func (s Spec) Config() (core.Config, error) {
 		if err != nil {
 			return cfg, fmt.Errorf("scenario: %w", err)
 		}
-		switch {
-		case pspec.Adaptive:
-			cfg.Strategy = pspec.NewStrategy(0)
-		case pspec.Policy == forward.CF:
-			cfg.Policy = forward.CF
-		default:
-			cfg.Policy = forward.BF
-			cfg.BatchSize = s.BatchSize
-			if pspec.Batch > 0 {
-				cfg.BatchSize = pspec.Batch
+		if !pspec.Adaptive && pspec.Policy == forward.BF && pspec.Batch == 0 {
+			if s.BatchSize < 1 {
+				return cfg, fmt.Errorf("scenario: policy %q needs batch_size >= 1", s.Policy)
 			}
+			pspec.Batch = s.BatchSize
 		}
+		cfg.Strategy = pspec.NewStrategy(0)
 	}
 	if s.Forwarding != "" {
 		fwd, err := forward.ParseConfig(s.Forwarding)
@@ -215,18 +210,15 @@ func applyWorkload(w *core.Workload, s WorkloadSpec) error {
 	return nil
 }
 
-// FromConfig converts a core.Config into its JSON form. A strategy whose
-// String is a -policy spec (all built-ins) serializes as that spec, so
-// distributed workers reconstruct it exactly; legacy Policy/BatchSize
-// configs keep their pre-strategy serialization byte for byte. A custom
-// strategy with an unparseable String degrades to the legacy fields.
+// FromConfig converts a core.Config into its JSON form. The strategy
+// serializes as its String, which for every built-in is the -policy spec
+// Config parses back, so distributed workers reconstruct it exactly. A nil
+// strategy is CF.
 func FromConfig(cfg core.Config) Spec {
 	bg := cfg.Background
-	policy := strings.ToLower(cfg.Policy.String())
+	policy := "cf"
 	if cfg.Strategy != nil {
-		if spec, err := forward.ParseStrategySpec(cfg.Strategy.String()); err == nil && spec.Adaptive {
-			policy = spec.String()
-		}
+		policy = cfg.Strategy.String()
 	}
 	s := Spec{
 		Arch:           strings.ToLower(cfg.Arch.String()),
@@ -235,7 +227,6 @@ func FromConfig(cfg core.Config) Spec {
 		Pds:            cfg.Pds,
 		SamplingPeriod: cfg.SamplingPeriod,
 		Policy:         policy,
-		BatchSize:      cfg.BatchSize,
 		Forwarding:     cfg.Forwarding.String(),
 		PipeCapacity:   cfg.PipeCapacity,
 		Quantum:        cfg.Quantum,

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
-	"rocc/internal/forward"
+	"rocc/internal/core"
 )
 
 func minimalSpec(policy string, batch int) Spec {
@@ -15,9 +17,11 @@ func minimalSpec(policy string, batch int) Spec {
 	}
 }
 
-// Policy specs survive the Spec -> Config -> Spec round trip: adaptive
-// specs rebuild the same controller (distributed workers must reconstruct
-// the strategy exactly), fixed specs keep the legacy fields engaged.
+// Policy specs survive the Spec -> Config -> FromConfig -> Save -> Load
+// round trip: every built-in strategy writes its -policy spec and no
+// batch_size, and the reloaded spec rebuilds the same strategy (distributed
+// workers must reconstruct it exactly). Older files, which carry the batch
+// in batch_size, convert to the spec form on the way through.
 func TestSpecPolicyRoundTrip(t *testing.T) {
 	cases := []struct {
 		policy     string
@@ -25,9 +29,12 @@ func TestSpecPolicyRoundTrip(t *testing.T) {
 		wantPolicy string
 	}{
 		{"cf", 0, "cf"},
-		{"bf", 7, "bf"},
-		{"bf:9", 4, "bf"},
+		{"cf", 1, "cf"},
+		{"bf", 7, "bf:7"},
+		{"bf:9", 4, "bf:9"},
+		{"bf:16", 0, "bf:16"},
 		{"abf", 0, "abf"},
+		{"abf", 1, "abf"},
 		{"abf:2", 0, "abf:2"},
 	}
 	for _, c := range cases {
@@ -36,9 +43,26 @@ func TestSpecPolicyRoundTrip(t *testing.T) {
 			t.Errorf("policy %q: %v", c.policy, err)
 			continue
 		}
-		back := FromConfig(cfg)
+		var buf bytes.Buffer
+		if err := Save(&buf, FromConfig(cfg)); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(buf.String(), "batch_size") {
+			t.Errorf("policy %q: saved spec still writes batch_size:\n%s", c.policy, buf.String())
+		}
+		back, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("policy %q: %v", c.policy, err)
+		}
 		if back.Policy != c.wantPolicy {
 			t.Errorf("policy %q round-tripped to %q, want %q", c.policy, back.Policy, c.wantPolicy)
+		}
+		cfg2, err := back.Config()
+		if err != nil {
+			t.Fatalf("policy %q: reloaded spec: %v", c.policy, err)
+		}
+		if got := cfg2.Strategy.String(); got != c.wantPolicy {
+			t.Errorf("policy %q: reloaded strategy %q, want %q", c.policy, got, c.wantPolicy)
 		}
 	}
 }
@@ -50,43 +74,94 @@ func TestSpecAdaptiveBuildsStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Strategy == nil {
-		t.Fatal("abf spec did not install a Strategy")
-	}
 	if got := cfg.Strategy.String(); got != "abf:1.5" {
 		t.Fatalf("strategy renders %q, want abf:1.5", got)
 	}
-	if cfg.Policy != forward.BF {
-		t.Fatalf("Validate synced Policy to %v, want BF", cfg.Policy)
-	}
 }
 
-// An explicit bf:<n> batch overrides the legacy BatchSize field; a bare
-// bf keeps it.
+// Scenario JSON decodes to one strategy: an explicit bf:<n> batch wins
+// over batch_size, an older file's bare "bf" takes its batch from
+// batch_size, and batch_size is ignored by cf and abf. A row with a
+// sameAs spec must also run to the Result that spec runs to.
 func TestSpecBatchOverride(t *testing.T) {
-	cfg, err := minimalSpec("bf:9", 4).Config()
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		json   string
+		want   string
+		sameAs string
+	}{
+		{`{"policy":"bf:9","batch_size":4}`, "bf:9", ""},
+		{`{"policy":"bf","batch_size":7}`, "bf:7", ""},
+		{`{"policy":"bf","batch_size":16}`, "bf:16", "bf:16"},
+		{`{"policy":"cf","batch_size":1}`, "cf", "cf"},
+		{`{"policy":"abf","batch_size":1}`, "abf", "abf"},
 	}
-	if cfg.Policy != forward.BF || cfg.BatchSize != 9 {
-		t.Fatalf("bf:9 over BatchSize 4 gave %v/%d, want BF/9", cfg.Policy, cfg.BatchSize)
-	}
-	if cfg.Strategy != nil {
-		t.Fatal("fixed bf spec must keep the legacy path (nil Strategy)")
-	}
-	cfg, err = minimalSpec("bf", 7).Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.BatchSize != 7 {
-		t.Fatalf("bare bf overrode BatchSize to %d, want 7", cfg.BatchSize)
+	for _, c := range cases {
+		cfg, err := decodeMinimal(c.json)
+		if err != nil {
+			t.Errorf("%s: %v", c.json, err)
+			continue
+		}
+		if got := cfg.Strategy.String(); got != c.want {
+			t.Errorf("%s decoded to %q, want %q", c.json, got, c.want)
+		}
+		if c.sameAs == "" {
+			continue
+		}
+		ref, err := minimalSpec(c.sameAs, 0).Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := runJSON(t, cfg), runJSON(t, ref); a != b {
+			t.Errorf("%s and %q run to different Results:\n%s\n%s", c.json, c.sameAs, a, b)
+		}
 	}
 }
 
-// A malformed policy spec is rejected with the parser's message.
+// A malformed policy is rejected with an error, including an older
+// file's bare "bf" without a positive batch_size.
 func TestSpecRejectsMalformedPolicy(t *testing.T) {
-	_, err := minimalSpec("bf:0", 0).Config()
-	if err == nil || !strings.Contains(err.Error(), "batch size must be an integer >= 1") {
-		t.Fatalf("bf:0 error = %v", err)
+	cases := []struct {
+		json string
+		want string
+	}{
+		{`{"policy":"bf:0"}`, "batch size must be an integer >= 1"},
+		{`{"policy":"bf"}`, "needs batch_size >= 1"},
+		{`{"policy":"bf","batch_size":0}`, "needs batch_size >= 1"},
+		{`{"policy":"bf","batch_size":-3}`, "needs batch_size >= 1"},
 	}
+	for _, c := range cases {
+		_, err := decodeMinimal(c.json)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error = %v, want it to mention %q", c.json, err, c.want)
+		}
+	}
+}
+
+// decodeMinimal loads the policy fields in policyJSON over minimalSpec's
+// scenario and materializes the result.
+func decodeMinimal(policyJSON string) (core.Config, error) {
+	base, err := json.Marshal(minimalSpec("", 0))
+	if err != nil {
+		return core.Config{}, err
+	}
+	text := strings.TrimSuffix(string(base), "}") + "," + strings.TrimPrefix(policyJSON, "{")
+	spec, err := Load(strings.NewReader(text))
+	if err != nil {
+		return core.Config{}, err
+	}
+	return spec.Config()
+}
+
+// runJSON runs cfg and returns its Result as JSON.
+func runJSON(t *testing.T, cfg core.Config) string {
+	t.Helper()
+	m, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(m.Run())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

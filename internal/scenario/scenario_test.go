@@ -14,8 +14,7 @@ import (
 func TestRoundTripDefaultConfig(t *testing.T) {
 	orig := core.DefaultConfig()
 	orig.Arch = core.MPP
-	orig.Policy = forward.BF
-	orig.BatchSize = 32
+	orig.Strategy = forward.NewFixedBF(32)
 	orig.Forwarding = forward.Tree
 	orig.Warmup = 1e6
 	orig.Seed = 77
@@ -32,8 +31,8 @@ func TestRoundTripDefaultConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Arch != orig.Arch || got.Nodes != orig.Nodes || got.Policy != orig.Policy ||
-		got.BatchSize != orig.BatchSize || got.Forwarding != orig.Forwarding ||
+	if got.Arch != orig.Arch || got.Nodes != orig.Nodes || got.Strategy != orig.Strategy ||
+		got.Forwarding != orig.Forwarding ||
 		got.Warmup != orig.Warmup || got.Seed != orig.Seed ||
 		got.SamplingPeriod != orig.SamplingPeriod || got.DedicatedHost != orig.DedicatedHost {
 		t.Fatalf("round trip changed config:\norig %+v\ngot  %+v", orig, got)
@@ -75,7 +74,7 @@ func TestMinimalSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Arch != core.NOW || cfg.Policy != forward.CF || cfg.Pds != 1 {
+	if cfg.Arch != core.NOW || cfg.Strategy != forward.NewCF() || cfg.Pds != 1 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	if cfg.Workload.AppCPU.Mean() != 2213 {

@@ -290,9 +290,10 @@ func (AnalyticEvaluator) Name() string { return "analytic" }
 
 // Params maps a validated configuration onto the analytic parameters.
 func (AnalyticEvaluator) Params(cfg core.Config) analytic.Params {
+	_, batch := policyBatch(cfg)
 	return analytic.Params{
 		SamplingPeriod: cfg.SamplingPeriod,
-		BatchSize:      float64(cfg.BatchSize),
+		BatchSize:      float64(batch),
 		AppProcs:       float64(cfg.AppProcs),
 		Nodes:          float64(cfg.Nodes),
 		Pds:            float64(cfg.Pds),
@@ -374,8 +375,19 @@ func Key(sp scenario.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	policy, batch := policyBatch(cfg)
 	return fmt.Sprintf("%s|n=%d|p=%d|pds=%d|sp=%g|%s%d|%s|appnet=%g",
 		strings.ToLower(cfg.Arch.String()), cfg.Nodes, cfg.AppProcs, cfg.Pds,
-		cfg.SamplingPeriod, strings.ToLower(cfg.Policy.String()), cfg.BatchSize,
+		cfg.SamplingPeriod, strings.ToLower(policy.String()), batch,
 		cfg.Forwarding.String(), cfg.Workload.AppNet.Mean()), nil
+}
+
+// policyBatch is the (policy, batch) pair a scenario is keyed and priced
+// at. A strategy with no fixed batch (adaptive BF) counts as batch 1.
+func policyBatch(cfg core.Config) (forward.Policy, int) {
+	policy, batch := forward.PolicyOf(cfg.Strategy)
+	if batch == 0 {
+		batch = 1
+	}
+	return policy, batch
 }

@@ -30,14 +30,13 @@ func TestPublicAPIHeadline(t *testing.T) {
 	base.SamplingPeriod = 5000
 
 	cf := base
-	cf.Policy = CF
+	cf.Strategy = NewCFStrategy()
 	rcf, err := Simulate(cf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bf := base
-	bf.Policy = BF
-	bf.BatchSize = 32
+	bf.Strategy = NewFixedBFStrategy(32)
 	rbf, err := Simulate(bf)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestPublicAPIForwardStrategy(t *testing.T) {
 	if res.AdaptiveFinalBatchMean <= 0 {
 		t.Fatalf("adaptive telemetry missing: %+v", res)
 	}
-	// The fixed-batch strategy is the deprecation shim's explicit form.
+	// Built-in strategies render as their -policy specs.
 	if got := NewFixedBFStrategy(16).String(); got != "bf:16" {
 		t.Fatalf("fixed strategy renders %q", got)
 	}
