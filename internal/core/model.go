@@ -35,6 +35,11 @@ type Model struct {
 	// Inj is the fault injector, non-nil only when Cfg.Faults is active.
 	Inj *faults.Injector
 
+	// Msgs is the model's message pool: daemons fill messages from it,
+	// and the main process, crashes and fault-injecting uplinks release
+	// them back to it.
+	Msgs *forward.MessagePool
+
 	topo        forward.Topology
 	nodeDaemons [][]*procs.PdDaemon // daemons indexed by node (NOW/MPP)
 	nodeProcs   []int               // current application-process count per node
@@ -76,7 +81,7 @@ func New(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	cal := des.NewCalendarFor(cfg.Calendar, des.WorkloadHints{PendingEvents: cfg.expectedPending()})
-	m := &Model{Cfg: cfg, Sim: des.NewWithCalendar(cal)}
+	m := &Model{Cfg: cfg, Sim: des.NewWithCalendar(cal), Msgs: &forward.MessagePool{}}
 	master := rng.New(cfg.Seed)
 	m.master = master
 
@@ -141,7 +146,7 @@ func (m *Model) wireFaults() error {
 			}
 			return m.nodeDaemons[parent][0].Accept(msg)
 		}
-		link := inj.NewLink(node, idx, m.Net, m.Cfg.Cost, dst)
+		link := inj.NewLink(node, idx, m.Net, m.Cfg.Cost, m.Msgs, dst)
 		d.Deliver = link.Send
 		inj.AttachDegrader(d, link)
 	}
@@ -198,6 +203,7 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 		Sim: m.Sim, CPU: m.HostCPU,
 		R:       master.Derive(streamID(streamMain, 0, 0)),
 		CPUDist: cfg.Workload.MainCPU,
+		Msgs:    m.Msgs,
 	}
 
 	totalApps := cfg.Nodes * cfg.AppProcs
@@ -217,6 +223,7 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 				Cost:         cfg.Cost,
 				Node:         node,
 				FlushTimeout: cfg.FlushTimeout,
+				Msgs:         m.Msgs,
 			}
 			m.wireDelivery(d)
 			m.Daemons = append(m.Daemons, d)
@@ -279,6 +286,7 @@ func (m *Model) buildSMP(master *rng.Stream) {
 		Sim: m.Sim, CPU: cpu,
 		R:       master.Derive(streamID(streamMain, 0, 0)),
 		CPUDist: cfg.Workload.MainCPU,
+		Msgs:    m.Msgs,
 	}
 	if cfg.BarrierPeriod > 0 {
 		m.Barrier = &procs.Barrier{Participants: cfg.AppProcs}
@@ -294,6 +302,7 @@ func (m *Model) buildSMP(master *rng.Stream) {
 			Node:         0,
 			FlushTimeout: cfg.FlushTimeout,
 			Deliver:      func(msg *forward.Message) { m.Main.Receive(msg) },
+			Msgs:         m.Msgs,
 		}
 		m.Daemons[k] = d
 	}

@@ -15,14 +15,20 @@ package des
 // flag the Simulator checks at dispatch; canceled events flow through the
 // buckets like any other.
 //
-// Storage is recycled: buckets are slices whose backing arrays survive
-// pops (elements are nil'd, length truncated), so steady-state Push/Pop
-// allocates nothing once bucket capacity has warmed up — the same contract
-// the Simulator's event free list provides for Event structs. A resize
-// keeps the previous bucket array as a spare so grow/shrink oscillation
-// does not thrash the allocator.
+// Each bucket pops from a head offset instead of shifting its slice, so a
+// pop is O(1) however many events share the bucket. That matters for
+// synchronized sampling timers: k processes sampling on the same period
+// and phase put k same-time events into one bucket on every tick.
+//
+// Storage is recycled: a bucket's backing array survives pops (popped
+// slots are nil'd and the offset advances; a bucket that empties rewinds
+// to its start), so steady-state Push/Pop allocates nothing once bucket
+// capacity has warmed up — the same contract the Simulator's event free
+// list provides for Event structs. A resize keeps the previous bucket
+// array as a spare so grow/shrink oscillation does not thrash the
+// allocator.
 type BucketCalendar struct {
-	buckets [][]*Event
+	buckets []bucket
 	mask    int64   // len(buckets)-1; bucket count is a power of two
 	width   float64 // microseconds of simulated time per bucket
 	n       int
@@ -44,7 +50,15 @@ type BucketCalendar struct {
 
 	// spare retains the bucket array released by the last resize so the
 	// next resize to that size reuses it instead of reallocating.
-	spare [][]*Event
+	spare []bucket
+}
+
+// bucket holds one calendar slot's events in (time, seq) order. The queued
+// events are ev[head:]; the slots before head were popped and are nil.
+// An empty bucket always has head == len(ev) == 0.
+type bucket struct {
+	ev   []*Event
+	head int
 }
 
 const (
@@ -68,7 +82,7 @@ const (
 // NewBucketCalendar returns an empty calendar queue.
 func NewBucketCalendar() *BucketCalendar {
 	return &BucketCalendar{
-		buckets: make([][]*Event, minBucketCount),
+		buckets: make([]bucket, minBucketCount),
 		mask:    minBucketCount - 1,
 		width:   initialBucketWidth,
 	}
@@ -106,18 +120,25 @@ func (c *BucketCalendar) Push(e *Event) {
 }
 
 // insert places e into its bucket keeping (time, seq) order, scanning from
-// the tail: schedules are mostly time-increasing, so the common case is a
-// plain append.
+// the tail down to the head: schedules are mostly time-increasing, so the
+// common case is a plain append. When the append would outgrow the backing
+// array and at least half of it is popped slots, the queued events move
+// down to the start first; each move is paid for by the pops that freed
+// the slots, so compaction stays amortized O(1).
 func (c *BucketCalendar) insert(e *Event) {
-	idx := e.bslot & c.mask
-	b := append(c.buckets[idx], e)
-	i := len(b) - 1
-	for i > 0 && eventAfter(b[i-1], e) {
-		b[i] = b[i-1]
+	b := &c.buckets[e.bslot&c.mask]
+	if len(b.ev) == cap(b.ev) && b.head > 0 && 2*b.head >= len(b.ev) {
+		n := copy(b.ev, b.ev[b.head:])
+		clear(b.ev[n:])
+		b.ev, b.head = b.ev[:n], 0
+	}
+	b.ev = append(b.ev, e)
+	i := len(b.ev) - 1
+	for i > b.head && eventAfter(b.ev[i-1], e) {
+		b.ev[i] = b.ev[i-1]
 		i--
 	}
-	b[i] = e
-	c.buckets[idx] = b
+	b.ev[i] = e
 }
 
 // Peek implements Calendar: the next event without removing it.
@@ -147,17 +168,18 @@ func (c *BucketCalendar) locateMin() *Event {
 		return c.peeked
 	}
 	for i := 0; i < len(c.buckets); i++ {
-		b := c.buckets[c.cur&c.mask]
-		if len(b) > 0 && b[0].bslot <= c.cur {
-			c.peeked = b[0]
-			return b[0]
+		b := &c.buckets[c.cur&c.mask]
+		if b.head < len(b.ev) && b.ev[b.head].bslot <= c.cur {
+			c.peeked = b.ev[b.head]
+			return c.peeked
 		}
 		c.cur++
 	}
 	var min *Event
-	for _, b := range c.buckets {
-		if len(b) > 0 && (min == nil || eventAfter(min, b[0])) {
-			min = b[0]
+	for i := range c.buckets {
+		b := &c.buckets[i]
+		if b.head < len(b.ev) && (min == nil || eventAfter(min, b.ev[b.head])) {
+			min = b.ev[b.head]
 		}
 	}
 	c.cur = min.bslot
@@ -166,14 +188,16 @@ func (c *BucketCalendar) locateMin() *Event {
 }
 
 // removeHead detaches e, which locateMin guarantees is the head of its
-// bucket. The vacated tail slot is nil'd so truncated bucket storage never
-// pins recycled events.
+// bucket, by advancing the bucket's head offset. The vacated slot is nil'd
+// so bucket storage never pins recycled events; a bucket that empties
+// rewinds to the start of its backing array.
 func (c *BucketCalendar) removeHead(e *Event) {
-	idx := e.bslot & c.mask
-	b := c.buckets[idx]
-	copy(b, b[1:])
-	b[len(b)-1] = nil
-	c.buckets[idx] = b[:len(b)-1]
+	b := &c.buckets[e.bslot&c.mask]
+	b.ev[b.head] = nil
+	b.head++
+	if b.head == len(b.ev) {
+		b.ev, b.head = b.ev[:0], 0
+	}
 	c.n--
 	c.peeked = nil
 	e.index = -1
@@ -198,8 +222,8 @@ func (c *BucketCalendar) resize(nb int) {
 	// comparison against the current worst).
 	var head [widthSample]float64
 	hn := 0
-	for _, b := range old {
-		for _, e := range b {
+	for i := range old {
+		for _, e := range old[i].ev[old[i].head:] {
 			if hn == len(head) && e.time >= head[hn-1] {
 				continue
 			}
@@ -233,21 +257,20 @@ func (c *BucketCalendar) resize(nb int) {
 	if len(c.spare) == nb {
 		c.buckets, c.spare = c.spare, nil
 	} else {
-		c.buckets = make([][]*Event, nb)
+		c.buckets = make([]bucket, nb)
 	}
 	c.mask = int64(nb - 1)
 	c.peeked = nil
 	c.cur = int64(minT / c.width)
 
-	for _, b := range old {
-		for _, e := range b {
+	for i := range old {
+		b := &old[i]
+		for _, e := range b.ev[b.head:] {
 			e.bslot = int64(e.time / c.width)
 			c.insert(e)
 		}
-		clear(b)
-	}
-	for i := range old {
-		old[i] = old[i][:0]
+		clear(b.ev)
+		b.ev, b.head = b.ev[:0], 0
 	}
 	c.spare = old
 }

@@ -14,16 +14,24 @@ import (
 // events' index/bslot fields) but share time, seq, and cancellation fate.
 //
 // Op byte decoding (two bytes consumed per op):
-//   - b%4 == 0..1 → Push at a time derived from the second byte (equal
+//   - b%8 == 0..2 → Push at a time derived from the second byte (equal
 //     times are common on purpose, to stress the seq tie-break; time can
 //     also fall below earlier pushes, stressing the bucket scan pull-back)
-//   - b%4 == 2    → Pop from both, compare
-//   - b%4 == 3    → Cancel a pending event picked by the second byte
+//   - b%8 == 3    → Burst: push 32 + arg/8%32 events at one instant on the
+//     same grid, as synchronized sampling timers do; interleaved with pop
+//     runs this fills a bucket, advances its head offset and drives the
+//     compaction on the next append past its capacity
+//   - b%8 == 4..5 → Pop from both, compare
+//   - b%8 == 6    → Pop run: arg%64 pops, compared one by one
+//   - b%8 == 7    → Cancel a pending event picked by the second byte
 //     (canceled events still flow through the calendars; the simulator,
 //     not the calendar, discards them)
 func FuzzCalendarDifferential(f *testing.F) {
-	f.Add([]byte{0, 10, 0, 10, 2, 0, 3, 0, 2, 0, 2, 0})
-	f.Add([]byte{0, 1, 4, 1, 8, 1, 2, 0, 2, 0, 2, 0, 2, 0})
+	f.Add([]byte{0, 10, 0, 10, 4, 0, 7, 0, 4, 0, 4, 0})
+	f.Add([]byte{0, 1, 8, 1, 16, 1, 4, 0, 4, 0, 4, 0, 4, 0})
+	// 63 events at t=0, 40 pops, a 32-event burst into the same bucket
+	// (compacting it), then a burst at a later instant and a drain.
+	f.Add([]byte{3, 248, 6, 40, 3, 0, 6, 10, 3, 3, 7, 5, 6, 63})
 	seed := make([]byte, 0, 120)
 	r := rng.New(4242)
 	for i := 0; i < 60; i++ {
@@ -38,44 +46,59 @@ func FuzzCalendarDifferential(f *testing.F) {
 		// same logical event everywhere.
 		pending := make([][]*Event, len(cals))
 		var seq uint64
-		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i], data[i+1]
-			switch op % 4 {
-			case 0, 1:
-				tm := Time(arg%32) * 7.5 // coarse grid → frequent time collisions
-				for k, c := range cals {
-					e := &Event{time: tm, seq: seq, index: -1}
-					c.Push(e)
-					pending[k] = append(pending[k], e)
+		push := func(tm Time) {
+			for k, c := range cals {
+				e := &Event{time: tm, seq: seq, index: -1}
+				c.Push(e)
+				pending[k] = append(pending[k], e)
+			}
+			seq++
+		}
+		pop := func(i int) {
+			var got *Event
+			for k, c := range cals {
+				e := c.Pop()
+				if k == 0 {
+					got = e
+					continue
 				}
-				seq++
-			case 2:
-				var got *Event
-				for k, c := range cals {
-					e := c.Pop()
-					if k == 0 {
-						got = e
-						continue
-					}
-					switch {
-					case (e == nil) != (got == nil):
-						t.Fatalf("op %d: %T popped %v, heap popped %v", i, c, e, got)
-					case e != nil && (e.time != got.time || e.seq != got.seq || e.canceled != got.canceled):
-						t.Fatalf("op %d: %T popped (t=%v seq=%d canceled=%v), heap popped (t=%v seq=%d canceled=%v)",
-							i, c, e.time, e.seq, e.canceled, got.time, got.seq, got.canceled)
-					}
+				switch {
+				case (e == nil) != (got == nil):
+					t.Fatalf("op %d: %T popped %v, heap popped %v", i, c, e, got)
+				case e != nil && (e.time != got.time || e.seq != got.seq || e.canceled != got.canceled):
+					t.Fatalf("op %d: %T popped (t=%v seq=%d canceled=%v), heap popped (t=%v seq=%d canceled=%v)",
+						i, c, e.time, e.seq, e.canceled, got.time, got.seq, got.canceled)
 				}
-				if got != nil {
-					for k := range pending {
-						for j, e := range pending[k] {
-							if e.seq == got.seq {
-								pending[k] = append(pending[k][:j], pending[k][j+1:]...)
-								break
-							}
+			}
+			if got != nil {
+				for k := range pending {
+					for j, e := range pending[k] {
+						if e.seq == got.seq {
+							pending[k] = append(pending[k][:j], pending[k][j+1:]...)
+							break
 						}
 					}
 				}
+			}
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			op, arg := data[i], data[i+1]
+			tm := Time(arg%32) * 7.5 // coarse grid → frequent time collisions
+			switch op % 8 {
+			case 0, 1, 2:
+				push(tm)
 			case 3:
+				tm = Time(arg%8) * 7.5
+				for n := 32 + int(arg/8)%32; n > 0; n-- {
+					push(tm)
+				}
+			case 4, 5:
+				pop(i)
+			case 6:
+				for n := int(arg) % 64; n > 0; n-- {
+					pop(i)
+				}
+			case 7:
 				if n := len(pending[0]); n > 0 {
 					j := int(arg) % n
 					for k := range pending {

@@ -24,6 +24,10 @@ import (
 //     width compromise
 //   - burst: 95% near-zero holds with rare large jumps — many events pile
 //     into the current bucket, stressing within-bucket insertion order
+//   - sync: n synchronized timers, equal period and equal phase, like the
+//     sampling timers of n application processes; every tick is one
+//     same-time burst of n events in one bucket, so a pop that shifted the
+//     bucket would cost O(n)
 type holdDist struct {
 	name string
 	draw func(r *rng.Stream) float64
@@ -44,6 +48,7 @@ func holdDists() []holdDist {
 			}
 			return r.Exp(1)
 		}},
+		{"sync", func(*rng.Stream) float64 { return 1000 }},
 	}
 }
 

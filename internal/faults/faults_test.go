@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 
 	"rocc/internal/des"
@@ -90,13 +91,15 @@ func TestValidateDefaults(t *testing.T) {
 func TestLinkLossyUnprotected(t *testing.T) {
 	sim := des.New()
 	net := resources.NewNetwork(sim, false)
+	pool := &forward.MessagePool{}
 	inj, err := NewInjector(sim, Plan{Seed: 7, Loss: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := 0
-	l := inj.NewLink(1, 0, net, constCost(), func(m *forward.Message) bool {
+	l := inj.NewLink(1, 0, net, constCost(), pool, func(m *forward.Message) bool {
 		got += len(m.Samples)
+		pool.Put(m)
 		return true
 	})
 	const n = 400
@@ -122,6 +125,7 @@ func TestLinkLossyUnprotected(t *testing.T) {
 func TestLinkRetransmitRecoversAll(t *testing.T) {
 	sim := des.New()
 	net := resources.NewNetwork(sim, false)
+	pool := &forward.MessagePool{}
 	inj, err := NewInjector(sim, Plan{
 		Seed: 11, Loss: 0.3, Dup: 0.2, AckLoss: 0.1,
 		Resilience: Resilience{Retransmit: true, RTO: 1000, RetryBudget: 20},
@@ -130,8 +134,9 @@ func TestLinkRetransmitRecoversAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	l := inj.NewLink(2, 0, net, constCost(), func(m *forward.Message) bool {
+	l := inj.NewLink(2, 0, net, constCost(), pool, func(m *forward.Message) bool {
 		got += len(m.Samples)
+		pool.Put(m)
 		return true
 	})
 	const n = 200
@@ -156,6 +161,12 @@ func TestLinkRetransmitRecoversAll(t *testing.T) {
 	if l.DupDiscarded == 0 {
 		t.Fatal("expected duplicate deliveries to be discarded")
 	}
+	// Every copy the link made and every original it was sent is back in
+	// the pool: delivered copies via the receiver, the rest via the link.
+	if pool.Free() != pool.Allocated()+n {
+		t.Fatalf("pool holds %d free messages, want %d copies + %d originals",
+			pool.Free(), pool.Allocated(), n)
+	}
 }
 
 // TestLinkRetryBudgetGivesUp checks that a link facing total loss stops
@@ -163,6 +174,7 @@ func TestLinkRetransmitRecoversAll(t *testing.T) {
 func TestLinkRetryBudgetGivesUp(t *testing.T) {
 	sim := des.New()
 	net := resources.NewNetwork(sim, false)
+	pool := &forward.MessagePool{}
 	inj, err := NewInjector(sim, Plan{
 		Seed: 3, Loss: 1.0,
 		Resilience: Resilience{Retransmit: true, RTO: 1000, Backoff: 2, RetryBudget: 4},
@@ -170,7 +182,7 @@ func TestLinkRetryBudgetGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := inj.NewLink(0, 0, net, constCost(), func(*forward.Message) bool {
+	l := inj.NewLink(0, 0, net, constCost(), pool, func(*forward.Message) bool {
 		t.Fatal("nothing can be delivered at 100% loss")
 		return true
 	})
@@ -195,6 +207,7 @@ func TestLinkRetryBudgetGivesUp(t *testing.T) {
 func TestLinkRefusedDeliveryRetransmits(t *testing.T) {
 	sim := des.New()
 	net := resources.NewNetwork(sim, false)
+	pool := &forward.MessagePool{}
 	inj, err := NewInjector(sim, Plan{
 		Seed:       5,
 		Resilience: Resilience{Retransmit: true, RTO: 1000, Backoff: 1, RetryBudget: 10},
@@ -204,11 +217,12 @@ func TestLinkRefusedDeliveryRetransmits(t *testing.T) {
 	}
 	up := false
 	got := 0
-	l := inj.NewLink(1, 0, net, constCost(), func(m *forward.Message) bool {
+	l := inj.NewLink(1, 0, net, constCost(), pool, func(m *forward.Message) bool {
 		if !up {
 			return false
 		}
 		got += len(m.Samples)
+		pool.Put(m)
 		return true
 	})
 	l.Send(msg(2))
@@ -231,9 +245,11 @@ func TestScheduleCrashesAlternates(t *testing.T) {
 	sim := des.New()
 	cpu := resources.NewCPU(sim, 1, 10000)
 	net := resources.NewNetwork(sim, false)
+	pool := &forward.MessagePool{}
 	d := &procs.PdDaemon{
 		Sim: sim, CPU: cpu, Net: net, R: rng.New(1),
 		Strategy: forward.NewCF(), Cost: constCost(), Node: 0,
+		Msgs: pool,
 	}
 	inj, err := NewInjector(sim, Plan{
 		Seed: 9, CrashMTBF: 10000, CrashDowntime: rng.Constant{Value: 2000},
@@ -304,12 +320,14 @@ func TestDegraderEngagesAndBacksOff(t *testing.T) {
 	sim := des.New()
 	cpu := resources.NewCPU(sim, 1, 10000)
 	net := resources.NewNetwork(sim, false)
+	pool := &forward.MessagePool{}
 	pipe := resources.NewPipe(8)
 	d := &procs.PdDaemon{
 		Sim: sim, CPU: cpu, Net: net, R: rng.New(2),
 		Pipes:    []*resources.Pipe{pipe},
 		Strategy: forward.NewFixedBF(8), Cost: constCost(), Node: 0,
-		Deliver: func(*forward.Message) {},
+		Deliver: func(m *forward.Message) { pool.Put(m) },
+		Msgs:    pool,
 	}
 	inj, err := NewInjector(sim, Plan{
 		Seed: 17,
@@ -372,6 +390,7 @@ func TestInjectorDeterminism(t *testing.T) {
 	run := func() Totals {
 		sim := des.New()
 		net := resources.NewNetwork(sim, false)
+		pool := &forward.MessagePool{}
 		inj, err := NewInjector(sim, Plan{
 			Seed: 21, Loss: 0.2, Dup: 0.1, DelayProb: 0.3,
 			Delay:      rng.Exponential{MeanVal: 500},
@@ -380,7 +399,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := inj.NewLink(4, 0, net, constCost(), func(*forward.Message) bool { return true })
+		l := inj.NewLink(4, 0, net, constCost(), pool, func(m *forward.Message) bool { pool.Put(m); return true })
 		for i := 0; i < 300; i++ {
 			l.Send(msg(2))
 		}
@@ -401,11 +420,12 @@ func TestInjectorDeterminism(t *testing.T) {
 func TestResetAccountingClearsCounters(t *testing.T) {
 	sim := des.New()
 	net := resources.NewNetwork(sim, false)
+	pool := &forward.MessagePool{}
 	inj, err := NewInjector(sim, Plan{Seed: 1, Loss: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := inj.NewLink(0, 0, net, constCost(), func(*forward.Message) bool { return true })
+	l := inj.NewLink(0, 0, net, constCost(), pool, func(m *forward.Message) bool { pool.Put(m); return true })
 	for i := 0; i < 50; i++ {
 		l.Send(msg(1))
 	}
@@ -417,4 +437,61 @@ func TestResetAccountingClearsCounters(t *testing.T) {
 	if got := inj.Totals(); got != (Totals{}) {
 		t.Fatalf("reset left residue: %+v", got)
 	}
+}
+
+// A resilient link's send → deliver → ack round trip with no fault firing
+// allocates nothing once warm: the delivered copy and the original come
+// from the pool and go back to it, and the pending record, its timer and
+// the ack reuse free-listed records with closures bound once.
+func TestResilientLinkRoundTripDoesNotAllocate(t *testing.T) {
+	sim := des.New()
+	net := resources.NewNetwork(sim, false)
+	pool := &forward.MessagePool{}
+	inj, err := NewInjector(sim, Plan{Seed: 1, Resilience: Resilience{Retransmit: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	l := inj.NewLink(0, 0, net, constCost(), pool, func(m *forward.Message) bool {
+		delivered++
+		pool.Put(m)
+		return true
+	})
+	sendOne := func() {
+		m := pool.Get()
+		m.Samples = append(m.Samples, resources.Sample{GenTime: sim.Now()})
+		l.Send(m)
+		sim.RunAll()
+	}
+	sendOne() // warm up the pools
+	if allocs := testing.AllocsPerRun(100, sendOne); allocs != 0 {
+		t.Fatalf("one acknowledged send allocated %.2f objects, want 0", allocs)
+	}
+	if delivered != 102 || l.Pending() != 0 || l.Retransmits != 0 {
+		t.Fatalf("delivered %d, pending %d, retransmits %d; want 102, 0, 0", delivered, l.Pending(), l.Retransmits)
+	}
+	if pool.Allocated() != 2 || pool.Free() != 2 {
+		t.Fatalf("pool allocated %d, free %d; want the original and one copy, both free", pool.Allocated(), pool.Free())
+	}
+}
+
+// Sending a released message panics at the link instead of resending
+// whatever the pool has since handed out.
+func TestLinkSendReleasedMessagePanics(t *testing.T) {
+	sim := des.New()
+	pool := &forward.MessagePool{}
+	inj, err := NewInjector(sim, Plan{Seed: 1, Resilience: Resilience{Retransmit: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := inj.NewLink(0, 0, resources.NewNetwork(sim, false), constCost(), pool,
+		func(*forward.Message) bool { return true })
+	m := pool.Get()
+	pool.Put(m)
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "faults.Link.Send: ") {
+			t.Fatalf("panic %q, want one naming faults.Link.Send", msg)
+		}
+	}()
+	l.Send(m)
 }

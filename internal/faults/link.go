@@ -23,6 +23,15 @@ import (
 // Retransmissions re-occupy the network (the sender pays the transit cost
 // again) and the receiver discards duplicates by id, so at-most-once
 // delivery is preserved end to end.
+//
+// The link owns each message it is sent until the message leaves it.
+// Every delivery — first try, injected duplicate or retransmission — is
+// a pooled copy that the receiver takes over (or the link releases, if
+// the receiver refuses or discards it). The link releases the original
+// when it is lost on an unprotected link, at the end of an unprotected
+// attempt, and on acknowledgement or give-up on a resilient one. Its
+// per-message records are free-listed with their closures bound once, so
+// a fault-free resilient send allocates nothing in steady state.
 type Link struct {
 	sim  *des.Simulator
 	plan *Plan
@@ -30,21 +39,26 @@ type Link struct {
 
 	net  *resources.Network
 	cost forward.CostModel
+	pool *forward.MessagePool
 
 	r     *rng.Stream // fault decisions (loss/dup/delay/ack-loss)
 	costR *rng.Stream // retransmission network-cost draws
 
 	// dst delivers a message to the receiver; it reports false when the
 	// receiver refused it (crashed daemon), which suppresses the ack so
-	// the retransmission timer covers the outage.
+	// the retransmission timer covers the outage. A refused message stays
+	// with the link.
 	dst func(msg *forward.Message) bool
 
 	// obs, when non-nil, is notified of each retransmission attempt.
 	obs procs.Observer
 
-	nextID    uint64
-	pending   map[uint64]*pendingMsg
-	delivered map[uint64]bool
+	nextID  uint64
+	pending map[uint64]*pendingMsg // unacknowledged messages; nil when unprotected
+
+	pendingFree []*pendingMsg
+	delayedFree []*delayedCopy
+	ackFree     []*ackMsg
 
 	// Accounting.
 	LossInjected  int // deliveries destroyed in transit
@@ -61,30 +75,58 @@ type Link struct {
 	recoveredMax float64
 }
 
+// pendingMsg is one message on a resilient link. It holds the original
+// for resending until the message is acknowledged or abandoned (done).
+// The record lives on while copies are still on their way — delayed, or
+// being retransmitted — because it carries the delivered flag that
+// duplicate suppression checks when they land.
 type pendingMsg struct {
-	msg       *forward.Message
+	id        uint64
+	msg       *forward.Message // nil once done
 	firstSent des.Time
 	attempts  int // retransmissions so far (0 = only the original send)
 	timer     *des.Event
+	delivered bool // a copy reached the receiver
+	done      bool // acknowledged or abandoned
+	resending bool // a retransmission occupies the network
+	delayed   int  // delayed copies not yet arrived
+
+	timeoutFn func() // calls Link.timeout(this)
+	resentFn  func() // calls Link.resent(this)
+}
+
+// delayedCopy is one delivery given an extra transit delay; p is nil on an
+// unprotected link.
+type delayedCopy struct {
+	p   *pendingMsg
+	msg *forward.Message
+	fn  func() // calls Link.arriveDelayed(this)
+}
+
+// ackMsg is one acknowledgement travelling back to the sender.
+type ackMsg struct {
+	id uint64
+	fn func() // calls Link.ack(id) and recycles this record
 }
 
 // NewLink creates an uplink for the daemon on node. idx disambiguates
-// multiple links per node (unused today; every node has one uplink). dst
-// delivers to the receiver and reports acceptance.
-func (inj *Injector) NewLink(node, idx int, net *resources.Network, cost forward.CostModel, dst func(*forward.Message) bool) *Link {
+// multiple links per node (unused today; every node has one uplink). pool
+// is the model's message pool; dst delivers to the receiver and reports
+// acceptance.
+func (inj *Injector) NewLink(node, idx int, net *resources.Network, cost forward.CostModel, pool *forward.MessagePool, dst func(*forward.Message) bool) *Link {
 	l := &Link{
 		sim:   inj.Sim,
 		plan:  &inj.Plan,
 		node:  node,
 		net:   net,
 		cost:  cost,
+		pool:  pool,
 		r:     inj.root.Derive(streamID(streamLink, node, idx)),
 		costR: inj.root.Derive(streamID(streamLinkCost, node, idx)),
 		dst:   dst,
 	}
 	if inj.Plan.Resilience.Retransmit {
 		l.pending = make(map[uint64]*pendingMsg)
-		l.delivered = make(map[uint64]bool)
 	}
 	inj.Links = append(inj.Links, l)
 	return l
@@ -103,24 +145,31 @@ func (l *Link) ResetAccounting() {
 }
 
 // Send routes one transmitted message through the link's fault filter
-// toward the receiver. Called when the sender's network occupancy for the
-// original transmission completes.
+// toward the receiver, taking ownership of it. Called when the sender's
+// network occupancy for the original transmission completes.
 func (l *Link) Send(msg *forward.Message) {
-	id := l.nextID
-	l.nextID++
-	if l.pending != nil {
-		l.pending[id] = &pendingMsg{msg: msg, firstSent: l.sim.Now()}
+	msg.MustBeLive("faults.Link.Send")
+	if l.pending == nil {
+		l.attempt(nil, msg)
+		return
 	}
-	l.attempt(id, msg, 0)
+	p := l.newPending()
+	p.id, p.msg, p.firstSent = l.nextID, msg, l.sim.Now()
+	l.nextID++
+	l.pending[p.id] = p
+	l.attempt(p, msg)
 }
 
-// attempt is one delivery try: the fault filter may destroy, duplicate,
-// or delay it. With retransmission enabled, an RTO timer backs the try.
-func (l *Link) attempt(id uint64, msg *forward.Message, attempt int) {
+// attempt is one delivery try of msg: the fault filter may destroy,
+// duplicate, or delay it. On a resilient link p holds msg for resending
+// and an RTO timer backs the try; an unprotected link (p nil) is done
+// with msg once the try is made.
+func (l *Link) attempt(p *pendingMsg, msg *forward.Message) {
+	msg.MustBeLive("faults.Link.attempt")
 	lost := l.plan.Loss > 0 && l.r.Bernoulli(l.plan.Loss)
 	if lost {
 		l.LossInjected++
-		if l.pending == nil {
+		if p == nil {
 			l.SamplesLost += len(msg.Samples) // unprotected: gone for good
 			if l.obs != nil {
 				for _, s := range msg.Samples {
@@ -134,35 +183,54 @@ func (l *Link) attempt(id uint64, msg *forward.Message, attempt int) {
 			l.DelayInjected++
 			delay = l.plan.Delay.Sample(l.r)
 		}
-		l.deliverAfter(delay, id, msg)
+		l.deliverAfter(delay, p, l.pool.Copy(msg))
 		if l.plan.Dup > 0 && l.r.Bernoulli(l.plan.Dup) {
 			l.DupInjected++
-			l.deliverAfter(delay, id, cloneMsg(msg))
+			l.deliverAfter(delay, p, l.pool.Copy(msg))
 		}
 	}
-	if l.pending != nil {
-		if p, ok := l.pending[id]; ok {
-			rto := l.plan.Resilience.RTO * math.Pow(l.plan.Resilience.Backoff, float64(attempt))
-			p.timer = l.sim.Schedule(rto, func() { l.timeout(id) })
-		}
-	}
-}
-
-func (l *Link) deliverAfter(delay des.Time, id uint64, msg *forward.Message) {
-	if delay > 0 {
-		l.sim.Schedule(delay, func() { l.arrive(id, msg) })
+	if p == nil {
+		l.pool.Put(msg)
 		return
 	}
-	l.arrive(id, msg)
+	rto := l.plan.Resilience.RTO * math.Pow(l.plan.Resilience.Backoff, float64(p.attempts))
+	p.timer = l.sim.Schedule(rto, p.timeoutFn)
+}
+
+func (l *Link) deliverAfter(delay des.Time, p *pendingMsg, msg *forward.Message) {
+	if delay <= 0 {
+		l.arrive(p, msg)
+		return
+	}
+	d := l.newDelayed()
+	d.p, d.msg = p, msg
+	if p != nil {
+		p.delayed++
+	}
+	l.sim.Schedule(delay, d.fn)
+}
+
+// arriveDelayed lands one delayed copy and recycles its record.
+func (l *Link) arriveDelayed(d *delayedCopy) {
+	p, msg := d.p, d.msg
+	*d = delayedCopy{fn: d.fn}
+	l.delayedFree = append(l.delayedFree, d)
+	l.arrive(p, msg)
+	if p != nil {
+		p.delayed--
+		l.recycle(p)
+	}
 }
 
 // arrive is a delivery reaching the receiver's side of the link.
-func (l *Link) arrive(id uint64, msg *forward.Message) {
-	if l.delivered != nil && l.delivered[id] {
+func (l *Link) arrive(p *pendingMsg, msg *forward.Message) {
+	msg.MustBeLive("faults.Link.arrive")
+	if p != nil && p.delivered {
 		// Duplicate (injected, or a retransmission racing its original):
 		// discard, but re-ack in case the earlier ack was lost.
 		l.DupDiscarded++
-		l.sendAck(id)
+		l.pool.Put(msg)
+		l.sendAck(p.id)
 		return
 	}
 	if !l.dst(msg) {
@@ -171,28 +239,28 @@ func (l *Link) arrive(id uint64, msg *forward.Message) {
 		// SamplesLost counter deliberately stays untouched on the
 		// unprotected path (it predates this hook), but provenance needs
 		// the closure.
-		if l.pending == nil && l.obs != nil {
+		if p == nil && l.obs != nil {
 			for _, s := range msg.Samples {
 				l.obs.SampleLost(l.node, l.sim.Now(), s, procs.LossCrash)
 			}
 		}
+		l.pool.Put(msg)
 		return
 	}
-	if l.delivered != nil {
-		l.delivered[id] = true
-		l.sendAck(id)
+	if p != nil {
+		p.delivered = true
+		l.sendAck(p.id)
 	}
 }
 
 func (l *Link) sendAck(id uint64) {
-	if l.pending == nil {
-		return
-	}
 	if l.plan.AckLoss > 0 && l.r.Bernoulli(l.plan.AckLoss) {
 		l.AcksLost++
 		return
 	}
-	l.sim.Schedule(l.plan.Resilience.AckDelay, func() { l.ack(id) })
+	a := l.newAck()
+	a.id = id
+	l.sim.Schedule(l.plan.Resilience.AckDelay, a.fn)
 }
 
 func (l *Link) ack(id uint64) {
@@ -201,8 +269,9 @@ func (l *Link) ack(id uint64) {
 		return
 	}
 	delete(l.pending, id)
-	if p.timer != nil {
+	if p.timer != nil { // nil while a retransmission is on the wire
 		p.timer.Cancel()
+		p.timer = nil
 	}
 	if p.attempts > 0 {
 		l.recovered++
@@ -212,17 +281,14 @@ func (l *Link) ack(id uint64) {
 			l.recoveredMax = rt
 		}
 	}
+	l.finish(p)
 }
 
 // timeout fires when a delivery attempt went unacknowledged.
-func (l *Link) timeout(id uint64) {
-	p, ok := l.pending[id]
-	if !ok {
-		return
-	}
+func (l *Link) timeout(p *pendingMsg) {
 	p.timer = nil
 	if p.attempts >= l.plan.Resilience.RetryBudget {
-		delete(l.pending, id)
+		delete(l.pending, p.id)
 		l.GiveUps++
 		l.SamplesLost += len(p.msg.Samples)
 		if l.obs != nil {
@@ -230,26 +296,86 @@ func (l *Link) timeout(id uint64) {
 				l.obs.SampleLost(l.node, l.sim.Now(), s, procs.LossGiveUp)
 			}
 		}
+		l.finish(p)
 		return
 	}
 	p.attempts++
 	l.Retransmits++
-	attempt := p.attempts
 	if l.obs != nil {
-		l.obs.MessageRetransmitted(l.node, l.sim.Now(), attempt)
+		l.obs.MessageRetransmitted(l.node, l.sim.Now(), p.attempts)
 	}
 	// The retransmission re-occupies the network for a fresh transit cost.
-	l.net.Submit(procs.OwnerPd, l.cost.MsgNet(l.costR, len(p.msg.Samples)), func() {
-		if _, still := l.pending[id]; still {
-			l.attempt(id, p.msg, attempt)
-		}
-	})
+	p.resending = true
+	l.net.Submit(procs.OwnerPd, l.cost.MsgNet(l.costR, len(p.msg.Samples)), p.resentFn)
 }
 
-// cloneMsg deep-copies a message so an injected duplicate cannot alias
-// the original's Samples slice or Hops counter (tree relays mutate Hops).
-func cloneMsg(m *forward.Message) *forward.Message {
-	c := *m
-	c.Samples = append([]resources.Sample(nil), m.Samples...)
-	return &c
+// resent runs when a retransmission's network occupancy completes; a
+// message acknowledged meanwhile is not tried again.
+func (l *Link) resent(p *pendingMsg) {
+	p.resending = false
+	if p.done {
+		l.recycle(p)
+		return
+	}
+	l.attempt(p, p.msg)
+}
+
+// finish ends a message's life on a resilient link: it was acknowledged
+// or abandoned, so the original is released.
+func (l *Link) finish(p *pendingMsg) {
+	p.done = true
+	l.pool.Put(p.msg)
+	p.msg = nil
+	l.recycle(p)
+}
+
+// recycle returns p to the free list once it is done and no copy of its
+// message can still reach the receiver.
+func (l *Link) recycle(p *pendingMsg) {
+	if !p.done || p.resending || p.delayed > 0 {
+		return
+	}
+	*p = pendingMsg{timeoutFn: p.timeoutFn, resentFn: p.resentFn}
+	l.pendingFree = append(l.pendingFree, p)
+}
+
+func (l *Link) newPending() *pendingMsg {
+	if n := len(l.pendingFree); n > 0 {
+		p := l.pendingFree[n-1]
+		l.pendingFree[n-1] = nil
+		l.pendingFree = l.pendingFree[:n-1]
+		return p
+	}
+	p := &pendingMsg{}
+	p.timeoutFn = func() { l.timeout(p) }
+	p.resentFn = func() { l.resent(p) }
+	return p
+}
+
+func (l *Link) newDelayed() *delayedCopy {
+	if n := len(l.delayedFree); n > 0 {
+		d := l.delayedFree[n-1]
+		l.delayedFree[n-1] = nil
+		l.delayedFree = l.delayedFree[:n-1]
+		return d
+	}
+	d := &delayedCopy{}
+	d.fn = func() { l.arriveDelayed(d) }
+	return d
+}
+
+func (l *Link) newAck() *ackMsg {
+	if n := len(l.ackFree); n > 0 {
+		a := l.ackFree[n-1]
+		l.ackFree[n-1] = nil
+		l.ackFree = l.ackFree[:n-1]
+		return a
+	}
+	a := &ackMsg{}
+	a.fn = func() {
+		id := a.id
+		l.ackFree = append(l.ackFree, a)
+		l.ack(id)
+	}
+	return a
 }

@@ -61,10 +61,14 @@ func (c Config) String() string {
 
 // Message is one forwarding unit: a single sample under CF or a batch
 // under BF. Hops counts store-and-forward stages for tree forwarding.
+// Messages live in a MessagePool, which records whether each one is
+// currently released.
 type Message struct {
 	Samples  []resources.Sample
 	FromNode int
 	Hops     int
+
+	released bool
 }
 
 // CostModel prices the daemon work of forwarding. A message costs one

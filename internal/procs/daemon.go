@@ -38,8 +38,14 @@ type PdDaemon struct {
 	Strategy forward.Strategy
 
 	// Deliver routes a fully transmitted message to its destination (the
-	// parent daemon's Receive or the main process); wired up by the model.
+	// parent daemon's Receive, the main process, or a fault-injecting
+	// uplink); wired up by the model. The callee takes ownership of msg.
 	Deliver func(msg *forward.Message)
+
+	// Msgs supplies the messages the daemon fills and takes back the ones
+	// it drops; the model shares one pool across its daemons, uplinks and
+	// main process. It must be set before Start.
+	Msgs *forward.MessagePool
 
 	// FlushTimeout, when positive, forwards a partial batch if the oldest
 	// unforwarded sample has waited this long (microseconds). Zero keeps
@@ -117,7 +123,9 @@ func (d *PdDaemon) Crash() {
 	d.CrashCount++
 	before := d.CrashLostSamples
 	for i := 0; i < d.relayQ.Len(); i++ {
-		d.crashLoss((*d.relayQ.At(i)).Samples)
+		msg := *d.relayQ.At(i)
+		d.crashLoss(msg.Samples)
+		d.Msgs.Put(msg)
 	}
 	lost := d.CrashLostSamples - before
 	d.relayQ.Clear()
@@ -159,11 +167,14 @@ func (d *PdDaemon) available() int {
 	return n
 }
 
-// Receive accepts a message from a child daemon (tree forwarding). A
-// crashed daemon drops the message (no acknowledgement is generated).
+// Receive accepts a message from a child daemon (tree forwarding) and
+// takes ownership of it. A crashed daemon drops the message (no
+// acknowledgement is generated).
 func (d *PdDaemon) Receive(msg *forward.Message) {
+	msg.MustBeLive("procs.PdDaemon.Receive")
 	if d.down {
 		d.crashLoss(msg.Samples)
+		d.Msgs.Put(msg)
 		return
 	}
 	if d.Obs != nil {
@@ -175,8 +186,10 @@ func (d *PdDaemon) Receive(msg *forward.Message) {
 
 // Accept is Receive with delivery feedback for resilient links: it reports
 // false — message refused, no ack — while the daemon is down, so the
-// sender's retransmission timer covers the outage.
+// sender's retransmission timer covers the outage. A refused message stays
+// with the caller.
 func (d *PdDaemon) Accept(msg *forward.Message) bool {
+	msg.MustBeLive("procs.PdDaemon.Accept")
 	if d.down {
 		return false
 	}
@@ -192,7 +205,8 @@ func (d *PdDaemon) Wake() {
 	// Relaying children's data takes priority: it keeps the tree draining.
 	if d.relayQ.Len() > 0 {
 		j := d.newJob()
-		j.epoch, j.msg = d.epoch, d.relayQ.Pop()
+		j.epoch, j.msg, j.relay = d.epoch, d.relayQ.Pop(), true
+		j.msg.MustBeLive("procs.PdDaemon relay job")
 		d.busy = true
 		d.CPU.Submit(OwnerPd, d.Cost.MergeCPU(d.R), j.cpuDone)
 		return
@@ -222,12 +236,13 @@ func (d *PdDaemon) Wake() {
 				want = capTotal
 			}
 		}
-		batch := d.drain(want)
-		if len(batch) == 0 {
+		msg := d.drain(want)
+		if len(msg.Samples) == 0 {
+			d.Msgs.Put(msg)
 			continue // batch fully thinned away; keep draining
 		}
 		d.cancelFlush()
-		d.collect(batch)
+		d.collect(msg)
 		return
 	}
 }
@@ -263,19 +278,20 @@ func (d *PdDaemon) flush() {
 	if d.busy || d.down || d.available() == 0 {
 		return
 	}
-	batch := d.drain(d.available())
-	if len(batch) == 0 {
+	msg := d.drain(d.available())
+	if len(msg.Samples) == 0 {
+		d.Msgs.Put(msg)
 		return
 	}
-	d.collect(batch)
+	d.collect(msg)
 }
 
-// collect starts the CPU work of collecting batch into a message.
-func (d *PdDaemon) collect(batch []resources.Sample) {
+// collect starts the CPU work of collecting msg's batch.
+func (d *PdDaemon) collect(msg *forward.Message) {
 	j := d.newJob()
-	j.epoch, j.batch = d.epoch, batch
+	j.epoch, j.msg = d.epoch, msg
 	d.busy = true
-	d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(batch)), j.cpuDone)
+	d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(msg.Samples)), j.cpuDone)
 }
 
 func (d *PdDaemon) cancelFlush() {
@@ -285,12 +301,15 @@ func (d *PdDaemon) cancelFlush() {
 	}
 }
 
-// drain gathers up to want samples round-robin across the daemon's pipes,
-// then applies degradation thinning to the collected batch.
-func (d *PdDaemon) drain(want int) []resources.Sample {
-	out := make([]resources.Sample, 0, want)
+// drain gathers up to want samples round-robin across the daemon's pipes
+// into a pooled message, then applies degradation thinning to the
+// collected batch. The message may come back empty.
+func (d *PdDaemon) drain(want int) *forward.Message {
+	msg := d.Msgs.Get()
+	msg.FromNode, msg.Hops = d.Node, 1
+	out := msg.Samples
 	if len(d.Pipes) == 0 {
-		return out
+		return msg
 	}
 	empty := 0
 	for len(out) < want && empty < len(d.Pipes) {
@@ -320,20 +339,22 @@ func (d *PdDaemon) drain(want int) []resources.Sample {
 	if d.Obs != nil && len(out) > 0 {
 		d.Obs.BatchCollected(d.Node, d.Sim.Now(), len(out))
 	}
-	return out
+	msg.Samples = out
+	return msg
 }
 
 // daemonJob carries one message through the daemon: the CPU work that
 // produces it (merging a relayed message, or collecting a local batch),
-// then its network transfer. Records are free-listed per daemon with both
-// completion closures bound once, so the sample path allocates only the
-// message and its batch. A crash does not withdraw a job from the CPU, so
-// after Restore a stale job and a new one can be outstanding together and
-// finish in either order; each owns its record and epoch.
+// then its network transfer. The job owns the message until delivery.
+// Records are free-listed per daemon with both completion closures bound
+// once, and messages come from the pool, so the sample path allocates
+// nothing in steady state. A crash does not withdraw a job from the CPU,
+// so after Restore a stale job and a new one can be outstanding together
+// and finish in either order; each owns its record and epoch.
 type daemonJob struct {
 	epoch   int
-	msg     *forward.Message   // relay job, then the message in transfer
-	batch   []resources.Sample // collection job
+	msg     *forward.Message
+	relay   bool // merging a child's message, not collecting a local batch
 	deliver func(*forward.Message)
 	cpuDone func() // calls PdDaemon.jobDone(this)
 	netDone func() // calls PdDaemon.sent(this)
@@ -362,20 +383,16 @@ func (d *PdDaemon) release(j *daemonJob) {
 // latest crash loses its samples; otherwise the message goes out.
 func (d *PdDaemon) jobDone(j *daemonJob) {
 	if d.epoch != j.epoch { // crashed mid-merge or mid-collection
-		if j.msg != nil {
-			d.crashLoss(j.msg.Samples)
-		} else {
-			d.crashLoss(j.batch)
-		}
+		d.crashLoss(j.msg.Samples)
+		d.Msgs.Put(j.msg)
 		d.release(j)
 		return
 	}
-	if j.msg != nil {
+	if j.relay {
 		d.MessagesMerged++
 		j.msg.Hops++
 	} else {
-		d.observe(j.batch)
-		j.msg = &forward.Message{Samples: j.batch, FromNode: d.Node, Hops: 1}
+		d.observe(j.msg.Samples)
 	}
 	d.send(j)
 	d.busy = false
@@ -406,12 +423,15 @@ func (d *PdDaemon) send(j *daemonJob) {
 	d.Net.Submit(OwnerPd, netLen, j.netDone)
 }
 
-// sent runs when j's transfer completes. The record is recycled before
-// delivery, which may start further daemon work.
+// sent runs when j's transfer completes and hands the message to Deliver.
+// The record is recycled before delivery, which may start further daemon
+// work.
 func (d *PdDaemon) sent(j *daemonJob) {
 	msg, deliver := j.msg, j.deliver
 	d.release(j)
-	if deliver != nil {
-		deliver(msg)
+	if deliver == nil {
+		d.Msgs.Put(msg)
+		return
 	}
+	deliver(msg)
 }

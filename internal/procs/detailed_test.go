@@ -114,7 +114,7 @@ func TestResetAccounting(t *testing.T) {
 		t.Fatal("daemon reset incomplete")
 	}
 
-	m := &MainProcess{Sim: r2.sim, CPU: r2.cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 1}}
+	m := &MainProcess{Sim: r2.sim, CPU: r2.cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 1}, Msgs: &forward.MessagePool{}}
 	m.Receive(&forward.Message{Samples: []resources.Sample{{GenTime: 0}}})
 	if m.SamplesReceived != 1 || m.LatencyP95 == nil {
 		t.Fatal("main idle")

@@ -19,6 +19,10 @@ type MainProcess struct {
 
 	CPUDist rng.Dist // per-message processing demand
 
+	// Msgs takes back every message once it has been received; it is the
+	// pool the model's daemons draw their messages from.
+	Msgs *forward.MessagePool
+
 	// Obs, when non-nil, receives per-sample and per-message delivery
 	// notifications.
 	Obs Observer
@@ -52,8 +56,10 @@ func (m *MainProcess) ResetAccounting() {
 	m.HopsTotal = 0
 }
 
-// Receive accepts one forwarded message.
+// Receive accepts one forwarded message and releases it to the pool: the
+// main process is the end of every message's journey.
 func (m *MainProcess) Receive(msg *forward.Message) {
+	msg.MustBeLive("procs.MainProcess.Receive")
 	now := m.Sim.Now()
 	if m.LatencyP95 == nil {
 		m.LatencyP95, _ = stats.NewP2Quantile(0.95)
@@ -82,6 +88,7 @@ func (m *MainProcess) Receive(msg *forward.Message) {
 	if m.Obs != nil {
 		m.Obs.MessageDelivered(now, len(msg.Samples), msg.Hops)
 	}
+	m.Msgs.Put(msg)
 	m.CPU.Submit(OwnerMain, m.CPUDist.Sample(m.R), nil)
 }
 

@@ -1,31 +1,96 @@
 package procs
 
 import (
+	"strings"
 	"testing"
 
 	"rocc/internal/forward"
 	"rocc/internal/resources"
+	"rocc/internal/rng"
 )
 
 // A CF daemon forwarding one sample from its pipe to delivery allocates
-// exactly the message and its one-sample batch: pipe, CPU job, network
-// transfer and the events between them all reuse pooled storage.
-func TestDaemonCFForwardAllocatesOnlyMessage(t *testing.T) {
+// nothing once warm: the message and its sample array come from the pool
+// and go back to it on delivery, and pipe, CPU job, network transfer and
+// the events between them all reuse pooled storage.
+func TestDaemonCFForwardDoesNotAllocate(t *testing.T) {
 	r := newRig(64)
 	d, _ := newDaemon(r, forward.NewCF())
 	delivered := 0
-	d.Deliver = func(*forward.Message) { delivered++ }
+	d.Deliver = func(m *forward.Message) {
+		delivered++
+		d.Msgs.Put(m)
+	}
 	forwardOne := func() {
 		r.pipe.Put(resources.Sample{GenTime: r.sim.Now()}, nil)
 		r.sim.RunAll()
 	}
 	forwardOne() // warm up the pools
 	allocs := testing.AllocsPerRun(100, forwardOne)
-	if allocs != 2 {
-		t.Fatalf("forwarding one sample allocated %.2f objects, want 2 (message + batch)", allocs)
+	if allocs != 0 {
+		t.Fatalf("forwarding one sample allocated %.2f objects, want 0", allocs)
 	}
 	if delivered != 102 {
 		t.Fatalf("delivered %d messages, want 102", delivered)
+	}
+	if d.Msgs.Allocated() != 1 || d.Msgs.Free() != 1 {
+		t.Fatalf("pool allocated %d, free %d; want one message reused throughout", d.Msgs.Allocated(), d.Msgs.Free())
+	}
+}
+
+// A tree relay hop — a child's message received, merged on the CPU and
+// sent on toward the main process — allocates nothing once warm.
+func TestDaemonRelayHopDoesNotAllocate(t *testing.T) {
+	r := newRig(64)
+	d, _ := newDaemon(r, forward.NewCF())
+	d.Deliver = func(m *forward.Message) {
+		if m.Hops != 2 || len(m.Samples) != 2 {
+			t.Fatalf("relayed message has %d hops, %d samples; want 2, 2", m.Hops, len(m.Samples))
+		}
+		d.Msgs.Put(m)
+	}
+	relayOne := func() {
+		m := d.Msgs.Get()
+		m.Samples = append(m.Samples, resources.Sample{GenTime: r.sim.Now()}, resources.Sample{GenTime: r.sim.Now()})
+		m.FromNode, m.Hops = 1, 1
+		d.Receive(m)
+		r.sim.RunAll()
+	}
+	relayOne() // warm up the pools
+	if allocs := testing.AllocsPerRun(100, relayOne); allocs != 0 {
+		t.Fatalf("relaying one message allocated %.2f objects, want 0", allocs)
+	}
+	if d.MessagesMerged != 102 {
+		t.Fatalf("merged %d messages, want 102", d.MessagesMerged)
+	}
+}
+
+// Handing a released message to any owner panics at the hand-off instead
+// of corrupting whichever message the pool hands out next.
+func TestReleasedMessagePanicsAtHandOff(t *testing.T) {
+	r := newRig(64)
+	d, _ := newDaemon(r, forward.NewCF())
+	main := &MainProcess{Sim: r.sim, CPU: r.cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 1}, Msgs: d.Msgs}
+	for _, tc := range []struct {
+		site string
+		use  func(*forward.Message)
+	}{
+		{"procs.PdDaemon.Receive", d.Receive},
+		{"procs.PdDaemon.Accept", func(m *forward.Message) { d.Accept(m) }},
+		{"procs.MainProcess.Receive", main.Receive},
+		{"forward.MessagePool.Put", d.Msgs.Put},
+	} {
+		t.Run(tc.site, func(t *testing.T) {
+			m := d.Msgs.Get()
+			d.Msgs.Put(m)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, tc.site+": ") {
+					t.Fatalf("panic %q, want one naming %s", msg, tc.site)
+				}
+			}()
+			tc.use(m)
+		})
 	}
 }
 

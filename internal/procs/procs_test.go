@@ -161,6 +161,7 @@ func newDaemon(r *rig, strategy forward.Strategy) (*PdDaemon, *[]*forward.Messag
 			Merge:        rng.Constant{Value: 100},
 		},
 		Deliver: func(m *forward.Message) { delivered = append(delivered, m) },
+		Msgs:    &forward.MessagePool{},
 	}
 	d.Start()
 	return d, &delivered
@@ -299,7 +300,7 @@ func TestDaemonRelayPriority(t *testing.T) {
 func TestMainProcessLatencyAccounting(t *testing.T) {
 	sim := des.New()
 	cpu := resources.NewCPU(sim, 1, 10000)
-	m := &MainProcess{Sim: sim, CPU: cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 3208}}
+	m := &MainProcess{Sim: sim, CPU: cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 3208}, Msgs: &forward.MessagePool{}}
 	sim.Schedule(1000, func() {
 		m.Receive(&forward.Message{Samples: []resources.Sample{{GenTime: 0}, {GenTime: 500}}, Hops: 1})
 	})
