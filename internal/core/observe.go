@@ -95,20 +95,10 @@ func (m *Model) EnableObservability(o ObsOptions) (*obs.Collector, error) {
 		}
 		sampler := obs.NewSampler(m.Sim, interval)
 		// Preallocate every probe series for the whole run — the tick
-		// count follows from the run geometry — and batch latency
-		// observations in a buffer sized to one instrumentation period's
-		// expected deliveries, so steady-state metric recording appends
-		// into flat storage without growth (see the obs allocs tests).
+		// count follows from the run geometry — so steady-state metric
+		// recording appends into flat storage without growth (see the obs
+		// allocs tests).
 		sampler.SetExpectedTicks(int((m.Cfg.Warmup+m.Cfg.Duration)/interval) + 2)
-		apps := m.Cfg.AppProcs
-		if m.Cfg.Arch != SMP {
-			apps *= m.Cfg.Nodes
-		}
-		staging := 2 * apps
-		if staging < 64 {
-			staging = 64
-		}
-		c.Metrics.Latency.EnableStaging(staging)
 		m.addProbes(c, sampler, interval)
 		sampler.Start()
 	}

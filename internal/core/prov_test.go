@@ -9,7 +9,9 @@ import (
 
 	"rocc/internal/faults"
 	"rocc/internal/forward"
+	"rocc/internal/procs"
 	"rocc/internal/resources"
+	"rocc/internal/rng"
 )
 
 // provChaosConfigs are the fault cocktails the decomposition must survive
@@ -54,8 +56,36 @@ func provChaosConfigs() map[string]Config {
 		Resilience: faults.Resilience{Degrade: true},
 	}
 
+	// The perfbench chaos-observed cocktail: crashes with long outages and
+	// squeezes back samples up until degradation thins them, inside the
+	// pipe put that woke the daemon — before the application's
+	// SampleGenerated hook fires.
+	thinning := DefaultConfig()
+	thinning.Nodes = 16
+	thinning.SamplingPeriod = 2000
+	thinning.Strategy = forward.NewAdaptiveBF(forward.ControllerConfig{})
+	thinning.Duration = 4e6
+	thinning.Warmup = 0
+	thinning.Seed = 11
+	thinning.Faults = &faults.Plan{
+		Seed: 3, Loss: 0.05, Dup: 0.05, DelayProb: 0.1, AckLoss: 0.05,
+		CrashMTBF: 2e5, CrashDowntime: rng.Exponential{MeanVal: 200000},
+		SqueezeMTBF: 2e5, SqueezeCapFrac: 0.1,
+		Resilience: faults.Resilience{Retransmit: true, Degrade: true},
+	}
+
+	// A DropNewest arrival at a full pipe fires PipeDropped as the
+	// sample's first hook. CF, because a batch larger than the pipe would
+	// never fill.
+	dropNewest := base()
+	dropNewest.Strategy = forward.NewCF()
+	dropNewest.Overflow = resources.DropNewest
+	dropNewest.PipeCapacity = 2
+	dropNewest.SamplingPeriod = 200
+
 	return map[string]Config{
 		"direct-dup": direct, "retransmit": retrans, "tree": tree, "squeeze-drop": squeeze,
+		"degrade-thinning": thinning, "drop-newest": dropNewest,
 	}
 }
 
@@ -105,6 +135,21 @@ func TestProvenanceChaosReconciliation(t *testing.T) {
 			if accounted != eng.Generated() {
 				t.Errorf("accounting leak: generated %d, accounted %d (delivered %d dropped %d lost %d in-flight %d)",
 					eng.Generated(), accounted, eng.Delivered(), eng.Dropped(), eng.LostTotal(), eng.InFlight())
+			}
+			var pipeDrops uint64
+			for _, d := range m.Daemons {
+				for _, p := range d.Pipes {
+					pipeDrops += uint64(p.Dropped())
+				}
+			}
+			if eng.Dropped() != pipeDrops {
+				t.Errorf("engine counted %d drops, the pipes %d", eng.Dropped(), pipeDrops)
+			}
+			if name == "drop-newest" && pipeDrops == 0 {
+				t.Error("drop-newest cell dropped nothing; coverage lost")
+			}
+			if name == "degrade-thinning" && eng.Lost(procs.LossThinned) == 0 {
+				t.Error("degrade-thinning cell thinned nothing; coverage lost")
 			}
 			if name == "direct-dup" && eng.DupDelivered() == 0 {
 				t.Error("dup plan delivered no duplicates; chaos coverage lost")
@@ -218,5 +263,41 @@ func TestProvenanceStagesOnResult(t *testing.T) {
 	if share["batch-residency"] <= share["daemon-service"] {
 		t.Errorf("dense BF cell: batch-residency %v%% should dominate daemon-service %v%%",
 			share["batch-residency"], share["daemon-service"])
+	}
+}
+
+// With metrics and provenance attached, a delivery observes the latency
+// histogram and the six stage histograms and closes the sample's window
+// slot: none of it allocates, so an observed run's per-sample cost stays
+// flat.
+func TestObservedDeliveryDoesNotAllocate(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 2
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.EnableObservability(ObsOptions{Metrics: true, Provenance: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]resources.Sample, 1)
+	seq := 0
+	lifecycle := func() {
+		s := resources.Sample{GenTime: float64(seq), Node: 1, Seq: seq}
+		batch[0] = s
+		c.PipePut(0, s.GenTime, s, 1)
+		c.SampleGenerated(s.GenTime, s, false)
+		c.PipeGet(0, s.GenTime+2, s, 0)
+		c.MessageForwarded(1, s.GenTime+3, batch, 1)
+		c.SampleDelivered(s.GenTime+9, s, 9)
+		seq++
+	}
+	lifecycle()
+	if allocs := testing.AllocsPerRun(1000, lifecycle); allocs > 0 {
+		t.Fatalf("observed sample lifecycle allocated %.2f objects", allocs)
+	}
+	if eng := m.Provenance(); eng.Delivered() != uint64(seq) || eng.InFlight() != 0 {
+		t.Fatalf("delivered %d of %d, in-flight %d", eng.Delivered(), seq, eng.InFlight())
 	}
 }

@@ -7,54 +7,17 @@ import (
 	"rocc/internal/des"
 )
 
-// With staging enabled, steady-state Observe appends into the
-// preallocated buffer and flushes in place — zero allocations per
-// observation.
-func TestStagedHistogramObserveDoesNotAllocate(t *testing.T) {
+// Steady-state Observe locks, looks the bucket up in the start table and
+// updates the totals in place — zero allocations per observation.
+func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 	h := NewHistogram("lat", ExpBuckets(100, math.Sqrt2, 40))
-	h.EnableStaging(64)
 	v := 100.0
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(v)
 		v += 13.7
 	})
 	if allocs > 0 {
-		t.Fatalf("staged Observe allocated %.2f objects per call", allocs)
-	}
-}
-
-// Staging must be invisible in the reported statistics: a staged
-// histogram and a plain one fed the same values agree on every accessor,
-// whether or not a partial batch is still staged at read time.
-func TestStagingDoesNotChangeResults(t *testing.T) {
-	bounds := ExpBuckets(100, math.Sqrt2, 40)
-	plain := NewHistogram("p", bounds)
-	staged := NewHistogram("s", bounds)
-	staged.EnableStaging(7) // deliberately misaligned with the value count
-
-	v := 50.0
-	for i := 0; i < 1000; i++ {
-		plain.Observe(v)
-		staged.Observe(v)
-		v = v*1.01 + 3
-	}
-	if plain.Count() != staged.Count() {
-		t.Fatalf("counts differ: %d vs %d", plain.Count(), staged.Count())
-	}
-	if plain.Mean() != staged.Mean() || plain.Min() != staged.Min() || plain.Max() != staged.Max() {
-		t.Fatal("mean/min/max differ between plain and staged")
-	}
-	for _, p := range []float64{0, 0.25, 0.5, 0.95, 0.99, 1} {
-		if plain.Quantile(p) != staged.Quantile(p) {
-			t.Fatalf("quantile %v differs: %v vs %v", p, plain.Quantile(p), staged.Quantile(p))
-		}
-	}
-
-	// Reset discards staged-but-unflushed observations too.
-	staged.Observe(1)
-	staged.reset()
-	if staged.Count() != 0 {
-		t.Fatalf("reset left %d observations", staged.Count())
+		t.Fatalf("Observe allocated %.2f objects per call", allocs)
 	}
 }
 
@@ -76,11 +39,10 @@ func TestAtomicCounterGaugeDoNotAllocate(t *testing.T) {
 }
 
 // Snapshot copies the histogram (it allocates), but taking one must not
-// disturb the zero-alloc property of subsequent staged observations —
-// the scrape path and the hot path share only the histogram mutex.
+// disturb the zero-alloc property of subsequent observations — the
+// scrape path and the hot path share only the histogram mutex.
 func TestObserveStaysAllocationFreeAfterSnapshot(t *testing.T) {
 	h := NewHistogram("lat", ExpBuckets(100, math.Sqrt2, 40))
-	h.EnableStaging(64)
 	for i := 0; i < 200; i++ {
 		h.Observe(float64(100 + i))
 	}
@@ -91,7 +53,7 @@ func TestObserveStaysAllocationFreeAfterSnapshot(t *testing.T) {
 		v += 13.7
 	})
 	if allocs > 0 {
-		t.Fatalf("staged Observe allocated %.2f objects per call after Snapshot", allocs)
+		t.Fatalf("Observe allocated %.2f objects per call after Snapshot", allocs)
 	}
 }
 

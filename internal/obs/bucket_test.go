@@ -1,0 +1,131 @@
+package obs
+
+import (
+	"encoding/binary"
+	"math"
+	"sort"
+	"testing"
+)
+
+// linearBucket is the reference bucket lookup: the linear scan the start
+// table replaces.
+func linearBucket(b []float64, v float64) int {
+	i := 0
+	for i < len(b) && v > b[i] {
+		i++
+	}
+	return i
+}
+
+// encodeBounds packs float64s into the fuzzer's byte form.
+func encodeBounds(bs ...float64) []byte {
+	out := make([]byte, 8*len(bs))
+	for i, b := range bs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(b))
+	}
+	return out
+}
+
+// decodeBounds reads up to 64 float64s, drops NaN, sorts and dedupes, so
+// any byte string yields a valid strictly ascending bound set.
+func decodeBounds(raw []byte) []float64 {
+	var bs []float64
+	for len(raw) >= 8 && len(bs) < 64 {
+		if b := math.Float64frombits(binary.LittleEndian.Uint64(raw)); !math.IsNaN(b) {
+			bs = append(bs, b)
+		}
+		raw = raw[8:]
+	}
+	sort.Float64s(bs)
+	out := bs[:0]
+	for i, b := range bs {
+		if i == 0 || b != bs[i-1] { // also folds -0 into an earlier +0 or vice versa
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// checkBucket compares the histogram's lookup with the reference on v,
+// the special values, and every bound with its neighbours on both sides.
+func checkBucket(t *testing.T, bs []float64, v float64) {
+	t.Helper()
+	h := NewHistogram("f", bs)
+	probes := []float64{v, -v, math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	for _, b := range bs {
+		probes = append(probes, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
+	}
+	for _, x := range probes {
+		if got, want := h.bucket(x), linearBucket(bs, x); got != want {
+			t.Fatalf("bounds %v: bucket(%v) = %d, linear scan gives %d", bs, x, got, want)
+		}
+	}
+}
+
+// FuzzHistogramBucket is the differential referee for the O(1) bucket
+// lookup: on arbitrary ascending bounds and values it must return exactly
+// what the linear scan returns.
+func FuzzHistogramBucket(f *testing.F) {
+	seeds := [][]float64{
+		nil,                                 // no bounds: everything in bucket 0
+		ExpBuckets(1, math.Sqrt2, 60),       // the prov stage buckets
+		ExpBuckets(100, math.Sqrt2, 40),     // the latency buckets
+		{-5, 0, 1, 2},                       // non-positive first bounds
+		{0},                                 // a lone zero bound
+		{-math.MaxFloat64, -1},              // only negative bounds
+		{1, 10, math.Inf(1)},                // +Inf last bound
+		{math.Inf(-1), 0.5, math.Inf(1)},    // both infinities
+		{5e-324, 1e-310, 0x1p-1022, 1e-300}, // subnormals into normals
+		{1e-300, 1e300},                     // a table spanning most exponents
+		{3, 3 + 0x1p-51, 3 + 0x1p-50},       // adjacent floats
+	}
+	for _, bs := range seeds {
+		for _, v := range []float64{0, 1, 1.5, 99.9, 1e6, -3, 7e-320} {
+			f.Add(encodeBounds(bs...), v)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, v float64) {
+		checkBucket(t, decodeBounds(raw), v)
+	})
+}
+
+// NaN or non-ascending bounds would make the scan's answer depend on the
+// lookup order; NewHistogram rejects them.
+func TestHistogramRejectsBadBounds(t *testing.T) {
+	for _, bs := range [][]float64{{1, 1}, {2, 1}, {math.NaN()}, {1, math.NaN(), 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewHistogram(%v) did not panic", bs)
+				}
+			}()
+			NewHistogram("bad", bs)
+		}()
+	}
+}
+
+// The members of a set share one lock yet keep separate contents, and
+// ObserveSet lands each value in its own member.
+func TestHistogramSetObserveSet(t *testing.T) {
+	s := NewHistogramSet([]float64{1, 10}, "a", "b")
+	a, b := s.Histogram(0), s.Histogram(1)
+	if a.mu != b.mu {
+		t.Fatal("set members do not share a lock")
+	}
+	s.ObserveSet([]float64{0.5, 20})
+	s.ObserveSet([]float64{5, 30})
+	if a.Count() != 2 || a.Max() != 5 || b.Min() != 20 {
+		t.Fatalf("a: count %d max %v; b: min %v", a.Count(), a.Max(), b.Min())
+	}
+	if got := a.Snapshot().Counts; got[0] != 1 || got[1] != 1 || got[2] != 0 {
+		t.Fatalf("a counts %v", got)
+	}
+	if got := b.Snapshot().Counts; got[2] != 2 {
+		t.Fatalf("b counts %v", got)
+	}
+	allocs := testing.AllocsPerRun(1000, func() { s.ObserveSet([]float64{3, 4}) })
+	if allocs > 0 {
+		t.Fatalf("ObserveSet allocated %.2f objects per call", allocs)
+	}
+}

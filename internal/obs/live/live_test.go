@@ -226,7 +226,6 @@ func TestFormatFloat(t *testing.T) {
 // data races (the -race referee for the whole export path).
 func TestScrapeWhileMutating(t *testing.T) {
 	m := obs.NewMetrics()
-	m.Latency.EnableStaging(8)
 	sm := obs.NewSweepMetrics()
 	e := NewExporter()
 	e.SetRun(m)

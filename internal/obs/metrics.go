@@ -40,13 +40,19 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Histogram is a bucketed distribution with interpolated quantiles. The
 // bucket i counts observations in (bounds[i-1], bounds[i]]; one overflow
 // bucket catches everything above the last bound.
+//
+// Observe finds the bucket in O(1) through one lookup path (bucket): an
+// exponent-indexed start table skips every bound below v's binade, and a
+// short scan crosses the few bounds inside it. The histogram is safe to
+// snapshot from the live exporter while the simulation goroutine observes
+// into it: every access holds the histogram's lock, which the members of
+// a HistogramSet share so one acquisition records a value into each.
 type Histogram struct {
-	Name   string
-	// mu makes the histogram safe to snapshot from the live exporter
-	// while the simulation goroutine observes into it. The lock is
-	// uncontended on the hot path (the exporter grabs it only per
-	// scrape) and allocation-free, so staged Observe stays zero-alloc.
-	mu     sync.Mutex
+	Name string
+	// mu guards everything below. It is uncontended on the hot path (the
+	// exporter takes it only per scrape) and allocation-free, so Observe
+	// stays zero-alloc. Members of one HistogramSet point at the same lock.
+	mu     *sync.Mutex
 	bounds []float64
 	counts []uint64 // len(bounds)+1
 	total  uint64
@@ -54,28 +60,121 @@ type Histogram struct {
 	min    float64
 	max    float64
 
-	// staged batches observations in a flat preallocated buffer
-	// (EnableStaging) flushed into the buckets when full or when any
-	// accessor needs the totals. Merging observations is commutative, so
-	// flush timing can never change a reported value — staging only
-	// moves the bucket-scan cost off the per-event hot path.
-	staged []float64
+	// start[k] is the number of bounds below the smallest positive float
+	// whose biased binary exponent is expLo+k; the last entry covers every
+	// exponent above the largest finite bound. See bucket.
+	start []int
+	expLo int
 }
 
-// NewHistogram returns a histogram over the given ascending bucket bounds.
+// NewHistogram returns a histogram over the given strictly ascending
+// bucket bounds (no NaN).
 func NewHistogram(name string, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
+	return newHistogram(name, bounds, new(sync.Mutex))
+}
+
+func newHistogram(name string, bounds []float64, mu *sync.Mutex) *Histogram {
+	for i, b := range bounds {
+		if math.IsNaN(b) || i > 0 && b <= bounds[i-1] {
 			panic("obs: histogram bounds must be strictly ascending")
 		}
 	}
-	return &Histogram{
+	h := &Histogram{
 		Name:   name,
+		mu:     mu,
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]uint64, len(bounds)+1),
 		min:    math.Inf(1),
 		max:    math.Inf(-1),
 	}
+	h.buildStart()
+	return h
+}
+
+// expOf returns the biased binary exponent field of v (0 for ±0 and
+// subnormals, 2047 for ±Inf).
+func expOf(v float64) int { return int(math.Float64bits(v)>>52) & 0x7ff }
+
+// buildStart fills the exponent-indexed start table over the binades the
+// positive finite bounds span, plus one entry for everything above them.
+func (h *Histogram) buildStart() {
+	b := h.bounds
+	pos := 0 // first positive bound
+	for pos < len(b) && b[pos] <= 0 {
+		pos++
+	}
+	fin := len(b) // one past the last finite bound
+	for fin > 0 && math.IsInf(b[fin-1], 1) {
+		fin--
+	}
+	lo, hi := 0, -1
+	if pos < fin {
+		lo, hi = expOf(b[pos]), expOf(b[fin-1])
+	}
+	h.expLo = lo
+	h.start = make([]int, hi-lo+2)
+	i := 0
+	for k := range h.start {
+		floor := math.Float64frombits(uint64(lo+k) << 52) // smallest float with exponent lo+k
+		for i < len(b) && b[i] < floor {
+			i++
+		}
+		h.start[k] = i
+	}
+}
+
+// bucket returns the index of the bucket v falls in: exactly what the
+// linear scan `for i < len(bounds) && v > bounds[i] { i++ }` returns, on
+// every input (NaN lands in bucket 0). For v > 0 the scan starts at the
+// table entry for v's binary exponent, which only skips bounds below v;
+// for the √2-spaced latency buckets it then crosses at most three bounds.
+func (h *Histogram) bucket(v float64) int {
+	i := 0
+	if v > 0 {
+		k := expOf(v) - h.expLo
+		if k < 0 {
+			k = 0
+		} else if k >= len(h.start) {
+			k = len(h.start) - 1
+		}
+		i = h.start[k]
+	}
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
+	return i
+}
+
+// HistogramSet is a group of histograms over the same bounds that share
+// one lock, so ObserveSet records a value into every member under a single
+// acquisition. Each member is still a full Histogram: a scrape snapshots
+// or reads it alone, under the shared lock.
+type HistogramSet struct {
+	mu sync.Mutex
+	hs []*Histogram
+}
+
+// NewHistogramSet returns one histogram per name over the same bounds,
+// all sharing the set's lock.
+func NewHistogramSet(bounds []float64, names ...string) *HistogramSet {
+	s := &HistogramSet{hs: make([]*Histogram, len(names))}
+	for i, name := range names {
+		s.hs[i] = newHistogram(name, bounds, &s.mu)
+	}
+	return s
+}
+
+// Histogram returns the set's i-th member.
+func (s *HistogramSet) Histogram(i int) *Histogram { return s.hs[i] }
+
+// ObserveSet records vs[i] into the i-th member, all under one lock
+// acquisition; vs must have one value per member.
+func (s *HistogramSet) ObserveSet(vs []float64) {
+	s.mu.Lock()
+	for i, h := range s.hs {
+		h.observe(vs[i])
+	}
+	s.mu.Unlock()
 }
 
 // ExpBuckets returns n exponentially spaced bounds starting at start with
@@ -93,29 +192,16 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// Observe records one value. With staging enabled (EnableStaging) the
-// value lands in the flat batch buffer; the bucket scan happens at flush.
+// Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
-	if cap(h.staged) > 0 {
-		h.staged = append(h.staged, v)
-		if len(h.staged) == cap(h.staged) {
-			h.flushLocked()
-		}
-		h.mu.Unlock()
-		return
-	}
 	h.observe(v)
 	h.mu.Unlock()
 }
 
-// observe merges one value into the buckets.
+// observe merges one value into the buckets; h.mu held.
 func (h *Histogram) observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
+	h.counts[h.bucket(v)]++
 	h.total++
 	h.sum += v
 	if v < h.min {
@@ -126,34 +212,10 @@ func (h *Histogram) observe(v float64) {
 	}
 }
 
-// EnableStaging batches observations in a preallocated buffer of the
-// given capacity, flushed when full and whenever an accessor runs. Size
-// it to the expected observations per reporting period — the run's
-// duration/period geometry — so the flush cadence tracks the sampling
-// period.
-func (h *Histogram) EnableStaging(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	h.mu.Lock()
-	h.flushLocked()
-	h.staged = make([]float64, 0, capacity)
-	h.mu.Unlock()
-}
-
-// flushLocked merges staged observations into the buckets; h.mu held.
-func (h *Histogram) flushLocked() {
-	for _, v := range h.staged {
-		h.observe(v)
-	}
-	h.staged = h.staged[:0]
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	return h.total
 }
 
@@ -161,7 +223,6 @@ func (h *Histogram) Count() uint64 {
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -172,7 +233,6 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Min() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -183,7 +243,6 @@ func (h *Histogram) Min() float64 {
 func (h *Histogram) Max() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -203,12 +262,11 @@ type HistogramSnapshot struct {
 	Max    float64 // -Inf when empty
 }
 
-// Snapshot flushes staged observations and returns a consistent copy —
-// the race-safe read the live OpenMetrics exporter renders from.
+// Snapshot returns a consistent copy — the race-safe read the live
+// OpenMetrics exporter renders from.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	return HistogramSnapshot{
 		Name:   h.Name,
 		Bounds: append([]float64(nil), h.bounds...),
@@ -228,7 +286,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 func (h *Histogram) Quantile(p float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -270,13 +327,8 @@ func (h *Histogram) Quantile(p float64) float64 {
 // Reset zeroes the histogram in place (identity-preserving, so live
 // exporters holding a reference keep reading the same histogram across a
 // warmup reset).
-func (h *Histogram) Reset() { h.reset() }
-
-// reset zeroes the histogram in place, discarding staged observations too
-// (they were recorded before the reset point).
-func (h *Histogram) reset() {
+func (h *Histogram) Reset() {
 	h.mu.Lock()
-	h.staged = h.staged[:0]
 	for i := range h.counts {
 		h.counts[i] = 0
 	}
@@ -389,7 +441,7 @@ func (m *Metrics) Reset() {
 	for _, c := range m.Counters() {
 		c.v.Store(0)
 	}
-	m.Latency.reset()
+	m.Latency.Reset()
 	for _, s := range m.series {
 		s.mu.Lock()
 		s.T = s.T[:0]

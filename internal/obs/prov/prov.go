@@ -29,14 +29,31 @@
 //
 // # Determinism and memory bound
 //
-// In-flight records live in a pooled free list keyed by the sample's
-// (node, proc, seq) identity; a record is recycled the instant its sample
-// is delivered, dropped, or lost, so memory is bounded by the in-flight
-// high-water mark. All aggregation happens in simulation-event order —
-// no map iteration ever feeds a float accumulation — so output is
+// A sample's identity is (node, proc, seq), and Seq counts up per process
+// and never resets, so one process's open records always form a
+// contiguous run of sequence numbers. The engine keeps one window per
+// (node, proc): value records in a slice indexed by seq − base, with a
+// head offset that advances past closed records and amortized compaction
+// when an append reaches capacity. A lookup is two slice indexings and a
+// subtraction — no hashing and no per-record pointer. A window spans its
+// process's oldest open sample to its newest, so a process's memory is
+// bounded by the widest such span it reaches.
+// All aggregation happens in simulation-event order, so output is
 // byte-deterministic at any worker count and event calendar. When
 // provenance is disabled the engine does not exist and every hook site is
 // one nil-check branch (pinned by the allocation tests).
+//
+// # Hook order
+//
+// The application fires SampleGenerated only after Pipe.Put returns, and
+// Put's synchronous callbacks may already have ended the sample: a
+// DropNewest arrival fires PipeDropped, and a daemon woken by the put can
+// drain and thin it (SampleLost). So no hook may assume it is first, and
+// a creating hook (SampleGenerated, PipePut, PipeGet) must never reopen
+// an identity the engine has already seen. Each window tracks the
+// process's seq high-water mark: identities below it are either open or
+// closed for good. A PipeDropped for an unseen identity is its first (and
+// final) drop.
 //
 // # Fault interactions
 //
@@ -120,14 +137,10 @@ func (s Stage) metricName() string {
 	}
 }
 
-// key is a sample's globally unique identity (Seq never resets).
-type key struct{ node, proc, seq int }
-
-// record is one in-flight sample's provenance state. Records are pooled:
-// the free list recycles them at close, so steady state allocates only
-// when the in-flight population reaches a new high-water mark.
+// record is one in-flight sample's provenance state, stored by value in
+// its process's window (64 bytes). Generation time is not kept: every
+// hook's Sample carries it as GenTime.
 type record struct {
-	genT   float64
 	putT   float64
 	getT   float64
 	maxPut float64 // latest putT over the forwarded batch (set at hops==1)
@@ -141,11 +154,64 @@ type record struct {
 	// identity): an arrival only closes a network leg when the record
 	// believes the sample is in transit at that depth, and a relay
 	// re-forward only closes a merge leg at the next depth.
-	hops      int
+	hops      int32
+	open      bool
 	inTransit bool
-	hasPut    bool
 	hasGet    bool
 	hasFwd    bool
+}
+
+// window holds one process's records for the contiguous seq range
+// base+head .. base+len(recs)-1. The slot at head is open whenever the
+// window is non-empty; every seq below base+len(recs) has been seen.
+type window struct {
+	recs []record
+	head int
+	base int // seq of recs[0]
+}
+
+// next returns the process's seq high-water mark: the first unseen seq.
+func (w *window) next() int { return w.base + len(w.recs) }
+
+// find returns seq's open record, nil when it is closed or unseen.
+func (w *window) find(seq int) *record {
+	i := seq - w.base
+	if i < w.head || i >= len(w.recs) || !w.recs[i].open {
+		return nil
+	}
+	return &w.recs[i]
+}
+
+// extend marks every seq up to and including seq (>= next()) as seen and
+// returns seq's slot, zero and closed. An empty window restarts at seq;
+// a full one compacts in place when at least half of it lies before head,
+// and grows otherwise, so appends stay amortized O(1). Storage is never
+// given back: a process keeps the capacity of its widest span, and
+// shrinking on drain measured slower, with a larger peak RSS, because
+// batching refills the window right away.
+func (w *window) extend(seq int) *record {
+	if len(w.recs) == 0 {
+		w.base = seq
+	}
+	for w.next() <= seq {
+		if len(w.recs) == cap(w.recs) && w.head > 0 && 2*w.head >= len(w.recs) {
+			w.recs = w.recs[:copy(w.recs, w.recs[w.head:])]
+			w.base, w.head = w.base+w.head, 0
+		}
+		w.recs = append(w.recs, record{})
+	}
+	return &w.recs[len(w.recs)-1]
+}
+
+// trim advances head past closed records; a window with none open
+// empties so its storage is reused from slot 0.
+func (w *window) trim() {
+	for w.head < len(w.recs) && !w.recs[w.head].open {
+		w.head++
+	}
+	if w.head == len(w.recs) {
+		w.recs, w.base, w.head = w.recs[:0], w.next(), 0
+	}
 }
 
 // StageSummary is one stage's aggregate over all delivered samples.
@@ -168,11 +234,11 @@ type StageSummary struct {
 // it as Collector.Flow. Not safe for concurrent use — it is fed from the
 // single simulation goroutine, like the trace sink.
 type Engine struct {
-	recs map[key]*record
-	free []*record
+	wins [][]window // by node, then proc
+	open int        // records open across all windows
 
-	hists [NumStages]*obs.Histogram
-	sums  [NumStages]float64
+	stages *obs.HistogramSet // one member per Stage, one lock
+	sums   [NumStages]float64
 
 	// Counters over the measured window (Reset clears them at the warmup
 	// boundary; in-flight records survive, mirroring the model's latency
@@ -191,50 +257,78 @@ type Engine struct {
 
 // NewEngine returns an empty engine with one histogram per stage,
 // spanning sub-microsecond dwell to ~12 minutes in half-octave buckets.
+// The stage histograms share one lock, taken once per delivery.
 func NewEngine() *Engine {
-	e := &Engine{recs: make(map[key]*record)}
+	var names [NumStages]string
 	for i := Stage(0); i < NumStages; i++ {
-		e.hists[i] = obs.NewHistogram(i.metricName(), obs.ExpBuckets(1, math.Sqrt2, 60))
+		names[i] = i.metricName()
 	}
-	return e
+	return &Engine{stages: obs.NewHistogramSet(obs.ExpBuckets(1, math.Sqrt2, 60), names[:]...)}
 }
 
-// get returns the identity's in-flight record, creating it from the pool
-// on first sight. Hook ordering is not assumed: the pipe hooks fire
-// before SampleGenerated in the application's write path, so any
-// identity-bearing hook may be the first — genT is always available as
-// s.GenTime.
+// window returns the window of the sample's process, nil when the engine
+// has none for it yet. With grow it allocates the window first (negative
+// identities, which the model never produces, get none).
+func (e *Engine) window(s resources.Sample, grow bool) *window {
+	if uint(s.Node) < uint(len(e.wins)) && uint(s.Proc) < uint(len(e.wins[s.Node])) {
+		return &e.wins[s.Node][s.Proc]
+	}
+	if !grow || s.Node < 0 || s.Proc < 0 {
+		return nil
+	}
+	for len(e.wins) <= s.Node {
+		e.wins = append(e.wins, nil)
+	}
+	for len(e.wins[s.Node]) <= s.Proc {
+		e.wins[s.Node] = append(e.wins[s.Node], window{})
+	}
+	return &e.wins[s.Node][s.Proc]
+}
+
+// find returns the identity's open record, nil when there is none.
+func (e *Engine) find(s resources.Sample) *record {
+	if w := e.window(s, false); w != nil {
+		return w.find(s.Seq)
+	}
+	return nil
+}
+
+// get returns the identity's open record, opening it on first sight.
+// Hook ordering is not assumed: the pipe hooks fire before
+// SampleGenerated in the application's write path, so any creating hook
+// may be the first — the record starts from s.GenTime. An identity
+// already seen and closed is never reopened: get returns nil.
 func (e *Engine) get(s resources.Sample) *record {
-	k := key{s.Node, s.Proc, s.Seq}
-	if r, ok := e.recs[k]; ok {
-		return r
+	w := e.window(s, true)
+	if w == nil {
+		return nil
 	}
-	var r *record
-	if n := len(e.free); n > 0 {
-		r = e.free[n-1]
-		e.free = e.free[:n-1]
-		*r = record{}
-	} else {
-		r = &record{}
+	if s.Seq < w.next() {
+		return w.find(s.Seq)
 	}
-	r.genT = s.GenTime
+	r := w.extend(s.Seq)
+	r.open = true
 	r.putT = s.GenTime
 	r.maxPut = s.GenTime
-	e.recs[k] = r
+	e.open++
 	return r
 }
 
-// close removes and recycles the identity's record; ok reports whether
-// one was in flight.
+// close closes the identity's record and returns a copy of it; ok
+// reports whether one was open.
 func (e *Engine) close(s resources.Sample) (rec record, ok bool) {
-	k := key{s.Node, s.Proc, s.Seq}
-	r, found := e.recs[k]
-	if !found {
+	w := e.window(s, false)
+	if w == nil {
+		return record{}, false
+	}
+	r := w.find(s.Seq)
+	if r == nil {
 		return record{}, false
 	}
 	rec = *r
-	delete(e.recs, k)
-	e.free = append(e.free, r)
+	r.open = false
+	e.open--
+	w.trim()
 	return rec, true
 }
 
@@ -247,22 +341,35 @@ func (e *Engine) SampleGenerated(t float64, s resources.Sample, blocked bool) {
 // PipePut implements obs.FlowObserver: pipe admission.
 func (e *Engine) PipePut(t float64, s resources.Sample) {
 	r := e.get(s)
+	if r == nil {
+		return
+	}
 	r.putT = t
 	r.maxPut = t
-	r.hasPut = true
 }
 
 // PipeGet implements obs.FlowObserver: pipe drain.
 func (e *Engine) PipeGet(t float64, s resources.Sample) {
 	r := e.get(s)
+	if r == nil {
+		return
+	}
 	r.getT = t
 	r.hasGet = true
 }
 
 // PipeDropped implements obs.FlowObserver: the sample died at a full
-// pipe; its record closes without stage observations.
+// pipe; its record closes without stage observations. A DropNewest
+// arrival fires this before any other hook of its sample, so a drop of an
+// unseen identity counts too, and marks it seen.
 func (e *Engine) PipeDropped(t float64, s resources.Sample) {
 	if _, ok := e.close(s); ok {
+		e.dropped++
+		return
+	}
+	if w := e.window(s, true); w != nil && s.Seq >= w.next() {
+		w.extend(s.Seq)
+		w.trim()
 		e.dropped++
 	}
 }
@@ -275,13 +382,13 @@ func (e *Engine) BatchForwarded(node int, t float64, batch []resources.Sample, h
 	if hops == 1 {
 		maxPut := math.Inf(-1)
 		for _, s := range batch {
-			if r, ok := e.recs[key{s.Node, s.Proc, s.Seq}]; ok && r.putT > maxPut {
+			if r := e.find(s); r != nil && r.putT > maxPut {
 				maxPut = r.putT
 			}
 		}
 		for _, s := range batch {
-			r, ok := e.recs[key{s.Node, s.Proc, s.Seq}]
-			if !ok {
+			r := e.find(s)
+			if r == nil {
 				continue
 			}
 			if !r.hasGet {
@@ -301,11 +408,11 @@ func (e *Engine) BatchForwarded(node int, t float64, batch []resources.Sample, h
 		return
 	}
 	for _, s := range batch {
-		r, ok := e.recs[key{s.Node, s.Proc, s.Seq}]
-		if ok && r.hasFwd && !r.inTransit && hops == r.hops+1 {
+		r := e.find(s)
+		if r != nil && r.hasFwd && !r.inTransit && hops == int(r.hops)+1 {
 			r.merge += t - r.lastT
 			r.lastT = t
-			r.hops = hops
+			r.hops = int32(hops)
 			r.inTransit = true
 		}
 	}
@@ -315,8 +422,8 @@ func (e *Engine) BatchForwarded(node int, t float64, batch []resources.Sample, h
 // network leg.
 func (e *Engine) BatchArrived(node int, t float64, batch []resources.Sample, hops int) {
 	for _, s := range batch {
-		r, ok := e.recs[key{s.Node, s.Proc, s.Seq}]
-		if ok && r.hasFwd && r.inTransit && hops == r.hops {
+		r := e.find(s)
+		if r != nil && r.hasFwd && r.inTransit && hops == int(r.hops) {
 			r.net += t - r.lastT
 			r.lastT = t
 			r.inTransit = false
@@ -325,9 +432,9 @@ func (e *Engine) BatchArrived(node int, t float64, batch []resources.Sample, hop
 }
 
 // SampleDelivered implements obs.FlowObserver: the path is complete. The
-// final network leg ends at the delivery instant; stages are observed and
-// the record is recycled. A delivery for an identity with no record is an
-// injected duplicate (the first delivery already closed it): it is
+// final network leg ends at the delivery instant; the six stages are
+// observed under one histogram lock and the record closes. A delivery
+// for an identity with no open record is an injected duplicate (the first delivery already closed it): it is
 // tallied separately so totals still reconcile with the aggregate latency
 // histogram, which observes every delivery.
 func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float64) {
@@ -347,34 +454,29 @@ func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float6
 	}
 	r.net += t - r.lastT
 
-	pipeWait := (r.putT - r.genT) + (r.getT - r.maxPut)
-	batchRes := r.maxPut - r.putT
-	daemonSvc := r.fwdT - r.getT
-	mainRcpt := 0.0
-
-	e.observe(StagePipeWait, pipeWait)
-	e.observe(StageBatchResidency, batchRes)
-	e.observe(StageDaemonService, daemonSvc)
-	e.observe(StageNetworkTransit, r.net)
-	e.observe(StageMerge, r.merge)
-	e.observe(StageMainReceipt, mainRcpt)
+	d := [NumStages]float64{
+		StagePipeWait:       (r.putT - s.GenTime) + (r.getT - r.maxPut),
+		StageBatchResidency: r.maxPut - r.putT,
+		StageDaemonService:  r.fwdT - r.getT,
+		StageNetworkTransit: r.net,
+		StageMerge:          r.merge,
+		StageMainReceipt:    0,
+	}
+	sum := 0.0
+	for i, v := range d {
+		sum += v
+		if v < 0 { // float cancellation residue at a zero-width stage
+			d[i] = 0
+		}
+		e.sums[i] += d[i]
+	}
+	e.stages.ObserveSet(d[:])
 
 	e.delivered++
 	e.latencySumUS += latencyUS
-	sum := pipeWait + batchRes + daemonSvc + r.net + r.merge + mainRcpt
 	if err := math.Abs(sum - latencyUS); err > e.maxCloseErrUS {
 		e.maxCloseErrUS = err
 	}
-}
-
-// observe records one stage dwell, clamping the tiny negative residues
-// float cancellation can produce at zero-width stages.
-func (e *Engine) observe(st Stage, v float64) {
-	if v < 0 {
-		v = 0
-	}
-	e.hists[st].Observe(v)
-	e.sums[st] += v
 }
 
 // SampleLost implements obs.FlowObserver: the path ended without
@@ -397,7 +499,7 @@ func (e *Engine) SampleLost(node int, t float64, s resources.Sample, reason proc
 // full path — exactly how the model's latency accumulator measures it.
 func (e *Engine) ResetAccounting() {
 	for i := Stage(0); i < NumStages; i++ {
-		e.hists[i].Reset()
+		e.Histogram(i).Reset()
 		e.sums[i] = 0
 	}
 	e.generated, e.delivered, e.dropped = 0, 0, 0
@@ -407,8 +509,8 @@ func (e *Engine) ResetAccounting() {
 }
 
 // Histogram returns the stage's dwell histogram (live: the exporter
-// snapshots it mid-run).
-func (e *Engine) Histogram(s Stage) *obs.Histogram { return e.hists[s] }
+// snapshots it mid-run, under the lock the stage histograms share).
+func (e *Engine) Histogram(s Stage) *obs.Histogram { return e.stages.Histogram(int(s)) }
 
 // Stages summarizes every stage over the delivered samples, in stage
 // order. Shares are exact sum ratios, so they are byte-deterministic.
@@ -419,7 +521,7 @@ func (e *Engine) Stages() []StageSummary {
 	}
 	out := make([]StageSummary, 0, NumStages)
 	for i := Stage(0); i < NumStages; i++ {
-		h := e.hists[i]
+		h := e.Histogram(i)
 		s := StageSummary{
 			Stage:  i.String(),
 			MeanUS: h.Mean(),
@@ -472,10 +574,20 @@ func (e *Engine) DupDelivered() uint64 { return e.dupDelivered }
 func (e *Engine) DupLost() uint64 { return e.dupLost }
 
 // InFlight returns the number of open records.
-func (e *Engine) InFlight() int { return len(e.recs) }
+func (e *Engine) InFlight() int { return e.open }
 
-// PoolSize returns the free-list length (recycled records awaiting reuse).
-func (e *Engine) PoolSize() int { return len(e.free) }
+// WindowSlots returns the record slots the windows span: per process, its
+// oldest open seq through its newest seen one. It is at least InFlight and
+// equals it when every process's open records are contiguous.
+func (e *Engine) WindowSlots() int {
+	n := 0
+	for _, ws := range e.wins {
+		for _, w := range ws {
+			n += len(w.recs) - w.head
+		}
+	}
+	return n
+}
 
 // LatencySumUS returns the exact latency total over first deliveries.
 func (e *Engine) LatencySumUS() float64 { return e.latencySumUS }

@@ -3,6 +3,7 @@ package prov
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"rocc/internal/procs"
 	"rocc/internal/resources"
@@ -162,32 +163,119 @@ func TestLossAndDropAccounting(t *testing.T) {
 	}
 }
 
-// Closed records recycle through the pool: after a warm-up pass the
-// steady-state in-flight population reuses records instead of
-// allocating.
-func TestRecordPoolRecycles(t *testing.T) {
+// lifecycle drives one sample from generation to delivery.
+func lifecycle(e *Engine, batch []resources.Sample, seq int) {
+	s := sample(0, seq)
+	batch[0] = s
+	e.SampleGenerated(10, s, false)
+	e.PipePut(10, s)
+	e.PipeGet(12, s)
+	e.BatchForwarded(0, 13, batch, 1)
+	e.SampleDelivered(20, s, 10)
+}
+
+// One sample at a time: after the first lifecycle the process's window
+// reuses its single slot, so a steady-state lifecycle allocates nothing.
+func TestSteadyLifecycleAllocatesNothing(t *testing.T) {
 	e := NewEngine()
-	drive := func(seq int) {
+	batch := make([]resources.Sample, 1)
+	seq := 0
+	lifecycle(e, batch, seq)
+	allocs := testing.AllocsPerRun(1000, func() {
+		seq++
+		lifecycle(e, batch, seq)
+	})
+	if allocs > 0 {
+		t.Fatalf("steady lifecycle allocated %.2f objects per sample", allocs)
+	}
+	if e.InFlight() != 0 || e.WindowSlots() != 0 {
+		t.Fatalf("after delivery: in-flight %d, window slots %d", e.InFlight(), e.WindowSlots())
+	}
+	s := sample(0, seq+1)
+	e.SampleGenerated(10, s, false)
+	if e.InFlight() != 1 || e.WindowSlots() != 1 {
+		t.Fatalf("one open sample: in-flight %d, window slots %d", e.InFlight(), e.WindowSlots())
+	}
+	if got := cap(e.wins[0][0].recs); got != 1 {
+		t.Fatalf("window capacity %d, want 1 slot", got)
+	}
+	if sz := unsafe.Sizeof(record{}); sz != 64 {
+		t.Fatalf("record is %d bytes, want 64", sz)
+	}
+}
+
+// A sample held open pins its window's head: the window spans every later
+// seq until the sample closes, then shrinks back to the open records.
+func TestHeldOpenSampleGrowsAndShrinksWindow(t *testing.T) {
+	e := NewEngine()
+	held := sample(0, 0)
+	e.SampleGenerated(10, held, false)
+	e.PipePut(10, held)
+	batch := make([]resources.Sample, 1)
+	for seq := 1; seq <= 100; seq++ {
+		lifecycle(e, batch, seq)
+	}
+	if e.InFlight() != 1 || e.WindowSlots() != 101 {
+		t.Fatalf("held open: in-flight %d, window slots %d, want 1 and 101", e.InFlight(), e.WindowSlots())
+	}
+	e.SampleLost(0, 30, held, procs.LossCrash)
+	if e.InFlight() != 0 || e.WindowSlots() != 0 {
+		t.Fatalf("after close: in-flight %d, window slots %d, want 0 and 0", e.InFlight(), e.WindowSlots())
+	}
+	// Two held samples, closed out of order: the window shrinks only as
+	// its head closes, and compaction keeps later seqs addressable.
+	a, b := sample(0, 101), sample(0, 102)
+	e.SampleGenerated(10, a, false)
+	e.SampleGenerated(10, b, false)
+	for seq := 103; seq < 400; seq++ {
+		lifecycle(e, batch, seq)
+	}
+	e.SampleLost(0, 30, b, procs.LossThinned)
+	if e.WindowSlots() != 299 {
+		t.Fatalf("head still open: window slots %d, want 299", e.WindowSlots())
+	}
+	e.SampleLost(0, 30, a, procs.LossThinned)
+	if e.InFlight() != 0 || e.WindowSlots() != 0 || e.Delivered() != 397 || e.LostTotal() != 3 {
+		t.Fatalf("in-flight %d slots %d delivered %d lost %d",
+			e.InFlight(), e.WindowSlots(), e.Delivered(), e.LostTotal())
+	}
+}
+
+// The application fires SampleGenerated after Pipe.Put returns, and Put's
+// callbacks can end the sample first (a woken daemon drains and thins
+// it). The late SampleGenerated must count the sample without reopening
+// its record.
+func TestLateGenerateDoesNotReopen(t *testing.T) {
+	e := NewEngine()
+	s := sample(0, 7)
+	e.PipePut(10, s)
+	e.PipeGet(10, s)
+	e.SampleLost(0, 10, s, procs.LossThinned)
+	e.SampleGenerated(10, s, false)
+	if e.Generated() != 1 || e.Lost(procs.LossThinned) != 1 || e.InFlight() != 0 || e.WindowSlots() != 0 {
+		t.Fatalf("generated %d thinned %d in-flight %d slots %d",
+			e.Generated(), e.Lost(procs.LossThinned), e.InFlight(), e.WindowSlots())
+	}
+}
+
+// A DropNewest arrival fires PipeDropped before any other hook of its
+// sample: that first sight counts as the drop, and the SampleGenerated
+// that follows must not open a record for it.
+func TestDropOfUnseenSampleCounts(t *testing.T) {
+	e := NewEngine()
+	open := sample(0, 1)
+	e.SampleGenerated(10, open, false)
+	e.PipePut(10, open)
+	for seq := 2; seq <= 4; seq++ {
 		s := sample(0, seq)
-		e.SampleGenerated(10, s, false)
-		e.PipePut(10, s)
-		e.PipeGet(12, s)
-		e.BatchForwarded(0, 13, []resources.Sample{s}, 1)
-		e.SampleDelivered(20, s, 10)
+		e.PipeDropped(11, s)
+		e.SampleGenerated(11, s, false)
 	}
-	drive(0)
-	if e.PoolSize() != 1 {
-		t.Fatalf("pool %d after first close, want 1", e.PoolSize())
-	}
-	for seq := 1; seq < 100; seq++ {
-		drive(seq)
-	}
-	// One at a time in flight: the pool never needs a second record.
-	if e.PoolSize() != 1 {
-		t.Fatalf("pool grew to %d with 1 sample in flight", e.PoolSize())
-	}
-	if e.Delivered() != 100 || e.InFlight() != 0 {
-		t.Fatalf("delivered %d in-flight %d", e.Delivered(), e.InFlight())
+	e.PipeDropped(12, open) // seen and still open: an ordinary drop
+	e.PipeDropped(13, open) // seen and closed: not a second drop
+	if e.Generated() != 4 || e.Dropped() != 4 || e.InFlight() != 0 || e.WindowSlots() != 0 {
+		t.Fatalf("generated %d dropped %d in-flight %d slots %d",
+			e.Generated(), e.Dropped(), e.InFlight(), e.WindowSlots())
 	}
 }
 

@@ -1,36 +1,44 @@
-package obs
+package obs_test
 
 import (
 	"math"
 	"sync"
 	"testing"
+
+	"rocc/internal/des"
+	"rocc/internal/obs"
+	"rocc/internal/obs/prov"
+	"rocc/internal/resources"
 )
 
 // The live telemetry plane scrapes a run's metrics from an HTTP handler
 // while the simulation goroutine is still mutating them. This test is
 // the -race referee for that contract: one goroutine hammers counters,
-// gauges, the staged histogram, and a series exactly the way a running
-// model does, while readers concurrently take the snapshot-style reads
-// the exporter uses (Value, Snapshot, Quantile, Last). It proves nothing
-// about values — only that no access is an unsynchronized data race.
+// gauges, the latency histogram, and a sampler series exactly the way a
+// running model does, while readers concurrently take the snapshot-style
+// reads the exporter uses (Value, Snapshot, Quantile, Last). It proves
+// nothing about values — only that no access is an unsynchronized data
+// race.
 func TestConcurrentSnapshotWhileMutating(t *testing.T) {
-	m := NewMetrics()
-	m.Latency.EnableStaging(16)
-	ser := &Series{Name: "pipe_depth"}
-	m.series = append(m.series, ser)
-	var g Gauge
+	m := obs.NewMetrics()
+	sim := des.New()
+	sampler := obs.NewSampler(sim, 1)
+	i := 0
+	ser := sampler.Probe(m, "pipe_depth", func(float64) float64 { return float64(i % 7) })
+	sampler.Start()
+	var g obs.Gauge
 
 	const iters = 5000
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // the "simulation" writer
 		defer wg.Done()
-		for i := 0; i < iters; i++ {
+		for ; i < iters; i++ {
 			m.Events.Add(1)
 			m.Generated.Add(2)
 			m.Latency.Observe(float64(100 + i%1000))
 			g.Set(float64(i))
-			ser.append(float64(i), float64(i%7))
+			sim.Step() // one sampler tick: appends to ser
 			if i%1024 == 0 {
 				m.Reset() // warmup removal can overlap a scrape too
 			}
@@ -62,5 +70,57 @@ func TestConcurrentSnapshotWhileMutating(t *testing.T) {
 
 	if m.Events.Value() == 0 {
 		t.Fatal("writer made no progress")
+	}
+}
+
+// The provenance engine's six stage histograms share one lock, taken once
+// per delivery. This is the -race referee for that sharing: one goroutine
+// drives full sample lifecycles through a prov.Engine, with a warmup
+// reset mid-run, while two scrapers snapshot and query every stage
+// histogram on its own, as the live exporter does.
+func TestConcurrentStageScrapeWhileDelivering(t *testing.T) {
+	e := prov.NewEngine()
+	const iters = 5000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the simulation goroutine
+		defer wg.Done()
+		batch := make([]resources.Sample, 1)
+		for seq := 0; seq < iters; seq++ {
+			t0 := float64(10 * seq)
+			s := resources.Sample{GenTime: t0, Node: seq % 3, Proc: seq % 2, Seq: seq}
+			e.PipePut(t0, s)
+			e.SampleGenerated(t0, s, false)
+			e.PipeGet(t0+2, s)
+			batch[0] = s
+			e.BatchForwarded(s.Node, t0+3, batch, 1)
+			e.SampleDelivered(t0+7, s, 7)
+			if seq == iters/2 {
+				e.ResetAccounting()
+			}
+		}
+	}()
+
+	for r := 0; r < 2; r++ { // concurrent scrapers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters/10; i++ {
+				for st := prov.Stage(0); st < prov.NumStages; st++ {
+					h := e.Histogram(st)
+					snap := h.Snapshot()
+					if snap.Total > 0 && (math.IsNaN(snap.Sum) || snap.Max < snap.Min) {
+						t.Error("inconsistent stage snapshot")
+						return
+					}
+					_ = h.Quantile(0.99)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if got := e.Histogram(prov.StageNetworkTransit).Count(); got != iters-iters/2-1 {
+		t.Fatalf("network-transit count %d after reset, want %d", got, iters-iters/2-1)
 	}
 }
