@@ -9,8 +9,6 @@
 //	roccbench -exp fig16 -parallel 8            # fan replications over 8 workers
 //	roccbench -exp table4 -dist 4               # fan factorial runs over 4 worker processes
 //	roccbench -exp table4 -dist 4 -http :9090   # live /metrics and /progress while it runs
-//	roccbench -exp bench -json -out BENCH_baseline.json   # perf record
-//	roccbench -compare BENCH_PR3.json -baseline BENCH_baseline.json
 //	roccbench -exp fig17 -cpuprofile cpu.pprof  # profile the regeneration
 //
 // -parallel N fans the independent simulation runs of an experiment
@@ -19,9 +17,12 @@
 // at any setting. -dist N instead fans the factorial designs over N worker
 // processes through the fault-tolerant distributed engine (internal/dist);
 // the workers are this binary re-executed with -worker, and output is
-// byte-identical to the in-process paths. -json measures each experiment serial and parallel and
-// writes a machine-readable perf record (ns/op, allocs/op, speedup) used
-// to track the engine's trajectory in BENCH_baseline.json.
+// byte-identical to the in-process paths.
+//
+// roccbench keeps no performance record of its own: the perfbench module
+// measures wall time, spread and per-layer cost, and TestResultDigestPins
+// (internal/core) pins the exact events and bounds the allocations of
+// four fixed-seed runs.
 package main
 
 import (
@@ -56,12 +57,8 @@ func main() {
 		seed      = cli.Seed(flag.CommandLine)
 		policy    = cli.Policy(flag.CommandLine)
 		parallel  = cli.Parallel(flag.CommandLine)
-		jsonOut   = cli.JSON(flag.CommandLine)
-		outPath   = cli.Out(flag.CommandLine)
 		httpAddr  = cli.HTTP(flag.CommandLine)
 		calName   = flag.String("calendar", "auto", "event calendar: auto, heap, bucket (results identical; perf only)")
-		compare   = flag.String("compare", "", "check this -json perf record against -baseline and exit")
-		baseline  = flag.String("baseline", "", "baseline perf record for -compare")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit")
 	)
@@ -70,18 +67,6 @@ func main() {
 	if *worker {
 		if err := dist.ServeWorker(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "roccbench worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compare != "" {
-		if *baseline == "" {
-			fmt.Fprintln(os.Stderr, "roccbench: -compare requires -baseline")
-			os.Exit(2)
-		}
-		if err := comparePerf(*compare, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "roccbench:", err)
 			os.Exit(1)
 		}
 		return
@@ -166,20 +151,6 @@ func main() {
 	}
 	opt.Calendar = cal
 
-	if *jsonOut {
-		ids := expandIDs(*exp)
-		rep, err := measurePerf(ids, opt, *parallel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "roccbench:", err)
-			os.Exit(1)
-		}
-		if err := writePerf(rep, *outPath); err != nil {
-			fmt.Fprintln(os.Stderr, "roccbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *exp == "all" {
 		if err := experiments.RunAll(os.Stdout, opt); err != nil {
 			fmt.Fprintln(os.Stderr, "roccbench:", err)
@@ -202,29 +173,8 @@ func main() {
 	}
 }
 
-// trackedBenchIDs is the replication- and DES-heavy experiment set whose
-// perf record is committed as BENCH_baseline.json: the NOW/SMP/MPP
-// factorial tables (reps × rows fan-out), the NOW sweeps, and the
-// fault-survivability matrix.
-var trackedBenchIDs = []string{
-	"table4", "fig16", "fig17", "fig18", "fig19",
-	"table5", "table6", "fault-survivability",
-}
-
-// expandIDs resolves the -exp argument: "all" is every registered
-// experiment, "bench" the tracked benchmark set, otherwise a
-// comma-separated id list.
+// expandIDs resolves a comma-separated -exp list.
 func expandIDs(exp string) []string {
-	switch exp {
-	case "all":
-		var ids []string
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-		return ids
-	case "bench":
-		return append([]string(nil), trackedBenchIDs...)
-	}
 	var ids []string
 	for _, id := range strings.Split(exp, ",") {
 		if id = strings.TrimSpace(id); id != "" {

@@ -44,19 +44,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Attach the tracer to the simulation (Figure 29's setup, but the
-	// "system" is now the model).
-	rec, err := m.EnableTraceRecording(0)
-	if err != nil {
+	// 4. Trace the simulation and keep node 0's view (Figure 29's setup,
+	// but the "system" is now the model).
+	if _, err := m.EnableObservability(rocc.ObsOptions{Trace: true}); err != nil {
 		log.Fatal(err)
 	}
 	res := m.Run()
 	fmt.Printf("3. simulated: app %.2f s CPU, Pd %.2f s CPU over %.0f s\n",
 		res.AppCPUTimePerNodeSec, res.PdCPUTimePerNodeSec, res.DurationSec)
-	fmt.Printf("4. simulation trace: %d records\n", rec.Len())
+	simRecs, err := m.NodeTraceRecords(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("4. simulation trace: %d records\n", len(simRecs))
 
 	// 5. Re-characterize and compare (Table 3).
-	c2, err := rocc.CharacterizeTrace(rec.Records())
+	c2, err := rocc.CharacterizeTrace(simRecs)
 	if err != nil {
 		log.Fatal(err)
 	}

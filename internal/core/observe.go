@@ -7,6 +7,7 @@ import (
 	"rocc/internal/obs"
 	"rocc/internal/obs/prov"
 	"rocc/internal/resources"
+	"rocc/internal/trace"
 )
 
 // ObsOptions selects which halves of the observability layer to attach.
@@ -32,11 +33,9 @@ type ObsOptions struct {
 // fault plan is active) the uplinks, plus — with Metrics — the engine
 // observer and periodic utilization/queue/pipe-depth samplers.
 //
-// Call after New and before Start/Run, at most once. Unlike
-// EnableTraceRecording (which mirrors the paper's single-node AIX tracer
-// and claims the same OnOccupancy hooks), the trace here covers all
-// nodes, so per-class totals match the run's Result accounting; the two
-// recorders are mutually exclusive on one model.
+// Call after New and before Start/Run, at most once. The trace covers all
+// nodes, so per-class totals match the run's Result accounting;
+// NodeTraceRecords narrows it to the paper's single-node tracer.
 //
 // The samplers only read resource state; they never run model code or
 // draw random numbers, so an observed run produces the same Result as an
@@ -103,6 +102,29 @@ func (m *Model) EnableObservability(o ObsOptions) (*obs.Collector, error) {
 		sampler.Start()
 	}
 	return c, nil
+}
+
+// NodeTraceRecords returns the Figure 29 view of a traced run, in which
+// the AIX tracer ran on one application node: that node's CPU, the shared
+// network, and for node 0 the dedicated host workstation's CPU, whose
+// tracer wrote Figure 29's second file. CPU records are per scheduler
+// dispatch (a request longer than the quantum appears as several
+// records), exactly as a kernel tracer would see them. Like the full
+// trace, the view holds only the slices that complete after warmup, so
+// its per-class totals match the Result. It needs EnableObservability
+// with Trace.
+func (m *Model) NodeTraceRecords(node int) ([]trace.Record, error) {
+	if m.obsC == nil || m.obsC.Sink == nil {
+		return nil, errors.New("core: node trace needs EnableObservability with Trace")
+	}
+	if node < 0 || node >= len(m.NodeCPUs) {
+		return nil, errors.New("core: trace node out of range")
+	}
+	units := []int{node}
+	if node == 0 && m.dedicatedHost() {
+		units = append(units, len(m.NodeCPUs))
+	}
+	return m.obsC.Sink.UnitTraceRecords(units...), nil
 }
 
 // Collector returns the attached collector, nil when observability is

@@ -8,7 +8,6 @@ import (
 
 	"rocc/internal/faults"
 	"rocc/internal/obs"
-	"rocc/internal/procs"
 	"rocc/internal/trace"
 )
 
@@ -254,23 +253,5 @@ func TestObservabilityCoversFaultLayer(t *testing.T) {
 	}
 	if got := int(c.Metrics.Crashes.Value()); got != res.Crashes {
 		t.Errorf("crash counter %d, Result %d", got, res.Crashes)
-	}
-}
-
-// ownerLabels (tracerec.go) and the sink's class mapping must stay in
-// sync with the procs owner classes.
-func TestSinkClassMappingMatchesTraceRecorder(t *testing.T) {
-	for _, owner := range []string{procs.OwnerApp, procs.OwnerPd, procs.OwnerPvm, procs.OwnerOther, procs.OwnerMain} {
-		info, ok := ownerLabels[owner]
-		if !ok {
-			t.Fatalf("owner %q missing from ownerLabels", owner)
-		}
-		s := obs.NewTraceSink()
-		c := &obs.Collector{Sink: s}
-		c.Occupancy(obs.OccCPU, 0, owner, 0, 1)
-		recs := s.TraceRecords()
-		if len(recs) != 1 || recs[0].Process != info.label || recs[0].PID != info.pid {
-			t.Errorf("owner %q: sink gave %+v, recorder maps to %s/%d", owner, recs[0], info.label, info.pid)
-		}
 	}
 }

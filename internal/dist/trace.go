@@ -2,12 +2,13 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"time"
+
+	"rocc/internal/obs"
 )
 
 // Cross-process sweep tracing. The coordinator stamps every dispatched
@@ -256,20 +257,6 @@ func (r *TraceRecorder) Categories() map[string]int {
 	return out
 }
 
-// chromeTraceEvent mirrors the Trace Event Format fields the viewers
-// need (the same subset obs.ValidateChrome checks).
-type chromeTraceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChrome exports the merged timeline as Chrome trace-event JSON:
 // pid 1 is the coordinator, pid 2 the local fallback, and each worker
 // slot gets its own pid (sorted by name for a stable layout), labeled
@@ -293,21 +280,21 @@ func (r *TraceRecorder) WriteChrome(w io.Writer) error {
 		pids[name] = 10 + i
 	}
 
-	out := make([]chromeTraceEvent, 0, len(events)+len(pids))
+	out := make([]obs.ChromeEvent, 0, len(events)+len(pids))
 	emitted := map[string]bool{}
 	meta := func(track string) {
 		if emitted[track] {
 			return
 		}
 		emitted[track] = true
-		out = append(out, chromeTraceEvent{
+		out = append(out, obs.ChromeEvent{
 			Name: "process_name", Ph: "M", PID: pids[track],
 			Args: map[string]any{"name": track},
 		})
 	}
 	for _, e := range events {
 		meta(e.track)
-		ce := chromeTraceEvent{
+		ce := obs.ChromeEvent{
 			Name: e.name, Cat: e.cat, Ph: e.ph,
 			TS: e.ts, Dur: e.dur, PID: pids[e.track], TID: 1, Args: e.args,
 		}
@@ -316,5 +303,5 @@ func (r *TraceRecorder) WriteChrome(w io.Writer) error {
 		}
 		out = append(out, ce)
 	}
-	return json.NewEncoder(w).Encode(out)
+	return obs.EncodeChrome(w, out)
 }

@@ -48,8 +48,9 @@ type StrategySpec struct {
 }
 
 // ParseStrategySpec parses a -policy spec string. Malformed specs —
-// unknown kinds, bf:0, abf:0, negative values, trailing garbage — are
-// rejected here, at flag-parse time, with descriptive errors.
+// unknown kinds, bf:0, abf:0, negative or non-finite values, trailing
+// garbage — are rejected here, at flag-parse time, with descriptive
+// errors.
 func ParseStrategySpec(s string) (StrategySpec, error) {
 	kind, arg, hasArg := strings.Cut(strings.TrimSpace(s), ":")
 	switch strings.ToLower(kind) {
@@ -71,8 +72,10 @@ func ParseStrategySpec(s string) (StrategySpec, error) {
 	case "abf":
 		spec := StrategySpec{Policy: BF, Adaptive: true}
 		if hasArg {
+			// !(ms > 0) also rejects NaN; the budget is used in
+			// microseconds, so it must stay finite after scaling.
 			ms, err := strconv.ParseFloat(arg, 64)
-			if err != nil || ms <= 0 {
+			if err != nil || !(ms > 0) || !finite(ms*1000) {
 				return StrategySpec{}, fmt.Errorf("forward: policy spec %q: latency budget must be a positive number of ms", s)
 			}
 			spec.TargetMS = ms

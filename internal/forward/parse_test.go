@@ -112,6 +112,10 @@ func TestParseStrategySpecRejectsMalformed(t *testing.T) {
 		{"abf:0", "latency budget must be a positive number"},
 		{"abf:-1", "latency budget must be a positive number"},
 		{"abf:soon", "latency budget must be a positive number"},
+		{"abf:NaN", "latency budget must be a positive number"},
+		{"abf:Inf", "latency budget must be a positive number"},
+		{"abf:+Inf", "latency budget must be a positive number"},
+		{"abf:1e306", "latency budget must be a positive number"},
 		{"cf:1", "cf takes no argument"},
 		{"", "unknown policy spec"},
 		{"zz", "unknown policy spec"},
@@ -172,4 +176,31 @@ func TestNewStrategyRoundTrip(t *testing.T) {
 	if got := spec.NewStrategy(32).String(); got != "bf:32" {
 		t.Errorf("bare bf with default 32 = %q, want bf:32", got)
 	}
+}
+
+// FuzzParseStrategySpec drives the -policy boundary with arbitrary input:
+// a parse never panics, and an accepted spec round-trips through String
+// to an equal spec whose strategy validates.
+func FuzzParseStrategySpec(f *testing.F) {
+	for _, seed := range []string{"abf:NaN", "bf:0", "cf", "bf", "bf:16", "abf", "abf:1.5", "ABF:2"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseStrategySpec(in)
+		if err != nil {
+			return
+		}
+		back, err := ParseStrategySpec(spec.String())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose String %q does not parse: %v", in, spec, spec.String(), err)
+		}
+		if back != spec {
+			t.Fatalf("%q parsed to %+v, but its String %q parses to %+v", in, spec, spec.String(), back)
+		}
+		if v, ok := spec.NewStrategy(8).(Validator); ok {
+			if err := v.Validate(); err != nil {
+				t.Fatalf("%q parsed to %+v, whose strategy is invalid: %v", in, spec, err)
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package forward
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Action is a Strategy's verdict for one forwarding decision point.
@@ -239,26 +240,31 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 // Validate checks the configuration.
 func (c ControllerConfig) Validate() error {
 	d := c.withDefaults()
+	// Every comparison with NaN is false, so each float bound also
+	// requires a finite value.
 	switch {
-	case c.TargetLatencyUS < 0:
-		return errors.New("forward: adaptive TargetLatencyUS must be >= 0")
-	case d.LatencyFactor <= 1:
-		return errors.New("forward: adaptive LatencyFactor must be > 1")
+	case !finite(c.TargetLatencyUS) || c.TargetLatencyUS < 0:
+		return errors.New("forward: adaptive TargetLatencyUS must be finite and >= 0")
+	case !finite(d.LatencyFactor) || d.LatencyFactor <= 1:
+		return errors.New("forward: adaptive LatencyFactor must be finite and > 1")
 	case d.MinBatch < 1 || d.MaxBatch < d.MinBatch:
 		return errors.New("forward: adaptive needs 1 <= MinBatch <= MaxBatch")
 	case d.Window < 1:
 		return errors.New("forward: adaptive Window must be >= 1")
-	case d.OccHigh <= 0 || d.OccHigh > 1:
+	case !finite(d.OccHigh) || d.OccHigh <= 0 || d.OccHigh > 1:
 		return errors.New("forward: adaptive OccHigh must be in (0,1]")
-	case d.Surge <= 1:
-		return errors.New("forward: adaptive Surge must be > 1")
-	case d.Relax <= 1 || d.Relax >= d.Surge:
+	case !finite(d.Surge) || d.Surge <= 1:
+		return errors.New("forward: adaptive Surge must be finite and > 1")
+	case !finite(d.Relax) || d.Relax <= 1 || d.Relax >= d.Surge:
 		return errors.New("forward: adaptive needs 1 < Relax < Surge")
 	case d.CalmWindows < 1:
 		return errors.New("forward: adaptive CalmWindows must be >= 1")
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // BatchAdjustment records one control decision of the adaptive
 // controller, for inspection by tests and the ext-adaptive-bf experiment.

@@ -1,6 +1,7 @@
 package forward
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -93,6 +94,14 @@ func TestControllerConfigValidate(t *testing.T) {
 		{"surge at 1", ControllerConfig{Surge: 1}, "Surge"},
 		{"relax >= surge", ControllerConfig{Relax: 3, Surge: 2}, "Relax < Surge"},
 		{"negative calm", ControllerConfig{CalmWindows: -2}, "CalmWindows"},
+		{"NaN budget", ControllerConfig{TargetLatencyUS: math.NaN()}, "TargetLatencyUS"},
+		{"infinite budget", ControllerConfig{TargetLatencyUS: math.Inf(1)}, "TargetLatencyUS"},
+		{"NaN factor", ControllerConfig{LatencyFactor: math.NaN()}, "LatencyFactor"},
+		{"infinite factor", ControllerConfig{LatencyFactor: math.Inf(1)}, "LatencyFactor"},
+		{"NaN occ", ControllerConfig{OccHigh: math.NaN()}, "OccHigh"},
+		{"NaN surge", ControllerConfig{Surge: math.NaN()}, "Surge"},
+		{"infinite surge", ControllerConfig{Surge: math.Inf(1)}, "Surge"},
+		{"NaN relax", ControllerConfig{Relax: math.NaN()}, "Relax < Surge"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

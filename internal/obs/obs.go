@@ -6,8 +6,9 @@
 // point in internal/des, internal/resources, and internal/procs is a
 // nil-guarded hook field — a single predictable branch on the hot path
 // when no observer is attached (proven by the nil-observer allocation
-// tests and the BENCH_baseline.json regression gate). When a Collector is
-// attached via core.Model.EnableObservability, the simulation emits:
+// tests and the allocation bounds of core's TestResultDigestPins). When a
+// Collector is attached via core.Model.EnableObservability, the
+// simulation emits:
 //
 //   - Occupancy spans: every CPU scheduler dispatch and network transfer,
 //     with owner class, simulated start time, and length — the same

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"rocc/internal/procs"
 	"rocc/internal/trace"
@@ -169,12 +170,27 @@ var classPID = map[string]struct {
 // TraceRecords exports the occupancy spans in internal/trace.Record form,
 // sorted by start time, so rocctrace and the workload-characterization
 // pipeline can analyze a simulated run exactly like a measured AIX trace.
-// Unlike core.EnableTraceRecording (which mirrors the paper's one-node
-// tracer), this covers every CPU in the model: per-class totals therefore
-// match the run's aggregate Result accounting.
+// It covers every CPU in the model: per-class totals therefore match the
+// run's aggregate Result accounting.
 func (s *TraceSink) TraceRecords() []trace.Record {
+	return s.records(func(OccSpan) bool { return true })
+}
+
+// UnitTraceRecords is TraceRecords narrowed to the CPUs whose unit is
+// listed, plus every network span: what a kernel tracer running on those
+// machines sees of a run, the shared interconnect included.
+func (s *TraceSink) UnitTraceRecords(units ...int) []trace.Record {
+	return s.records(func(sp OccSpan) bool {
+		return sp.Kind == OccNet || slices.Contains(units, sp.Unit)
+	})
+}
+
+func (s *TraceSink) records(keep func(OccSpan) bool) []trace.Record {
 	recs := make([]trace.Record, 0, len(s.spans))
 	for _, sp := range s.spans {
+		if !keep(sp) {
+			continue
+		}
 		info, ok := classPID[sp.Owner]
 		if !ok {
 			info.label, info.base = sp.Owner, 900
@@ -210,11 +226,12 @@ const (
 	chromePIDPipe   = 4000 // + pipe ID
 )
 
-// chromeEvent is one trace-event object. Fields follow the Trace Event
-// Format spec: ph "X" = complete (ts+dur), "i" = instant, "M" = metadata,
-// "s"/"t"/"f" = flow start/step/end (ID binds the flow; BP "e" makes the
-// flow end bind to the enclosing slice).
-type chromeEvent struct {
+// ChromeEvent is one trace-event object, shared by every Chrome-trace
+// exporter in the module. Fields follow the Trace Event Format spec:
+// ph "X" = complete (ts+dur), "i" = instant, "M" = metadata, "s"/"t"/"f"
+// = flow start/step/end (ID binds the flow; BP "e" makes the flow end
+// bind to the enclosing slice).
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -263,12 +280,12 @@ func ownerTID(owner string) int {
 // produce flow steps with no start), and each flow ends at most once
 // (first delivery or loss wins; injected duplicates add no second end).
 func (s *TraceSink) WriteChrome(w io.Writer) error {
-	events := make([]chromeEvent, 0, len(s.spans)+len(s.events)+16)
+	events := make([]ChromeEvent, 0, len(s.spans)+len(s.events)+16)
 	named := map[int]string{}
 	name := func(pid int, label string) {
 		if _, ok := named[pid]; !ok {
 			named[pid] = label
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: "process_name", Ph: "M", PID: pid,
 				Args: map[string]any{"name": label},
 			})
@@ -289,7 +306,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 		} else {
 			name(pid, "network")
 		}
-		events = append(events, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name: sp.Owner, Cat: cat, Ph: "X",
 			TS: sp.StartUS, Dur: sp.DurUS,
 			PID: pid, TID: ownerTID(sp.Owner),
@@ -300,12 +317,12 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 		case EvSampleGenerated:
 			pid := ChromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
 				TS: e.TUS, PID: pid, TID: 1, S: "t",
 				Args: map[string]any{"n": e.N, "hops": e.Hops},
 			})
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: "sample path", Cat: flowCat, Ph: "s",
 				TS: e.TUS, PID: pid, TID: 1,
 				ID:   flowID(e.Node, e.Proc, e.Seq),
@@ -318,7 +335,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			}
 			pid := ChromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: e.Kind.String(), Cat: flowCat, Ph: "t",
 				TS: e.TUS, PID: pid, TID: 1, ID: id,
 				Args: map[string]any{"pd": e.Unit, "hops": e.Hops},
@@ -326,7 +343,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 		case EvSampleLost:
 			pid := ChromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
 				TS: e.TUS, PID: pid, TID: 1, S: "t",
 				Args: map[string]any{"reason": procs.LossReason(e.N).String(), "pd": e.Unit},
@@ -334,7 +351,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			id := flowID(e.Node, e.Proc, e.Seq)
 			if gen[id] && !ended[id] {
 				ended[id] = true
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name: "sample path", Cat: flowCat, Ph: "f",
 					TS: e.TUS, PID: pid, TID: 1, ID: id, BP: "e",
 				})
@@ -342,7 +359,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 		case EvSampleDelivered:
 			pid := ChromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: fmt.Sprintf("sample p%d #%d", e.Proc, e.Seq),
 				Cat:  "sample", Ph: "X",
 				TS: e.TUS, Dur: e.DurUS,
@@ -352,7 +369,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			id := flowID(e.Node, e.Proc, e.Seq)
 			if gen[id] && !ended[id] {
 				ended[id] = true
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name: "sample path", Cat: flowCat, Ph: "f",
 					TS: e.TUS + e.DurUS, PID: pid, TID: 1 + e.Proc, ID: id, BP: "e",
 				})
@@ -360,7 +377,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 		case EvPipePut, EvPipeBlocked, EvPipeDropped, EvPipeGet:
 			pid := chromePIDPipe + e.Unit
 			name(pid, fmt.Sprintf("pipe %d", e.Unit))
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: e.Kind.String(), Cat: "pipe", Ph: "i",
 				TS: e.TUS, PID: pid, TID: 1, S: "t",
 				Args: map[string]any{"node": e.Node, "proc": e.Proc, "seq": e.Seq, "n": e.N},
@@ -368,15 +385,20 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 		default:
 			pid := ChromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
 				TS: e.TUS, PID: pid, TID: 1, S: "t",
 				Args: map[string]any{"n": e.N, "hops": e.Hops},
 			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
+	return EncodeChrome(w, events)
+}
+
+// EncodeChrome writes events as one Chrome trace-event JSON array, the
+// form ValidateChrome and the trace viewers read.
+func EncodeChrome(w io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(events)
 }
 
 // ValidateChrome parses Chrome trace-event JSON produced by WriteChrome
@@ -388,7 +410,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 // cat, and no flow ends twice. Used by the CI trace-export smoke step and
 // roccviz -check.
 func ValidateChrome(r io.Reader) (int, error) {
-	var events []chromeEvent
+	var events []ChromeEvent
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&events); err != nil {
 		return 0, fmt.Errorf("obs: not a trace-event JSON array: %w", err)

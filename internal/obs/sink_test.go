@@ -57,6 +57,29 @@ func TestTraceRecordsRoundTrip(t *testing.T) {
 	}
 }
 
+// Every procs owner class exports under its Table 1 label and PID block,
+// never the fallback for unknown owners.
+func TestClassPIDCoversEveryOwner(t *testing.T) {
+	want := map[string]struct {
+		label string
+		pid   int
+	}{
+		procs.OwnerApp:   {trace.ProcApplication, 100},
+		procs.OwnerPd:    {trace.ProcPd, 200},
+		procs.OwnerPvm:   {trace.ProcPvmd, 300},
+		procs.OwnerOther: {trace.ProcOther, 400},
+		procs.OwnerMain:  {trace.ProcParadyn, 500},
+	}
+	for owner, w := range want {
+		s := NewTraceSink()
+		s.addSpan(OccCPU, 0, owner, 0, 1)
+		recs := s.TraceRecords()
+		if len(recs) != 1 || recs[0].Process != w.label || recs[0].PID != w.pid {
+			t.Errorf("owner %q: sink gave %+v, want %s/%d", owner, recs, w.label, w.pid)
+		}
+	}
+}
+
 func TestWriteChromeValidates(t *testing.T) {
 	c := NewCollector(true, false)
 	c.Occupancy(OccCPU, 0, procs.OwnerApp, 0, 100)

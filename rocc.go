@@ -61,6 +61,9 @@ type (
 	AppType = core.AppType
 	// Model is an assembled simulation (exposed for inspection).
 	Model = core.Model
+	// ObsOptions selects the observability layers EnableObservability
+	// attaches to a Model.
+	ObsOptions = core.ObsOptions
 )
 
 // Architectures.
