@@ -148,7 +148,7 @@ func main() {
 
 	qt := report.NewTable("Monitoring latency (sec)", "stat", "value")
 	qt.AddRow("p50", report.F(res.MonitoringLatencyP50Sec))
-	qt.AddRow("p95", report.F(c.Metrics.Latency.Quantile(0.95)/1e6))
+	qt.AddRow("p95", report.F(res.MonitoringLatencyP95Sec))
 	qt.AddRow("p99", report.F(res.MonitoringLatencyP99Sec))
 	qt.AddRow("mean", report.F(res.MonitoringLatencySec))
 	qt.AddRow("max", report.F(res.MonitoringLatencyMaxSec))

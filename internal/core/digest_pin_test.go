@@ -69,13 +69,13 @@ func digestPinCells() map[string]pinCell {
 
 	return map[string]pinCell{
 		"now32-cf-direct": {nowCF,
-			"33ef95ff0273081ee44404a54644c9e75d4eb2169e6e6c66dbf583dc03ad9af7", 22866, 3600},
+			"ed54dfac837e9f7c6d3c24487f4686f4a634c9e2be5a5869e5dcdb52d170301d", 22866, 3600},
 		"mpp256-tree-pipe8": {mppTree,
-			"b944e1149cfb05909afe75a9a316b521d7fb623142d0c5dc5806b36d12566a86", 77878, 24400},
+			"53966b27e4d8e1520a291aef07f67858198fc067579c5287be1a769ac35bedb5", 77878, 24400},
 		"now16-abf-chaos": {chaos,
-			"0cdb261f11ad1cf75cf803381319640c6bc668820d366d2220a85279ed129859", 27114, 3200},
+			"017d574a30b8e87800b2f3e8b4edfa5c5caf1b58434add4dac07016f4c2319d7", 27114, 3200},
 		"mpp8-tree-retransmit": {tree,
-			"7bf5f776790bfca0e5c389c1603add81f85f768c3be02aff5a2133646f0ca052", 17225, 1900},
+			"fa85c5cd30b0051b2ad35d128e501a8dd4572f3b922388198f51fce615948710", 17225, 1900},
 	}
 }
 

@@ -201,9 +201,10 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 	}
 	m.Main = &procs.MainProcess{
 		Sim: m.Sim, CPU: m.HostCPU,
-		R:       master.Derive(streamID(streamMain, 0, 0)),
-		CPUDist: cfg.Workload.MainCPU,
-		Msgs:    m.Msgs,
+		R:         master.Derive(streamID(streamMain, 0, 0)),
+		CPUDist:   cfg.Workload.MainCPU,
+		Msgs:      m.Msgs,
+		Latencies: procs.NewLatencyHistogram(),
 	}
 
 	totalApps := cfg.Nodes * cfg.AppProcs
@@ -284,9 +285,10 @@ func (m *Model) buildSMP(master *rng.Stream) {
 	m.HostCPU = cpu
 	m.Main = &procs.MainProcess{
 		Sim: m.Sim, CPU: cpu,
-		R:       master.Derive(streamID(streamMain, 0, 0)),
-		CPUDist: cfg.Workload.MainCPU,
-		Msgs:    m.Msgs,
+		R:         master.Derive(streamID(streamMain, 0, 0)),
+		CPUDist:   cfg.Workload.MainCPU,
+		Msgs:      m.Msgs,
+		Latencies: procs.NewLatencyHistogram(),
 	}
 	if cfg.BarrierPeriod > 0 {
 		m.Barrier = &procs.Barrier{Participants: cfg.AppProcs}

@@ -47,7 +47,11 @@ func (m *Model) EnableObservability(o ObsOptions) (*obs.Collector, error) {
 	if !o.Trace && !o.Metrics && !o.Provenance {
 		return nil, errors.New("core: enable at least one of Trace, Metrics, Provenance")
 	}
-	c := obs.NewCollector(o.Trace, o.Metrics)
+	var metrics *obs.Metrics
+	if o.Metrics {
+		metrics = obs.NewMetrics(m.Main.Latencies)
+	}
+	c := obs.NewCollector(o.Trace, metrics)
 	if o.Provenance {
 		m.prov = prov.NewEngine()
 		c.Flow = m.prov

@@ -104,8 +104,8 @@ func TestChromeExportOfRunValidates(t *testing.T) {
 }
 
 // Attaching the full observability layer must not perturb the simulation:
-// samplers and observers only read state, so the Result (ignoring the
-// observability-only quantile fields) is identical to an unobserved run.
+// samplers and observers only read state, so the Result, latency
+// quantiles included, is identical to an unobserved run.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	cfg := obsTestConfig()
 	cfg.Warmup = 2e5
@@ -126,10 +126,6 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	}
 	got := observed.Run()
 
-	// Blank the fields only the observed run can fill, then demand
-	// exact equality.
-	got.MonitoringLatencyP50Sec = 0
-	got.MonitoringLatencyP99Sec = 0
 	if !reflect.DeepEqual(got, base) {
 		t.Errorf("observability changed the Result:\nbase: %+v\ngot:  %+v", base, got)
 	}

@@ -78,7 +78,9 @@ var (
 	MetricAppCPUUtil   Metric = func(r Result) float64 { return r.AppCPUUtilPct }
 	MetricAppCPUTime   Metric = func(r Result) float64 { return r.AppCPUTimePerNodeSec }
 	MetricLatency      Metric = func(r Result) float64 { return r.MonitoringLatencySec }
+	MetricLatencyP50   Metric = func(r Result) float64 { return r.MonitoringLatencyP50Sec }
 	MetricLatencyP95   Metric = func(r Result) float64 { return r.MonitoringLatencyP95Sec }
+	MetricLatencyP99   Metric = func(r Result) float64 { return r.MonitoringLatencyP99Sec }
 	MetricLatencyMax   Metric = func(r Result) float64 { return r.MonitoringLatencyMaxSec }
 	MetricFwdLatency   Metric = func(r Result) float64 { return r.ForwardLatencySec }
 	MetricThroughput   Metric = func(r Result) float64 { return r.ThroughputPerSec }

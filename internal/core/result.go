@@ -34,12 +34,12 @@ type Result struct {
 
 	// Data forwarding performance.
 	MonitoringLatencySec    float64 // mean generation-to-receipt per sample
-	MonitoringLatencyP95Sec float64 // 95th percentile (P² estimate)
+	MonitoringLatencyP95Sec float64 // 95th percentile
 	MonitoringLatencyMaxSec float64 // worst case observed
-	// P50/P99 come from the observability layer's latency histogram and
-	// are populated only when EnableObservability ran with Metrics.
-	MonitoringLatencyP50Sec float64
-	MonitoringLatencyP99Sec float64
+	// P50/P95/P99 are read from the main process's latency histogram
+	// (eighth-octave buckets, interpolated; procs.NewLatencyHistogram).
+	MonitoringLatencyP50Sec float64 // median
+	MonitoringLatencyP99Sec float64 // 99th percentile
 	ForwardLatencySec       float64 // mean transport delay (newest sample age)
 	ThroughputPerSec        float64 // samples received at main per second
 	PdThroughputPerSec      float64 // samples forwarded by daemons per second
@@ -154,14 +154,11 @@ func (m *Model) collect() Result {
 	res.PdNetUtilPct = m.Net.Busy(procs.OwnerPd) / durUS * 100
 
 	res.MonitoringLatencySec = m.Main.Latency.Mean() / 1e6
-	if m.Main.LatencyP95 != nil {
-		res.MonitoringLatencyP95Sec = m.Main.LatencyP95.Value() / 1e6
-	}
-	res.MonitoringLatencyMaxSec = m.Main.LatencyMax / 1e6
-	if m.obsC != nil && m.obsC.Metrics != nil {
-		res.MonitoringLatencyP50Sec = m.obsC.Metrics.Latency.Quantile(0.50) / 1e6
-		res.MonitoringLatencyP99Sec = m.obsC.Metrics.Latency.Quantile(0.99) / 1e6
-	}
+	lat := m.Main.Latencies
+	res.MonitoringLatencyP50Sec = lat.Quantile(0.50) / 1e6
+	res.MonitoringLatencyP95Sec = lat.Quantile(0.95) / 1e6
+	res.MonitoringLatencyP99Sec = lat.Quantile(0.99) / 1e6
+	res.MonitoringLatencyMaxSec = lat.Max() / 1e6
 	if m.prov != nil {
 		for _, s := range m.prov.Stages() {
 			res.LatencyStages = append(res.LatencyStages, StageLatency{

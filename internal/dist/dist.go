@@ -249,7 +249,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]core.Result, error) {
 	recoveredN := 0
 	if opt.Journal != "" {
 		shardLen := func(si int) int { return shards[si].hi - shards[si].lo }
-		hdr := journalHeader{V: 1, Jobs: n, ShardSize: opt.ShardSize, Fingerprint: fingerprint(jobs)}
+		hdr := journalHeader{V: journalVersion, Jobs: n, ShardSize: opt.ShardSize, Fingerprint: fingerprint(jobs)}
 		jr, recovered, err := openJournal(opt.Journal, opt.Resume, hdr, shardLen, len(shards))
 		if err != nil {
 			return nil, err

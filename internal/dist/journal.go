@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -17,11 +18,17 @@ import (
 // of every job's canonical JSON), then one entry per completed shard.
 // Entries are appended and fsynced as shards finish, so after a crash
 // the file is a valid prefix plus at most one truncated line; resume
-// truncates the garbage tail and recomputes only what is missing.
+// truncates the garbage tail and recomputes only what is missing. A line
+// counts only once its newline is on disk.
 //
 // Because every shard's seeds are pre-derived from the master seed, a
 // resumed sweep merges journaled and fresh results into output
 // byte-identical to an uninterrupted run.
+
+// journalVersion versions the journal format and, like wireVersion, the
+// meaning of the Results it holds (2: percentiles from the main process's
+// histogram), so an older journal is refused rather than merged.
+const journalVersion = 2
 
 type journalHeader struct {
 	V           int    `json:"v"`
@@ -98,6 +105,7 @@ func replayJournal(path string, hdr journalHeader, shardLen func(int) int, nShar
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), maxFrame)
+	sc.Split(terminatedLines)
 	if !sc.Scan() {
 		return false, fmt.Errorf("dist: journal %s: missing header", path)
 	}
@@ -105,6 +113,9 @@ func replayJournal(path string, hdr journalHeader, shardLen func(int) int, nShar
 	var have journalHeader
 	if err := json.Unmarshal(sc.Bytes(), &have); err != nil {
 		return false, fmt.Errorf("dist: journal %s: bad header: %w", path, err)
+	}
+	if have.V != hdr.V {
+		return false, fmt.Errorf("dist: journal %s has format version %d, this build writes %d; refusing to resume", path, have.V, hdr.V)
 	}
 	if have != hdr {
 		return false, fmt.Errorf("dist: journal %s was written by a different sweep (header %+v, want %+v); refusing to resume", path, have, hdr)
@@ -125,15 +136,23 @@ func replayJournal(path string, hdr journalHeader, shardLen func(int) int, nShar
 	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
 		return false, fmt.Errorf("dist: journal %s: %w", path, err)
 	}
-	// good assumes every accepted line ended in \n (ours do); clamp so an
-	// externally edited file can never make truncate extend the file.
-	if st, err := f.Stat(); err == nil && good > st.Size() {
-		good = st.Size()
-	}
 	if err := os.Truncate(path, good); err != nil {
 		return false, fmt.Errorf("dist: journal %s: truncate garbage tail: %w", path, err)
 	}
 	return true, nil
+}
+
+// terminatedLines is a bufio.SplitFunc that yields only lines whose
+// newline is in the file. An unterminated last line is the torn tail of
+// an interrupted append, even when it parses: accepting it would leave
+// the next append glued onto the same line. Every accepted line is
+// therefore exactly len(token)+1 bytes, so truncating to the accepted
+// prefix can never extend the file.
+func terminatedLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
 }
 
 // append checkpoints one completed shard.

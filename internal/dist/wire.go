@@ -18,9 +18,11 @@ import (
 // frame, or malformed JSON is treated as failed and replaced — the shard
 // is simply retried, so protocol corruption can never corrupt results.
 
-// wireVersion is bumped on any incompatible protocol change; mismatches
-// fail the shard (and eventually drain it locally) rather than guessing.
-const wireVersion = 1
+// wireVersion is bumped on any incompatible protocol change, including a
+// change in what a core.Result means (2: percentiles from the main
+// process's histogram); mismatches fail the shard (and eventually drain
+// it locally) rather than guessing.
+const wireVersion = 2
 
 // maxFrame bounds a frame payload (64 MiB) so a corrupt length prefix
 // cannot make the driver attempt a multi-gigabyte allocation.

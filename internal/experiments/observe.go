@@ -42,12 +42,9 @@ func runExtObservability(w io.Writer, opt Options) error {
 	}
 
 	qt := report.NewTable("Monitoring latency distribution (sec)", "quantile", "latency")
-	for _, q := range []struct {
-		name string
-		p    float64
-	}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-		qt.AddRow(q.name, report.F(c.Metrics.Latency.Quantile(q.p)/1e6))
-	}
+	qt.AddRow("p50", report.F(res.MonitoringLatencyP50Sec))
+	qt.AddRow("p95", report.F(res.MonitoringLatencyP95Sec))
+	qt.AddRow("p99", report.F(res.MonitoringLatencyP99Sec))
 	qt.AddRow("mean", report.F(res.MonitoringLatencySec))
 	qt.AddRow("max", report.F(res.MonitoringLatencyMaxSec))
 	if err := qt.Render(w); err != nil {

@@ -1,16 +1,16 @@
 package obs
 
 import (
-	"math"
 	"testing"
 
 	"rocc/internal/des"
+	"rocc/internal/procs"
 )
 
 // Steady-state Observe locks, looks the bucket up in the start table and
 // updates the totals in place — zero allocations per observation.
 func TestHistogramObserveDoesNotAllocate(t *testing.T) {
-	h := NewHistogram("lat", ExpBuckets(100, math.Sqrt2, 40))
+	h := procs.NewLatencyHistogram()
 	v := 100.0
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(v)
@@ -24,8 +24,8 @@ func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 // Atomic counters and gauges are the per-event write path when metrics
 // are enabled; they must stay allocation-free now that the live exporter
 // reads them concurrently.
-func TestAtomicCounterGaugeDoNotAllocate(t *testing.T) {
-	m := NewMetrics()
+func TestCounterGaugeDoNotAllocate(t *testing.T) {
+	m := NewMetrics(procs.NewLatencyHistogram())
 	var g Gauge
 	allocs := testing.AllocsPerRun(1000, func() {
 		m.Events.Add(1)
@@ -42,7 +42,7 @@ func TestAtomicCounterGaugeDoNotAllocate(t *testing.T) {
 // disturb the zero-alloc property of subsequent observations — the
 // scrape path and the hot path share only the histogram mutex.
 func TestObserveStaysAllocationFreeAfterSnapshot(t *testing.T) {
-	h := NewHistogram("lat", ExpBuckets(100, math.Sqrt2, 40))
+	h := procs.NewLatencyHistogram()
 	for i := 0; i < 200; i++ {
 		h.Observe(float64(100 + i))
 	}
@@ -64,7 +64,7 @@ func TestSamplerTickDoesNotAllocate(t *testing.T) {
 	sim := des.New()
 	s := NewSampler(sim, 10)
 	s.SetExpectedTicks(5000)
-	m := NewMetrics()
+	m := NewMetrics(procs.NewLatencyHistogram())
 	for i := 0; i < 4; i++ {
 		s.Probe(m, "probe", func(tUS float64) float64 { return tUS })
 	}

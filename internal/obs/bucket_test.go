@@ -3,8 +3,11 @@ package obs
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
+
+	"rocc/internal/stats"
 )
 
 // linearBucket is the reference bucket lookup: the linear scan the start
@@ -26,11 +29,12 @@ func encodeBounds(bs ...float64) []byte {
 	return out
 }
 
-// decodeBounds reads up to 64 float64s, drops NaN, sorts and dedupes, so
-// any byte string yields a valid strictly ascending bound set.
+// decodeBounds reads up to 256 float64s (room for the 216 latency
+// bounds), drops NaN, sorts and dedupes, so any byte string yields a
+// valid strictly ascending bound set.
 func decodeBounds(raw []byte) []float64 {
 	var bs []float64
-	for len(raw) >= 8 && len(bs) < 64 {
+	for len(raw) >= 8 && len(bs) < 256 {
 		if b := math.Float64frombits(binary.LittleEndian.Uint64(raw)); !math.IsNaN(b) {
 			bs = append(bs, b)
 		}
@@ -46,31 +50,43 @@ func decodeBounds(raw []byte) []float64 {
 	return out
 }
 
-// checkBucket compares the histogram's lookup with the reference on v,
-// the special values, and every bound with its neighbours on both sides.
+// checkBucket observes v, the special values, and every bound with its
+// neighbours on both sides, and compares the bucket counts with where the
+// reference puts each value; on a mismatch it names the first value the
+// histogram misplaces.
 func checkBucket(t *testing.T, bs []float64, v float64) {
 	t.Helper()
-	h := NewHistogram("f", bs)
 	probes := []float64{v, -v, math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
 	for _, b := range bs {
 		probes = append(probes, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
 	}
+	h := stats.NewBucketHistogram("f", bs)
+	want := make([]uint64, len(bs)+1)
 	for _, x := range probes {
-		if got, want := h.bucket(x), linearBucket(bs, x); got != want {
-			t.Fatalf("bounds %v: bucket(%v) = %d, linear scan gives %d", bs, x, got, want)
+		h.Observe(x)
+		want[linearBucket(bs, x)]++
+	}
+	if got := h.Snapshot().Counts; !slices.Equal(got, want) {
+		for _, x := range probes {
+			one := stats.NewBucketHistogram("f", bs)
+			one.Observe(x)
+			if got := slices.Index(one.Snapshot().Counts, 1); got != linearBucket(bs, x) {
+				t.Fatalf("bounds %v: Observe(%v) counted in bucket %d, linear scan gives %d", bs, x, got, linearBucket(bs, x))
+			}
 		}
+		t.Fatalf("bounds %v: bucket counts %v, linear scan gives %v", bs, got, want)
 	}
 }
 
 // FuzzHistogramBucket is the differential referee for the O(1) bucket
-// lookup: on arbitrary ascending bounds and values it must return exactly
-// what the linear scan returns.
+// lookup of stats.BucketHistogram: on arbitrary ascending bounds and
+// values it must count each value exactly where the linear scan puts it.
 func FuzzHistogramBucket(f *testing.F) {
 	seeds := [][]float64{
 		nil,                                 // no bounds: everything in bucket 0
-		ExpBuckets(1, math.Sqrt2, 60),       // the prov stage buckets
-		ExpBuckets(100, math.Sqrt2, 40),     // the latency buckets
+		stats.ExpBuckets(1, math.Sqrt2, 60), // the prov stage buckets
+		stats.ExpBuckets(1, math.Exp2(1.0/8), 216), // the latency buckets
 		{-5, 0, 1, 2},                       // non-positive first bounds
 		{0},                                 // a lone zero bound
 		{-math.MaxFloat64, -1},              // only negative bounds
@@ -91,32 +107,29 @@ func FuzzHistogramBucket(f *testing.F) {
 }
 
 // NaN or non-ascending bounds would make the scan's answer depend on the
-// lookup order; NewHistogram rejects them.
+// lookup order; NewBucketHistogram rejects them.
 func TestHistogramRejectsBadBounds(t *testing.T) {
 	for _, bs := range [][]float64{{1, 1}, {2, 1}, {math.NaN()}, {1, math.NaN(), 3}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewHistogram(%v) did not panic", bs)
+					t.Errorf("NewBucketHistogram(%v) did not panic", bs)
 				}
 			}()
-			NewHistogram("bad", bs)
+			stats.NewBucketHistogram("bad", bs)
 		}()
 	}
 }
 
-// The members of a set share one lock yet keep separate contents, and
-// ObserveSet lands each value in its own member.
+// The members of a set keep separate contents, and ObserveSet lands each
+// value in its own member without allocating.
 func TestHistogramSetObserveSet(t *testing.T) {
-	s := NewHistogramSet([]float64{1, 10}, "a", "b")
+	s := stats.NewBucketHistogramSet([]float64{1, 10}, "a", "b")
 	a, b := s.Histogram(0), s.Histogram(1)
-	if a.mu != b.mu {
-		t.Fatal("set members do not share a lock")
-	}
 	s.ObserveSet([]float64{0.5, 20})
 	s.ObserveSet([]float64{5, 30})
-	if a.Count() != 2 || a.Max() != 5 || b.Min() != 20 {
-		t.Fatalf("a: count %d max %v; b: min %v", a.Count(), a.Max(), b.Min())
+	if a.Count() != 2 || a.Max() != 5 || b.Quantile(0) != 20 {
+		t.Fatalf("a: count %d max %v; b: min %v", a.Count(), a.Max(), b.Quantile(0))
 	}
 	if got := a.Snapshot().Counts; got[0] != 1 || got[1] != 1 || got[2] != 0 {
 		t.Fatalf("a counts %v", got)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rocc/internal/obs"
+	"rocc/internal/procs"
 )
 
 // FuzzParseExposition throws arbitrary byte soup at the exposition
@@ -14,7 +15,7 @@ import (
 // output seeds the corpus so the fuzzer starts from the accepted grammar
 // and mutates outward.
 func FuzzParseExposition(f *testing.F) {
-	m := obs.NewMetrics()
+	m := obs.NewMetrics(procs.NewLatencyHistogram())
 	m.Generated.Add(10)
 	m.Latency.Observe(250)
 	e := NewExporter()

@@ -10,7 +10,7 @@
 //     exposition format, with every metric family appearing exactly once
 //     in a stable sorted order. Reads are race-safe against a mutating
 //     run: counters and gauges load atomically, histograms and sampler
-//     series copy under their locks (see internal/obs).
+//     series copy under their locks (see internal/obs and internal/stats).
 //   - Server is the embeddable monitoring HTTP server behind the -http
 //     flag of roccsweep, roccbench, and roccsim: /metrics (OpenMetrics),
 //     /healthz (liveness JSON), /progress (a caller-supplied JSON
@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"rocc/internal/obs"
+	"rocc/internal/stats"
 )
 
 // MetricPrefix is prepended to every exported metric family name.
@@ -57,7 +58,7 @@ type Exporter struct {
 // histSource is one registered standalone histogram (e.g. the provenance
 // engine's per-stage dwell histograms).
 type histSource struct {
-	h    *obs.Histogram
+	h    *stats.BucketHistogram
 	help string
 }
 
@@ -100,7 +101,7 @@ func (e *Exporter) AddGauge(name, help string, read func() float64) {
 // histogram itself, rocc_ prefix added). Scrapes snapshot it under its
 // lock, so a mutating run never races a scrape. Registering the same
 // histogram name twice keeps the first registration.
-func (e *Exporter) AddHistogram(h *obs.Histogram, help string) {
+func (e *Exporter) AddHistogram(h *stats.BucketHistogram, help string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, s := range e.hists {
@@ -203,7 +204,7 @@ func counterFamily(name, help string, v uint64) family {
 
 // histogramFamily renders a histogram snapshot with cumulative buckets,
 // the mandatory +Inf bucket, and _sum/_count samples.
-func histogramFamily(h *obs.Histogram, help string) family {
+func histogramFamily(h *stats.BucketHistogram, help string) family {
 	snap := h.Snapshot()
 	name := MetricPrefix + sanitizeName(snap.Name)
 	samples := make([]string, 0, len(snap.Counts)+2)

@@ -8,6 +8,7 @@ import (
 
 	"rocc/internal/obs"
 	"rocc/internal/obs/prov"
+	"rocc/internal/procs"
 )
 
 // The sweep-counter exposition is pinned byte for byte: every counter
@@ -77,7 +78,7 @@ rocc_sweep_worker_restarts_total 2
 // sampler series — must render to exposition text that parses, with each
 // family declared exactly once.
 func TestRunExpositionParses(t *testing.T) {
-	m := obs.NewMetrics()
+	m := obs.NewMetrics(procs.NewLatencyHistogram())
 	m.Generated.Add(100)
 	m.Delivered.Add(98)
 	for _, v := range []float64{120, 450, 4500, 90000} {
@@ -122,7 +123,7 @@ func TestRunExpositionParses(t *testing.T) {
 func TestExpositionStageHistograms(t *testing.T) {
 	eng := prov.NewEngine()
 	e := NewExporter()
-	e.SetRun(obs.NewMetrics())
+	e.SetRun(obs.NewMetrics(procs.NewLatencyHistogram()))
 	for st := prov.Stage(0); st < prov.NumStages; st++ {
 		e.AddHistogram(eng.Histogram(st), "per-sample dwell in stage "+st.String())
 	}
@@ -225,7 +226,7 @@ func TestFormatFloat(t *testing.T) {
 // Scraping while a simulated run mutates every source must be free of
 // data races (the -race referee for the whole export path).
 func TestScrapeWhileMutating(t *testing.T) {
-	m := obs.NewMetrics()
+	m := obs.NewMetrics(procs.NewLatencyHistogram())
 	sm := obs.NewSweepMetrics()
 	e := NewExporter()
 	e.SetRun(m)

@@ -6,13 +6,15 @@ import (
 	"sync/atomic"
 
 	"rocc/internal/des"
+	"rocc/internal/stats"
 )
 
-// Counter is a monotonically increasing count. Writes come from the
-// single simulation goroutine, but the live telemetry exporter
-// (internal/obs/live) reads counters from an HTTP handler while a run
-// mutates them, so both sides are atomic: a scrape observes a consistent
-// value without ever stalling the hot path.
+// Counter is a monotonically increasing count, safe for concurrent use.
+// A run's counters are written by the single simulation goroutine and a
+// sweep's by its slot goroutines, while the live telemetry exporter
+// (internal/obs/live) reads them from an HTTP handler, so both sides are
+// atomic: a scrape observes a consistent value without ever stalling the
+// hot path.
 type Counter struct {
 	Name string
 	v    atomic.Uint64
@@ -36,306 +38,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a bucketed distribution with interpolated quantiles. The
-// bucket i counts observations in (bounds[i-1], bounds[i]]; one overflow
-// bucket catches everything above the last bound.
-//
-// Observe finds the bucket in O(1) through one lookup path (bucket): an
-// exponent-indexed start table skips every bound below v's binade, and a
-// short scan crosses the few bounds inside it. The histogram is safe to
-// snapshot from the live exporter while the simulation goroutine observes
-// into it: every access holds the histogram's lock, which the members of
-// a HistogramSet share so one acquisition records a value into each.
-type Histogram struct {
-	Name string
-	// mu guards everything below. It is uncontended on the hot path (the
-	// exporter takes it only per scrape) and allocation-free, so Observe
-	// stays zero-alloc. Members of one HistogramSet point at the same lock.
-	mu     *sync.Mutex
-	bounds []float64
-	counts []uint64 // len(bounds)+1
-	total  uint64
-	sum    float64
-	min    float64
-	max    float64
-
-	// start[k] is the number of bounds below the smallest positive float
-	// whose biased binary exponent is expLo+k; the last entry covers every
-	// exponent above the largest finite bound. See bucket.
-	start []int
-	expLo int
-}
-
-// NewHistogram returns a histogram over the given strictly ascending
-// bucket bounds (no NaN).
-func NewHistogram(name string, bounds []float64) *Histogram {
-	return newHistogram(name, bounds, new(sync.Mutex))
-}
-
-func newHistogram(name string, bounds []float64, mu *sync.Mutex) *Histogram {
-	for i, b := range bounds {
-		if math.IsNaN(b) || i > 0 && b <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly ascending")
-		}
-	}
-	h := &Histogram{
-		Name:   name,
-		mu:     mu,
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-	}
-	h.buildStart()
-	return h
-}
-
-// expOf returns the biased binary exponent field of v (0 for ±0 and
-// subnormals, 2047 for ±Inf).
-func expOf(v float64) int { return int(math.Float64bits(v)>>52) & 0x7ff }
-
-// buildStart fills the exponent-indexed start table over the binades the
-// positive finite bounds span, plus one entry for everything above them.
-func (h *Histogram) buildStart() {
-	b := h.bounds
-	pos := 0 // first positive bound
-	for pos < len(b) && b[pos] <= 0 {
-		pos++
-	}
-	fin := len(b) // one past the last finite bound
-	for fin > 0 && math.IsInf(b[fin-1], 1) {
-		fin--
-	}
-	lo, hi := 0, -1
-	if pos < fin {
-		lo, hi = expOf(b[pos]), expOf(b[fin-1])
-	}
-	h.expLo = lo
-	h.start = make([]int, hi-lo+2)
-	i := 0
-	for k := range h.start {
-		floor := math.Float64frombits(uint64(lo+k) << 52) // smallest float with exponent lo+k
-		for i < len(b) && b[i] < floor {
-			i++
-		}
-		h.start[k] = i
-	}
-}
-
-// bucket returns the index of the bucket v falls in: exactly what the
-// linear scan `for i < len(bounds) && v > bounds[i] { i++ }` returns, on
-// every input (NaN lands in bucket 0). For v > 0 the scan starts at the
-// table entry for v's binary exponent, which only skips bounds below v;
-// for the √2-spaced latency buckets it then crosses at most three bounds.
-func (h *Histogram) bucket(v float64) int {
-	i := 0
-	if v > 0 {
-		k := expOf(v) - h.expLo
-		if k < 0 {
-			k = 0
-		} else if k >= len(h.start) {
-			k = len(h.start) - 1
-		}
-		i = h.start[k]
-	}
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	return i
-}
-
-// HistogramSet is a group of histograms over the same bounds that share
-// one lock, so ObserveSet records a value into every member under a single
-// acquisition. Each member is still a full Histogram: a scrape snapshots
-// or reads it alone, under the shared lock.
-type HistogramSet struct {
-	mu sync.Mutex
-	hs []*Histogram
-}
-
-// NewHistogramSet returns one histogram per name over the same bounds,
-// all sharing the set's lock.
-func NewHistogramSet(bounds []float64, names ...string) *HistogramSet {
-	s := &HistogramSet{hs: make([]*Histogram, len(names))}
-	for i, name := range names {
-		s.hs[i] = newHistogram(name, bounds, &s.mu)
-	}
-	return s
-}
-
-// Histogram returns the set's i-th member.
-func (s *HistogramSet) Histogram(i int) *Histogram { return s.hs[i] }
-
-// ObserveSet records vs[i] into the i-th member, all under one lock
-// acquisition; vs must have one value per member.
-func (s *HistogramSet) ObserveSet(vs []float64) {
-	s.mu.Lock()
-	for i, h := range s.hs {
-		h.observe(vs[i])
-	}
-	s.mu.Unlock()
-}
-
-// ExpBuckets returns n exponentially spaced bounds starting at start with
-// the given growth factor — the usual latency-histogram shape.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.observe(v)
-	h.mu.Unlock()
-}
-
-// observe merges one value into the buckets; h.mu held.
-func (h *Histogram) observe(v float64) {
-	h.counts[h.bucket(v)]++
-	h.total++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Mean returns the exact mean of all observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram, safe to read
-// while the run keeps observing: bucket counts (one overflow bucket past
-// the last bound), total, sum, and observed extremes.
-type HistogramSnapshot struct {
-	Name   string
-	Bounds []float64
-	Counts []uint64 // len(Bounds)+1; last is the overflow bucket
-	Total  uint64
-	Sum    float64
-	Min    float64 // +Inf when empty
-	Max    float64 // -Inf when empty
-}
-
-// Snapshot returns a consistent copy — the race-safe read the live
-// OpenMetrics exporter renders from.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistogramSnapshot{
-		Name:   h.Name,
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Total:  h.total,
-		Sum:    h.sum,
-		Min:    h.min,
-		Max:    h.max,
-	}
-}
-
-// Quantile estimates the p-quantile (0 <= p <= 1) by locating the bucket
-// holding the target rank and interpolating linearly within it, on the
-// usual assumption of uniform spread inside a bucket. The estimate is
-// clamped to the observed [Min, Max], which also gives exact answers for
-// the overflow bucket and single-bucket edge cases. Returns 0 when empty.
-func (h *Histogram) Quantile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return h.min
-	}
-	if p >= 1 {
-		return h.max
-	}
-	rank := p * float64(h.total)
-	var cum float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
-			// Bucket i holds the rank. Its value range is
-			// (bounds[i-1], bounds[i]], clamped to what was observed.
-			lo := h.min
-			if i > 0 && h.bounds[i-1] > lo {
-				lo = h.bounds[i-1]
-			}
-			hi := h.max
-			if i < len(h.bounds) && h.bounds[i] < hi {
-				hi = h.bounds[i]
-			}
-			if hi < lo {
-				hi = lo
-			}
-			frac := (rank - cum) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		cum = next
-	}
-	return h.max
-}
-
-// Reset zeroes the histogram in place (identity-preserving, so live
-// exporters holding a reference keep reading the same histogram across a
-// warmup reset).
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum = 0, 0
-	h.min, h.max = math.Inf(1), math.Inf(-1)
-	h.mu.Unlock()
-}
 
 // Series is one sampled time series: value V[i] observed at simulated
 // time T[i] (microseconds). The sampler appends under mu so the live
@@ -395,16 +97,19 @@ type Metrics struct {
 
 	// Latency is the end-to-end sample delivery delay in microseconds
 	// (generation at the application to receipt at the main process) —
-	// the Figure 16 quantity, as a distribution rather than a mean.
-	Latency *Histogram
+	// the Figure 16 quantity, as a distribution rather than a mean. It is
+	// the main process's own histogram (procs.MainProcess.Latencies),
+	// which records every delivered sample and fills the Result's
+	// quantiles; the registry exports it but never observes into it.
+	Latency *stats.BucketHistogram
 
 	series []*Series
 }
 
-// NewMetrics returns a registry with the standard pipeline counters and a
-// latency histogram spanning 100 µs to ~100 s in quarter-decade buckets.
-func NewMetrics() *Metrics {
-	m := &Metrics{Latency: NewHistogram("sample_latency_us", ExpBuckets(100, math.Sqrt2, 40))}
+// NewMetrics returns a registry with the standard pipeline counters over
+// the given delivery-latency histogram.
+func NewMetrics(latency *stats.BucketHistogram) *Metrics {
+	m := &Metrics{Latency: latency}
 	for name, c := range map[string]*Counter{
 		"events":       &m.Events,
 		"generated":    &m.Generated,

@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"rocc/internal/des"
+	"rocc/internal/procs"
+	"rocc/internal/stats"
 )
 
 func TestHistogramEmptyAndExtremes(t *testing.T) {
-	h := NewHistogram("h", []float64{10, 20, 30})
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	h := stats.NewBucketHistogram("h", []float64{10, 20, 30})
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Quantile(0) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Observe(15)
@@ -27,7 +29,7 @@ func TestHistogramEmptyAndExtremes(t *testing.T) {
 func TestHistogramSingleObservationQuantiles(t *testing.T) {
 	// With one observation every quantile collapses to that value: the
 	// bucket range is clamped to [min, max] = [15, 15].
-	h := NewHistogram("h", []float64{10, 20, 30})
+	h := stats.NewBucketHistogram("h", []float64{10, 20, 30})
 	h.Observe(15)
 	for _, p := range []float64{0.01, 0.5, 0.95, 0.99} {
 		if got := h.Quantile(p); got != 15 {
@@ -40,7 +42,7 @@ func TestHistogramLinearInterpolationWithinBucket(t *testing.T) {
 	// 100 observations uniformly filling the (0, 100] bucket region:
 	// clamped bounds are [min, max] = [1, 100], and with all mass in one
 	// bucket the p-quantile interpolates linearly across it.
-	h := NewHistogram("h", []float64{100, 200})
+	h := stats.NewBucketHistogram("h", []float64{100, 200})
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
@@ -57,7 +59,7 @@ func TestHistogramLinearInterpolationWithinBucket(t *testing.T) {
 func TestHistogramInterpolationAcrossBuckets(t *testing.T) {
 	// 10 observations in (0,10], 90 in (10,100]: p50 has rank 50, which
 	// lands 40/90 of the way through the second bucket [10, 100].
-	h := NewHistogram("h", []float64{10, 100})
+	h := stats.NewBucketHistogram("h", []float64{10, 100})
 	for i := 0; i < 10; i++ {
 		h.Observe(5)
 	}
@@ -82,7 +84,7 @@ func TestHistogramInterpolationAcrossBuckets(t *testing.T) {
 func TestHistogramOverflowBucket(t *testing.T) {
 	// All mass above the last bound: the overflow bucket's range clamps
 	// to [min, max] of the observed values.
-	h := NewHistogram("h", []float64{10})
+	h := stats.NewBucketHistogram("h", []float64{10})
 	h.Observe(50)
 	h.Observe(150)
 	if got := h.Quantile(0.99); got > 150 || got < 50 {
@@ -94,7 +96,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 }
 
 func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(100, 2, 4)
+	b := stats.ExpBuckets(100, 2, 4)
 	want := []float64{100, 200, 400, 800}
 	for i := range want {
 		if b[i] != want[i] {
@@ -104,7 +106,7 @@ func TestExpBuckets(t *testing.T) {
 }
 
 func TestMetricsResetClearsEverything(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetrics(procs.NewLatencyHistogram())
 	m.Generated.Add(5)
 	m.Latency.Observe(1000)
 	ser := &Series{Name: "s", T: []float64{1}, V: []float64{2}}

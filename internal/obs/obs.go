@@ -21,11 +21,11 @@
 //     with the sample's (node, proc, seq) identity and simulated time, so
 //     a sample's full path from application write to main-process receipt
 //     is reconstructible.
-//   - Metrics: a small registry of counters, gauges, and bucketed
-//     histograms (with interpolated quantiles — the p50/p95/p99 delivery
-//     delay behind the paper's latency figures), plus a periodic Sampler
-//     that captures resource utilization, queue lengths, and pipe
-//     occupancy as simulated-time series.
+//   - Metrics: a small registry of counters and gauges, the main
+//     process's delivery-latency histogram (stats.BucketHistogram, the
+//     source of every run's p50/p95/p99), plus a periodic Sampler that
+//     captures resource utilization, queue lengths, and pipe occupancy
+//     as simulated-time series.
 //
 // The hook interfaces themselves live with the packages that call them
 // (des.Observer, resources.PipeObserver, procs.Observer); Collector
@@ -82,14 +82,12 @@ type Collector struct {
 	Flow    FlowObserver
 }
 
-// NewCollector returns a collector with the requested halves enabled.
-func NewCollector(trace, metrics bool) *Collector {
-	c := &Collector{}
+// NewCollector returns a collector with a trace sink when trace is set
+// and the given metrics registry (nil disables the metrics half).
+func NewCollector(trace bool, metrics *Metrics) *Collector {
+	c := &Collector{Metrics: metrics}
 	if trace {
 		c.Sink = NewTraceSink()
-	}
-	if metrics {
-		c.Metrics = NewMetrics()
 	}
 	return c
 }
@@ -245,11 +243,11 @@ func (c *Collector) MessageDelivered(t float64, samples, hops int) {
 }
 
 // SampleDelivered implements procs.Observer: one sample completed its
-// generation-to-receipt journey; latencyUS is the end-to-end delay.
+// generation-to-receipt journey; latencyUS is the end-to-end delay. The
+// main process has already observed it into Metrics.Latency.
 func (c *Collector) SampleDelivered(t float64, s resources.Sample, latencyUS float64) {
 	if c.Metrics != nil {
 		c.Metrics.Delivered.Add(1)
-		c.Metrics.Latency.Observe(latencyUS)
 	}
 	if c.Flow != nil {
 		c.Flow.SampleDelivered(t, s, latencyUS)

@@ -69,9 +69,9 @@ package prov
 import (
 	"math"
 
-	"rocc/internal/obs"
 	"rocc/internal/procs"
 	"rocc/internal/resources"
+	"rocc/internal/stats"
 )
 
 // Stage indexes one dwell-time stage of a sample's path.
@@ -237,7 +237,7 @@ type Engine struct {
 	wins [][]window // by node, then proc
 	open int        // records open across all windows
 
-	stages *obs.HistogramSet // one member per Stage, one lock
+	stages *stats.BucketHistogramSet // one member per Stage, one lock
 	sums   [NumStages]float64
 
 	// Counters over the measured window (Reset clears them at the warmup
@@ -263,7 +263,7 @@ func NewEngine() *Engine {
 	for i := Stage(0); i < NumStages; i++ {
 		names[i] = i.metricName()
 	}
-	return &Engine{stages: obs.NewHistogramSet(obs.ExpBuckets(1, math.Sqrt2, 60), names[:]...)}
+	return &Engine{stages: stats.NewBucketHistogramSet(stats.ExpBuckets(1, math.Sqrt2, 60), names[:]...)}
 }
 
 // window returns the window of the sample's process, nil when the engine
@@ -510,7 +510,7 @@ func (e *Engine) ResetAccounting() {
 
 // Histogram returns the stage's dwell histogram (live: the exporter
 // snapshots it mid-run, under the lock the stage histograms share).
-func (e *Engine) Histogram(s Stage) *obs.Histogram { return e.stages.Histogram(int(s)) }
+func (e *Engine) Histogram(s Stage) *stats.BucketHistogram { return e.stages.Histogram(int(s)) }
 
 // Stages summarizes every stage over the delivered samples, in stage
 // order. Shares are exact sum ratios, so they are byte-deterministic.

@@ -8,6 +8,7 @@ import (
 	"rocc/internal/des"
 	"rocc/internal/obs"
 	"rocc/internal/obs/prov"
+	"rocc/internal/procs"
 	"rocc/internal/resources"
 )
 
@@ -20,7 +21,7 @@ import (
 // nothing about values — only that no access is an unsynchronized data
 // race.
 func TestConcurrentSnapshotWhileMutating(t *testing.T) {
-	m := obs.NewMetrics()
+	m := obs.NewMetrics(procs.NewLatencyHistogram())
 	sim := des.New()
 	sampler := obs.NewSampler(sim, 1)
 	i := 0

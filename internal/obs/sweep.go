@@ -1,13 +1,5 @@
 package obs
 
-// AtomicCounter is a goroutine-safe monotonic counter. Since Counter
-// itself became atomic (so the live exporter can scrape a running
-// simulation), the two types are one and the same; the alias survives
-// for the layers that adopted AtomicCounter when it was distinct — the
-// distributed sweep driver's slot goroutines, retry timers, and
-// local-fallback pool.
-type AtomicCounter = Counter
-
 // SweepMetrics counts the fault-handling actions of a distributed sweep
 // (internal/dist): how often shards were retried, speculatively
 // re-dispatched, or drained through the local fallback, and how the
@@ -15,22 +7,22 @@ type AtomicCounter = Counter
 // merged results are byte-identical whatever they read — so they are the
 // observability surface for judging a run's health.
 type SweepMetrics struct {
-	Dispatched     AtomicCounter // shard attempts handed to workers (first attempts)
-	Completed      AtomicCounter // shards completed (first completion only)
-	Retries        AtomicCounter // shards requeued for another attempt after a failure
-	Redispatches   AtomicCounter // speculative duplicate dispatches of straggling shards
-	Duplicates     AtomicCounter // completions discarded because the shard was already done
-	Timeouts       AtomicCounter // attempts killed at the per-shard deadline
-	WorkerFailures AtomicCounter // attempts that returned a worker/transport error
-	WorkerRestarts AtomicCounter // replacement workers started after a failure
-	Quarantines    AtomicCounter // worker slots retired after repeated failures
-	LocalShards    AtomicCounter // shards drained through the local fallback
+	Dispatched     Counter // shard attempts handed to workers (first attempts)
+	Completed      Counter // shards completed (first completion only)
+	Retries        Counter // shards requeued for another attempt after a failure
+	Redispatches   Counter // speculative duplicate dispatches of straggling shards
+	Duplicates     Counter // completions discarded because the shard was already done
+	Timeouts       Counter // attempts killed at the per-shard deadline
+	WorkerFailures Counter // attempts that returned a worker/transport error
+	WorkerRestarts Counter // replacement workers started after a failure
+	Quarantines    Counter // worker slots retired after repeated failures
+	LocalShards    Counter // shards drained through the local fallback
 }
 
 // NewSweepMetrics returns a named sweep-metric registry.
 func NewSweepMetrics() *SweepMetrics {
 	m := &SweepMetrics{}
-	for name, c := range map[string]*AtomicCounter{
+	for name, c := range map[string]*Counter{
 		"dispatched":      &m.Dispatched,
 		"completed":       &m.Completed,
 		"retries":         &m.Retries,
@@ -48,8 +40,8 @@ func NewSweepMetrics() *SweepMetrics {
 }
 
 // Counters returns the registry's counters in a stable order.
-func (m *SweepMetrics) Counters() []*AtomicCounter {
-	return []*AtomicCounter{
+func (m *SweepMetrics) Counters() []*Counter {
+	return []*Counter{
 		&m.Dispatched, &m.Completed, &m.Retries, &m.Redispatches,
 		&m.Duplicates, &m.Timeouts, &m.WorkerFailures, &m.WorkerRestarts,
 		&m.Quarantines, &m.LocalShards,

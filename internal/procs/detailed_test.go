@@ -114,13 +114,14 @@ func TestResetAccounting(t *testing.T) {
 		t.Fatal("daemon reset incomplete")
 	}
 
-	m := &MainProcess{Sim: r2.sim, CPU: r2.cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 1}, Msgs: &forward.MessagePool{}}
+	m := &MainProcess{Sim: r2.sim, CPU: r2.cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 1},
+		Msgs: &forward.MessagePool{}, Latencies: NewLatencyHistogram()}
 	m.Receive(&forward.Message{Samples: []resources.Sample{{GenTime: 0}}})
-	if m.SamplesReceived != 1 || m.LatencyP95 == nil {
+	if m.SamplesReceived != 1 || m.Latencies.Count() != 1 {
 		t.Fatal("main idle")
 	}
 	m.ResetAccounting()
-	if m.SamplesReceived != 0 || m.LatencyP95 != nil || m.LatencyMax != 0 ||
+	if m.SamplesReceived != 0 || m.Latencies.Count() != 0 || m.Latencies.Max() != 0 ||
 		m.Latency.N() != 0 {
 		t.Fatal("main reset incomplete")
 	}

@@ -70,7 +70,8 @@ func TestDaemonRelayHopDoesNotAllocate(t *testing.T) {
 func TestReleasedMessagePanicsAtHandOff(t *testing.T) {
 	r := newRig(64)
 	d, _ := newDaemon(r, forward.NewCF())
-	main := &MainProcess{Sim: r.sim, CPU: r.cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 1}, Msgs: d.Msgs}
+	main := &MainProcess{Sim: r.sim, CPU: r.cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 1},
+		Msgs: d.Msgs, Latencies: NewLatencyHistogram()}
 	for _, tc := range []struct {
 		site string
 		use  func(*forward.Message)

@@ -300,7 +300,8 @@ func TestDaemonRelayPriority(t *testing.T) {
 func TestMainProcessLatencyAccounting(t *testing.T) {
 	sim := des.New()
 	cpu := resources.NewCPU(sim, 1, 10000)
-	m := &MainProcess{Sim: sim, CPU: cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 3208}, Msgs: &forward.MessagePool{}}
+	m := &MainProcess{Sim: sim, CPU: cpu, R: rng.New(1), CPUDist: rng.Constant{Value: 3208},
+		Msgs: &forward.MessagePool{}, Latencies: NewLatencyHistogram()}
 	sim.Schedule(1000, func() {
 		m.Receive(&forward.Message{Samples: []resources.Sample{{GenTime: 0}, {GenTime: 500}}, Hops: 1})
 	})

@@ -23,7 +23,6 @@ import (
 	"rocc/internal/analytic"
 	"rocc/internal/core"
 	"rocc/internal/forward"
-	"rocc/internal/par"
 	"rocc/internal/scenario"
 	"rocc/internal/stats"
 )
@@ -189,10 +188,8 @@ type Evaluator interface {
 var ErrNoData = errors.New("xval: no data for operating point")
 
 // SimEvaluator runs the discrete-event ROCC simulation: Reps independent
-// replications (seeds derived from the scenario's Seed exactly as
-// core.RunReplications derives them), observability metrics enabled so
-// the latency histogram yields p50/p99, and Student-t confidence
-// intervals at CILevel across replications.
+// replications through core.RunReplicationsParallel, and Student-t
+// confidence intervals at CILevel across replications.
 type SimEvaluator struct {
 	// Reps is the replication count (default 1; CIs need >= 2).
 	Reps int
@@ -226,23 +223,11 @@ func (e SimEvaluator) Evaluate(sp scenario.Spec) (Estimates, error) {
 	if level <= 0 || level >= 1 {
 		level = 0.90
 	}
-	seeds := core.ReplicationSeeds(cfg.Seed, reps)
-	results, err := par.Map(e.Workers, seeds, func(_ int, seed uint64) (core.Result, error) {
-		c := cfg
-		c.Seed = seed
-		m, err := core.New(c)
-		if err != nil {
-			return core.Result{}, err
-		}
-		if _, err := m.EnableObservability(core.ObsOptions{Metrics: true}); err != nil {
-			return core.Result{}, err
-		}
-		return m.Run(), nil
-	})
+	rep, err := core.RunReplicationsParallel(cfg, reps, e.Workers)
 	if err != nil {
 		return Estimates{}, err
 	}
-	return estimatesFromResults(results, level), nil
+	return estimatesFromResults(rep.Results, level), nil
 }
 
 // estimatesFromResults aggregates replication Results into Estimates,
