@@ -38,7 +38,6 @@ import (
 	"rocc/internal/des"
 	"rocc/internal/dist"
 	"rocc/internal/experiments"
-	"rocc/internal/obs"
 	"rocc/internal/obs/live"
 )
 
@@ -131,10 +130,9 @@ func main() {
 		opt.Policy = &spec
 	}
 	if *httpAddr != "" {
-		opt.SweepMetrics = obs.NewSweepMetrics()
 		opt.Monitor = dist.NewMonitor()
 		srv := live.NewServer(nil)
-		srv.Exporter().SetSweep(opt.SweepMetrics)
+		srv.Exporter().SetSweep(opt.Monitor.Counters())
 		srv.SetProgress(func() any { return opt.Monitor.Snapshot() })
 		addr, err := srv.Start(*httpAddr)
 		if err != nil {

@@ -36,7 +36,6 @@ import (
 
 	"rocc/internal/cli"
 	"rocc/internal/dist"
-	"rocc/internal/obs"
 	"rocc/internal/obs/live"
 )
 
@@ -99,15 +98,10 @@ func main() {
 		}
 	}
 
-	metrics := obs.NewSweepMetrics()
-	var (
-		monitor  *dist.Monitor
-		recorder *dist.TraceRecorder
-	)
+	monitor := dist.NewMonitor()
 	if *httpAddr != "" {
-		monitor = dist.NewMonitor()
 		srv := live.NewServer(nil)
-		srv.Exporter().SetSweep(metrics)
+		srv.Exporter().SetSweep(monitor.Counters())
 		srv.SetProgress(func() any { return monitor.Snapshot() })
 		addr, err := srv.Start(*httpAddr)
 		if err != nil {
@@ -116,9 +110,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "roccsweep: monitoring on http://%s (/metrics /healthz /progress /debug/pprof/)\n", addr)
-	}
-	if *traceOut != "" {
-		recorder = dist.NewTraceRecorder()
 	}
 	opt := dist.SweepOptions{
 		Grid:        *grid,
@@ -136,9 +127,7 @@ func main() {
 			Resume:          *resume,
 			Seed:            *seed,
 			Log:             os.Stderr,
-			Metrics:         metrics,
 			Monitor:         monitor,
-			Trace:           recorder,
 		},
 	}
 
@@ -148,13 +137,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	if recorder != nil {
+	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "roccsweep:", err)
 			os.Exit(1)
 		}
-		if err := recorder.WriteChrome(f); err != nil {
+		if err := monitor.WriteChrome(f); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, "roccsweep: writing trace:", err)
 			os.Exit(1)
@@ -163,7 +152,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "roccsweep:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "roccsweep: wrote sweep timeline (%d events) to %s\n", recorder.Len(), *traceOut)
+		fmt.Fprintf(os.Stderr, "roccsweep: wrote sweep timeline (%d events) to %s\n", monitor.Len(), *traceOut)
 	}
 
 	out, err := cli.Output(*outPath)
@@ -184,7 +173,7 @@ func main() {
 
 	if !*quiet && len(runners) > 0 {
 		var b strings.Builder
-		for i, c := range metrics.Counters() {
+		for i, c := range monitor.Counters() {
 			if i > 0 {
 				b.WriteString(" ")
 			}

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"rocc/internal/core"
-	"rocc/internal/obs"
 	"rocc/internal/par"
 	"rocc/internal/scenario"
 )
@@ -69,18 +68,6 @@ func Execute(j Job) (core.Result, error) {
 		return core.Result{}, err
 	}
 	return m.Run(), nil
-}
-
-func executeAll(jobs []Job) ([]core.Result, error) {
-	out := make([]core.Result, 0, len(jobs))
-	for i, j := range jobs {
-		r, err := Execute(j)
-		if err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // Options tunes the distribution and fault-handling of a run. The zero
@@ -136,15 +123,10 @@ type Options struct {
 	// Log receives warnings (worker failures, quarantines, fallback);
 	// nil discards them.
 	Log io.Writer
-	// Metrics, when set, counts retries/redispatches/quarantines etc.
-	Metrics *obs.SweepMetrics
-	// Monitor, when set, receives live progress for the monitoring
-	// endpoint (/progress); nil costs nothing.
+	// Monitor observes the sweep: its fault counters, its /progress
+	// state and its shard timeline. Nil means Run observes with a
+	// monitor of its own that the caller never sees.
 	Monitor *Monitor
-	// Trace, when set, merges per-shard spans — dispatch, run, retry,
-	// quarantine, local fallback, merge — into a Chrome/Perfetto
-	// timeline; nil costs nothing (no context values, no clock reads).
-	Trace *TraceRecorder
 }
 
 func (o Options) normalized() Options {
@@ -186,8 +168,8 @@ func (o Options) normalized() Options {
 	if o.Log == nil {
 		o.Log = io.Discard
 	}
-	if o.Metrics == nil {
-		o.Metrics = obs.NewSweepMetrics()
+	if o.Monitor == nil {
+		o.Monitor = NewMonitor()
 	}
 	return o
 }
@@ -240,9 +222,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]core.Result, error) {
 		startedAt: make([]time.Time, len(shards)),
 		results:   make([][]core.Result, len(shards)),
 		jitter:    opt.Seed,
-		m:         opt.Metrics,
 		mon:       opt.Monitor,
-		tr:        opt.Trace,
 	}
 	c.cond = sync.NewCond(&c.mu)
 
@@ -330,11 +310,9 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]core.Result, error) {
 				}
 			}
 			c.mu.Unlock()
-			for i := 0; i < stranded; i++ {
-				c.mon.toLocal()
-			}
+			c.mon.toLocal(stranded)
 		}
-		if err := c.drainLocal(ctx, left, len(opt.Runners) > 0); err != nil {
+		if err := c.drainLocal(ctx, left); err != nil {
 			return nil, err
 		}
 	}
@@ -344,15 +322,9 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]core.Result, error) {
 // finishMerged assembles the job-order results, recording the merge span
 // and pinning the monitor's ETA to zero.
 func (c *coord) finishMerged() []core.Result {
-	var t0 float64
-	if c.tr != nil {
-		t0 = c.tr.nowUS()
-	}
+	begin := time.Now()
 	out := c.merged()
-	if c.tr != nil {
-		c.tr.mergeSpan(t0, len(c.jobs))
-	}
-	c.mon.finish()
+	c.mon.finish(begin, len(c.jobs))
 	return out
 }
 
@@ -363,19 +335,17 @@ type coord struct {
 	opt    Options
 	jobs   []Job
 	shards []shardRange
-	m      *obs.SweepMetrics
-	mon    *Monitor       // nil when progress is off
-	tr     *TraceRecorder // nil when tracing is off
+	mon    *Monitor
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	status    []shardStatus
-	attempts  []int // active attempts per shard
-	failures  []int // accumulated failed attempts per shard
-	lastErr   []error
-	startedAt []time.Time // earliest active attempt start
-	queue     []int       // pending shard indices, FIFO
-	results   [][]core.Result
+	mu         sync.Mutex
+	cond       *sync.Cond
+	status     []shardStatus
+	attempts   []int // active attempts per shard
+	failures   []int // accumulated failed attempts per shard
+	lastErr    []error
+	startedAt  []time.Time // earliest active attempt start
+	queue      []int       // pending shard indices, FIFO
+	results    [][]core.Result
 	remoteable int // shards not yet Done or Local
 	slots      int // live slot goroutines
 	closed     bool
@@ -400,12 +370,12 @@ func (c *coord) slot(ctx context.Context, r Runner) {
 	failStreak := 0
 	started := false
 	for {
-		w := c.startWorker(ctx, r, started)
+		w := c.startWorker(ctx, r)
 		if w == nil {
 			return
 		}
+		c.mon.workerReady(name, started)
 		started = true
-		c.mon.workerReady(name)
 		for {
 			si, speculative, ok := c.next(ctx)
 			if !ok {
@@ -413,16 +383,8 @@ func (c *coord) slot(ctx context.Context, r Runner) {
 				return
 			}
 			sh := c.shards[si]
-			c.mon.dispatched(name, si, speculative)
-			actx, cancel := context.WithTimeout(ctx, c.attemptDeadline())
-			var tok *attemptToken
-			if c.tr != nil {
-				tok = c.tr.attemptStart(name, si)
-				actx = withTraceContext(actx, &traceContext{
-					Shard: si, Attempt: tok.attempt, Base: sh.lo,
-					collect: func(spans []Span) { tok.spans = spans },
-				})
-			}
+			a := c.mon.dispatched(name, si, sh.lo, speculative)
+			actx, cancel := context.WithTimeout(withAttempt(ctx, a), c.attemptDeadline())
 			begin := time.Now()
 			res, err := w.Run(actx, si, c.jobs[sh.lo:sh.hi])
 			timedOut := actx.Err() == context.DeadlineExceeded && ctx.Err() == nil
@@ -430,24 +392,17 @@ func (c *coord) slot(ctx context.Context, r Runner) {
 			if err == nil && len(res) != sh.hi-sh.lo {
 				err = fmt.Errorf("returned %d results, want %d", len(res), sh.hi-sh.lo)
 			}
-			if tok != nil {
-				c.tr.attemptEnd(tok, err, timedOut)
-			}
 			if err != nil {
-				c.mon.failed(name, timedOut)
-				c.onFailure(si, name, err, timedOut)
+				cancelled := ctx.Err() != nil
+				c.mon.failed(a, err, timedOut, cancelled)
+				c.onFailure(si, name, err)
 				w.Close()
-				if ctx.Err() != nil {
+				if cancelled {
 					return
 				}
-				c.m.WorkerFailures.Add(1)
 				failStreak++
 				if failStreak >= c.opt.QuarantineAfter {
-					c.m.Quarantines.Add(1)
-					c.mon.quarantine(name)
-					if c.tr != nil {
-						c.tr.quarantine(name, failStreak, err)
-					}
+					c.mon.quarantine(name, failStreak, err)
 					c.warnf("dist: worker %s quarantined after %d consecutive failures (last: %v)",
 						name, failStreak, err)
 					return
@@ -455,7 +410,7 @@ func (c *coord) slot(ctx context.Context, r Runner) {
 				break // replace the worker
 			}
 			failStreak = 0
-			c.onSuccess(si, name, res, time.Since(begin))
+			c.onSuccess(si, a, res, time.Since(begin))
 		}
 	}
 }
@@ -463,7 +418,7 @@ func (c *coord) slot(ctx context.Context, r Runner) {
 // startWorker launches a worker with bounded, backed-off retries.
 // Returns nil when the slot should retire (persistent failure or
 // shutdown).
-func (c *coord) startWorker(ctx context.Context, r Runner, restart bool) Worker {
+func (c *coord) startWorker(ctx context.Context, r Runner) Worker {
 	c.mon.workerStarting(r.Name())
 	for k := 0; ; k++ {
 		if c.isClosed() || ctx.Err() != nil {
@@ -471,9 +426,6 @@ func (c *coord) startWorker(ctx context.Context, r Runner, restart bool) Worker 
 		}
 		w, err := r.Start(ctx)
 		if err == nil {
-			if restart {
-				c.m.WorkerRestarts.Add(1)
-			}
 			return w
 		}
 		if k >= c.opt.WorkerStartRetries {
@@ -505,12 +457,10 @@ func (c *coord) next(ctx context.Context) (si int, speculative, ok bool) {
 			if c.attempts[si] == 1 {
 				c.startedAt[si] = time.Now()
 			}
-			c.m.Dispatched.Add(1)
 			return si, false, true
 		}
 		if si, ok := c.speculativeLocked(); ok {
 			c.attempts[si]++
-			c.m.Redispatches.Add(1)
 			return si, true, true
 		}
 		c.cond.Wait()
@@ -534,15 +484,14 @@ func (c *coord) speculativeLocked() (int, bool) {
 
 // onSuccess records a completed shard; duplicate completions (from
 // speculative re-dispatch) are discarded by shard index.
-func (c *coord) onSuccess(si int, worker string, res []core.Result, dur time.Duration) {
+func (c *coord) onSuccess(si int, a *attempt, res []core.Result, dur time.Duration) {
 	c.mu.Lock()
 	if c.attempts[si] > 0 {
 		c.attempts[si]--
 	}
 	if c.status[si] == statusDone {
 		c.mu.Unlock()
-		c.m.Duplicates.Add(1)
-		c.mon.duplicate(worker)
+		c.mon.duplicate(a)
 		return
 	}
 	wasRemote := c.status[si] != statusLocal
@@ -557,8 +506,7 @@ func (c *coord) onSuccess(si int, worker string, res []core.Result, dur time.Dur
 	jr := c.journal
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	c.m.Completed.Add(1)
-	c.mon.completed(worker, si, dur)
+	c.mon.completed(a, dur)
 	if jr != nil {
 		if err := jr.append(si, res); err != nil {
 			c.warnf("dist: %v", err)
@@ -569,10 +517,7 @@ func (c *coord) onSuccess(si int, worker string, res []core.Result, dur time.Dur
 // onFailure accounts one failed attempt. When it was the shard's last
 // active attempt, the shard either requeues after a backoff delay or —
 // budget exhausted — is routed to the local fallback.
-func (c *coord) onFailure(si int, worker string, err error, timedOut bool) {
-	if timedOut {
-		c.m.Timeouts.Add(1)
-	}
+func (c *coord) onFailure(si int, worker string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.attempts[si] > 0 {
@@ -592,16 +537,12 @@ func (c *coord) onFailure(si int, worker string, err error, timedOut bool) {
 		c.status[si] = statusLocal
 		c.remoteable--
 		c.cond.Broadcast()
-		c.mon.toLocal()
+		c.mon.toLocal(1)
 		return
 	}
 	c.status[si] = statusWaiting
-	c.m.Retries.Add(1)
-	c.mon.backoff()
 	delay := c.backoffLocked(c.failures[si])
-	if c.tr != nil {
-		c.tr.retryWait(si, delay)
-	}
+	c.mon.backoff(si, delay)
 	t := time.AfterFunc(delay, func() { c.requeue(si) })
 	c.timers = append(c.timers, t)
 }
@@ -718,18 +659,11 @@ func (c *coord) leftover() []int {
 // journal entries are recorded per shard as they complete, so even a
 // failing drain checkpoints its successes; the error reported is the
 // lowest failing shard's, exactly as the serial path would surface it.
-func (c *coord) drainLocal(ctx context.Context, left []int, fallback bool) error {
+func (c *coord) drainLocal(ctx context.Context, left []int) error {
 	_, err := par.Map(c.opt.LocalParallel, left, func(_ int, si int) (struct{}, error) {
-		if err := ctx.Err(); err != nil {
-			return struct{}{}, err
-		}
-		var t0 float64
-		if c.tr != nil {
-			t0 = c.tr.nowUS()
-		}
 		begin := time.Now()
 		sh := c.shards[si]
-		res, err := executeAll(c.jobs[sh.lo:sh.hi])
+		res, _, err := executeShard(ctx, c.jobs[sh.lo:sh.hi], wireTrace{Shard: si, Base: sh.lo})
 		if err != nil {
 			return struct{}{}, fmt.Errorf("dist: shard %d (jobs %d-%d): %w", si, sh.lo, sh.hi-1, err)
 		}
@@ -737,13 +671,7 @@ func (c *coord) drainLocal(ctx context.Context, left []int, fallback bool) error
 		c.status[si] = statusDone
 		c.results[si] = res
 		c.mu.Unlock()
-		if fallback {
-			c.m.LocalShards.Add(1)
-		}
-		c.mon.completedLocal(time.Since(begin))
-		if c.tr != nil {
-			c.tr.localShard(si, t0)
-		}
+		c.mon.completedLocal(si, begin)
 		if c.journal != nil {
 			if jerr := c.journal.append(si, res); jerr != nil {
 				c.warnf("dist: %v", jerr)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"rocc/internal/core"
-	"rocc/internal/obs"
 	"rocc/internal/scenario"
 )
 
@@ -126,7 +125,6 @@ func TestDeterministicUnderFaults(t *testing.T) {
 			opt := fastOpts()
 			opt.Runners = runners
 			opt.MinDeadline = 500 * time.Millisecond
-			opt.Metrics = obs.NewSweepMetrics()
 			var log bytes.Buffer
 			opt.Log = &log
 			got, err := Run(context.Background(), jobs, opt)
@@ -208,7 +206,7 @@ func TestSpeculativeRedispatch(t *testing.T) {
 		hookRunner{name: "stall", log: log, hook: hook},
 		hookRunner{name: "fast", log: log, hook: hook},
 	}
-	opt.Metrics = obs.NewSweepMetrics()
+	opt.Monitor = NewMonitor()
 	got, err := Run(context.Background(), jobs, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +214,7 @@ func TestSpeculativeRedispatch(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, got), want) {
 		t.Fatal("output diverges from local baseline with a wedged straggler")
 	}
-	if n := opt.Metrics.Redispatches.Value(); n < 1 {
+	if n := opt.Monitor.Redispatches.Value(); n < 1 {
 		t.Fatalf("Redispatches = %d, want >= 1", n)
 	}
 }
@@ -240,7 +238,7 @@ func TestHangKilledByDeadline(t *testing.T) {
 		}}}
 	opt.MinDeadline = 300 * time.Millisecond
 	opt.InitialDeadline = 2 * time.Second
-	opt.Metrics = obs.NewSweepMetrics()
+	opt.Monitor = NewMonitor()
 	got, err := Run(context.Background(), jobs, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -248,10 +246,10 @@ func TestHangKilledByDeadline(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, got), want) {
 		t.Fatal("output diverges from local baseline after a deadline-killed hang")
 	}
-	if n := opt.Metrics.Timeouts.Value(); n < 1 {
+	if n := opt.Monitor.Timeouts.Value(); n < 1 {
 		t.Fatalf("Timeouts = %d, want >= 1", n)
 	}
-	if n := opt.Metrics.Retries.Value(); n < 1 {
+	if n := opt.Monitor.Retries.Value(); n < 1 {
 		t.Fatalf("Retries = %d, want >= 1", n)
 	}
 }
@@ -273,7 +271,7 @@ func TestQuarantineAndLocalFallback(t *testing.T) {
 		hookRunner{name: "bad-1", log: log, hook: alwaysFail},
 	}
 	opt.QuarantineAfter = 2
-	opt.Metrics = obs.NewSweepMetrics()
+	opt.Monitor = NewMonitor()
 	var buf bytes.Buffer
 	opt.Log = &buf
 	got, err := Run(context.Background(), jobs, opt)
@@ -283,11 +281,13 @@ func TestQuarantineAndLocalFallback(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, got), want) {
 		t.Fatal("fallback output diverges from local baseline")
 	}
-	if n := opt.Metrics.Quarantines.Value(); n != 2 {
+	if n := opt.Monitor.Quarantines.Value(); n != 2 {
 		t.Fatalf("Quarantines = %d, want 2", n)
 	}
-	if n := opt.Metrics.LocalShards.Value(); n == 0 {
-		t.Fatal("LocalShards = 0, want > 0 after fallback")
+	// Every shard routed to the fallback completes there, with its span.
+	routed, ran := opt.Monitor.LocalShards.Value(), opt.Monitor.Categories()["local"]
+	if routed == 0 || int(routed) != ran {
+		t.Fatalf("LocalShards = %d, local-fallback spans = %d; want equal and > 0", routed, ran)
 	}
 	if !strings.Contains(buf.String(), "quarantined") {
 		t.Fatalf("log lacks quarantine warning:\n%s", buf.String())
@@ -515,7 +515,7 @@ func TestServeWorkerProtocol(t *testing.T) {
 	if resp.ID != 3 || resp.Error != "" || len(resp.Results) != 2 {
 		t.Fatalf("shard 3 response: %+v", resp)
 	}
-	want, err := executeAll(jobs)
+	want, _, err := executeShard(context.Background(), jobs, wireTrace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +585,6 @@ func TestSubprocessWorkers(t *testing.T) {
 			&Chaos{Inner: inner[0], Seed: 11, Crash: 0.3},
 			&Chaos{Inner: inner[1], Seed: 12, Crash: 0.3},
 		}
-		opt.Metrics = obs.NewSweepMetrics()
 		got, err := Run(context.Background(), jobs, opt)
 		if err != nil {
 			t.Fatal(err)

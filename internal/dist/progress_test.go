@@ -5,31 +5,25 @@ import (
 	"context"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"rocc/internal/obs/live"
 )
 
 // TestMonitorSnapshotBasics pins the monitor's arithmetic on a scripted
 // transition sequence: recovered shards count as done, the ETA follows
-// observed durations and live lanes, finish pins it to zero, and a nil
-// monitor is a safe no-op throughout.
+// observed durations and live lanes, and finish pins it to zero.
 func TestMonitorSnapshotBasics(t *testing.T) {
-	var nilMon *Monitor
-	nilMon.begin(3, 0)
-	nilMon.dispatched("w", 0, false)
-	nilMon.completed("w", 0, time.Second)
-	nilMon.finish()
-	if p := nilMon.Snapshot(); p.Shards != 0 || p.Workers != nil {
-		t.Fatalf("nil monitor snapshot = %+v, want zero", p)
-	}
-
 	m := NewMonitor()
 	m.begin(4, 1)
 	m.workerStarting("b")
-	m.workerReady("b")
+	m.workerReady("b", false)
 	m.workerStarting("a")
-	m.workerReady("a")
-	m.dispatched("a", 1, false)
+	m.workerReady("a", false)
+	a := m.dispatched("a", 1, 1, false)
 	p := m.Snapshot()
 	if p.Done != 1 || p.Inflight != 1 || p.Shards != 4 {
 		t.Fatalf("after dispatch: %+v", p)
@@ -44,7 +38,7 @@ func TestMonitorSnapshotBasics(t *testing.T) {
 		t.Fatalf("worker a = %+v, want running shard 1", p.Workers[0])
 	}
 
-	m.completed("a", 1, 100*time.Millisecond)
+	m.completed(a, 100*time.Millisecond)
 	p = m.Snapshot()
 	if p.Done != 2 || p.Inflight != 0 {
 		t.Fatalf("after completion: %+v", p)
@@ -57,7 +51,7 @@ func TestMonitorSnapshotBasics(t *testing.T) {
 		t.Fatalf("AvgShardSec = %v, want 0.1", p.AvgShardSec)
 	}
 
-	m.quarantine("b")
+	m.quarantine("b", 2, nil)
 	p = m.Snapshot()
 	if len(p.Quarantined) != 1 || p.Quarantined[0] != "b" {
 		t.Fatalf("Quarantined = %v, want [b]", p.Quarantined)
@@ -67,7 +61,7 @@ func TestMonitorSnapshotBasics(t *testing.T) {
 		t.Fatalf("ETA after quarantine = %v, want 0.2", p.ETASec)
 	}
 
-	m.finish()
+	m.finish(time.Now(), 4)
 	p = m.Snapshot()
 	if !p.Finished || p.ETASec != 0 {
 		t.Fatalf("after finish: %+v", p)
@@ -159,5 +153,61 @@ func TestMonitorProgressUnderChaos(t *testing.T) {
 	}
 	if p.Failures == 0 || p.Retries == 0 {
 		t.Fatalf("chaos sweep recorded no failures/retries: %+v", p)
+	}
+
+	// One meaning per counter: every /progress fault count equals its
+	// exported rocc_sweep_*_total counter.
+	exp := live.NewExporter()
+	exp.SetSweep(mon.Counters())
+	var b strings.Builder
+	if err := exp.WriteOpenMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]int{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, v, ok := strings.Cut(line, "_total ")
+		if !ok || !strings.HasPrefix(name, "rocc_sweep_") {
+			continue
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatalf("exported %q: %v", line, err)
+		}
+		exported[strings.TrimPrefix(name, "rocc_sweep_")] = n
+	}
+	for _, c := range []struct {
+		key     string
+		got     int
+		counter string
+	}{
+		{"local_fallback", p.LocalFallback, "local_shards"},
+		{"retries", p.Retries, "retries"},
+		{"speculative", p.Speculative, "redispatches"},
+		{"duplicates", p.Duplicates, "duplicates"},
+		{"timeouts", p.Timeouts, "timeouts"},
+		{"failures", p.Failures, "worker_failures"},
+	} {
+		if want, ok := exported[c.counter]; !ok || c.got != want {
+			t.Errorf("/progress %s = %d, exported %s = %d (present %v)", c.key, c.got, c.counter, want, ok)
+		}
+	}
+
+	// The views agree with each other too: per-worker failures sum to the
+	// total, every completion is remote or a routed local one, and every
+	// retry and every routed shard left its span on the timeline.
+	sum := 0
+	for _, w := range p.Workers {
+		sum += w.Failures
+	}
+	if sum != p.Failures {
+		t.Errorf("per-worker failures sum to %d, /progress failures = %d", sum, p.Failures)
+	}
+	if got := exported["completed"] + p.LocalFallback; got != p.Done {
+		t.Errorf("completed + local_fallback = %d, done = %d", got, p.Done)
+	}
+	cats := mon.Categories()
+	if cats["retry"] != p.Retries || cats["local"] != p.LocalFallback {
+		t.Errorf("timeline retry/local spans = %d/%d, /progress retries/local_fallback = %d/%d",
+			cats["retry"], cats["local"], p.Retries, p.LocalFallback)
 	}
 }

@@ -164,12 +164,8 @@ func startProcWorker(ctx context.Context, cmd *exec.Cmd, name string) (Worker, e
 // killed if ctx expires first (a hung or wedged worker holds no locks we
 // need — a fresh one takes its place).
 func (w *procWorker) Run(ctx context.Context, id int, jobs []Job) ([]core.Result, error) {
-	tc := traceContextFrom(ctx)
-	req := request{V: wireVersion, ID: id, Jobs: jobs}
-	if tc != nil {
-		req.Trace = &wireTrace{Shard: tc.Shard, Attempt: tc.Attempt, Base: tc.Base}
-	}
-	if err := writeFrame(w.in, req); err != nil {
+	a := attemptFrom(ctx, id)
+	if err := writeFrame(w.in, request{V: wireVersion, ID: id, Jobs: jobs, Trace: a.wireTrace}); err != nil {
 		w.Close()
 		return nil, fmt.Errorf("dist: %s: send shard %d: %w", w.name, id, err)
 	}
@@ -200,9 +196,7 @@ func (w *procWorker) Run(ctx context.Context, id int, jobs []Job) ([]core.Result
 		if r.resp.Error != "" {
 			return nil, errors.New(r.resp.Error)
 		}
-		if tc != nil && tc.collect != nil {
-			tc.collect(r.resp.Spans)
-		}
+		a.spans = r.resp.Spans
 		return r.resp.Results, nil
 	}
 }
@@ -241,30 +235,12 @@ func (r InProcessRunner) Start(ctx context.Context) (Worker, error) {
 
 type inProcWorker struct{}
 
-func (inProcWorker) Run(ctx context.Context, _ int, jobs []Job) ([]core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if tc := traceContextFrom(ctx); tc != nil {
-		// Same traced path the wire-protocol worker runs, minus the pipes.
-		res, spans, err := executeShard(jobs, &wireTrace{Shard: tc.Shard, Attempt: tc.Attempt, Base: tc.Base})
-		if err == nil && tc.collect != nil {
-			tc.collect(spans)
-		}
-		return res, err
-	}
-	out := make([]core.Result, 0, len(jobs))
-	for i, j := range jobs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r, err := Execute(j)
-		if err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
+func (inProcWorker) Run(ctx context.Context, id int, jobs []Job) ([]core.Result, error) {
+	// The wire-protocol worker's path, minus the pipes.
+	a := attemptFrom(ctx, id)
+	res, spans, err := executeShard(ctx, jobs, a.wireTrace)
+	a.spans = spans
+	return res, err
 }
 
 func (inProcWorker) Close() error { return nil }

@@ -29,12 +29,12 @@ func slowEveryAttempt(c *Chaos, d time.Duration) *Chaos {
 
 // tracedChaosOpts is the shared fixture: a doomed worker (guarantees
 // retry and quarantine spans) plus healthy-but-slowed ones.
-func tracedChaosOpts(tr *TraceRecorder) Options {
+func tracedChaosOpts(mon *Monitor) Options {
 	opt := fastOpts()
 	opt.ShardSize = 2
 	opt.QuarantineAfter = 2
 	opt.Log = io.Discard
-	opt.Trace = tr
+	opt.Monitor = mon
 	opt.Runners = []Runner{
 		&Chaos{Inner: InProcessRunner{ID: 0}, Seed: 7, Crash: 1.0},
 		slowEveryAttempt(&Chaos{Inner: InProcessRunner{ID: 1}, Seed: 11}, 5*time.Millisecond),
@@ -43,16 +43,16 @@ func tracedChaosOpts(tr *TraceRecorder) Options {
 	return opt
 }
 
-// Tracing must be purely observational: a traced chaotic sweep returns
-// the same bytes as the untraced local baseline, while the merged
-// timeline contains every lifecycle category — dispatch, run, per-job,
-// retry backoff, quarantine, and the final merge.
+// The timeline must be purely observational: a chaotic sweep returns the
+// same bytes as the local baseline, while its merged timeline contains
+// every lifecycle category — dispatch, run, per-job, retry backoff,
+// quarantine, and the final merge.
 func TestTraceDoesNotChangeResults(t *testing.T) {
 	jobs := testJobs(t, 12)
 	want := mustJSON(t, baseline(t, jobs))
 
-	tr := NewTraceRecorder()
-	got, err := Run(context.Background(), jobs, tracedChaosOpts(tr))
+	mon := NewMonitor()
+	got, err := Run(context.Background(), jobs, tracedChaosOpts(mon))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 		t.Fatal("traced sweep diverges from local baseline")
 	}
 
-	cats := tr.Categories()
+	cats := mon.Categories()
 	for _, want := range []string{"dispatch", "run", "job", "retry", "quarantine", "merge"} {
 		if cats[want] == 0 {
 			t.Errorf("merged timeline has no %q spans: %v", want, cats)
@@ -82,11 +82,11 @@ func TestTraceOverWireProtocol(t *testing.T) {
 	jobs := testJobs(t, 8)
 	want := mustJSON(t, baseline(t, jobs))
 
-	tr := NewTraceRecorder()
+	mon := NewMonitor()
 	opt := fastOpts()
 	opt.ShardSize = 2
 	opt.MaxShardAttempts = 1 // no speculation: exactly one attempt per shard
-	opt.Trace = tr
+	opt.Monitor = mon
 	opt.Runners = testSubprocessRunners(t, 2)
 	got, err := Run(context.Background(), jobs, opt)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestTraceOverWireProtocol(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, got), want) {
 		t.Fatal("traced subprocess sweep diverges from local baseline")
 	}
-	cats := tr.Categories()
+	cats := mon.Categories()
 	if cats["run"] != 4 {
 		t.Errorf("run spans = %d, want 4 (one per shard)", cats["run"])
 	}
@@ -109,21 +109,21 @@ func TestTraceOverWireProtocol(t *testing.T) {
 // slot plus the coordinator track.
 func TestTraceWriteChromeValidates(t *testing.T) {
 	jobs := testJobs(t, 12)
-	tr := NewTraceRecorder()
-	if _, err := Run(context.Background(), jobs, tracedChaosOpts(tr)); err != nil {
+	mon := NewMonitor()
+	if _, err := Run(context.Background(), jobs, tracedChaosOpts(mon)); err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := mon.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	n, err := obs.ValidateChrome(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("WriteChrome output invalid: %v", err)
 	}
-	if n < tr.Len() {
-		t.Fatalf("exported %d events for %d recorded", n, tr.Len())
+	if n < mon.Len() {
+		t.Fatalf("exported %d events for %d recorded", n, mon.Len())
 	}
 
 	var events []struct {
@@ -157,25 +157,5 @@ func TestTraceWriteChromeValidates(t *testing.T) {
 	}
 	if workerTracks < 2 {
 		t.Fatalf("want per-worker tracks for the fleet, got %v", tracks)
-	}
-}
-
-// An untraced sweep must carry no trace context: the wire request omits
-// the trace field entirely, which is what keeps old workers compatible
-// and the disabled path free.
-func TestUntracedRequestOmitsTrace(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, request{V: wireVersion, ID: 3, Jobs: nil}); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte("trace")) {
-		t.Fatalf("untraced request leaks a trace field: %s", buf.Bytes()[4:])
-	}
-	var req request
-	if err := readFrame(bytes.NewReader(buf.Bytes()), &req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Trace != nil {
-		t.Fatal("round-trip invented a trace context")
 	}
 }

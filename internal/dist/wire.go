@@ -2,10 +2,13 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
 
 	"rocc/internal/core"
 )
@@ -29,14 +32,14 @@ const wireVersion = 2
 const maxFrame = 64 << 20
 
 // request asks a worker to execute one shard: run every job, in order.
-// Trace, when present, asks the worker to record per-job spans; it is an
-// optional field, so tracing needs no version bump and an older worker
-// simply ignores it.
+// Trace labels the per-job spans the worker records and returns. A
+// request from an older coordinator may omit it and decodes to the zero
+// value, so the field needed no version bump.
 type request struct {
-	V     int        `json:"v"`
-	ID    int        `json:"id"` // shard index, echoed in the response
-	Jobs  []Job      `json:"jobs"`
-	Trace *wireTrace `json:"trace,omitempty"`
+	V     int       `json:"v"`
+	ID    int       `json:"id"` // shard index, echoed in the response
+	Jobs  []Job     `json:"jobs"`
+	Trace wireTrace `json:"trace"`
 }
 
 // wireTrace is the trace context forwarded with a shard request: enough
@@ -49,9 +52,8 @@ type wireTrace struct {
 }
 
 // response carries a shard's results (one per job, in job order) or the
-// error that stopped execution. Spans are the worker's trace spans when
-// the request asked for them — they ride alongside Results and never
-// influence them.
+// error that stopped execution. Spans are the worker's trace spans —
+// they ride alongside Results and never influence them.
 type response struct {
 	V       int           `json:"v"`
 	ID      int           `json:"id"`
@@ -93,11 +95,17 @@ func readFrame(r io.Reader, v any) error {
 	if n > maxFrame {
 		return fmt.Errorf("dist: frame of %d bytes exceeds %d-byte limit", n, maxFrame)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// The buffer grows with the bytes that arrive, not with the declared
+	// length, so a header that lies about its length costs only what
+	// actually arrives.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return fmt.Errorf("dist: read frame payload: %w", err)
 	}
-	if err := json.Unmarshal(buf, v); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
 		return fmt.Errorf("dist: decode frame: %w", err)
 	}
 	return nil
@@ -125,7 +133,7 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 		resp := response{V: wireVersion, ID: req.ID}
 		if req.V != wireVersion {
 			resp.Error = fmt.Sprintf("dist: protocol version %d, worker speaks %d", req.V, wireVersion)
-		} else if results, spans, err := executeShard(req.Jobs, req.Trace); err != nil {
+		} else if results, spans, err := executeShard(context.Background(), req.Jobs, req.Trace); err != nil {
 			resp.Error = err.Error()
 		} else {
 			resp.Results = results
@@ -140,25 +148,31 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 	}
 }
 
-// executeShard runs a shard's jobs in order, recording per-job and
-// whole-shard spans when tc asks for them. Span recording is strictly
-// observational — the result slice is the same executeAll would return.
-func executeShard(jobs []Job, tc *wireTrace) ([]core.Result, []Span, error) {
-	if tc == nil {
-		res, err := executeAll(jobs)
-		return res, nil, err
-	}
-	rec := newWorkerSpanRecorder()
+// executeShard runs a shard's jobs in order — for the wire-protocol
+// worker, the in-process worker and the local fallback alike — stopping
+// with ctx's error before any job once ctx is done. It records one span
+// per job and one for the whole shard, timed from the call and labeled
+// by tc; the spans only observe, so the results are the same whoever
+// runs the shard.
+func executeShard(ctx context.Context, jobs []Job, tc wireTrace) ([]core.Result, []Span, error) {
+	t0 := time.Now()
+	sinceUS := func() float64 { return float64(time.Since(t0)) / float64(time.Microsecond) }
 	out := make([]core.Result, 0, len(jobs))
+	spans := make([]Span, 0, len(jobs)+1)
 	for i, j := range jobs {
-		t0 := rec.sinceUS()
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		start := sinceUS()
 		r, err := Execute(j)
 		if err != nil {
 			return nil, nil, fmt.Errorf("job %d: %w", i, err)
 		}
-		rec.add(fmt.Sprintf("job %d", tc.Base+i), "job", t0, tc.Shard, tc.Attempt, tc.Base+i)
+		spans = append(spans, Span{Name: fmt.Sprintf("job %d", tc.Base+i), Cat: "job",
+			StartUS: start, DurUS: sinceUS() - start, Shard: tc.Shard, Attempt: tc.Attempt, Job: tc.Base + i})
 		out = append(out, r)
 	}
-	rec.add(fmt.Sprintf("run shard %d", tc.Shard), "run", 0, tc.Shard, tc.Attempt, -1)
-	return out, rec.spans, nil
+	spans = append(spans, Span{Name: fmt.Sprintf("run shard %d", tc.Shard), Cat: "run",
+		DurUS: sinceUS(), Shard: tc.Shard, Attempt: tc.Attempt, Job: -1})
+	return out, spans, nil
 }

@@ -20,7 +20,6 @@ import (
 	"rocc/internal/des"
 	"rocc/internal/dist"
 	"rocc/internal/forward"
-	"rocc/internal/obs"
 )
 
 // Options scales the experiments.
@@ -58,14 +57,11 @@ type Options struct {
 	// axis the paper pins (the tables and figures) ignore it, so their
 	// output stays byte-identical.
 	Policy *forward.StrategySpec
-	// SweepMetrics, Monitor, and Trace attach live telemetry to the
-	// distributed factorial runs (DistWorkers > 0): fault counters for a
-	// /metrics exposition, shard progress for /progress, and the merged
-	// per-worker shard timeline. All three are nil-safe and purely
-	// observational — results stay byte-identical with or without them.
-	SweepMetrics *obs.SweepMetrics
-	Monitor      *dist.Monitor
-	Trace        *dist.TraceRecorder
+	// Monitor, when set, observes the distributed factorial runs
+	// (DistWorkers > 0): fault counters for a /metrics exposition and
+	// shard progress for /progress. It only observes — results stay
+	// byte-identical with or without it.
+	Monitor *dist.Monitor
 }
 
 // Default returns the fast default scaling.

@@ -169,10 +169,6 @@ func runFactorial(rows []factorialRow, opt Options, overhead, latency core.Metri
 			LocalParallel: opt.Parallel,
 			Log:           os.Stderr,
 			Monitor:       opt.Monitor,
-			Trace:         opt.Trace,
-		}
-		if opt.SweepMetrics != nil {
-			dopt.Metrics = opt.SweepMetrics
 		}
 		flat, err = dist.Run(context.Background(), djobs, dopt)
 	} else {

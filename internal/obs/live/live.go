@@ -5,10 +5,10 @@
 //
 // The package has two halves:
 //
-//   - Exporter renders attached metric sources (obs.Metrics,
-//     obs.SweepMetrics, extra gauge callbacks) in the OpenMetrics text
-//     exposition format, with every metric family appearing exactly once
-//     in a stable sorted order. Reads are race-safe against a mutating
+//   - Exporter renders attached metric sources (obs.Metrics, a
+//     distributed sweep's counters, extra gauge callbacks) in the
+//     OpenMetrics text exposition format, with every metric family
+//     appearing exactly once in a stable sorted order. Reads are race-safe against a mutating
 //     run: counters and gauges load atomically, histograms and sampler
 //     series copy under their locks (see internal/obs and internal/stats).
 //   - Server is the embeddable monitoring HTTP server behind the -http
@@ -50,7 +50,7 @@ type gaugeSource struct {
 type Exporter struct {
 	mu     sync.Mutex
 	run    *obs.Metrics
-	sweep  *obs.SweepMetrics
+	sweep  []*obs.Counter
 	gauges []gaugeSource
 	hists  []histSource
 }
@@ -75,10 +75,11 @@ func (e *Exporter) SetRun(m *obs.Metrics) {
 	e.mu.Unlock()
 }
 
-// SetSweep attaches a distributed sweep's fault-handling counters.
-func (e *Exporter) SetSweep(m *obs.SweepMetrics) {
+// SetSweep attaches a distributed sweep's fault-handling counters
+// (dist.Monitor.Counters), exported as rocc_sweep_<name>_total.
+func (e *Exporter) SetSweep(counters []*obs.Counter) {
 	e.mu.Lock()
-	e.sweep = m
+	e.sweep = counters
 	e.mu.Unlock()
 }
 
@@ -147,11 +148,9 @@ func (e *Exporter) WriteOpenMetrics(w io.Writer) error {
 	for _, hs := range hists {
 		fams = append(fams, histogramFamily(hs.h, hs.help))
 	}
-	if sweep != nil {
-		for _, c := range sweep.Counters() {
-			fams = append(fams, counterFamily(MetricPrefix+"sweep_"+sanitizeName(c.Name),
-				"distributed sweep fault-handling counter "+c.Name, c.Value()))
-		}
+	for _, c := range sweep {
+		fams = append(fams, counterFamily(MetricPrefix+"sweep_"+sanitizeName(c.Name),
+			"distributed sweep fault-handling counter "+c.Name, c.Value()))
 	}
 	for _, g := range gauges {
 		fams = append(fams, family{

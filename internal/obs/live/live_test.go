@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"rocc/internal/dist"
 	"rocc/internal/obs"
 	"rocc/internal/obs/prov"
 	"rocc/internal/procs"
@@ -14,9 +15,9 @@ import (
 // The sweep-counter exposition is pinned byte for byte: every counter
 // exactly once, families sorted by name, counter samples carrying the
 // _total suffix, and the mandatory # EOF terminator. Renaming or
-// re-registering a SweepMetrics counter must show up here.
+// re-registering a dist.Monitor counter must show up here.
 func TestSweepExpositionGolden(t *testing.T) {
-	m := obs.NewSweepMetrics()
+	m := dist.NewMonitor()
 	m.Dispatched.Add(12)
 	m.Completed.Add(10)
 	m.Retries.Add(3)
@@ -29,7 +30,7 @@ func TestSweepExpositionGolden(t *testing.T) {
 	m.LocalShards.Add(2)
 
 	e := NewExporter()
-	e.SetSweep(m)
+	e.SetSweep(m.Counters())
 	var b strings.Builder
 	if err := e.WriteOpenMetrics(&b); err != nil {
 		t.Fatal(err)
@@ -156,9 +157,8 @@ func TestExpositionStageHistograms(t *testing.T) {
 // Name collisions keep the first registration: a callback gauge that
 // collides with an existing family must not produce a duplicate TYPE.
 func TestExpositionDeduplicatesFamilies(t *testing.T) {
-	m := obs.NewSweepMetrics()
 	e := NewExporter()
-	e.SetSweep(m)
+	e.SetSweep(dist.NewMonitor().Counters())
 	e.AddGauge("sweep_retries", "colliding name", func() float64 { return 99 })
 	e.AddGauge("sweep_retries", "registered twice", func() float64 { return 77 })
 
@@ -227,10 +227,10 @@ func TestFormatFloat(t *testing.T) {
 // data races (the -race referee for the whole export path).
 func TestScrapeWhileMutating(t *testing.T) {
 	m := obs.NewMetrics(procs.NewLatencyHistogram())
-	sm := obs.NewSweepMetrics()
+	sm := dist.NewMonitor()
 	e := NewExporter()
 	e.SetRun(m)
-	e.SetSweep(sm)
+	e.SetSweep(sm.Counters())
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

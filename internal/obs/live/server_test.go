@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"rocc/internal/obs"
+	"rocc/internal/dist"
 )
 
 // startTestServer binds an ephemeral port and registers cleanup.
@@ -38,10 +38,10 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	m := obs.NewSweepMetrics()
+	m := dist.NewMonitor()
 	m.Dispatched.Add(7)
 	exp := NewExporter()
-	exp.SetSweep(m)
+	exp.SetSweep(m.Counters())
 	s, base := startTestServer(t, exp)
 
 	if s.Addr() == "" || !strings.Contains(s.Addr(), ":") {
