@@ -78,7 +78,7 @@ func parseLevels(s string) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v < 0 || v > 100 {
+		if !(v >= 0 && v <= 100) { // also rejects NaN
 			return nil, fmt.Errorf("loss %v%% out of [0,100]", v)
 		}
 		out = append(out, v/100)

@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rocc/internal/des"
 	"rocc/internal/faults"
@@ -304,6 +305,24 @@ func DefaultConfig() Config {
 // Validate checks the configuration and applies defaults for zero-valued
 // optional fields, returning the normalized configuration.
 func (c Config) Validate() (Config, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SamplingPeriod", c.SamplingPeriod}, {"Quantum", c.Quantum},
+		{"Duration", c.Duration}, {"Warmup", c.Warmup},
+		{"BarrierPeriod", c.BarrierPeriod}, {"FlushTimeout", c.FlushTimeout},
+		{"PhasePeriod", c.PhasePeriod},
+		{"Detailed.IOProb", c.Detailed.IOProb}, {"Detailed.SpawnPeriod", c.Detailed.SpawnPeriod},
+		{"MainThreads.ConsultantPeriod", c.MainThreads.ConsultantPeriod},
+		{"MainThreads.UIPeriod", c.MainThreads.UIPeriod},
+	} {
+		// NaN slips through every ordered comparison below, and an
+		// infinite Duration would never end.
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return c, fmt.Errorf("core: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if c.Nodes < 1 {
 		return c, errors.New("core: Nodes must be >= 1")
 	}
@@ -331,7 +350,9 @@ func (c Config) Validate() (Config, error) {
 	if c.Overflow < resources.Block || c.Overflow > resources.DropOldest {
 		return c, errors.New("core: unknown pipe overflow policy")
 	}
-	if c.Faults.Active() {
+	if c.Faults != nil {
+		// Validated even when inactive: a NaN rate reads as "off" to
+		// Active, and must be an error, not a silently fault-free run.
 		plan, err := c.Faults.Validate()
 		if err != nil {
 			return c, err

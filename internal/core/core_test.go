@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"rocc/internal/faults"
 	"rocc/internal/forward"
+	"rocc/internal/rng"
 )
 
 // shortCfg returns a small, fast scenario for unit tests: 4 nodes, 10 s.
@@ -39,6 +41,41 @@ func TestValidateDefaults(t *testing.T) {
 	}
 	if v.Strategy != forward.NewCF() {
 		t.Fatalf("nil Strategy validated to %v, want cf", v.Strategy)
+	}
+}
+
+// NaN passes every ordered comparison, so before the finiteness check a
+// NaN sampling period ran without sampling, a NaN fault rate ran fault-free
+// and a NaN MTBF panicked inside the simulator. An infinite Duration would
+// never end; it is checked here through Validate only.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"SamplingPeriod NaN", func(c *Config) { c.SamplingPeriod = nan }},
+		{"SamplingPeriod +Inf", func(c *Config) { c.SamplingPeriod = inf }},
+		{"Duration NaN", func(c *Config) { c.Duration = nan }},
+		{"Duration +Inf", func(c *Config) { c.Duration = inf }},
+		{"Warmup NaN", func(c *Config) { c.Warmup = nan }},
+		{"Quantum NaN", func(c *Config) { c.Quantum = nan }},
+		{"BarrierPeriod +Inf", func(c *Config) { c.BarrierPeriod = inf }},
+		{"FlushTimeout NaN", func(c *Config) { c.FlushTimeout = nan }},
+		{"PhasePeriod NaN", func(c *Config) { c.PhasePeriod = nan }},
+		{"Detailed.IOProb NaN", func(c *Config) { c.Detailed.IOProb = nan }},
+		{"Detailed.SpawnPeriod -Inf", func(c *Config) { c.Detailed.SpawnPeriod = math.Inf(-1) }},
+		{"MainThreads.ConsultantPeriod NaN", func(c *Config) { c.MainThreads.ConsultantPeriod = nan }},
+		{"MainThreads.UIPeriod +Inf", func(c *Config) { c.MainThreads.UIPeriod = inf }},
+		{"Faults.CrashMTBF NaN", func(c *Config) { c.Faults = &faults.Plan{Loss: 0.05, CrashMTBF: nan} }},
+		{"inactive Faults.Loss NaN", func(c *Config) { c.Faults = &faults.Plan{Loss: nan} }},
+	}
+	for _, tc := range cases {
+		cfg := shortCfg()
+		tc.set(&cfg)
+		if _, err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
 	}
 }
 
@@ -447,5 +484,47 @@ func TestNoBackgroundOption(t *testing.T) {
 	res := m.Run()
 	if len(m.Sources) != 0 || res.PvmCPUUtilPct != 0 || res.OtherCPUUtilPct != 0 {
 		t.Fatal("background load present despite Background=false")
+	}
+}
+
+// Every Workload field is a distribution some process samples, so
+// prepared must reach each one; and the model's Cfg must keep the plain
+// distributions, which scenario.SpecOf type-switches on.
+func TestPreparedDistsStayOutOfCfg(t *testing.T) {
+	var w Workload
+	v := reflect.ValueOf(&w).Elem()
+	ln := rng.Dist(rng.Lognormal{MeanVal: 1, SD: 1})
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).Set(reflect.ValueOf(&ln).Elem())
+	}
+	p := reflect.ValueOf(w.prepared())
+	for i := 0; i < p.NumField(); i++ {
+		if _, plain := p.Field(i).Interface().(rng.Lognormal); plain {
+			t.Errorf("Workload.prepared skips %s", p.Type().Field(i).Name)
+		}
+	}
+
+	cfg := shortCfg()
+	cfg.PhasePeriod = 1e6
+	cfg.PhaseWorkload = &Workload{AppCPU: rng.Lognormal{MeanVal: 100, SD: 50}, AppNet: rng.Exponential{MeanVal: 10}}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, plain := m.Cfg.Workload.AppCPU.(rng.Lognormal); !plain {
+		t.Fatalf("Cfg.Workload.AppCPU is %T, want rng.Lognormal", m.Cfg.Workload.AppCPU)
+	}
+	if _, plain := m.Cfg.PhaseWorkload.AppCPU.(rng.Lognormal); !plain {
+		t.Fatalf("Cfg.PhaseWorkload.AppCPU is %T, want rng.Lognormal", m.Cfg.PhaseWorkload.AppCPU)
+	}
+	if _, plain := m.Apps[0].CPUDist.(rng.Lognormal); plain {
+		t.Fatal("application processes sample an unprepared lognormal")
+	}
+	m.Run()
+	if m.PhaseFlips == 0 {
+		t.Fatal("no phase flip happened")
+	}
+	if _, plain := m.Apps[0].CPUDist.(rng.Lognormal); plain {
+		t.Fatal("a phase flip installed an unprepared lognormal")
 	}
 }

@@ -46,6 +46,8 @@ type Model struct {
 	master      *rng.Stream         // for mid-run spawns
 	spawnSeq    int
 
+	dists dists // what the processes sample, prepared once
+
 	// PhaseFlips counts workload phase transitions (PhasePeriod option).
 	PhaseFlips int
 	inAltPhase bool
@@ -81,7 +83,7 @@ func New(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	cal := des.NewCalendarFor(cfg.Calendar, des.WorkloadHints{PendingEvents: cfg.expectedPending()})
-	m := &Model{Cfg: cfg, Sim: des.NewWithCalendar(cal), Msgs: &forward.MessagePool{}}
+	m := &Model{Cfg: cfg, Sim: des.NewWithCalendar(cal), Msgs: &forward.MessagePool{}, dists: prepareDists(cfg)}
 	master := rng.New(cfg.Seed)
 	m.master = master
 
@@ -146,7 +148,7 @@ func (m *Model) wireFaults() error {
 			}
 			return m.nodeDaemons[parent][0].Accept(msg)
 		}
-		link := inj.NewLink(node, idx, m.Net, m.Cfg.Cost, m.Msgs, dst)
+		link := inj.NewLink(node, idx, m.Net, m.dists.cost, m.Msgs, dst)
 		d.Deliver = link.Send
 		inj.AttachDegrader(d, link)
 	}
@@ -169,7 +171,7 @@ func (m *Model) addMainThreads(master *rng.Stream) {
 			Sim: m.Sim, CPU: m.HostCPU, Net: m.Net,
 			R:               master.Derive(streamID(streamMain, 0, 1)),
 			Owner:           procs.OwnerMain,
-			CPUDist:         mt.ConsultantCPU,
+			CPUDist:         rng.Prepare(mt.ConsultantCPU),
 			CPUInterarrival: rng.Constant{Value: mt.ConsultantPeriod},
 		})
 	}
@@ -178,7 +180,7 @@ func (m *Model) addMainThreads(master *rng.Stream) {
 			Sim: m.Sim, CPU: m.HostCPU, Net: m.Net,
 			R:               master.Derive(streamID(streamMain, 0, 2)),
 			Owner:           procs.OwnerMain,
-			CPUDist:         mt.UICPU,
+			CPUDist:         rng.Prepare(mt.UICPU),
 			CPUInterarrival: rng.Constant{Value: mt.UIPeriod},
 		})
 	}
@@ -187,7 +189,7 @@ func (m *Model) addMainThreads(master *rng.Stream) {
 // buildPerNode assembles the NOW and MPP architectures: one CPU per node,
 // one (or more) daemons per node, AppProcs application processes per node.
 func (m *Model) buildPerNode(master *rng.Stream) {
-	cfg := m.Cfg
+	cfg, w := m.Cfg, m.dists.work
 	m.topo = forward.NewTopology(cfg.Forwarding, cfg.Nodes)
 
 	m.NodeCPUs = make([]*resources.CPU, cfg.Nodes)
@@ -202,7 +204,7 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 	m.Main = &procs.MainProcess{
 		Sim: m.Sim, CPU: m.HostCPU,
 		R:         master.Derive(streamID(streamMain, 0, 0)),
-		CPUDist:   cfg.Workload.MainCPU,
+		CPUDist:   w.MainCPU,
 		Msgs:      m.Msgs,
 		Latencies: procs.NewLatencyHistogram(),
 	}
@@ -221,7 +223,7 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 				Sim: m.Sim, CPU: m.NodeCPUs[node], Net: m.Net,
 				R:            master.Derive(streamID(streamPd, node, k)),
 				Strategy:     cfg.Strategy.Clone(),
-				Cost:         cfg.Cost,
+				Cost:         m.dists.cost,
 				Node:         node,
 				FlushTimeout: cfg.FlushTimeout,
 				Msgs:         m.Msgs,
@@ -241,8 +243,8 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 			app := &procs.AppProcess{
 				Sim: m.Sim, CPU: m.NodeCPUs[node], Net: m.Net, Pipe: pipe,
 				R:              master.Derive(streamID(streamApp, node, j)),
-				CPUDist:        cfg.Workload.AppCPU,
-				NetDist:        cfg.Workload.AppNet,
+				CPUDist:        w.AppCPU,
+				NetDist:        w.AppNet,
 				SamplingPeriod: cfg.SamplingPeriod,
 				Barrier:        m.Barrier,
 				BarrierPeriod:  cfg.BarrierPeriod,
@@ -277,7 +279,7 @@ func (m *Model) wireDelivery(d *procs.PdDaemon) {
 // pool shared by all application processes, the daemons, and the main
 // process; the interconnect is the shared bus.
 func (m *Model) buildSMP(master *rng.Stream) {
-	cfg := m.Cfg
+	cfg, w := m.Cfg, m.dists.work
 	m.topo = forward.DirectTopology{}
 
 	cpu := resources.NewCPU(m.Sim, cfg.Nodes, cfg.Quantum)
@@ -286,7 +288,7 @@ func (m *Model) buildSMP(master *rng.Stream) {
 	m.Main = &procs.MainProcess{
 		Sim: m.Sim, CPU: cpu,
 		R:         master.Derive(streamID(streamMain, 0, 0)),
-		CPUDist:   cfg.Workload.MainCPU,
+		CPUDist:   w.MainCPU,
 		Msgs:      m.Msgs,
 		Latencies: procs.NewLatencyHistogram(),
 	}
@@ -300,7 +302,7 @@ func (m *Model) buildSMP(master *rng.Stream) {
 			Sim: m.Sim, CPU: cpu, Net: m.Net,
 			R:            master.Derive(streamID(streamPd, 0, k)),
 			Strategy:     cfg.Strategy.Clone(),
-			Cost:         cfg.Cost,
+			Cost:         m.dists.cost,
 			Node:         0,
 			FlushTimeout: cfg.FlushTimeout,
 			Deliver:      func(msg *forward.Message) { m.Main.Receive(msg) },
@@ -315,8 +317,8 @@ func (m *Model) buildSMP(master *rng.Stream) {
 		app := &procs.AppProcess{
 			Sim: m.Sim, CPU: cpu, Net: m.Net, Pipe: pipe,
 			R:              master.Derive(streamID(streamApp, 0, j)),
-			CPUDist:        cfg.Workload.AppCPU,
-			NetDist:        cfg.Workload.AppNet,
+			CPUDist:        w.AppCPU,
+			NetDist:        w.AppNet,
 			SamplingPeriod: cfg.SamplingPeriod,
 			Barrier:        m.Barrier,
 			BarrierPeriod:  cfg.BarrierPeriod,
@@ -335,7 +337,7 @@ func (m *Model) applyDetailed(app *procs.AppProcess, d *procs.PdDaemon) {
 	app.EventTrace = cfg.EventTrace
 	if cfg.Detailed.IOProb > 0 {
 		app.IOProb = cfg.Detailed.IOProb
-		app.IOBlock = cfg.Detailed.IOBlock
+		app.IOBlock = m.dists.ioBlock
 	}
 	if cfg.Detailed.SpawnPeriod > 0 {
 		app.SpawnPeriod = cfg.Detailed.SpawnPeriod
@@ -379,26 +381,66 @@ func (m *Model) spawnChild(parent *procs.AppProcess, d *procs.PdDaemon) {
 // request streams of Table 2: one of each per node (one pair total for
 // SMP, which is a single machine).
 func (m *Model) addBackground(master *rng.Stream) {
-	cfg := m.Cfg
+	w := m.dists.work
 	for node, cpu := range m.NodeCPUs {
 		pvm := &procs.OpenSource{
 			Sim: m.Sim, CPU: cpu, Net: m.Net,
 			R:       master.Derive(streamID(streamPvm, node, 0)),
 			Owner:   procs.OwnerPvm,
-			CPUDist: cfg.Workload.PvmCPU, NetDist: cfg.Workload.PvmNet,
+			CPUDist: w.PvmCPU, NetDist: w.PvmNet,
 			Chained:         true,
-			CPUInterarrival: cfg.Workload.PvmInterarrival,
+			CPUInterarrival: w.PvmInterarrival,
 		}
 		other := &procs.OpenSource{
 			Sim: m.Sim, CPU: cpu, Net: m.Net,
 			R:       master.Derive(streamID(streamOther, node, 0)),
 			Owner:   procs.OwnerOther,
-			CPUDist: cfg.Workload.OtherCPU, NetDist: cfg.Workload.OtherNet,
-			CPUInterarrival: cfg.Workload.OtherCPUInterarrival,
-			NetInterarrival: cfg.Workload.OtherNetInterarrival,
+			CPUDist: w.OtherCPU, NetDist: w.OtherNet,
+			CPUInterarrival: w.OtherCPUInterarrival,
+			NetInterarrival: w.OtherNetInterarrival,
 		}
 		m.Sources = append(m.Sources, pvm, other)
 	}
+}
+
+// dists holds Cfg's sampled distributions that several processes share,
+// or that flipPhase installs mid-run, each prepared once (rng.Prepare) so
+// a lognormal draw skips re-deriving its normal parameters; addMainThreads
+// prepares its two single-use demands itself. Draws are bit-identical to
+// sampling Cfg's distributions directly. The prepared values never go
+// back into Cfg: scenario.SpecOf type-switches on the plain types.
+type dists struct {
+	work, phase Workload
+	cost        forward.CostModel
+	ioBlock     rng.Dist
+}
+
+func prepareDists(cfg Config) dists {
+	d := dists{
+		work:    cfg.Workload.prepared(),
+		cost:    cfg.Cost,
+		ioBlock: rng.Prepare(cfg.Detailed.IOBlock),
+	}
+	if cfg.PhaseWorkload != nil {
+		d.phase = cfg.PhaseWorkload.prepared()
+	}
+	for _, c := range []*rng.Dist{&d.cost.PerMsgCPU, &d.cost.PerMsgNet, &d.cost.Merge} {
+		*c = rng.Prepare(*c)
+	}
+	return d
+}
+
+// prepared returns w with every distribution passed through rng.Prepare.
+func (w Workload) prepared() Workload {
+	for _, d := range []*rng.Dist{
+		&w.AppCPU, &w.AppNet,
+		&w.PvmCPU, &w.PvmNet, &w.PvmInterarrival,
+		&w.OtherCPU, &w.OtherNet, &w.OtherCPUInterarrival, &w.OtherNetInterarrival,
+		&w.MainCPU,
+	} {
+		*d = rng.Prepare(*d)
+	}
+	return w
 }
 
 // Start launches every process in the model.
@@ -422,9 +464,9 @@ func (m *Model) Start() {
 // burst.
 func (m *Model) flipPhase() {
 	m.inAltPhase = !m.inAltPhase
-	w := m.Cfg.Workload
+	w := m.dists.work
 	if m.inAltPhase {
-		w = *m.Cfg.PhaseWorkload
+		w = m.dists.phase
 	}
 	for _, a := range m.Apps {
 		a.CPUDist = w.AppCPU

@@ -15,18 +15,13 @@ package des
 // flag the Simulator checks at dispatch; canceled events flow through the
 // buckets like any other.
 //
-// Each bucket pops from a head offset instead of shifting its slice, so a
-// pop is O(1) however many events share the bucket. That matters for
-// synchronized sampling timers: k processes sampling on the same period
-// and phase put k same-time events into one bucket on every tick.
-//
-// Storage is recycled: a bucket's backing array survives pops (popped
-// slots are nil'd and the offset advances; a bucket that empties rewinds
-// to its start), so steady-state Push/Pop allocates nothing once bucket
-// capacity has warmed up — the same contract the Simulator's event free
-// list provides for Event structs. A resize keeps the previous bucket
-// array as a spare so grow/shrink oscillation does not thrash the
-// allocator.
+// Each bucket is a list linked through the events' own next fields in
+// (time, seq) order, so buckets own no storage and a Push that does not
+// resize allocates nothing. A pop unlinks the head in O(1) however many
+// events share the bucket; synchronized sampling timers put k same-time
+// events into one bucket per tick, each a tail append. A resize relinks
+// the events into the new array and keeps the old one as a spare, so
+// grow/shrink oscillation does not thrash the allocator.
 type BucketCalendar struct {
 	buckets []bucket
 	mask    int64   // len(buckets)-1; bucket count is a power of two
@@ -53,12 +48,10 @@ type BucketCalendar struct {
 	spare []bucket
 }
 
-// bucket holds one calendar slot's events in (time, seq) order. The queued
-// events are ev[head:]; the slots before head were popped and are nil.
-// An empty bucket always has head == len(ev) == 0.
+// bucket holds one calendar slot's events as a list linked through
+// Event.next in (time, seq) order; an empty bucket has head == tail == nil.
 type bucket struct {
-	ev   []*Event
-	head int
+	head, tail *Event
 }
 
 const (
@@ -119,26 +112,32 @@ func (c *BucketCalendar) Push(e *Event) {
 	}
 }
 
-// insert places e into its bucket keeping (time, seq) order, scanning from
-// the tail down to the head: schedules are mostly time-increasing, so the
-// common case is a plain append. When the append would outgrow the backing
-// array and at least half of it is popped slots, the queued events move
-// down to the start first; each move is paid for by the pops that freed
-// the slots, so compaction stays amortized O(1).
+// insert links e into its bucket in (time, seq) order: after the tail
+// when nothing queued sorts after it (a same-time burst arrives in seq
+// order, so each of its events lands here), before the head when it sorts
+// before everything, and otherwise by a walk from the head.
 func (c *BucketCalendar) insert(e *Event) {
 	b := &c.buckets[e.bslot&c.mask]
-	if len(b.ev) == cap(b.ev) && b.head > 0 && 2*b.head >= len(b.ev) {
-		n := copy(b.ev, b.ev[b.head:])
-		clear(b.ev[n:])
-		b.ev, b.head = b.ev[:n], 0
+	switch {
+	case b.head == nil:
+		e.next = nil
+		b.head, b.tail = e, e
+	case !eventAfter(b.tail, e):
+		e.next = nil
+		b.tail.next = e
+		b.tail = e
+	case eventAfter(b.head, e):
+		e.next = b.head
+		b.head = e
+	default:
+		// head < e < tail, so the walk stops before running off the end.
+		p := b.head
+		for !eventAfter(p.next, e) {
+			p = p.next
+		}
+		e.next = p.next
+		p.next = e
 	}
-	b.ev = append(b.ev, e)
-	i := len(b.ev) - 1
-	for i > b.head && eventAfter(b.ev[i-1], e) {
-		b.ev[i] = b.ev[i-1]
-		i--
-	}
-	b.ev[i] = e
 }
 
 // Peek implements Calendar: the next event without removing it.
@@ -168,18 +167,16 @@ func (c *BucketCalendar) locateMin() *Event {
 		return c.peeked
 	}
 	for i := 0; i < len(c.buckets); i++ {
-		b := &c.buckets[c.cur&c.mask]
-		if b.head < len(b.ev) && b.ev[b.head].bslot <= c.cur {
-			c.peeked = b.ev[b.head]
-			return c.peeked
+		if h := c.buckets[c.cur&c.mask].head; h != nil && h.bslot <= c.cur {
+			c.peeked = h
+			return h
 		}
 		c.cur++
 	}
 	var min *Event
 	for i := range c.buckets {
-		b := &c.buckets[i]
-		if b.head < len(b.ev) && (min == nil || eventAfter(min, b.ev[b.head])) {
-			min = b.ev[b.head]
+		if h := c.buckets[i].head; h != nil && (min == nil || eventAfter(min, h)) {
+			min = h
 		}
 	}
 	c.cur = min.bslot
@@ -187,17 +184,16 @@ func (c *BucketCalendar) locateMin() *Event {
 	return min
 }
 
-// removeHead detaches e, which locateMin guarantees is the head of its
-// bucket, by advancing the bucket's head offset. The vacated slot is nil'd
-// so bucket storage never pins recycled events; a bucket that empties
-// rewinds to the start of its backing array.
+// removeHead unlinks e, which locateMin guarantees is the head of its
+// bucket. The link is cleared so a recycled event never carries a stale
+// successor.
 func (c *BucketCalendar) removeHead(e *Event) {
 	b := &c.buckets[e.bslot&c.mask]
-	b.ev[b.head] = nil
-	b.head++
-	if b.head == len(b.ev) {
-		b.ev, b.head = b.ev[:0], 0
+	b.head = e.next
+	if b.head == nil {
+		b.tail = nil
 	}
+	e.next = nil
 	c.n--
 	c.peeked = nil
 	e.index = -1
@@ -223,7 +219,7 @@ func (c *BucketCalendar) resize(nb int) {
 	var head [widthSample]float64
 	hn := 0
 	for i := range old {
-		for _, e := range old[i].ev[old[i].head:] {
+		for e := old[i].head; e != nil; e = e.next {
 			if hn == len(head) && e.time >= head[hn-1] {
 				continue
 			}
@@ -264,13 +260,13 @@ func (c *BucketCalendar) resize(nb int) {
 	c.cur = int64(minT / c.width)
 
 	for i := range old {
-		b := &old[i]
-		for _, e := range b.ev[b.head:] {
+		for e := old[i].head; e != nil; {
+			next := e.next
 			e.bslot = int64(e.time / c.width)
 			c.insert(e)
+			e = next
 		}
-		clear(b.ev)
-		b.ev, b.head = b.ev[:0], 0
 	}
+	clear(old)
 	c.spare = old
 }

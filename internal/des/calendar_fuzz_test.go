@@ -19,8 +19,8 @@ import (
 //     also fall below earlier pushes, stressing the bucket scan pull-back)
 //   - b%8 == 3    → Burst: push 32 + arg/8%32 events at one instant on the
 //     same grid, as synchronized sampling timers do; interleaved with pop
-//     runs this fills a bucket, advances its head offset and drives the
-//     compaction on the next append past its capacity
+//     runs this grows one bucket's list by tail appends and unlinks it
+//     from the head, and crosses the resize threshold
 //   - b%8 == 4..5 → Pop from both, compare
 //   - b%8 == 6    → Pop run: arg%64 pops, compared one by one
 //   - b%8 == 7    → Cancel a pending event picked by the second byte
@@ -32,6 +32,30 @@ func FuzzCalendarDifferential(f *testing.F) {
 	// 63 events at t=0, 40 pops, a 32-event burst into the same bucket
 	// (compacting it), then a burst at a later instant and a drain.
 	f.Add([]byte{3, 248, 6, 40, 3, 0, 6, 10, 3, 3, 7, 5, 6, 63})
+	// One seed per insert branch. Until the first resize every grid time
+	// lands in bucket 0, so these exercise one bucket's list directly:
+	// push into an empty bucket, then pop it;
+	f.Add([]byte{0, 4, 4, 0})
+	// tail appends, including equal times that append in seq order;
+	f.Add([]byte{0, 1, 0, 2, 0, 2, 0, 2, 0, 3, 6, 8})
+	// new heads, including an equal-time event behind the head;
+	f.Add([]byte{0, 9, 0, 5, 0, 1, 0, 1, 6, 8})
+	// walks from the head into the middle, with equal-time runs inside
+	// the bucket (5, 5 between 1 and 9, then 3 and 7 among them).
+	f.Add([]byte{0, 1, 0, 9, 0, 5, 0, 5, 0, 3, 0, 7, 0, 5, 6, 8})
+	// The same branches after a resize has spread events over many
+	// buckets: 40 shuffled pushes, a partial drain, then more out-of-order
+	// pushes and a cancel before the final drain.
+	spread := make([]byte, 0, 128)
+	for i := 0; i < 40; i++ {
+		spread = append(spread, 0, byte(i*13%32))
+	}
+	spread = append(spread, 6, 20)
+	for i := 0; i < 12; i++ {
+		spread = append(spread, 1, byte(31-i*5%32))
+	}
+	spread = append(spread, 7, 3, 6, 63)
+	f.Add(spread)
 	seed := make([]byte, 0, 120)
 	r := rng.New(4242)
 	for i := 0; i < 60; i++ {

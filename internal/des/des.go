@@ -32,8 +32,9 @@ type Event struct {
 	fn       func()
 	canceled bool
 	fired    bool
-	index    int   // heap index; -1 when not queued
-	bslot    int64 // virtual bucket index while queued in a BucketCalendar
+	index    int    // heap index; -1 when not queued
+	bslot    int64  // virtual bucket index while queued in a BucketCalendar
+	next     *Event // successor in its BucketCalendar bucket while queued
 }
 
 // Time returns the simulated time at which the event fires.

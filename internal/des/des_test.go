@@ -258,8 +258,8 @@ func BenchmarkBucketCalendar(b *testing.B) {
 }
 
 // The bucket calendar must uphold the same steady-state zero-alloc
-// guarantee as the heap: once bucket storage has warmed up, Push/Pop
-// recycle backing arrays instead of allocating.
+// guarantee as the heap: once resizes have settled, Push/Pop only relink
+// events, and the simulator recycles the events themselves.
 func TestBucketSteadyStateDoesNotAllocate(t *testing.T) {
 	s := NewWithCalendar(NewBucketCalendar())
 	r := rng.New(9)
@@ -268,7 +268,7 @@ func TestBucketSteadyStateDoesNotAllocate(t *testing.T) {
 		rec = func() { s.Schedule(r.Exp(100), rec) }
 		s.Schedule(r.Exp(100), rec)
 	}
-	// Warm up: let resizes settle and bucket capacity grow.
+	// Warm up: let resizes settle and the event free list fill.
 	for i := 0; i < 10000; i++ {
 		s.Step()
 	}
@@ -277,6 +277,55 @@ func TestBucketSteadyStateDoesNotAllocate(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state bucket Step allocated %.2f objects per event", allocs)
+	}
+}
+
+// Buckets own no storage, so a Push that does not resize allocates
+// nothing, even into a bucket no event has touched before. Each run
+// pushes into every bucket of a fresh calendar (the cold case), and into
+// some of them again through the append, new-head and mid-list branches,
+// stopping at the resize threshold (2 events per bucket on average).
+func TestBucketPushDoesNotAllocate(t *testing.T) {
+	const runs = 50
+	w := float64(initialBucketWidth)
+	var offsets [][]float64 // per bucket, in push order
+	for b := 0; b < minBucketCount; b++ {
+		switch {
+		case b < 4:
+			offsets = append(offsets, []float64{w / 2, w * 3 / 4, w / 4}) // cold, append, new head
+		case b < 8:
+			offsets = append(offsets, []float64{w / 4, w * 3 / 4, w / 2}) // cold, append, mid-list
+		default:
+			offsets = append(offsets, []float64{w / 2}) // cold
+		}
+	}
+	const pushes = 2 * minBucketCount
+	cals := make([]*BucketCalendar, runs+1)
+	evs := make([][]Event, runs+1)
+	for i := range cals {
+		cals[i] = NewBucketCalendar()
+		evs[i] = make([]Event, pushes)
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		c, ev := cals[k], evs[k]
+		k++
+		n := 0
+		for b, offs := range offsets {
+			for _, dt := range offs {
+				e := &ev[n]
+				*e = Event{time: float64(b)*w + dt, seq: uint64(n), index: -1}
+				c.Push(e)
+				n++
+			}
+		}
+		if n != pushes || c.Len() != pushes || len(c.buckets) != minBucketCount {
+			t.Fatalf("pushed %d, len %d, buckets %d: want %d events in %d buckets",
+				n, c.Len(), len(c.buckets), pushes, minBucketCount)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("Push allocated %.2f objects per run", allocs)
 	}
 }
 

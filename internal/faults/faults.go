@@ -22,6 +22,8 @@ package faults
 
 import (
 	"errors"
+	"fmt"
+	"math"
 
 	"rocc/internal/des"
 	"rocc/internal/procs"
@@ -97,8 +99,22 @@ func (p *Plan) Active() bool {
 // optional fields, returning the normalized plan.
 func (p Plan) Validate() (Plan, error) {
 	for _, prob := range []float64{p.Loss, p.Dup, p.DelayProb, p.AckLoss} {
-		if prob < 0 || prob > 1 {
+		if !(prob >= 0 && prob <= 1) { // also rejects NaN
 			return p, errors.New("faults: probabilities must be in [0,1]")
+		}
+	}
+	r := &p.Resilience
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"CrashMTBF", p.CrashMTBF}, {"SqueezeMTBF", p.SqueezeMTBF},
+		{"SqueezeCapFrac", p.SqueezeCapFrac},
+		{"RTO", r.RTO}, {"Backoff", r.Backoff}, {"AckDelay", r.AckDelay},
+		{"DegradePeriod", r.DegradePeriod}, {"PipeWatermark", r.PipeWatermark},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return p, fmt.Errorf("faults: %s must be finite, got %v", f.name, f.v)
 		}
 	}
 	if p.CrashMTBF < 0 || p.SqueezeMTBF < 0 {
@@ -118,7 +134,6 @@ func (p Plan) Validate() (Plan, error) {
 			p.SqueezeCapFrac = 0.25
 		}
 	}
-	r := &p.Resilience
 	if r.Retransmit {
 		if r.RTO <= 0 {
 			r.RTO = 20000

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -57,6 +58,34 @@ func TestValidateRejectsBadProbabilities(t *testing.T) {
 	}
 	if _, err := (Plan{CrashMTBF: -1}).Validate(); err == nil {
 		t.Fatal("negative MTBF must be rejected")
+	}
+}
+
+// NaN passes the ordered range checks, so a NaN rate used to validate (and
+// a NaN MTBF then panicked at its first scheduled crash).
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		plan Plan
+	}{
+		{"Loss NaN", Plan{Loss: nan}},
+		{"Dup NaN", Plan{Dup: nan}},
+		{"DelayProb NaN", Plan{DelayProb: nan}},
+		{"AckLoss +Inf", Plan{AckLoss: inf}},
+		{"CrashMTBF NaN", Plan{Loss: 0.1, CrashMTBF: nan}},
+		{"CrashMTBF +Inf", Plan{CrashMTBF: inf}},
+		{"SqueezeMTBF NaN", Plan{SqueezeMTBF: nan}},
+		{"SqueezeCapFrac NaN", Plan{SqueezeMTBF: 1e6, SqueezeCapFrac: nan}},
+		{"RTO NaN", Plan{Resilience: Resilience{Retransmit: true, RTO: nan}}},
+		{"Backoff +Inf", Plan{Resilience: Resilience{Retransmit: true, Backoff: inf}}},
+		{"AckDelay NaN", Plan{Resilience: Resilience{Retransmit: true, AckDelay: nan}}},
+		{"DegradePeriod NaN", Plan{Resilience: Resilience{Degrade: true, DegradePeriod: nan}}},
+		{"PipeWatermark NaN", Plan{Resilience: Resilience{Degrade: true, PipeWatermark: nan}}},
+	} {
+		if _, err := tc.plan.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
 	}
 }
 

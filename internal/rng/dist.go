@@ -52,6 +52,45 @@ func (l Lognormal) Mean() float64 { return l.MeanVal }
 
 func (l Lognormal) String() string { return format("lognormal", l.MeanVal, l.SD) }
 
+// Prepare returns a Dist that draws exactly what d draws, bit for bit and
+// from the same stream positions, with the per-distribution setup done
+// once here instead of on every Sample. A Lognormal gets its underlying
+// normal's (mu, sigma) computed up front — two logarithms and a square
+// root per draw otherwise — and a Mixture has each component prepared.
+// Every other Dist, and a Lognormal whose parameters LognormalParams
+// rejects, comes back unchanged, so an invalid distribution still panics
+// at its first draw. Mean and String are those of d.
+//
+// The result is for sampling only: code that type-switches on the
+// concrete Dist types (scenario.SpecOf) must keep seeing d.
+func Prepare(d Dist) Dist {
+	switch v := d.(type) {
+	case Lognormal:
+		if v.MeanVal <= 0 || v.SD < 0 {
+			return d
+		}
+		mu, sigma := LognormalParams(v.MeanVal, v.SD)
+		return preparedLognormal{Lognormal: v, mu: mu, sigma: sigma}
+	case Mixture:
+		comps := make([]Dist, len(v.Components))
+		for i, c := range v.Components {
+			comps[i] = Prepare(c)
+		}
+		return Mixture{Components: comps, Weights: v.Weights}
+	}
+	return d
+}
+
+// preparedLognormal is a Lognormal with its normal parameters cached; it
+// inherits Mean and String.
+type preparedLognormal struct {
+	Lognormal
+	mu, sigma float64
+}
+
+// Sample implements Dist.
+func (p preparedLognormal) Sample(r *Stream) float64 { return r.lognormal(p.mu, p.sigma) }
+
 // Weibull is a Weibull distribution with the given shape and scale.
 type Weibull struct{ Shape, Scale float64 }
 

@@ -174,6 +174,13 @@ func LognormalParams(mean, sd float64) (mu, sigma float64) {
 // "lognormal(a, b)" parameterization of Table 2 in the paper.
 func (r *Stream) Lognormal(mean, sd float64) float64 {
 	mu, sigma := LognormalParams(mean, sd)
+	return r.lognormal(mu, sigma)
+}
+
+// lognormal draws exp(N(mu, sigma)). It is the one variate routine behind
+// both Stream.Lognormal and a Prepare'd Lognormal, so the two give
+// bit-identical draws.
+func (r *Stream) lognormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 

@@ -348,3 +348,52 @@ func BenchmarkLognormalVariate(b *testing.B) {
 		_ = r.Lognormal(2213, 3034)
 	}
 }
+
+// Prepare must change only the cost of a draw: from the same seed, the
+// prepared and the plain distribution give bit-identical variates and
+// leave the stream in the same state, with the same Mean and String.
+func TestPrepareDrawsBitIdentical(t *testing.T) {
+	lnMix := Mixture{
+		Components: []Dist{Lognormal{MeanVal: 294, SD: 206}, Lognormal{MeanVal: 367, SD: 819}, Exponential{MeanVal: 58}},
+		Weights:    []float64{0.5, 0.3, 0.2},
+	}
+	for _, d := range []Dist{
+		Constant{Value: 3},
+		Exponential{MeanVal: 223},
+		Lognormal{MeanVal: 2213, SD: 3034},
+		Lognormal{MeanVal: 500, SD: 0},
+		Lognormal{MeanVal: 10, SD: 400}, // cv 40
+		Weibull{Shape: 0.7, Scale: 100},
+		UniformDist{Low: 2, High: 9},
+		Empirical{Values: []float64{1, 4, 9, 16}},
+		GammaDist{Shape: 0.6, Scale: 30},
+		lnMix,
+		Mixture{Components: []Dist{lnMix, Lognormal{MeanVal: 1, SD: 1}}, Weights: []float64{1, 1}},
+		Mixture{},
+	} {
+		p := Prepare(d)
+		a, b := New(11), New(11)
+		for i := 0; i < 20000; i++ {
+			x, y := d.Sample(a), p.Sample(b)
+			if math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("%v draw %d: prepared %v, plain %v", d, i, y, x)
+			}
+		}
+		if a.Uint64() != b.Uint64() || a.hasSpare != b.hasSpare || a.spare != b.spare {
+			t.Fatalf("%v: streams diverged", d)
+		}
+		if math.Float64bits(p.Mean()) != math.Float64bits(d.Mean()) || p.String() != d.String() {
+			t.Fatalf("%v: prepared Mean/String %v %q, plain %v %q", d, p.Mean(), p.String(), d.Mean(), d.String())
+		}
+	}
+	if _, ok := Prepare(Lognormal{MeanVal: 1, SD: 1}).(Lognormal); ok {
+		t.Fatal("a valid Lognormal came back unprepared")
+	}
+	// Invalid parameters stay as they are, so the panic stays at the
+	// first draw.
+	for _, d := range []Lognormal{{MeanVal: 0, SD: 1}, {MeanVal: -3, SD: 1}, {MeanVal: 5, SD: -1}} {
+		if p := Prepare(d); p != Dist(d) {
+			t.Fatalf("invalid %v prepared to %#v", d, p)
+		}
+	}
+}
