@@ -400,7 +400,77 @@ func (c Config) Validate() (Config, error) {
 	if c.MainThreads.UIPeriod > 0 && c.MainThreads.UICPU == nil {
 		c.MainThreads.UICPU = rng.Exponential{MeanVal: 2000}
 	}
+	dists := c.Workload.dists("Workload.")
+	if c.PhaseWorkload != nil {
+		dists = append(dists, c.PhaseWorkload.dists("PhaseWorkload.")...)
+	}
+	dists = append(dists,
+		namedDist{"Detailed.IOBlock", c.Detailed.IOBlock, false},
+		namedDist{"MainThreads.ConsultantCPU", c.MainThreads.ConsultantCPU, false},
+		namedDist{"MainThreads.UICPU", c.MainThreads.UICPU, false})
+	if c.Faults != nil {
+		dists = append(dists,
+			namedDist{"Faults.Delay", c.Faults.Delay, false},
+			namedDist{"Faults.CrashDowntime", c.Faults.CrashDowntime, false},
+			namedDist{"Faults.SqueezeDuration", c.Faults.SqueezeDuration, false})
+	}
+	for _, d := range dists {
+		if err := d.check(); err != nil {
+			return c, err
+		}
+	}
 	return c, nil
+}
+
+// namedDist is one distribution of a Config, named for error messages.
+// An interarrival must have a positive mean: at mean 0 its source would
+// schedule arrivals forever without advancing simulated time.
+type namedDist struct {
+	name         string
+	d            rng.Dist
+	interarrival bool
+}
+
+// dists lists w's distributions, each name prefixed.
+func (w Workload) dists(prefix string) []namedDist {
+	return []namedDist{
+		{prefix + "AppCPU", w.AppCPU, false}, {prefix + "AppNet", w.AppNet, false},
+		{prefix + "PvmCPU", w.PvmCPU, false}, {prefix + "PvmNet", w.PvmNet, false},
+		{prefix + "PvmInterarrival", w.PvmInterarrival, true},
+		{prefix + "OtherCPU", w.OtherCPU, false}, {prefix + "OtherNet", w.OtherNet, false},
+		{prefix + "OtherCPUInterarrival", w.OtherCPUInterarrival, true},
+		{prefix + "OtherNetInterarrival", w.OtherNetInterarrival, true},
+		{prefix + "MainCPU", w.MainCPU, false},
+	}
+}
+
+// check rejects a distribution whose samples the model cannot use: every
+// distribution is a demand or a time between arrivals, so its mean must be
+// finite and non-negative (positive for an interarrival), a lognormal's SD
+// finite and non-negative, and a uniform's range must not reach below 0.
+// A nil distribution is left to the caller's defaults.
+func (n namedDist) check() error {
+	if n.d == nil {
+		return nil
+	}
+	m := n.d.Mean()
+	switch {
+	case math.IsNaN(m) || math.IsInf(m, 0) || m < 0:
+		return fmt.Errorf("core: %s mean must be finite and >= 0, got %v", n.name, m)
+	case n.interarrival && m == 0:
+		return fmt.Errorf("core: %s mean must be > 0", n.name)
+	}
+	switch d := n.d.(type) {
+	case rng.Lognormal:
+		if math.IsNaN(d.SD) || math.IsInf(d.SD, 0) || d.SD < 0 {
+			return fmt.Errorf("core: %s SD must be finite and >= 0, got %v", n.name, d.SD)
+		}
+	case rng.UniformDist:
+		if d.Low < 0 {
+			return fmt.Errorf("core: %s uniform low must be >= 0, got %v", n.name, d.Low)
+		}
+	}
+	return nil
 }
 
 // expectedPending estimates the steady-state future-event-list population

@@ -79,6 +79,64 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// Distributions reach Validate through the Go API without passing the
+// scenario decoder's checks: a negative or non-finite mean or SD panicked
+// in the CPU, the network or the fault layer, and a zero-mean
+// interarrival never advanced simulated time.
+func TestValidateRejectsUnusableDistributions(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"AppCPU NaN mean", func(c *Config) { c.Workload.AppCPU = rng.Lognormal{MeanVal: nan, SD: 1} }},
+		{"AppCPU NaN SD", func(c *Config) { c.Workload.AppCPU = rng.Lognormal{MeanVal: 10, SD: nan} }},
+		{"AppCPU negative SD", func(c *Config) { c.Workload.AppCPU = rng.Lognormal{MeanVal: 10, SD: -1} }},
+		{"AppNet negative constant", func(c *Config) { c.Workload.AppNet = rng.Constant{Value: -5} }},
+		{"PvmNet negative uniform", func(c *Config) { c.Workload.PvmNet = rng.UniformDist{Low: -100, High: -1} }},
+		{"OtherCPU +Inf", func(c *Config) { c.Workload.OtherCPU = rng.Exponential{MeanVal: inf} }},
+		{"MainCPU negative", func(c *Config) { c.Workload.MainCPU = rng.Exponential{MeanVal: -1} }},
+		{"PvmInterarrival zero", func(c *Config) { c.Workload.PvmInterarrival = rng.Constant{Value: 0} }},
+		{"OtherCPUInterarrival zero", func(c *Config) { c.Workload.OtherCPUInterarrival = rng.Exponential{} }},
+		{"OtherNetInterarrival zero", func(c *Config) { c.Workload.OtherNetInterarrival = rng.Constant{} }},
+		{"PhaseWorkload negative", func(c *Config) {
+			w := DefaultWorkload()
+			w.AppCPU = rng.Constant{Value: -1}
+			c.PhasePeriod, c.PhaseWorkload = 1000, &w
+		}},
+		{"Detailed.IOBlock NaN", func(c *Config) {
+			c.Detailed.IOProb, c.Detailed.IOBlock = 0.1, rng.Exponential{MeanVal: nan}
+		}},
+		{"MainThreads.ConsultantCPU negative", func(c *Config) {
+			c.MainThreads.ConsultantPeriod = 1000
+			c.MainThreads.ConsultantCPU = rng.Lognormal{MeanVal: -3, SD: 1}
+		}},
+		{"MainThreads.UICPU +Inf SD", func(c *Config) {
+			c.MainThreads.UIPeriod = 1000
+			c.MainThreads.UICPU = rng.Lognormal{MeanVal: 3, SD: inf}
+		}},
+		{"Faults.Delay negative", func(c *Config) {
+			c.Faults = &faults.Plan{DelayProb: 0.1, Delay: rng.Constant{Value: -1}}
+		}},
+		{"Faults.CrashDowntime NaN", func(c *Config) {
+			c.Faults = &faults.Plan{CrashMTBF: 1e5, CrashDowntime: rng.Exponential{MeanVal: nan}}
+		}},
+		{"Faults.SqueezeDuration negative", func(c *Config) {
+			c.Faults = &faults.Plan{SqueezeMTBF: 1e5, SqueezeCapFrac: 0.5, SqueezeDuration: rng.UniformDist{Low: -5, High: 5}}
+		}},
+	}
+	for _, tc := range cases {
+		cfg := shortCfg()
+		tc.set(&cfg)
+		if _, err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+	}
+	if _, err := shortCfg().Validate(); err != nil {
+		t.Fatalf("default distributions rejected: %v", err)
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	cases := []Config{
 		{Nodes: 0, AppProcs: 1, Duration: 1},

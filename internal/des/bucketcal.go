@@ -1,10 +1,11 @@
 package des
 
+import "math/bits"
+
 // BucketCalendar is a calendar-queue future event list (Brown 1988, the
 // structure behind PARSIR-style O(1) schedulers): events hash into
 // time-ordered buckets of width `width`, and the dequeue scan walks the
-// buckets of the current "year" in order. Push and Pop are O(1) amortized —
-// the self-resizing policy keeps the average bucket near one pending event —
+// buckets of the current "year" in order. Push and Pop are O(1) amortized,
 // while the binary heap pays O(log n) per operation plus a cache-hostile
 // sift on every mutation.
 //
@@ -15,21 +16,50 @@ package des
 // flag the Simulator checks at dispatch; canceled events flow through the
 // buckets like any other.
 //
-// Each bucket is a list linked through the events' own next fields in
-// (time, seq) order, so buckets own no storage and a Push that does not
-// resize allocates nothing. A pop unlinks the head in O(1) however many
-// events share the bucket; synchronized sampling timers put k same-time
-// events into one bucket per tick, each a tail append. A resize relinks
-// the events into the new array and keeps the old one as a spare, so
-// grow/shrink oscillation does not thrash the allocator.
+// Buckets are kept sparse, so that nearly every Push lands in an empty
+// bucket or after its bucket's tail. The calendar holds between 4 and 16
+// buckets per pending event (grow above one event per 4 buckets, shrink
+// below one per 16), and each resize sets the width to 3/8 of the mean gap
+// between the earliest queued events. Brown's rule of three gaps per
+// bucket at one bucket per event fills the buckets near the head with
+// several events, out of time order whenever a synchronized sampling tick
+// releases a burst of follow-up events, and each of those inserts walks
+// the list. The narrow width keeps the year (bucket count × width) as
+// long as under Brown's rule, so far-future events wrap no more often.
+// Scanning the extra empty buckets costs nearly nothing: an occupancy
+// bitmap, one bit per bucket, lets the year scan jump from one non-empty
+// bucket to the next with a trailing-zero count.
+//
+// A width sampled at one resize can stop fitting a schedule whose
+// population holds steady, so the calendar also resizes in place, to
+// resample the width, when a year scan finds nothing and when the scan's
+// passes over later-year heads and the insert walks' steps add up to more
+// than the bucket count. Each such resize follows at least as much wasted
+// work as it costs.
+//
+// Each bucket is a list linked through the events' own next and prev
+// fields in (time, seq) order, with the head's prev pointing to the tail,
+// so buckets own no storage and a Push that does not resize allocates
+// nothing. A pop unlinks the head in O(1) however many events share the
+// bucket; synchronized sampling timers put k same-time events into one
+// bucket per tick, each a tail append or a one-step walk back from the
+// tail. A resize relinks the events into the new array and keeps the old
+// one as a spare, so grow/shrink oscillation does not thrash the
+// allocator.
+//
+// Memory: a bucket is one pointer (8 bytes on 64-bit hosts), so the
+// array costs 32–128 bytes per pending event, 64 right after a resize.
+// The spare array adds half or double that, and the bitmap 1/8 byte per
+// bucket.
 type BucketCalendar struct {
-	buckets []bucket
-	mask    int64   // len(buckets)-1; bucket count is a power of two
-	width   float64 // microseconds of simulated time per bucket
+	buckets []*Event // bucket heads; nil for an empty bucket
+	occ     []uint64 // occupancy bitmap: bit i is set while buckets[i] is non-empty
+	mask    int64    // len(buckets)-1; bucket count is a power of two
+	inv     float64  // 1/width in buckets per µs, so a time maps to its bucket with one multiply
 	n       int
 
 	// cur is the dequeue scan position as a *virtual* bucket index
-	// (floor(time/width), not reduced modulo the bucket count). Invariant:
+	// (floor(time·inv), not reduced modulo the bucket count). Invariant:
 	// cur <= bslot(e) for every queued event e, maintained by pulling cur
 	// back on Push. Using the integer virtual index for the qualification
 	// test (head.bslot <= cur) instead of a float bucket-top comparison
@@ -45,19 +75,28 @@ type BucketCalendar struct {
 
 	// spare retains the bucket array released by the last resize so the
 	// next resize to that size reuses it instead of reallocating.
-	spare []bucket
-}
+	spare []*Event
 
-// bucket holds one calendar slot's events as a list linked through
-// Event.next in (time, seq) order; an empty bucket has head == tail == nil.
-type bucket struct {
-	head, tail *Event
+	// misfit counts, since the last resize, the later-year heads the year
+	// scan passed and the steps insert walks took: the work a width that
+	// no longer fits the schedule costs. Once it exceeds the bucket count,
+	// Push recalibrates the width in place.
+	misfit int
 }
 
 const (
 	// minBucketCount is the smallest bucket array; small populations
 	// shouldn't pay year-scan overhead over more than a handful of slots.
 	minBucketCount = 16
+	// growShift and shrinkShift set the density band: the array doubles
+	// when n > len>>growShift and halves when n < len>>shrinkShift, so it
+	// holds 4 to 16 buckets per pending event, 8 right after a resize.
+	growShift   = 2
+	shrinkShift = 4
+	// widthFactor scales the mean head gap into the bucket width. At 8
+	// buckets per event, 3/8 of a gap keeps the year as long as Brown's
+	// 3 gaps at one bucket per event.
+	widthFactor = 0.375
 	// initialBucketWidth (µs) only matters until the first resize
 	// recalibrates from the observed event span; 256 µs suits the ROCC
 	// model's sub-millisecond burst scale.
@@ -75,9 +114,10 @@ const (
 // NewBucketCalendar returns an empty calendar queue.
 func NewBucketCalendar() *BucketCalendar {
 	return &BucketCalendar{
-		buckets: make([]bucket, minBucketCount),
+		buckets: make([]*Event, minBucketCount),
+		occ:     make([]uint64, 1),
 		mask:    minBucketCount - 1,
-		width:   initialBucketWidth,
+		inv:     1.0 / initialBucketWidth,
 	}
 }
 
@@ -94,7 +134,7 @@ func eventAfter(a, b *Event) bool {
 
 // Push implements Calendar.
 func (c *BucketCalendar) Push(e *Event) {
-	vb := int64(e.time / c.width)
+	vb := int64(e.time * c.inv)
 	e.bslot = vb
 	if c.n == 0 || vb < c.cur {
 		// Keep the scan invariant (cur <= every queued bslot). An empty
@@ -107,35 +147,49 @@ func (c *BucketCalendar) Push(e *Event) {
 	if c.peeked != nil && eventAfter(c.peeked, e) {
 		c.peeked = e
 	}
-	if c.n > 2*len(c.buckets) {
+	if c.n > len(c.buckets)>>growShift {
 		c.resize(2 * len(c.buckets))
+	} else if c.misfit > len(c.buckets) {
+		c.resize(len(c.buckets))
 	}
 }
 
-// insert links e into its bucket in (time, seq) order: after the tail
-// when nothing queued sorts after it (a same-time burst arrives in seq
-// order, so each of its events lands here), before the head when it sorts
-// before everything, and otherwise by a walk from the head.
+// insert links e into its bucket in (time, seq) order: into an empty
+// bucket, marking it occupied; after the tail when nothing queued sorts
+// after it (a same-time burst arrives in seq order, so each of its events
+// lands here); before the head when it sorts before everything; and
+// otherwise by a walk back from the tail. A pushed event has the largest
+// seq queued, so it goes behind every event of its own time, and the walk
+// passes only the events later than it: a same-time burst that lands in
+// a bucket already holding a later event costs O(1) per event, not
+// O(burst) as a walk from the head would.
 func (c *BucketCalendar) insert(e *Event) {
-	b := &c.buckets[e.bslot&c.mask]
+	i := e.bslot & c.mask
+	h := c.buckets[i]
 	switch {
-	case b.head == nil:
-		e.next = nil
-		b.head, b.tail = e, e
-	case !eventAfter(b.tail, e):
-		e.next = nil
-		b.tail.next = e
-		b.tail = e
-	case eventAfter(b.head, e):
-		e.next = b.head
-		b.head = e
+	case h == nil:
+		e.next, e.prev = nil, e
+		c.buckets[i] = e
+		c.occ[i>>6] |= 1 << (i & 63)
+	case !eventAfter(h.prev, e):
+		t := h.prev
+		e.next, e.prev = nil, t
+		t.next = e
+		h.prev = e
+	case eventAfter(h, e):
+		e.next, e.prev = h, h.prev
+		h.prev = e
+		c.buckets[i] = e
 	default:
-		// head < e < tail, so the walk stops before running off the end.
-		p := b.head
-		for !eventAfter(p.next, e) {
-			p = p.next
+		// head < e < tail, so the walk back from the tail stops before
+		// reaching the head.
+		p := h.prev.prev
+		for eventAfter(p, e) {
+			p = p.prev
+			c.misfit++
 		}
-		e.next = p.next
+		e.next, e.prev = p.next, p
+		p.next.prev = e
 		p.next = e
 	}
 }
@@ -153,12 +207,30 @@ func (c *BucketCalendar) Pop() *Event {
 	return e
 }
 
+// nextOccupied returns the index of the first non-empty bucket at or after
+// i, or len(buckets) when none lies between i and the end of the array.
+// Bits past the last bucket are never set, so an array shorter than one
+// word ends the search at its own end, not at the word's.
+func (c *BucketCalendar) nextOccupied(i int) int {
+	w := i >> 6
+	if word := c.occ[w] >> (i & 63); word != 0 {
+		return i + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(c.occ); w++ {
+		if word := c.occ[w]; word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return len(c.buckets)
+}
+
 // locateMin finds (and caches) the earliest queued event. The year scan
-// starts at cur and visits each bucket at most once; a bucket's head is its
-// minimum, and the head qualifies when its virtual index has been reached.
-// If a whole year turns up nothing the queue is sparse relative to the
-// bucket width, so one direct O(buckets) search finds the minimum and the
-// scan position jumps straight to it.
+// starts at cur and visits each bucket at most once, jumping over empty
+// ones through the occupancy bitmap; a bucket's head is its minimum, and
+// the head qualifies when its virtual index has been reached. If a whole
+// year turns up nothing, the queue has grown sparse relative to the bucket
+// width, so the calendar recalibrates the width in place: the resize puts
+// cur on the earliest event, where the next scan finds it at once.
 func (c *BucketCalendar) locateMin() *Event {
 	if c.n == 0 {
 		return nil
@@ -166,74 +238,99 @@ func (c *BucketCalendar) locateMin() *Event {
 	if c.peeked != nil {
 		return c.peeked
 	}
-	for i := 0; i < len(c.buckets); i++ {
-		if h := c.buckets[c.cur&c.mask].head; h != nil && h.bslot <= c.cur {
+	// Dense schedules find the minimum where the last one was.
+	if h := c.buckets[c.cur&c.mask]; h != nil && h.bslot <= c.cur {
+		c.peeked = h
+		return h
+	}
+	nb := len(c.buckets)
+	for left := nb; ; {
+		i := int(c.cur & c.mask)
+		j := c.nextOccupied(i)
+		skip := j - i
+		if skip >= left {
+			c.resize(nb)
+			left = nb
+			continue
+		}
+		c.cur += int64(skip)
+		left -= skip
+		if j == nb {
+			continue // wrapped around to bucket 0
+		}
+		if h := c.buckets[j]; h.bslot <= c.cur {
 			c.peeked = h
 			return h
 		}
+		c.misfit++
 		c.cur++
+		left--
 	}
-	var min *Event
-	for i := range c.buckets {
-		if h := c.buckets[i].head; h != nil && (min == nil || eventAfter(min, h)) {
-			min = h
-		}
-	}
-	c.cur = min.bslot
-	c.peeked = min
-	return min
 }
 
 // removeHead unlinks e, which locateMin guarantees is the head of its
-// bucket. The link is cleared so a recycled event never carries a stale
-// successor.
+// bucket, and marks the bucket empty if e was its last event; otherwise the
+// new head takes over the link to the tail. e's links are cleared so a
+// recycled event never carries stale ones.
 func (c *BucketCalendar) removeHead(e *Event) {
-	b := &c.buckets[e.bslot&c.mask]
-	b.head = e.next
-	if b.head == nil {
-		b.tail = nil
+	i := e.bslot & c.mask
+	if h := e.next; h != nil {
+		h.prev = e.prev
+		c.buckets[i] = h
+	} else {
+		c.buckets[i] = nil
+		c.occ[i>>6] &^= 1 << (i & 63)
 	}
-	e.next = nil
+	e.next, e.prev = nil, nil
 	c.n--
 	c.peeked = nil
 	e.index = -1
-	if len(c.buckets) > minBucketCount && c.n < len(c.buckets)/2 {
+	if len(c.buckets) > minBucketCount && c.n < len(c.buckets)>>shrinkShift {
 		c.resize(len(c.buckets) / 2)
 	}
 }
 
-// resize rebuilds the calendar with nb buckets (a power of two) and a
-// width recalibrated to three times the average inter-event gap among the
-// widthSample earliest queued events — Brown's rule of thumb, applied to
-// the head of the queue. Sampling head density rather than the global
-// span keeps the current year's buckets near one event each even when a
-// sparse far-future tail coexists with a dense near-term cluster (burst
-// and bimodal schedules); tail events just wrap modulo the bucket count
-// and fail the year-scan qualification test until their year arrives.
+// resize rebuilds the calendar with nb buckets (a power of two; the
+// current count when it only recalibrates) and a width recalibrated to
+// widthFactor times the average inter-event gap among the widthSample
+// earliest queued events: Brown's head-sampling rule with a narrower
+// factor. Sampling head density rather than the global span keeps the
+// current year's buckets sparse even when a sparse far-future tail
+// coexists with a dense near-term cluster (burst and bimodal schedules);
+// tail events just wrap modulo the bucket count and fail the year-scan
+// qualification test until their year arrives.
 func (c *BucketCalendar) resize(nb int) {
-	old := c.buckets
-
-	// head collects the widthSample smallest event times, sorted ascending
-	// (insertion into a fixed array; the common case rejects in one
-	// comparison against the current worst).
+	// Unlink every event into one chain, visiting the occupied buckets
+	// only and leaving the array empty. head collects the widthSample
+	// smallest event times on the way, sorted ascending (insertion into a
+	// fixed array; a bucket is sorted, so its first event too late to
+	// enter ends its scan).
+	var all *Event
 	var head [widthSample]float64
 	hn := 0
-	for i := range old {
-		for e := old[i].head; e != nil; e = e.next {
-			if hn == len(head) && e.time >= head[hn-1] {
-				continue
+	for w, word := range c.occ {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			h := c.buckets[j]
+			for e := h; e != nil; e = e.next {
+				if hn == len(head) && e.time >= head[hn-1] {
+					break
+				}
+				i := hn
+				if hn < len(head) {
+					hn++
+				} else {
+					i--
+				}
+				for i > 0 && head[i-1] > e.time {
+					head[i] = head[i-1]
+					i--
+				}
+				head[i] = e.time
 			}
-			i := hn
-			if hn < len(head) {
-				hn++
-			} else {
-				i--
-			}
-			for i > 0 && head[i-1] > e.time {
-				head[i] = head[i-1]
-				i--
-			}
-			head[i] = e.time
+			h.prev.next = all
+			all = h
+			c.buckets[j] = nil
 		}
 	}
 	minT := 0.0
@@ -242,31 +339,43 @@ func (c *BucketCalendar) resize(nb int) {
 	}
 	if hn > 1 {
 		if span := head[hn-1] - head[0]; span > 0 {
-			w := 3 * span / float64(hn-1)
+			w := widthFactor * span / float64(hn-1)
 			if w < minBucketWidth {
 				w = minBucketWidth
 			}
-			c.width = w
+			c.inv = 1 / w
 		}
 	}
 
-	if len(c.spare) == nb {
-		c.buckets, c.spare = c.spare, nil
+	// An emptied array is kept as the spare, so grow/shrink oscillation
+	// reuses it, and a recalibration keeps its own array.
+	if nb != len(c.buckets) {
+		old := c.buckets
+		if len(c.spare) == nb {
+			c.buckets = c.spare
+		} else {
+			c.buckets = make([]*Event, nb)
+		}
+		c.spare = old
+	}
+	// The bitmap's storage is reused whenever it is large enough:
+	// shrinking never allocates, and neither does growing back to a size
+	// the calendar has held before.
+	if words := (nb + 63) >> 6; cap(c.occ) >= words {
+		c.occ = c.occ[:words]
+		clear(c.occ)
 	} else {
-		c.buckets = make([]bucket, nb)
+		c.occ = make([]uint64, words)
 	}
 	c.mask = int64(nb - 1)
 	c.peeked = nil
-	c.cur = int64(minT / c.width)
+	c.cur = int64(minT * c.inv)
 
-	for i := range old {
-		for e := old[i].head; e != nil; {
-			next := e.next
-			e.bslot = int64(e.time / c.width)
-			c.insert(e)
-			e = next
-		}
+	for e := all; e != nil; {
+		next := e.next
+		e.bslot = int64(e.time * c.inv)
+		c.insert(e)
+		e = next
 	}
-	clear(old)
-	c.spare = old
+	c.misfit = 0
 }

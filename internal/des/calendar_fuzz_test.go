@@ -56,6 +56,56 @@ func FuzzCalendarDifferential(f *testing.F) {
 	}
 	spread = append(spread, 7, 3, 6, 63)
 	f.Add(spread)
+	// Occupancy-bitmap seeds. Pushes at grid 0..4 grow the calendar to 32
+	// buckets and set the width to 3/8 of their 7.5 µs gap (2.8125 µs, a
+	// grid step of 8/3 buckets), so later grid times spread over many
+	// buckets and years.
+	grid := func(ops []byte, from, to int) []byte {
+		for g := from; g <= to; g++ {
+			ops = append(ops, 0, byte(g))
+		}
+		return ops
+	}
+	// A skip that wraps the end of a 16-bucket array: four pops shrink
+	// the calendar to 16 buckets (a 45 µs year) around grid 4 in slot 10.
+	// Grid 5 lands in slot 13 before the wrap, grid 8 in slot 5 after it,
+	// and grid 13 in slot 2 a year later, so after the wrap the scan must
+	// pass grid 13 to reach grid 8.
+	f.Add(append(grid(nil, 0, 4), 6, 4, 0, 13, 0, 8, 0, 5, 6, 8))
+	// A year with no event: with grid 4 popped, grid 31 lies 72 buckets
+	// ahead of the scan, past the 16-bucket year, so the scan comes back
+	// empty and the calendar recalibrates its width around grid 31.
+	f.Add(append(grid(nil, 0, 4), 6, 4, 0, 31, 6, 2))
+	// The same at 32 buckets (a 90 µs year): grid 11 in slot 29 before
+	// the wrap, grid 14 in slot 5 after it, and grid 24 and 25 a year
+	// later in slots 0 and 2.
+	f.Add(append(grid(nil, 0, 4), 6, 2, 0, 11, 0, 24, 0, 25, 0, 14, 6, 8))
+	// Scans across the bitmap's words: grid 0..8 keep the width while the
+	// calendar grows to 64 buckets, and grid 22..28 fill it to 16 events,
+	// the last four a year later, so the drain wraps the one-word array.
+	// With grid 0..16 and 24..31 the calendar holds 25 events in 128
+	// buckets, and the drain crosses from word 0 to word 1.
+	f.Add(append(grid(grid(nil, 0, 8), 22, 28), 6, 63))
+	f.Add(append(grid(grid(nil, 0, 16), 24, 31), 6, 63))
+	// Grow/shrink oscillation across the thresholds: 16 buckets grow to
+	// 32 at the fifth event and shrink back when pops leave one, four
+	// times; then 16 events grow the calendar to 128 buckets and 16 pops
+	// shrink it back to 16, twice.
+	osc := grid(nil, 0, 0)
+	for k := 0; k < 4; k++ {
+		osc = append(grid(osc, 2*k+1, 2*k+4), 6, 4)
+	}
+	for k := 0; k < 2; k++ {
+		osc = append(grid(osc, 10, 25), 6, 16)
+	}
+	f.Add(append(osc, 6, 63))
+	// Later-year events sharing a bucket with current-year events, at 32
+	// buckets: after three pops, grid 15 joins grid 3 in slot 8 and grid
+	// 16 joins grid 4 in slot 10, a year later; two more events at grid
+	// 3's time then go between grid 3 and grid 15, by a walk back from
+	// the tail. Once the grid 3 run pops, slot 8's head is a year ahead
+	// and the scan must pass it.
+	f.Add(append(grid(nil, 0, 4), 6, 3, 0, 16, 0, 15, 0, 3, 0, 3, 4, 0, 6, 8))
 	seed := make([]byte, 0, 120)
 	r := rng.New(4242)
 	for i := 0; i < 60; i++ {

@@ -35,6 +35,7 @@ type Event struct {
 	index    int    // heap index; -1 when not queued
 	bslot    int64  // virtual bucket index while queued in a BucketCalendar
 	next     *Event // successor in its BucketCalendar bucket while queued
+	prev     *Event // predecessor in its bucket, or for the bucket's head its tail
 }
 
 // Time returns the simulated time at which the event fires.

@@ -281,25 +281,20 @@ func TestBucketSteadyStateDoesNotAllocate(t *testing.T) {
 }
 
 // Buckets own no storage, so a Push that does not resize allocates
-// nothing, even into a bucket no event has touched before. Each run
-// pushes into every bucket of a fresh calendar (the cold case), and into
-// some of them again through the append, new-head and mid-list branches,
-// stopping at the resize threshold (2 events per bucket on average).
+// nothing, even into a bucket no event has touched before. A fresh
+// calendar takes minBucketCount>>growShift pushes (one event per four
+// buckets) before it grows, so each run makes exactly that many, into one
+// bucket through the four insert branches: cold, append, new head and
+// mid-list. Each run uses the next bucket of its fresh calendar, so the
+// runs touch every bucket cold.
 func TestBucketPushDoesNotAllocate(t *testing.T) {
 	const runs = 50
 	w := float64(initialBucketWidth)
-	var offsets [][]float64 // per bucket, in push order
-	for b := 0; b < minBucketCount; b++ {
-		switch {
-		case b < 4:
-			offsets = append(offsets, []float64{w / 2, w * 3 / 4, w / 4}) // cold, append, new head
-		case b < 8:
-			offsets = append(offsets, []float64{w / 4, w * 3 / 4, w / 2}) // cold, append, mid-list
-		default:
-			offsets = append(offsets, []float64{w / 2}) // cold
-		}
+	offsets := []float64{w / 2, w * 3 / 4, w / 4, w * 5 / 8} // cold, append, new head, mid-list
+	const pushes = minBucketCount >> growShift
+	if len(offsets) != pushes {
+		t.Fatalf("%d offsets for %d pushes before the first resize", len(offsets), pushes)
 	}
-	const pushes = 2 * minBucketCount
 	cals := make([]*BucketCalendar, runs+1)
 	evs := make([][]Event, runs+1)
 	for i := range cals {
@@ -309,23 +304,49 @@ func TestBucketPushDoesNotAllocate(t *testing.T) {
 	k := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		c, ev := cals[k], evs[k]
+		b := k % minBucketCount
 		k++
-		n := 0
-		for b, offs := range offsets {
-			for _, dt := range offs {
-				e := &ev[n]
-				*e = Event{time: float64(b)*w + dt, seq: uint64(n), index: -1}
-				c.Push(e)
-				n++
-			}
+		for n, dt := range offsets {
+			e := &ev[n]
+			*e = Event{time: float64(b)*w + dt, seq: uint64(n), index: -1}
+			c.Push(e)
 		}
-		if n != pushes || c.Len() != pushes || len(c.buckets) != minBucketCount {
-			t.Fatalf("pushed %d, len %d, buckets %d: want %d events in %d buckets",
-				n, c.Len(), len(c.buckets), pushes, minBucketCount)
+		if c.Len() != pushes || len(c.buckets) != minBucketCount {
+			t.Fatalf("len %d, buckets %d: want %d events in %d buckets",
+				c.Len(), len(c.buckets), pushes, minBucketCount)
+		}
+		n := 0
+		for e := c.buckets[b]; e != nil; e = e.next {
+			n++
+		}
+		if n != pushes {
+			t.Fatalf("bucket %d holds %d of the %d events", b, n, pushes)
 		}
 	})
 	if allocs > 0 {
 		t.Fatalf("Push allocated %.2f objects per run", allocs)
+	}
+}
+
+// nextOccupied ends its search at the end of the bucket array. Arrays of
+// 16 and 32 buckets are shorter than one bitmap word, and a search that
+// ran on to the word's end would skip the wrap and end the year scan
+// early. In larger arrays the search crosses from one word into the next.
+func TestNextOccupiedStopsAtArrayEnd(t *testing.T) {
+	for _, nb := range []int{16, 32, 64, 128} {
+		c := NewBucketCalendar()
+		c.buckets = make([]*Event, nb)
+		c.occ = make([]uint64, (nb+63)/64)
+		c.mask = int64(nb - 1)
+		for _, b := range []int{2, nb / 2} {
+			c.occ[b>>6] |= 1 << (b & 63)
+		}
+		want := map[int]int{0: 2, 2: 2, 3: nb / 2, nb/2 + 1: nb, nb - 1: nb}
+		for i, w := range want {
+			if got := c.nextOccupied(i); got != w {
+				t.Errorf("%d buckets: nextOccupied(%d) = %d, want %d", nb, i, got, w)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package resources
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +117,28 @@ func TestCPUOwnersAndQueue(t *testing.T) {
 	}
 	if cpu.Utilization("a", 0) != 0 {
 		t.Fatal("zero elapsed should give zero utilization")
+	}
+}
+
+// The tally's identity fast path must not split an owner: a label with
+// the same contents but different storage, as a decoder or strings.Clone
+// makes, lands in the slot of the constant it equals.
+func TestTallyOwnerIdentityAndContents(t *testing.T) {
+	var ta tally
+	ta.add("app", 1)
+	ta.add(strings.Clone("app"), 2)
+	ta.add("pd", 4)
+	if got := ta.get(strings.Clone("app")); got != 3 {
+		t.Fatalf("app total %v, want 3", got)
+	}
+	if got := ta.get("pd"); got != 4 {
+		t.Fatalf("pd total %v, want 4", got)
+	}
+	if got := ta.get("pvmd"); got != 0 {
+		t.Fatalf("unknown owner total %v, want 0", got)
+	}
+	if len(ta.owners()) != 2 {
+		t.Fatalf("owners %v", ta.owners())
 	}
 }
 

@@ -1,22 +1,40 @@
 package resources
 
+import "unsafe"
+
 // tally accumulates per-owner occupancy time. The owner set is a handful
 // of fixed class labels (app, pd, pvmd, other, paradyn), so a linear scan
-// over parallel slices beats a map on the per-slice accounting hot path:
-// the string compares fail fast on length (the class labels all differ in
-// length) and the structure allocates nothing after the first few adds.
+// over parallel slices beats a map on the per-slice accounting hot path,
+// and the structure allocates nothing after the first few adds. The labels
+// are package constants, so a caller almost always passes the very string
+// the tally stored: find compares string identity (data pointer and
+// length) first and falls back to comparing contents.
 type tally struct {
 	names  []string
 	vals   []float64
 	counts []int // completed-request counts (used by Network, idle for CPU)
 }
 
-// idx returns owner's slot, adding one if needed.
-func (t *tally) idx(owner string) int {
+// find returns owner's slot, or -1 if owner has none.
+func (t *tally) find(owner string) int {
+	p := unsafe.StringData(owner)
+	for i, n := range t.names {
+		if unsafe.StringData(n) == p && len(n) == len(owner) {
+			return i
+		}
+	}
 	for i, n := range t.names {
 		if n == owner {
 			return i
 		}
+	}
+	return -1
+}
+
+// idx returns owner's slot, adding one if needed.
+func (t *tally) idx(owner string) int {
+	if i := t.find(owner); i >= 0 {
+		return i
 	}
 	t.names = append(t.names, owner)
 	t.vals = append(t.vals, 0)
@@ -29,19 +47,15 @@ func (t *tally) add(owner string, v float64) {
 }
 
 func (t *tally) get(owner string) float64 {
-	for i, n := range t.names {
-		if n == owner {
-			return t.vals[i]
-		}
+	if i := t.find(owner); i >= 0 {
+		return t.vals[i]
 	}
 	return 0
 }
 
 func (t *tally) count(owner string) int {
-	for i, n := range t.names {
-		if n == owner {
-			return t.counts[i]
-		}
+	if i := t.find(owner); i >= 0 {
+		return t.counts[i]
 	}
 	return 0
 }

@@ -52,11 +52,14 @@ func (d DistSpec) Dist() (rng.Dist, error) {
 		}
 		return rng.GammaDist{Shape: d.Shape, Scale: d.Scale}, nil
 	case "uniform":
-		if d.High <= d.Low {
-			return nil, fmt.Errorf("scenario: uniform needs high > low")
+		if d.Low < 0 || d.High <= d.Low {
+			return nil, fmt.Errorf("scenario: uniform needs 0 <= low < high")
 		}
 		return rng.UniformDist{Low: d.Low, High: d.High}, nil
 	case "constant":
+		if d.Value < 0 {
+			return nil, fmt.Errorf("scenario: constant needs value >= 0")
+		}
 		return rng.Constant{Value: d.Value}, nil
 	case "":
 		return nil, nil // absent: caller applies its default
@@ -185,27 +188,36 @@ func (s Spec) Config() (core.Config, error) {
 	return cfg.Validate()
 }
 
+// applyWorkload sets each distribution the spec gives. An interarrival
+// needs a positive mean: at 0, a constant one would schedule arrivals
+// forever without advancing simulated time.
 func applyWorkload(w *core.Workload, s WorkloadSpec) error {
 	fields := []struct {
-		dst  *rng.Dist
-		spec DistSpec
+		name         string
+		dst          *rng.Dist
+		spec         DistSpec
+		interarrival bool
 	}{
-		{&w.AppCPU, s.AppCPU}, {&w.AppNet, s.AppNet},
-		{&w.PvmCPU, s.PvmCPU}, {&w.PvmNet, s.PvmNet},
-		{&w.PvmInterarrival, s.PvmInterarrival},
-		{&w.OtherCPU, s.OtherCPU}, {&w.OtherNet, s.OtherNet},
-		{&w.OtherCPUInterarrival, s.OtherCPUInterarrival},
-		{&w.OtherNetInterarrival, s.OtherNetInterarrival},
-		{&w.MainCPU, s.MainCPU},
+		{"app_cpu", &w.AppCPU, s.AppCPU, false}, {"app_net", &w.AppNet, s.AppNet, false},
+		{"pvm_cpu", &w.PvmCPU, s.PvmCPU, false}, {"pvm_net", &w.PvmNet, s.PvmNet, false},
+		{"pvm_interarrival", &w.PvmInterarrival, s.PvmInterarrival, true},
+		{"other_cpu", &w.OtherCPU, s.OtherCPU, false}, {"other_net", &w.OtherNet, s.OtherNet, false},
+		{"other_cpu_interarrival", &w.OtherCPUInterarrival, s.OtherCPUInterarrival, true},
+		{"other_net_interarrival", &w.OtherNetInterarrival, s.OtherNetInterarrival, true},
+		{"main_cpu", &w.MainCPU, s.MainCPU, false},
 	}
 	for _, f := range fields {
 		d, err := f.spec.Dist()
 		if err != nil {
-			return err
+			return fmt.Errorf("%w (workload.%s)", err, f.name)
 		}
-		if d != nil {
-			*f.dst = d
+		if d == nil {
+			continue
 		}
+		if f.interarrival && !(d.Mean() > 0) {
+			return fmt.Errorf("scenario: workload.%s needs mean > 0", f.name)
+		}
+		*f.dst = d
 	}
 	return nil
 }

@@ -134,6 +134,40 @@ func TestSpecErrors(t *testing.T) {
 	}
 }
 
+// A negative demand reached the CPU or the network and panicked there, and
+// a zero interarrival ran without advancing simulated time until memory
+// ran out. Each must be a scenario error.
+func TestSpecRejectsUnusableDistributions(t *testing.T) {
+	cases := []struct{ name, workload string }{
+		{"negative constant demand", `{"app_cpu":{"type":"constant","value":-5}}`},
+		{"negative uniform demand", `{"app_net":{"type":"uniform","low":-100,"high":-1}}`},
+		{"uniform reaching below 0", `{"pvm_cpu":{"type":"uniform","low":-1,"high":9}}`},
+		{"zero pvm interarrival", `{"pvm_interarrival":{"type":"constant","value":0}}`},
+		{"zero other cpu interarrival", `{"other_cpu_interarrival":{"type":"constant","value":0}}`},
+		{"zero other net interarrival", `{"other_net_interarrival":{"type":"constant","value":0}}`},
+	}
+	for _, tc := range cases {
+		in := `{"nodes": 1, "app_procs": 1, "sampling_period_us": 1000, "duration_us": 1000,
+			"workload": ` + tc.workload + `}`
+		spec, err := Load(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if _, err := spec.Config(); err == nil {
+			t.Errorf("%s: Config accepted it", tc.name)
+		}
+	}
+	// A zero demand is a valid (if degenerate) demand.
+	spec, err := Load(strings.NewReader(`{"nodes": 1, "app_procs": 1, "sampling_period_us": 1000,
+		"duration_us": 1000, "workload": {"app_net":{"type":"constant","value":0}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Config(); err != nil {
+		t.Fatalf("zero constant demand: %v", err)
+	}
+}
+
 func TestDistSpecRoundTrips(t *testing.T) {
 	dists := []rng.Dist{
 		rng.Exponential{MeanVal: 223},
