@@ -44,18 +44,14 @@ func TestSharedFlagValidation(t *testing.T) {
 		{"very negative parallel", []string{"-parallel", "-64"}, true, nil},
 		{"non-integer parallel", []string{"-parallel", "two"}, true, nil},
 		{"float parallel", []string{"-parallel", "1.5"}, true, nil},
-		{"zero parallel ok", []string{"-parallel", "0"}, false, func(p int, _ uint64) bool { return p == 0 },
-		},
-		{"positive parallel ok", []string{"-parallel", "16"}, false, func(p int, _ uint64) bool { return p == 16 },
-		},
+		{"zero parallel ok", []string{"-parallel", "0"}, false, func(p int, _ uint64) bool { return p == 0 }},
+		{"positive parallel ok", []string{"-parallel", "16"}, false, func(p int, _ uint64) bool { return p == 16 }},
 		{"seed underflow", []string{"-seed", "-1"}, true, nil},
 		{"seed deep underflow", []string{"-seed", "-18446744073709551615"}, true, nil},
 		{"seed overflow", []string{"-seed", "18446744073709551616"}, true, nil},
 		{"seed not a number", []string{"-seed", "abc"}, true, nil},
-		{"seed zero ok", []string{"-seed", "0"}, false, func(_ int, s uint64) bool { return s == 0 },
-		},
-		{"seed max ok", []string{"-seed", "18446744073709551615"}, false, func(_ int, s uint64) bool { return s == 1<<64 - 1 },
-		},
+		{"seed zero ok", []string{"-seed", "0"}, false, func(_ int, s uint64) bool { return s == 0 }},
+		{"seed max ok", []string{"-seed", "18446744073709551615"}, false, func(_ int, s uint64) bool { return s == 1<<64-1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

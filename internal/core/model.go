@@ -489,6 +489,43 @@ func (m *Model) Run() Result {
 	return m.collect()
 }
 
+// Simulate assembles a model from cfg, runs it, and returns its Result,
+// like New followed by Run, for callers that neither keep nor observe the
+// model. Afterwards it gives the run's large storage — the queue rings,
+// the calendar's arrays and the events — to process-wide pools, from
+// which the next model draws, so a sweep of many runs stops feeding the
+// garbage collector. Only storage is reused: the Result is the same bytes
+// New followed by Run gives.
+func Simulate(cfg Config) (Result, error) {
+	m, err := New(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	res := m.Run()
+	m.release()
+	return res, nil
+}
+
+// release gives the model's queue rings, calendar arrays and events back
+// to the pools, visiting each CPU once (HostCPU may alias NodeCPUs[0]).
+// The model must not be run or inspected afterwards.
+func (m *Model) release() {
+	for _, cpu := range m.NodeCPUs {
+		cpu.Release()
+	}
+	if m.HostCPU != m.NodeCPUs[0] {
+		m.HostCPU.Release()
+	}
+	m.Net.Release()
+	for _, d := range m.Daemons {
+		for _, p := range d.Pipes {
+			p.Release()
+		}
+		d.Release()
+	}
+	m.Sim.Release()
+}
+
 // resetAccounting discards warmup-period metrics across the model. Samples
 // generated during warmup that are still buffered or in flight will be
 // received during the measured window; their count is recorded as the

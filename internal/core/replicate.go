@@ -53,11 +53,7 @@ func RunReplicationsParallel(cfg Config, reps, workers int) (Replicated, error) 
 	results, err := par.Map(workers, seeds, func(_ int, seed uint64) (Result, error) {
 		c := cfg
 		c.Seed = seed
-		m, err := New(c)
-		if err != nil {
-			return Result{}, err
-		}
-		return m.Run(), nil
+		return Simulate(c)
 	})
 	if err != nil {
 		return Replicated{}, err

@@ -45,7 +45,9 @@ import "math/bits"
 // bucket per tick, each a tail append or a one-step walk back from the
 // tail. A resize relinks the events into the new array and keeps the old
 // one as a spare, so grow/shrink oscillation does not thrash the
-// allocator.
+// allocator. The bucket, spare and bitmap arrays come from the
+// process-wide array pools, and Release gives them back, so the next
+// run's calendar grows into storage an earlier run already paid for.
 //
 // Memory: a bucket is one pointer (8 bytes on 64-bit hosts), so the
 // array costs 32–128 bytes per pending event, 64 right after a resize.
@@ -113,12 +115,32 @@ const (
 
 // NewBucketCalendar returns an empty calendar queue.
 func NewBucketCalendar() *BucketCalendar {
-	return &BucketCalendar{
-		buckets: make([]*Event, minBucketCount),
-		occ:     make([]uint64, 1),
-		mask:    minBucketCount - 1,
-		inv:     1.0 / initialBucketWidth,
-	}
+	c := &BucketCalendar{}
+	c.init()
+	return c
+}
+
+// init gives an empty calendar its smallest bucket array and bitmap and
+// the initial width.
+func (c *BucketCalendar) init() {
+	c.buckets = getArray[*Event](minBucketCount)
+	c.occ = getArray[uint64](1)
+	c.mask = minBucketCount - 1
+	c.inv = 1.0 / initialBucketWidth
+}
+
+// Release gives the bucket, spare and bitmap arrays to the array pools and
+// leaves the calendar as NewBucketCalendar builds it: empty, on the
+// smallest arrays, drawn afresh, so it shares no storage with the pools
+// and Push needs no check for a released calendar. Events still queued
+// are dropped from the calendar (Simulator.Release drains them first, to
+// recycle them).
+func (c *BucketCalendar) Release() {
+	putArray(c.buckets)
+	putArray(c.spare)
+	putArray(c.occ[:cap(c.occ)])
+	*c = BucketCalendar{}
+	c.init()
 }
 
 // Len implements Calendar.
@@ -354,18 +376,21 @@ func (c *BucketCalendar) resize(nb int) {
 		if len(c.spare) == nb {
 			c.buckets = c.spare
 		} else {
-			c.buckets = make([]*Event, nb)
+			putArray(c.spare)
+			c.buckets = getArray[*Event](nb)
 		}
 		c.spare = old
 	}
 	// The bitmap's storage is reused whenever it is large enough:
 	// shrinking never allocates, and neither does growing back to a size
-	// the calendar has held before.
+	// the calendar has held before. Its capacity is always the power of
+	// two it was drawn at.
 	if words := (nb + 63) >> 6; cap(c.occ) >= words {
 		c.occ = c.occ[:words]
 		clear(c.occ)
 	} else {
-		c.occ = make([]uint64, words)
+		putArray(c.occ[:cap(c.occ)])
+		c.occ = getArray[uint64](words)
 	}
 	c.mask = int64(nb - 1)
 	c.peeked = nil

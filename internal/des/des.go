@@ -10,7 +10,10 @@
 // reproducible for a fixed seed.
 package des
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Time is simulated time in microseconds.
 type Time = float64
@@ -86,7 +89,10 @@ type Simulator struct {
 
 	// free recycles fired and discarded-canceled events so steady-state
 	// scheduling allocates nothing (see the Event recycling contract).
-	free []*Event
+	// batch is the holder that carried free in from eventBatches, kept to
+	// carry it out again on Release.
+	free  []*Event
+	batch *eventBatch
 
 	// Dispatched counts events actually executed (not canceled ones).
 	Dispatched uint64
@@ -103,8 +109,48 @@ const maxFree = 4096
 // New returns a simulator with a heap calendar, clock at zero.
 func New() *Simulator { return NewWithCalendar(NewHeapCalendar()) }
 
+// eventBatch carries a released simulator's free list to the next
+// simulator. The holder travels with the list, so neither Put nor Get
+// allocates once a holder exists.
+type eventBatch struct{ events []*Event }
+
+// eventBatches holds the free lists of released simulators.
+var eventBatches sync.Pool
+
 // NewWithCalendar returns a simulator using the supplied event calendar.
-func NewWithCalendar(c Calendar) *Simulator { return &Simulator{cal: c} }
+// Its free list starts as a released simulator's, when one is pooled.
+func NewWithCalendar(c Calendar) *Simulator {
+	s := &Simulator{cal: c}
+	if b, _ := eventBatches.Get().(*eventBatch); b != nil {
+		s.free, s.batch = b.events, b
+		b.events = nil
+	}
+	return s
+}
+
+// Release ends the simulator's use: it drains the pending events into the
+// free list, hands the free list to the next simulator NewWithCalendar
+// builds, and releases the calendar's storage when the calendar has a
+// Release method (BucketCalendar). Afterwards the calendar is empty, the
+// simulator holds no pooled storage, and every *Event it returned may
+// belong to another simulator, so its owner must neither run it nor read
+// its events again. Recycling storage changes no later run's events,
+// times or order.
+func (s *Simulator) Release() {
+	for e := s.cal.Pop(); e != nil; e = s.cal.Pop() {
+		s.release(e)
+	}
+	if r, ok := s.cal.(interface{ Release() }); ok {
+		r.Release()
+	}
+	b := s.batch
+	if b == nil {
+		b = new(eventBatch)
+	}
+	b.events = s.free
+	s.free, s.batch = nil, nil
+	eventBatches.Put(b)
+}
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }

@@ -5,8 +5,12 @@ package des
 // writers, daemon relay queue) often alternate between empty and a few
 // items; popping with q = q[1:] would discard the backing array's front
 // and force a reallocation on the next push after a drain, while the ring
-// reuses its storage, so a queue that has reached its peak length never
-// allocates again. The zero value is an empty queue ready to use.
+// reuses its storage, so within one run a queue that has reached its peak
+// length never allocates again. Across runs, a ring outgrown by Push or
+// given up by Release goes to a process-wide pool keyed by element type
+// and length, and a growing queue takes its next ring from there, so a
+// sweep of runs reuses the rings earlier runs grew. The zero value is an
+// empty queue ready to use.
 type FIFO[T any] struct {
 	buf  []T // len(buf) is zero or a power of two
 	head int // index of the oldest item
@@ -55,15 +59,23 @@ func (q *FIFO[T]) Clear() {
 	q.head, q.n = 0, 0
 }
 
+// Release empties the queue and gives its ring to the pool, leaving the
+// zero value: a queue that holds no pooled storage and stays ready to use.
+func (q *FIFO[T]) Release() {
+	putArray(q.buf)
+	q.buf, q.head, q.n = nil, 0, 0
+}
+
 // grow doubles the ring (to 4 slots from empty), unwrapping the queued
-// items to the front of the new storage.
+// items to the front of a ring from the pool and giving the old ring back.
 func (q *FIFO[T]) grow() {
 	size := 2 * len(q.buf)
 	if size == 0 {
 		size = 4
 	}
-	buf := make([]T, size)
+	buf := getArray[T](size)
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
+	putArray(q.buf)
 	q.buf, q.head = buf, 0
 }

@@ -63,11 +63,7 @@ func Execute(j Job) (core.Result, error) {
 	if j.Seed != 0 {
 		cfg.Seed = j.Seed
 	}
-	m, err := core.New(cfg)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return m.Run(), nil
+	return core.Simulate(cfg)
 }
 
 // Options tunes the distribution and fault-handling of a run. The zero

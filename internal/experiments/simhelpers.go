@@ -45,11 +45,7 @@ func runOne(cfg core.Config, opt Options) (core.Result, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = opt.Seed
 	}
-	m, err := core.New(cfg)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return m.Run(), nil
+	return core.Simulate(cfg)
 }
 
 // runGrid executes the variants × xs simulation grid, fanning the
@@ -173,11 +169,11 @@ func runFactorial(rows []factorialRow, opt Options, overhead, latency core.Metri
 		flat, err = dist.Run(context.Background(), djobs, dopt)
 	} else {
 		flat, err = par.Map(opt.Parallel, jobs, func(_ int, j job) (core.Result, error) {
-			m, err := core.New(j.cfg)
+			res, err := core.Simulate(j.cfg)
 			if err != nil {
 				return core.Result{}, fmt.Errorf("row %s: %w", rows[j.row].label, err)
 			}
-			return m.Run(), nil
+			return res, nil
 		})
 	}
 	if err != nil {

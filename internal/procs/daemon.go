@@ -95,6 +95,12 @@ func (d *PdDaemon) ResetAccounting() {
 	d.CrashLostSamples = 0
 }
 
+// Release gives the relay queue's ring to des's process-wide pool (see
+// des.FIFO.Release) once the run is over; queued relays are dropped. The
+// daemon's pipes are released separately. The daemon must not be used
+// again.
+func (d *PdDaemon) Release() { d.relayQ.Release() }
+
 // Start registers the daemon's pipe wake-ups and seeds cost-model-aware
 // strategies.
 func (d *PdDaemon) Start() {

@@ -134,6 +134,11 @@ func (c *CPU) complete(slot *cpuSlot) {
 	c.dispatch()
 }
 
+// Release gives the ready queue's ring to des's process-wide pool (see
+// des.FIFO.Release) once the run is over; requests still waiting are
+// dropped. The CPU must not be used again.
+func (c *CPU) Release() { c.ready.Release() }
+
 // QueueLen returns the number of requests waiting (not running).
 func (c *CPU) QueueLen() int { return c.ready.Len() }
 

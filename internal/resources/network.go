@@ -126,6 +126,11 @@ func (n *Network) account(owner string, length float64) {
 	}
 }
 
+// Release gives the channel queue's ring to des's process-wide pool (see
+// des.FIFO.Release) once the run is over; queued transfers are dropped.
+// The network must not be used again.
+func (n *Network) Release() { n.queue.Release() }
+
 // QueueLen returns the number of requests waiting (contended mode only).
 func (n *Network) QueueLen() int { return n.queue.Len() }
 

@@ -112,6 +112,14 @@ func NewPipe(capacity int) *Pipe {
 	return &Pipe{capacity: capacity}
 }
 
+// Release gives the rings of the buffered samples and of the blocked
+// writers to des's process-wide pool (see des.FIFO.Release) once the run
+// is over; both are dropped. The pipe must not be used again.
+func (p *Pipe) Release() {
+	p.items.Release()
+	p.blocked.Release()
+}
+
 // SetOnData registers the reader wake-up callback.
 func (p *Pipe) SetOnData(fn func()) { p.onData = fn }
 

@@ -148,13 +148,7 @@ func DefaultWorkload() Workload { return core.DefaultWorkload() }
 func NewModel(cfg Config) (*Model, error) { return core.New(cfg) }
 
 // Simulate runs one replication of the ROCC model.
-func Simulate(cfg Config) (Result, error) {
-	m, err := core.New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return m.Run(), nil
-}
+func Simulate(cfg Config) (Result, error) { return core.Simulate(cfg) }
 
 // SimulateReplications runs reps independent replications (the paper uses
 // r=50 with 90% confidence intervals; see Replicated.CI). Replications fan
