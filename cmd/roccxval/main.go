@@ -1,8 +1,8 @@
 // Command roccxval runs the cross-validation dashboard: it evaluates the
-// analytic model, the discrete-event simulation, and the paper's values
-// over a shared scenario grid and reports the error surface — per-metric
-// relative error, CI coverage, and worst-case divergence per
-// architecture/policy cell.
+// analytic model against the discrete-event simulation over a shared
+// scenario grid and reports the error surface — per-metric relative
+// error, CI coverage, and worst-case divergence per architecture/policy
+// cell.
 //
 // Usage:
 //

@@ -99,6 +99,24 @@ func TestSMPEquations(t *testing.T) {
 	}
 }
 
+// Eq (12), the SMP monitoring latency, at two CPU counts: the daemon's
+// per-message CPU demand is spread over the n CPUs, the bus demand is not.
+//
+//	R = (D_Pd,CPU/n)/(1 - U_Pd,CPU) + D_Pd,bus/(1 - U_bus)
+func TestSMPLatencyEq12(t *testing.T) {
+	l := (1.0 / 40000) * 32 * 2 // eq (1) times Pds = 2
+	uBus := l * 71              // eq (11)
+	for _, n := range []float64{8, 16} {
+		p := DefaultParams()
+		p.Nodes, p.AppProcs, p.Pds = n, 32, 2
+		uPd := l * 267 / n // eq (7)
+		want := (267/n)/(1-uPd) + 71/(1-uBus)
+		if got := p.SMP().LatencyUS; !almost(got, want, 1e-9) {
+			t.Errorf("n=%v: latency %v, want %v", n, got, want)
+		}
+	}
+}
+
 func TestSMPMoreDaemonsRaiseISLoad(t *testing.T) {
 	p1 := DefaultParams()
 	p1.Nodes = 16
@@ -140,6 +158,49 @@ func TestMPPTreeEquations(t *testing.T) {
 	want := (2*l*267 + (l*267 + 2*l*267) + l*267) / 4
 	if got := p4.MPPTree().PdCPUUtil; !almost(got, want, 1e-12) {
 		t.Fatalf("eq13 n=4: got %v want %v", got, want)
+	}
+}
+
+// Eqs (13)-(16), MPP with binary-tree forwarding, written out for two
+// node counts with D_Pd,merge (150) unlike D_Pd,CPU (267), so a term that
+// charges the wrong demand shows. The tree has n/2 leaves, n/2-1 interior
+// nodes that also merge two children's streams, and one node with a
+// single child:
+//
+//	(13) U_Pd,CPU = [(n/2)·λ·D_Pd,CPU + (n/2-1)·(λ·D_Pd,CPU + 2λ·D_Pd,merge) + λ·D_Pd,merge] / n
+//	(14) U_Paradyn = 2·λ·D_Paradyn
+//	(15) U_Net = [(n/2)·λ·D_Pd,Net + (n/2-1)·(λ·D_Pd,Net + 2λ·D_Pd,Net) + λ·D_Pd,Net] / n
+//	(16) R = (D_Pd,CPU + D_Pd,merge)/(1 - U_Pd,CPU) + D_Pd,Net/(1 - U_Net)
+//
+// Eq (15) is the corrected form (see MPPTree). Both demands carry the
+// coefficient n-1 in eq (13), so swapping them in every term is an
+// identity; swapping them in any one term is not.
+func TestMPPTreeEquationPins(t *testing.T) {
+	l := 1.0 / 40000 // eq (1): one process, CF
+	for _, c := range []struct{ n, leaves, interior float64 }{
+		{4, 2, 1},
+		{16, 8, 7},
+	} {
+		p := DefaultParams()
+		p.Nodes = c.n
+		p.DPdmCPU = 150
+		m := p.MPPTree()
+		uPd := (c.leaves*l*267 + c.interior*(l*267+2*l*150) + l*150) / c.n // eq (13)
+		uNet := (c.leaves*l*71 + c.interior*(l*71+2*l*71) + l*71) / c.n    // eq (15)
+		for _, v := range []struct {
+			eq        string
+			got, want float64
+		}{
+			{"(13) uPd", m.PdCPUUtil, uPd},
+			{"(14) uMain", m.ParadynCPUUtil, 2 * l * 3208},
+			{"(15) uNet", m.PdNetUtil, uNet},
+			{"(16) latency", m.LatencyUS, (267+150)/(1-uPd) + 71/(1-uNet)},
+			{"uApp", m.AppCPUUtil, 1 - uPd},
+		} {
+			if !almost(v.got, v.want, 1e-9) {
+				t.Errorf("n=%v eq %s = %v, want %v", c.n, v.eq, v.got, v.want)
+			}
+		}
 	}
 }
 

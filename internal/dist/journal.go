@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"sync"
 
@@ -65,11 +67,10 @@ type journal struct {
 // the mark of a crash mid-append — is cut off and overwritten. Without
 // resume an existing file is truncated and started fresh.
 func openJournal(path string, resume bool, hdr journalHeader, shardLen func(int) int, nShards int) (*journal, map[int][]core.Result, error) {
-	recovered := map[int][]core.Result{}
 	if resume {
-		if got, err := replayJournal(path, hdr, shardLen, nShards, recovered); err != nil {
+		if recovered, err := replayJournal(path, hdr, shardLen, nShards); err != nil {
 			return nil, nil, err
-		} else if got {
+		} else if recovered != nil {
 			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dist: journal: %w", err)
@@ -87,39 +88,55 @@ func openJournal(path string, resume bool, hdr journalHeader, shardLen func(int)
 		f.Close()
 		return nil, nil, err
 	}
-	return j, recovered, nil
+	return j, nil, nil
 }
 
-// replayJournal loads a journal's completed shards into recovered,
-// truncating any garbage tail. Returns false (and no error) when the
-// file does not exist.
-func replayJournal(path string, hdr journalHeader, shardLen func(int) int, nShards int, recovered map[int][]core.Result) (bool, error) {
+// replayJournal loads a journal's completed shards, truncating any
+// garbage tail. Returns a nil map (and no error) when the file does not
+// exist.
+func replayJournal(path string, hdr journalHeader, shardLen func(int) int, nShards int) (map[int][]core.Result, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return false, nil
+		return nil, nil
 	}
 	if err != nil {
-		return false, fmt.Errorf("dist: journal: %w", err)
+		return nil, fmt.Errorf("dist: journal: %w", err)
 	}
 	defer f.Close()
+	recovered, kept, err := parseJournal(f, hdr, shardLen, nShards)
+	if err != nil {
+		return nil, fmt.Errorf("dist: journal %s: %w", path, err)
+	}
+	if err := os.Truncate(path, kept); err != nil {
+		return nil, fmt.Errorf("dist: journal %s: truncate garbage tail: %w", path, err)
+	}
+	return recovered, nil
+}
 
-	sc := bufio.NewScanner(f)
+// parseJournal reads a journal whose header must equal hdr and returns
+// the shards of its valid prefix (first entry per shard wins) and that
+// prefix's length in bytes, newlines included: where a resume truncates.
+// The first malformed, out-of-range or wrongly sized entry ends the
+// prefix.
+func parseJournal(rd io.Reader, hdr journalHeader, shardLen func(int) int, nShards int) (map[int][]core.Result, int64, error) {
+	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), maxFrame)
 	sc.Split(terminatedLines)
 	if !sc.Scan() {
-		return false, fmt.Errorf("dist: journal %s: missing header", path)
+		return nil, 0, errors.New("missing header")
 	}
-	good := int64(len(sc.Bytes())) + 1 // include the newline
+	kept := int64(len(sc.Bytes())) + 1 // include the newline
 	var have journalHeader
 	if err := json.Unmarshal(sc.Bytes(), &have); err != nil {
-		return false, fmt.Errorf("dist: journal %s: bad header: %w", path, err)
+		return nil, 0, fmt.Errorf("bad header: %w", err)
 	}
 	if have.V != hdr.V {
-		return false, fmt.Errorf("dist: journal %s has format version %d, this build writes %d; refusing to resume", path, have.V, hdr.V)
+		return nil, 0, fmt.Errorf("has format version %d, this build writes %d; refusing to resume", have.V, hdr.V)
 	}
 	if have != hdr {
-		return false, fmt.Errorf("dist: journal %s was written by a different sweep (header %+v, want %+v); refusing to resume", path, have, hdr)
+		return nil, 0, fmt.Errorf("was written by a different sweep (header %+v, want %+v); refusing to resume", have, hdr)
 	}
+	recovered := map[int][]core.Result{}
 	for sc.Scan() {
 		var e journalEntry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
@@ -131,15 +148,12 @@ func replayJournal(path string, hdr journalHeader, shardLen func(int) int, nShar
 		if _, dup := recovered[e.Shard]; !dup {
 			recovered[e.Shard] = e.Results
 		}
-		good += int64(len(sc.Bytes())) + 1
+		kept += int64(len(sc.Bytes())) + 1
 	}
 	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		return false, fmt.Errorf("dist: journal %s: %w", path, err)
+		return nil, 0, err
 	}
-	if err := os.Truncate(path, good); err != nil {
-		return false, fmt.Errorf("dist: journal %s: truncate garbage tail: %w", path, err)
-	}
-	return true, nil
+	return recovered, kept, nil
 }
 
 // terminatedLines is a bufio.SplitFunc that yields only lines whose

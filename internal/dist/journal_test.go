@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -141,32 +142,95 @@ func TestJournalRefusesOtherVersion(t *testing.T) {
 	}
 }
 
-// FuzzReplayJournal feeds resume a valid header followed by arbitrary
-// bytes: it must never panic, never extend the file, recover only
-// well-formed shards, and keep them across a resume → append → resume.
+// journalTails is the seed corpus of journal bodies after a valid header:
+// torn, duplicated, out-of-range, wrongly sized and garbage entries.
+var journalTails = []string{
+	"",
+	entryLine(0),
+	strings.TrimSuffix(entryLine(0), "\n"), // the newline never reached disk
+	entryLine(0) + strings.TrimSuffix(entryLine(1), "\n"),
+	entryLine(2) + entryLine(0) + `{"shard":3,"TORN`,
+	entryLine(1) + entryLine(1) + entryLine(3),
+	`{"shard":7,"results":[{}]}` + "\n",    // out of range
+	`{"shard":1,"results":[{},{}]}` + "\n", // wrong length
+	`{"shard":-1,"results":[]}` + "\n",
+	"\n\n" + entryLine(0),
+	"garbage\n" + entryLine(0),
+	strings.TrimSuffix(entryLine(0), "\n") + entryLine(1),
+}
+
+// Every seed journal survives a resume, an append and a second resume on
+// disk, fsyncs and truncation included.
+func TestJournalResumeAppendResume(t *testing.T) {
+	for i, tail := range journalTails {
+		path := filepath.Join(t.TempDir(), "sweep.journal")
+		if err := os.WriteFile(path, []byte(headerLine(testHeader)+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(strconv.Itoa(i), func(t *testing.T) { checkResumeAppendResume(t, path) })
+	}
+}
+
+// parse parses a journal held in memory.
+func parse(t *testing.T, data []byte) (map[int][]core.Result, int64) {
+	t.Helper()
+	rec, kept, err := parseJournal(bytes.NewReader(data), testHeader, oneJob, testShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec, kept
+}
+
+// FuzzReplayJournal feeds the journal parser a valid header followed by
+// arbitrary bytes, in memory: it must never panic, keep a
+// newline-terminated prefix no longer than its input, recover only
+// well-formed shards, and recover every one of them again from the kept
+// prefix followed by a freshly appended entry. The on-disk path around
+// the parser is TestJournalResumeAppendResume.
 func FuzzReplayJournal(f *testing.F) {
-	for _, tail := range []string{
-		"",
-		entryLine(0),
-		strings.TrimSuffix(entryLine(0), "\n"), // the newline never reached disk
-		entryLine(0) + strings.TrimSuffix(entryLine(1), "\n"),
-		entryLine(2) + entryLine(0) + `{"shard":3,"TORN`,
-		entryLine(1) + entryLine(1) + entryLine(3),
-		`{"shard":7,"results":[{}]}` + "\n",    // out of range
-		`{"shard":1,"results":[{},{}]}` + "\n", // wrong length
-		`{"shard":-1,"results":[]}` + "\n",
-		"\n\n" + entryLine(0),
-		"garbage\n" + entryLine(0),
-		strings.TrimSuffix(entryLine(0), "\n") + entryLine(1),
-	} {
+	for _, tail := range journalTails {
 		f.Add([]byte(tail))
 	}
 	hdr := headerLine(testHeader)
 	f.Fuzz(func(t *testing.T, tail []byte) {
-		path := filepath.Join(t.TempDir(), "sweep.journal")
-		if err := os.WriteFile(path, append([]byte(hdr), tail...), 0o644); err != nil {
-			t.Fatal(err)
+		in := append([]byte(hdr), tail...)
+		first, kept := parse(t, in)
+		if kept < int64(len(hdr)) || kept > int64(len(in)) {
+			t.Fatalf("kept %d bytes of %d (header %d)", kept, len(in), len(hdr))
 		}
-		checkResumeAppendResume(t, path)
+		if in[kept-1] != '\n' {
+			t.Fatalf("kept prefix ends in %q, not a newline", in[kept-1])
+		}
+		for shard, rs := range first {
+			if shard < 0 || shard >= testShards || len(rs) != 1 {
+				t.Fatalf("recovered malformed shard %d with %d results", shard, len(rs))
+			}
+		}
+		next := -1
+		for s := 0; s < testShards && next < 0; s++ {
+			if _, ok := first[s]; !ok {
+				next = s
+			}
+		}
+		resumed := string(in[:kept])
+		if next >= 0 {
+			resumed += entryLine(next)
+		}
+		second, _ := parse(t, []byte(resumed))
+		for shard, rs := range first {
+			if got, ok := second[shard]; !ok || got[0].DurationSec != rs[0].DurationSec {
+				t.Fatalf("re-parse lost shard %d", shard)
+			}
+		}
+		want := len(first)
+		if next >= 0 {
+			if _, ok := second[next]; !ok {
+				t.Fatalf("re-parse lost the appended shard %d", next)
+			}
+			want++
+		}
+		if len(second) != want {
+			t.Fatalf("re-parse recovered %d shards, want %d", len(second), want)
+		}
 	})
 }

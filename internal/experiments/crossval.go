@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("ext-crossval", "Extension: cross-validation dashboard — analytic vs simulation vs paper", runExtCrossVal)
+	register("ext-crossval", "Extension: cross-validation dashboard — analytic vs simulation", runExtCrossVal)
 }
 
 // runExtCrossVal runs the cross-validation dashboard over the smoke grid

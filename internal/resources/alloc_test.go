@@ -79,3 +79,21 @@ func TestContendedNetworkSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("contended network cycle allocated %.2f objects per 100 transfers", allocs)
 	}
 }
+
+// A fresh tally that meets all five owner classes allocates each of its
+// three slices once, on the first add, and never regrows them.
+func TestTallyReservesEveryOwnerClass(t *testing.T) {
+	owners := []string{"app", "pd", "pvmd", "other", "paradyn"}
+	allocs := testing.AllocsPerRun(100, func() {
+		var ta tally
+		for i, o := range owners {
+			ta.add(o, float64(i))
+		}
+		if len(ta.names) != len(owners) {
+			t.Fatalf("%d owners, want %d", len(ta.names), len(owners))
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("five owners cost %.0f allocations, want at most one per slice (3)", allocs)
+	}
+}

@@ -5,7 +5,7 @@ import "unsafe"
 // tally accumulates per-owner occupancy time. The owner set is a handful
 // of fixed class labels (app, pd, pvmd, other, paradyn), so a linear scan
 // over parallel slices beats a map on the per-slice accounting hot path,
-// and the structure allocates nothing after the first few adds. The labels
+// and the structure allocates nothing after its first add. The labels
 // are package constants, so a caller almost always passes the very string
 // the tally stored: find compares string identity (data pointer and
 // length) first and falls back to comparing contents.
@@ -14,6 +14,12 @@ type tally struct {
 	vals   []float64
 	counts []int // completed-request counts (used by Network, idle for CPU)
 }
+
+// ownerClasses is the number of owner classes the model charges
+// (procs.OwnerApp, OwnerPd, OwnerPvm, OwnerOther, OwnerMain): a tally's
+// first add reserves room for all of them, so a CPU or the network meeting
+// its owners one by one never regrows its slices.
+const ownerClasses = 5
 
 // find returns owner's slot, or -1 if owner has none.
 func (t *tally) find(owner string) int {
@@ -35,6 +41,11 @@ func (t *tally) find(owner string) int {
 func (t *tally) idx(owner string) int {
 	if i := t.find(owner); i >= 0 {
 		return i
+	}
+	if t.names == nil {
+		t.names = make([]string, 0, ownerClasses)
+		t.vals = make([]float64, 0, ownerClasses)
+		t.counts = make([]int, 0, ownerClasses)
 	}
 	t.names = append(t.names, owner)
 	t.vals = append(t.vals, 0)

@@ -31,16 +31,17 @@ type Options struct {
 	Workers int
 	// CILevel is the confidence level for simulation CIs (default 0.90).
 	CILevel float64
-	// Reference names the backend whose estimates anchor relative errors
-	// and whose CIs define coverage (default "simulation"); falls back to
-	// the first evaluator if absent.
-	Reference string
 }
 
+// reference names the backend whose estimates anchor relative errors and
+// whose CIs define coverage; Run falls back to the first evaluator when
+// no evaluator has this name.
+const reference = "simulation"
+
 // DefaultOptions returns the default cross-validation scaling: 10
-// simulated seconds, 3 replications, 90% CIs, simulation as reference.
+// simulated seconds, 3 replications, 90% CIs.
 func DefaultOptions() Options {
-	return Options{Seed: 1, DurationUS: 10e6, Reps: 3, CILevel: 0.90, Reference: "simulation"}
+	return Options{Seed: 1, DurationUS: 10e6, Reps: 3, CILevel: 0.90}
 }
 
 func (o Options) normalized() Options {
@@ -53,14 +54,11 @@ func (o Options) normalized() Options {
 	if o.CILevel <= 0 || o.CILevel >= 1 {
 		o.CILevel = 0.90
 	}
-	if o.Reference == "" {
-		o.Reference = "simulation"
-	}
 	return o
 }
 
-// DefaultEvaluators returns the three standard backends at the option
-// scale: analytic, simulation, paper. The simulation evaluator runs its
+// DefaultEvaluators returns the two standard backends at the option
+// scale: analytic and simulation. The simulation evaluator runs its
 // replications serially (Workers 1) because Run fans grid cells out
 // across Options.Workers already.
 func DefaultEvaluators(opt Options) []Evaluator {
@@ -68,16 +66,12 @@ func DefaultEvaluators(opt Options) []Evaluator {
 	return []Evaluator{
 		AnalyticEvaluator{},
 		SimEvaluator{Reps: opt.Reps, DurationUS: opt.DurationUS, Workers: 1, CILevel: opt.CILevel},
-		PaperDataEvaluator{},
 	}
 }
 
 // BackendEstimates is one backend's output for one cell.
 type BackendEstimates struct {
-	Backend string `json:"backend"`
-	// Missing marks an operating point the backend has no data for
-	// (ErrNoData); Estimates is all-Missing then.
-	Missing   bool      `json:"missing,omitempty"`
+	Backend   string    `json:"backend"`
 	Estimates Estimates `json:"estimates"`
 }
 
@@ -171,7 +165,7 @@ func Run(g scenario.Grid, evals []Evaluator, opt Options) (*Report, error) {
 	}
 	refIdx := 0
 	for i, n := range names {
-		if n == opt.Reference {
+		if n == reference {
 			refIdx = i
 			break
 		}
@@ -199,9 +193,6 @@ func Run(g scenario.Grid, evals []Evaluator, opt Options) (*Report, error) {
 	flat, err := par.Map(opt.Workers, jobs, func(_ int, j job) (BackendEstimates, error) {
 		est, err := evals[j.ei].Evaluate(specs[j.ci])
 		if err != nil {
-			if errors.Is(err, ErrNoData) {
-				return BackendEstimates{Backend: names[j.ei], Missing: true, Estimates: emptyEstimates()}, nil
-			}
 			return BackendEstimates{}, fmt.Errorf("%s on %s: %w", names[j.ei], g.Cells[j.ci].ID, err)
 		}
 		return BackendEstimates{Backend: names[j.ei], Estimates: est}, nil
@@ -216,7 +207,7 @@ func Run(g scenario.Grid, evals []Evaluator, opt Options) (*Report, error) {
 		DurationSec: opt.DurationUS / 1e6,
 		Reps:        opt.Reps,
 		CILevel:     opt.CILevel,
-		Reference:   opt.Reference,
+		Reference:   names[refIdx],
 		Backends:    names,
 	}
 	for ci, cell := range g.Cells {

@@ -1,10 +1,10 @@
-// Package xval cross-validates the repo's three evaluation routes — the
-// closed-form operational analysis of Section 3 (equations (1)-(16)), the
-// discrete-event ROCC simulation of Section 4, and the values published in
-// the paper — over a shared scenario grid, and renders the disagreement as
-// an error surface: per-metric relative error, CI coverage (does the
-// analytic prediction fall inside the simulation confidence interval?),
-// and worst-case divergence per architecture/policy cell. This turns the
+// Package xval cross-validates the repo's two evaluation routes — the
+// closed-form operational analysis of Section 3 (equations (1)-(16)) and
+// the discrete-event ROCC simulation of Section 4 — over a shared scenario
+// grid, and renders the disagreement as an error surface: per-metric
+// relative error, CI coverage (does the analytic prediction fall inside
+// the simulation confidence interval?), and worst-case divergence per
+// architecture/policy cell. This turns the
 // paper's Section 4 validation argument into a single regenerable,
 // CI-gated artifact.
 //
@@ -16,9 +16,7 @@ package xval
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
-	"strings"
 
 	"rocc/internal/analytic"
 	"rocc/internal/core"
@@ -28,9 +26,8 @@ import (
 )
 
 // usPerSec is the single, explicit latency unit conversion: core.Result
-// reports latencies in seconds, analytic.Metrics in microseconds, and the
-// paper's figures in milliseconds-to-seconds depending on the panel.
-// Estimates normalizes everything to microseconds.
+// reports latencies in seconds and analytic.Metrics in microseconds.
+// Estimates normalizes both to microseconds.
 const usPerSec = 1e6
 
 // OptFloat is a float64 metric value that may be missing (NaN: the
@@ -95,7 +92,7 @@ func (o *OptFloat) UnmarshalJSON(b []byte) error {
 // onto: per-class CPU and network utilizations as percentages, sample
 // latencies in microseconds. Metrics a backend cannot produce are Missing.
 // The HW fields are confidence-interval half-widths (simulation only;
-// closed forms and published point values carry no interval).
+// closed forms carry no interval).
 type Estimates struct {
 	PdCPUUtilPct   OptFloat `json:"pd_cpu_util_pct"`   // daemon CPU / node
 	MainCPUUtilPct OptFloat `json:"main_cpu_util_pct"` // main Paradyn process CPU
@@ -181,11 +178,6 @@ type Evaluator interface {
 	Name() string
 	Evaluate(scenario.Spec) (Estimates, error)
 }
-
-// ErrNoData reports that a backend has no value for an operating point
-// (the paper tabulates only some cells). The dashboard records the cell
-// as missing rather than failing the run.
-var ErrNoData = errors.New("xval: no data for operating point")
 
 // SimEvaluator runs the discrete-event ROCC simulation: Reps independent
 // replications through core.RunReplicationsParallel, and Student-t
@@ -322,53 +314,7 @@ func (e AnalyticEvaluator) Evaluate(sp scenario.Spec) (Estimates, error) {
 	return est, nil
 }
 
-// PaperDataEvaluator serves the embedded dataset of the paper's values
-// for the grid operating points (see paperdata.go for provenance);
-// operating points the paper does not cover return ErrNoData.
-type PaperDataEvaluator struct{}
-
-// Name implements Evaluator.
-func (PaperDataEvaluator) Name() string { return "paper" }
-
-// Evaluate implements Evaluator.
-func (PaperDataEvaluator) Evaluate(sp scenario.Spec) (Estimates, error) {
-	key, err := Key(sp)
-	if err != nil {
-		return Estimates{}, err
-	}
-	p, ok := paperPoints[key]
-	if !ok {
-		return Estimates{}, fmt.Errorf("%w: %s", ErrNoData, key)
-	}
-	est := emptyEstimates()
-	est.PdCPUUtilPct = OptFloat(p.PdCPUUtilPct)
-	est.MainCPUUtilPct = OptFloat(p.MainCPUUtilPct)
-	est.AppCPUUtilPct = OptFloat(p.AppCPUUtilPct)
-	est.PdNetUtilPct = OptFloat(p.PdNetUtilPct)
-	est.LatencyMeanUS = OptFloat(p.LatencyMeanUS)
-	return est, nil
-}
-
-// Key canonicalizes a scenario to the operating-point identity the paper
-// dataset is keyed on: architecture, population, sampling period, policy
-// and batch, forwarding configuration, and application type (via the
-// application network demand). Run-control fields — duration, warmup,
-// seed — are deliberately excluded: the paper's values describe the
-// operating point, not one run of it.
-func Key(sp scenario.Spec) (string, error) {
-	cfg, err := sp.Config()
-	if err != nil {
-		return "", err
-	}
-	policy, batch := policyBatch(cfg)
-	return fmt.Sprintf("%s|n=%d|p=%d|pds=%d|sp=%g|%s%d|%s|appnet=%g",
-		strings.ToLower(cfg.Arch.String()), cfg.Nodes, cfg.AppProcs, cfg.Pds,
-		cfg.SamplingPeriod, strings.ToLower(policy.String()), batch,
-		cfg.Forwarding.String(), cfg.Workload.AppNet.Mean()), nil
-}
-
-// policyBatch is the (policy, batch) pair a scenario is keyed and priced
-// at. A strategy with no fixed batch (adaptive BF) counts as batch 1.
+// policyBatch is the (policy, batch) pair a scenario is priced at. A strategy with no fixed batch (adaptive BF) counts as batch 1.
 func policyBatch(cfg core.Config) (forward.Policy, int) {
 	policy, batch := forward.PolicyOf(cfg.Strategy)
 	if batch == 0 {

@@ -12,8 +12,8 @@ import (
 )
 
 // Hand-computed eq (1)-(6) values for the Table 2 "typical configuration"
-// (NOW, 8 nodes, 1 process/node, 40 ms sampling, CF): the golden anchors
-// of the unit-conversion and paper-dataset contracts. Written as the
+// (NOW, 8 nodes, 1 process/node, 40 ms sampling, CF): the golden anchor
+// of the analytic backend's unit-conversion contract. Written as the
 // arithmetic of the printed equations, not computed via internal/analytic.
 func baselineExpected() Estimates {
 	const (
@@ -55,59 +55,6 @@ func TestGoldenBaselineAnalytic(t *testing.T) {
 	want := baselineExpected()
 	for _, m := range MetricNames {
 		wantClose(t, "analytic "+m, got.Metric(m), want.Metric(m), 1e-9)
-	}
-}
-
-// The frozen paper dataset must agree with the printed equations at the
-// baseline to 1e-9 — it was generated at full float precision.
-func TestGoldenBaselinePaperData(t *testing.T) {
-	sp := scenario.FromConfig(core.DefaultConfig())
-	got, err := PaperDataEvaluator{}.Evaluate(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := baselineExpected()
-	for _, m := range MetricNames {
-		wantClose(t, "paper "+m, got.Metric(m), want.Metric(m), 1e-9)
-	}
-}
-
-// The Table 3 measured utilizations overlay the reconstructed entry for
-// the single-node validation point; the unmeasured metrics keep the
-// equation values.
-func TestPaperDataTable3Overlay(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Nodes = 1
-	got, err := PaperDataEvaluator{}.Evaluate(scenario.FromConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantClose(t, "pd_cpu_util_pct", got.PdCPUUtilPct, 0.74, 1e-12)
-	wantClose(t, "app_cpu_util_pct", got.AppCPUUtilPct, 85.71, 1e-12)
-	if got.MainCPUUtilPct.IsMissing() || got.LatencyMeanUS.IsMissing() {
-		t.Errorf("unmeasured metrics should keep equation values, got main=%v latency=%v",
-			float64(got.MainCPUUtilPct), float64(got.LatencyMeanUS))
-	}
-}
-
-// Key identifies the operating point, not the run: duration, warmup, and
-// seed must not affect it.
-func TestKeyExcludesRunControls(t *testing.T) {
-	a := scenario.FromConfig(core.DefaultConfig())
-	b := a
-	b.Duration = 1
-	b.Warmup = 0.5
-	b.Seed = 999
-	ka, err := Key(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := Key(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka != kb {
-		t.Errorf("run-control fields leaked into the key:\n%s\n%s", ka, kb)
 	}
 }
 
@@ -243,11 +190,16 @@ func TestRunReportShapeAndTolerance(t *testing.T) {
 		if len(cell.Metrics) != len(MetricNames) {
 			t.Fatalf("cell %s: %d metric rows, want %d", cell.ID, len(cell.Metrics), len(MetricNames))
 		}
-		if len(cell.Estimates) != 3 {
-			t.Fatalf("cell %s: %d backends, want 3", cell.ID, len(cell.Estimates))
+		if len(cell.Estimates) != 2 {
+			t.Fatalf("cell %s: %d backends, want 2", cell.ID, len(cell.Estimates))
 		}
 	}
-	// Every smoke cell is in the paper dataset: no missing backends.
+	if rep.Reference != "simulation" || len(rep.Backends) != 2 || rep.Backends[0] != "analytic" {
+		t.Fatalf("reference %q, backends %v; want simulation over [analytic simulation]",
+			rep.Reference, rep.Backends)
+	}
+	// The analytic backend reports every compared metric on every smoke
+	// cell: no missing values.
 	for _, s := range rep.GroupSummaries {
 		if s.MissingData != 0 {
 			t.Errorf("summary %s/%s/%s: %d missing cells", s.Scope, s.Backend, s.Metric, s.MissingData)
@@ -283,6 +235,47 @@ func TestRunReportShapeAndTolerance(t *testing.T) {
 		if !strings.Contains(text, m) {
 			t.Errorf("rendered text missing metric %s", m)
 		}
+	}
+}
+
+// constEval is a stub backend reporting the same daemon utilization on
+// every cell.
+type constEval struct {
+	name string
+	pd   float64
+}
+
+func (c constEval) Name() string { return c.name }
+
+func (c constEval) Evaluate(scenario.Spec) (Estimates, error) {
+	e := emptyEstimates()
+	e.PdCPUUtilPct = OptFloat(c.pd)
+	return e, nil
+}
+
+// Run anchors on the backend named "simulation" wherever it sits in the
+// evaluator list, and on the first evaluator when none has that name.
+func TestRunReferenceIsSimulationElseFirst(t *testing.T) {
+	g := scenario.SmokeGrid()
+	g.Cells = g.Cells[:1]
+	for _, tc := range []struct {
+		evals  []Evaluator
+		ref    string
+		other  string
+		relErr float64
+	}{
+		{[]Evaluator{constEval{"a", 3}, constEval{"simulation", 2}}, "simulation", "a", 0.5},
+		{[]Evaluator{constEval{"a", 3}, constEval{"b", 2}}, "a", "b", 1.0 / 3},
+	} {
+		rep, err := Run(g, tc.evals, tinyOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Reference != tc.ref {
+			t.Errorf("reference %q, want %q", rep.Reference, tc.ref)
+		}
+		got, _ := rep.MaxRelError(tc.other, "pd_cpu_util_pct")
+		wantClose(t, tc.other+" vs "+tc.ref, got, OptFloat(tc.relErr), 1e-12)
 	}
 }
 

@@ -307,8 +307,6 @@ type (
 	SimEvaluator = xval.SimEvaluator
 	// AnalyticEvaluator evaluates equations (1)-(16).
 	AnalyticEvaluator = xval.AnalyticEvaluator
-	// PaperDataEvaluator serves the embedded dataset of the paper's values.
-	PaperDataEvaluator = xval.PaperDataEvaluator
 	// CrossValidationOptions scales a cross-validation run.
 	CrossValidationOptions = xval.Options
 	// CrossValidationReport is the resulting error surface.
@@ -318,15 +316,16 @@ type (
 // DefaultCrossValidationOptions returns the default dashboard scaling.
 func DefaultCrossValidationOptions() CrossValidationOptions { return xval.DefaultOptions() }
 
-// DefaultEvaluators returns the three standard backends — analytic,
-// simulation, paper — at the option scale.
+// DefaultEvaluators returns the two standard backends — analytic and
+// simulation — at the option scale.
 func DefaultEvaluators(opt CrossValidationOptions) []Evaluator { return xval.DefaultEvaluators(opt) }
 
 // CrossValidate runs every evaluator over every grid cell and assembles
-// the error surface: per-metric relative error against the reference
-// backend, CI coverage, and worst-case divergence per architecture/policy
-// cell. Output is deterministic for a fixed Options.Seed at any
-// Options.Workers setting.
+// the error surface: per-metric relative error against the simulation
+// backend (the first evaluator if none is named "simulation"), CI
+// coverage, and worst-case divergence per architecture/policy cell.
+// Output is deterministic for a fixed Options.Seed at any Options.Workers
+// setting.
 func CrossValidate(g ScenarioGrid, evals []Evaluator, opt CrossValidationOptions) (*CrossValidationReport, error) {
 	return xval.Run(g, evals, opt)
 }
