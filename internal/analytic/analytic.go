@@ -2,9 +2,7 @@
 // analysis of Section 3 of the paper: equations (1)-(16) computing Paradyn
 // daemon CPU utilization, main-process utilization, monitoring latency,
 // and application CPU utilization for the NOW, SMP, and MPP (direct and
-// binary-tree forwarding) cases under the flow-balance assumption, plus
-// exact Mean Value Analysis for closed queueing networks (discussed and
-// set aside in §3, implemented here for completeness).
+// binary-tree forwarding) cases under the flow-balance assumption.
 //
 // All times are microseconds; utilizations are fractions in [0, 1] unless
 // the offered load exceeds capacity, in which case utilization saturates

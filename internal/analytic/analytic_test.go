@@ -249,84 +249,3 @@ func TestQuickMetricsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMVASingleQueue(t *testing.T) {
-	// One queue, one customer: X = 1/D, U = 1.
-	res, err := MVA(1, []Station{{Demand: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(res.Throughput, 0.01, 1e-12) || !almost(res.Utilization[0], 1, 1e-12) {
-		t.Fatalf("%+v", res)
-	}
-}
-
-func TestMVAKnownTwoStation(t *testing.T) {
-	// Classic example: demands 2 and 1, N=2.
-	// N=1: R = 2+1=3, X=1/3, q=(2/3, 1/3).
-	// N=2: R1=2*(1+2/3)=10/3, R2=1*(1+1/3)=4/3, R=14/3, X=2/(14/3)=3/7.
-	res, err := MVA(2, []Station{{Demand: 2}, {Demand: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(res.Throughput, 3.0/7, 1e-12) {
-		t.Fatalf("X %v, want 3/7", res.Throughput)
-	}
-	if !almost(res.Utilization[0], 6.0/7, 1e-12) {
-		t.Fatalf("U1 %v", res.Utilization[0])
-	}
-}
-
-func TestMVAWithDelayStation(t *testing.T) {
-	// Think-time station adds demand to response but never queues.
-	res, err := MVA(3, []Station{{Demand: 50}, {Demand: 1000, Delay: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Utilization[1] != 0 {
-		t.Fatal("delay station must report zero utilization")
-	}
-	// Throughput bounded by both 1/D_queue and N/(D_total).
-	if res.Throughput > 1.0/50 || res.Throughput > 3.0/1050 {
-		t.Fatalf("X %v violates bounds", res.Throughput)
-	}
-}
-
-// Property: MVA throughput increases with customers and respects the
-// bottleneck bound 1/maxDemand.
-func TestQuickMVAMonotone(t *testing.T) {
-	f := func(d1, d2 uint8, n uint8) bool {
-		stations := []Station{{Demand: float64(d1) + 1}, {Demand: float64(d2) + 1}}
-		maxD := stations[0].Demand
-		if stations[1].Demand > maxD {
-			maxD = stations[1].Demand
-		}
-		prev := 0.0
-		for k := 1; k <= int(n%20)+2; k++ {
-			res, err := MVA(k, stations)
-			if err != nil {
-				return false
-			}
-			if res.Throughput < prev-1e-12 || res.Throughput > 1/maxD+1e-12 {
-				return false
-			}
-			prev = res.Throughput
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMVAErrors(t *testing.T) {
-	if _, err := MVA(0, []Station{{Demand: 1}}); err == nil {
-		t.Fatal("want error for 0 customers")
-	}
-	if _, err := MVA(1, nil); err == nil {
-		t.Fatal("want error for no stations")
-	}
-	if _, err := MVA(1, []Station{{Demand: -1}}); err == nil {
-		t.Fatal("want error for negative demand")
-	}
-}

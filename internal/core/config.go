@@ -276,9 +276,6 @@ type DetailedModel struct {
 	MaxProcsPerNode int
 }
 
-// enabled reports whether any detailed-model feature is active.
-func (d DetailedModel) enabled() bool { return d.IOProb > 0 || d.SpawnPeriod > 0 }
-
 // DefaultConfig returns the "typical" configuration of Table 2: 8 nodes,
 // 1 application process and 1 daemon per node, 40 ms sampling, CF policy,
 // direct forwarding, 100-second run.
@@ -308,19 +305,27 @@ func (c Config) Validate() (Config, error) {
 	for _, f := range []struct {
 		name string
 		v    float64
+		// nonneg marks a field whose zero means "default" or "off": a
+		// negative value would otherwise run silently as that zero.
+		nonneg bool
 	}{
-		{"SamplingPeriod", c.SamplingPeriod}, {"Quantum", c.Quantum},
-		{"Duration", c.Duration}, {"Warmup", c.Warmup},
-		{"BarrierPeriod", c.BarrierPeriod}, {"FlushTimeout", c.FlushTimeout},
-		{"PhasePeriod", c.PhasePeriod},
-		{"Detailed.IOProb", c.Detailed.IOProb}, {"Detailed.SpawnPeriod", c.Detailed.SpawnPeriod},
-		{"MainThreads.ConsultantPeriod", c.MainThreads.ConsultantPeriod},
-		{"MainThreads.UIPeriod", c.MainThreads.UIPeriod},
+		{"SamplingPeriod", c.SamplingPeriod, true}, {"Quantum", c.Quantum, true},
+		{"Duration", c.Duration, false}, {"Warmup", c.Warmup, true},
+		{"BarrierPeriod", c.BarrierPeriod, true}, {"FlushTimeout", c.FlushTimeout, true},
+		{"PhasePeriod", c.PhasePeriod, true},
+		{"PipeCapacity", float64(c.PipeCapacity), true}, {"Pds", float64(c.Pds), true},
+		{"Detailed.IOProb", c.Detailed.IOProb, false},
+		{"Detailed.SpawnPeriod", c.Detailed.SpawnPeriod, true},
+		{"MainThreads.ConsultantPeriod", c.MainThreads.ConsultantPeriod, true},
+		{"MainThreads.UIPeriod", c.MainThreads.UIPeriod, true},
 	} {
 		// NaN slips through every ordered comparison below, and an
 		// infinite Duration would never end.
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return c, fmt.Errorf("core: %s must be finite, got %v", f.name, f.v)
+		}
+		if f.nonneg && f.v < 0 {
+			return c, fmt.Errorf("core: %s must be >= 0, got %v", f.name, f.v)
 		}
 	}
 	if c.Nodes < 1 {
@@ -329,22 +334,16 @@ func (c Config) Validate() (Config, error) {
 	if c.AppProcs < 1 {
 		return c, errors.New("core: AppProcs must be >= 1")
 	}
-	if c.Pds < 1 {
+	if c.Pds == 0 {
 		c.Pds = 1
 	}
 	if c.Arch == SMP && c.Pds > c.AppProcs {
 		return c, errors.New("core: SMP daemons exceed application processes")
 	}
-	if c.SamplingPeriod < 0 {
-		return c, errors.New("core: SamplingPeriod must be >= 0")
-	}
 	if c.Duration <= 0 {
 		return c, errors.New("core: Duration must be positive")
 	}
-	if c.Warmup < 0 {
-		return c, errors.New("core: Warmup must be >= 0")
-	}
-	if c.PipeCapacity <= 0 {
+	if c.PipeCapacity == 0 {
 		c.PipeCapacity = 256
 	}
 	if c.Overflow < resources.Block || c.Overflow > resources.DropOldest {
@@ -359,7 +358,7 @@ func (c Config) Validate() (Config, error) {
 		}
 		c.Faults = &plan
 	}
-	if c.Quantum <= 0 {
+	if c.Quantum == 0 {
 		c.Quantum = 10000
 	}
 	if c.Strategy == nil {
@@ -387,9 +386,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Detailed.SpawnPeriod > 0 && c.Detailed.MaxProcsPerNode <= 0 {
 		c.Detailed.MaxProcsPerNode = 8
-	}
-	if c.PhasePeriod < 0 {
-		return c, errors.New("core: PhasePeriod must be >= 0")
 	}
 	if c.PhasePeriod > 0 && c.PhaseWorkload == nil {
 		return c, errors.New("core: PhasePeriod needs a PhaseWorkload")

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rocc/internal/faults"
@@ -75,6 +76,38 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		tc.set(&cfg)
 		if _, err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+	}
+}
+
+// A negative period or size used to run silently as its zero meaning
+// ("default" or "off"): a negative barrier period ran without barriers, a
+// negative pipe capacity ran with 256 slots. Validate must reject each,
+// and must still read zero as the default.
+func TestValidateRejectsNegativePeriodsAndSizes(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"BarrierPeriod", func(c *Config, v float64) { c.BarrierPeriod = v }},
+		{"FlushTimeout", func(c *Config, v float64) { c.FlushTimeout = v }},
+		{"PipeCapacity", func(c *Config, v float64) { c.PipeCapacity = int(v) }},
+		{"Quantum", func(c *Config, v float64) { c.Quantum = v }},
+		{"Pds", func(c *Config, v float64) { c.Pds = int(v) }},
+		{"Detailed.SpawnPeriod", func(c *Config, v float64) { c.Detailed.SpawnPeriod = v }},
+		{"MainThreads.ConsultantPeriod", func(c *Config, v float64) { c.MainThreads.ConsultantPeriod = v }},
+		{"MainThreads.UIPeriod", func(c *Config, v float64) { c.MainThreads.UIPeriod = v }},
+	}
+	for _, tc := range cases {
+		cfg := shortCfg()
+		tc.set(&cfg, -1)
+		if _, err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s = -1: Validate returned %v, want an error naming the field", tc.name, err)
+		}
+		cfg = shortCfg()
+		tc.set(&cfg, 0)
+		if _, err := cfg.Validate(); err != nil {
+			t.Errorf("%s = 0: Validate returned %v, want the default", tc.name, err)
 		}
 	}
 }

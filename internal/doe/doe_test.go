@@ -10,32 +10,6 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSignTable(t *testing.T) {
-	st := SignTable(2)
-	want := [][]int{{-1, -1}, {1, -1}, {-1, 1}, {1, 1}}
-	if len(st) != 4 {
-		t.Fatalf("rows %d", len(st))
-	}
-	for i := range want {
-		for j := range want[i] {
-			if st[i][j] != want[i][j] {
-				t.Fatalf("sign table %v, want %v", st, want)
-			}
-		}
-	}
-	// Columns are balanced.
-	st3 := SignTable(3)
-	for j := 0; j < 3; j++ {
-		sum := 0
-		for _, row := range st3 {
-			sum += row[j]
-		}
-		if sum != 0 {
-			t.Fatalf("unbalanced column %d", j)
-		}
-	}
-}
-
 // Jain's classic 2^2 memory-cache example (Art of Computer Systems
 // Performance Analysis §17): responses 15, 45, 25, 75 give effects
 // q0=40, qA=20, qB=10, qAB=5 and variation split 76.2% / 19.0% / 4.8%.
@@ -188,163 +162,6 @@ func TestQuickAllocationFractions(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestJacobiEigenKnownMatrix(t *testing.T) {
-	// [[2,1],[1,2]] has eigenvalues 3 and 1 with eigenvectors
-	// (1,1)/sqrt2 and (1,-1)/sqrt2.
-	vals, vecs := JacobiEigen([][]float64{{2, 1}, {1, 2}})
-	got := append([]float64(nil), vals...)
-	if got[0] < got[1] {
-		got[0], got[1] = got[1], got[0]
-	}
-	if !almost(got[0], 3, 1e-10) || !almost(got[1], 1, 1e-10) {
-		t.Fatalf("eigenvalues %v", vals)
-	}
-	// Verify A v = lambda v for each column.
-	a := [][]float64{{2, 1}, {1, 2}}
-	for col := 0; col < 2; col++ {
-		for row := 0; row < 2; row++ {
-			av := a[row][0]*vecs[0][col] + a[row][1]*vecs[1][col]
-			if !almost(av, vals[col]*vecs[row][col], 1e-10) {
-				t.Fatalf("A v != lambda v for col %d", col)
-			}
-		}
-	}
-}
-
-func TestJacobiEigenDiagonal(t *testing.T) {
-	vals, vecs := JacobiEigen([][]float64{{5, 0, 0}, {0, 2, 0}, {0, 0, 7}})
-	want := map[float64]bool{5: true, 2: true, 7: true}
-	for _, v := range vals {
-		found := false
-		for w := range want {
-			if almost(v, w, 1e-12) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("unexpected eigenvalue %v", v)
-		}
-	}
-	// Eigenvectors of a diagonal matrix are the identity columns.
-	for i := range vecs {
-		for j := range vecs[i] {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if !almost(math.Abs(vecs[i][j]), want, 1e-12) {
-				t.Fatalf("vecs %v", vecs)
-			}
-		}
-	}
-}
-
-func TestPCARecoversDominantDirection(t *testing.T) {
-	// Points along y = 2x with small noise: first component ~ (1,2)/sqrt5.
-	r := rng.New(5)
-	data := make([][]float64, 500)
-	for i := range data {
-		x := r.Normal(0, 3)
-		data[i] = []float64{x, 2*x + r.Normal(0, 0.1)}
-	}
-	res, err := PCA(data, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Explained[0] < 0.99 {
-		t.Fatalf("first component explains only %v", res.Explained[0])
-	}
-	c := res.Components[0]
-	ratio := c[1] / c[0]
-	if !almost(ratio, 2, 0.05) {
-		t.Fatalf("dominant direction slope %v, want ~2", ratio)
-	}
-	// Projection of a point on the line has ~zero second score.
-	scores := res.Project([]float64{1, 2})
-	if math.Abs(scores[1]) > 0.2 {
-		t.Fatalf("second score %v", scores[1])
-	}
-}
-
-func TestPCAStandardized(t *testing.T) {
-	// Two variables with wildly different scales but equal correlation
-	// structure: standardized PCA weights them equally.
-	r := rng.New(6)
-	data := make([][]float64, 400)
-	for i := range data {
-		z := r.Normal(0, 1)
-		data[i] = []float64{z * 1e6, z + r.Normal(0, 0.5)}
-	}
-	res, err := PCA(data, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scales == nil {
-		t.Fatal("scales missing")
-	}
-	c := res.Components[0]
-	if !almost(math.Abs(c[0]), math.Abs(c[1]), 0.1) {
-		t.Fatalf("standardized loadings unequal: %v", c)
-	}
-}
-
-func TestPCAConstantVariable(t *testing.T) {
-	data := [][]float64{{1, 5}, {2, 5}, {3, 5}, {4, 5}}
-	res, err := PCA(data, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Explained[0] < 0.99 {
-		t.Fatal("varying variable should dominate")
-	}
-}
-
-func TestPCAErrors(t *testing.T) {
-	if _, err := PCA(nil, false); err == nil {
-		t.Fatal("empty")
-	}
-	if _, err := PCA([][]float64{{1}}, false); err == nil {
-		t.Fatal("one observation")
-	}
-	if _, err := PCA([][]float64{{}, {}}, false); err == nil {
-		t.Fatal("zero variables")
-	}
-	if _, err := PCA([][]float64{{1, 2}, {1}}, false); err == nil {
-		t.Fatal("ragged")
-	}
-}
-
-// Property: PCA explained fractions sum to ~1 and are non-increasing.
-func TestQuickPCAExplained(t *testing.T) {
-	f := func(seed uint64, p8 uint8) bool {
-		p := int(p8)%4 + 2
-		r := rng.New(seed)
-		data := make([][]float64, 30)
-		for i := range data {
-			row := make([]float64, p)
-			for j := range row {
-				row[j] = r.Normal(float64(j), float64(j+1))
-			}
-			data[i] = row
-		}
-		res, err := PCA(data, false)
-		if err != nil {
-			return false
-		}
-		sum := 0.0
-		for i, e := range res.Explained {
-			sum += e
-			if i > 0 && e > res.Explained[i-1]+1e-12 {
-				return false
-			}
-		}
-		return almost(sum, 1, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,9 +1,8 @@
 // Package doe implements the experiment-design machinery of Section 4:
 // 2^k·r factorial designs with allocation of variation (the analysis the
 // paper presents in Figures 16, 20, and 25 and Tables 7 and 8 to rank the
-// importance of factors such as sampling period and forwarding policy),
-// and principal component analysis of observation matrices via Jacobi
-// eigendecomposition.
+// importance of factors such as sampling period and forwarding policy).
+// The paper calls this allocation "principal component analysis".
 package doe
 
 import (
@@ -41,26 +40,6 @@ type Analysis struct {
 	Replications  int
 }
 
-// SignTable returns the 2^k x k design matrix of factor levels in standard
-// order: in row i, factor j is at its high level (+1) iff bit j of i is
-// set.
-func SignTable(k int) [][]int {
-	rows := 1 << k
-	out := make([][]int, rows)
-	for i := range out {
-		row := make([]int, k)
-		for j := 0; j < k; j++ {
-			if i>>j&1 == 1 {
-				row[j] = 1
-			} else {
-				row[j] = -1
-			}
-		}
-		out[i] = row
-	}
-	return out
-}
-
 // termLabel builds the conventional letter label for a factor subset:
 // factor 0 = "A", 1 = "B", ... The empty set is "I".
 func termLabel(factors []int) string {
@@ -76,8 +55,9 @@ func termLabel(factors []int) string {
 
 // Analyze2KR performs the allocation of variation for a full-factorial
 // 2^k design with r replications. responses must have exactly 2^k rows in
-// standard order (see SignTable); each row holds the r replicate
-// observations of that run (all rows must have the same positive length).
+// standard order (in row i, factor j is at its high level iff bit j of i
+// is set); each row holds the r replicate observations of that run (all
+// rows must have the same positive length).
 func Analyze2KR(factorNames []string, responses [][]float64) (Analysis, error) {
 	k := len(factorNames)
 	if k == 0 {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rocc/internal/des"
 	"rocc/internal/obs"
 	"rocc/internal/procs"
 )
@@ -18,9 +19,13 @@ func FuzzParseExposition(f *testing.F) {
 	m := obs.NewMetrics(procs.NewLatencyHistogram())
 	m.Generated.Add(10)
 	m.Latency.Observe(250)
+	sim := des.New()
+	sampler := obs.NewSampler(sim, 10)
+	sampler.Probe(m, "sim_time_sec", func(t float64) float64 { return t / 1e6 })
+	sampler.Start()
+	sim.Run(15)
 	e := NewExporter()
 	e.SetRun(m)
-	e.AddGauge("sim_time_sec", "simulated seconds", func() float64 { return 2 })
 	var b strings.Builder
 	if err := e.WriteOpenMetrics(&b); err != nil {
 		f.Fatal(err)

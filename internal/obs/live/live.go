@@ -6,11 +6,12 @@
 // The package has two halves:
 //
 //   - Exporter renders attached metric sources (obs.Metrics, a
-//     distributed sweep's counters, extra gauge callbacks) in the
+//     distributed sweep's counters, standalone histograms) in the
 //     OpenMetrics text exposition format, with every metric family
-//     appearing exactly once in a stable sorted order. Reads are race-safe against a mutating
-//     run: counters and gauges load atomically, histograms and sampler
-//     series copy under their locks (see internal/obs and internal/stats).
+//     appearing exactly once in a stable sorted order. Reads are
+//     race-safe against a mutating run: counters load atomically,
+//     histograms and sampler series copy under their locks (see
+//     internal/obs and internal/stats).
 //   - Server is the embeddable monitoring HTTP server behind the -http
 //     flag of roccsweep, roccbench, and roccsim: /metrics (OpenMetrics),
 //     /healthz (liveness JSON), /progress (a caller-supplied JSON
@@ -36,23 +37,15 @@ import (
 // MetricPrefix is prepended to every exported metric family name.
 const MetricPrefix = "rocc_"
 
-// gaugeSource is one registered callback gauge.
-type gaugeSource struct {
-	name string
-	help string
-	read func() float64
-}
-
 // Exporter renders attached metric sources as OpenMetrics text. All
 // methods are safe for concurrent use; sources may be attached while
 // scrapes are in flight (a scrape sees the sources attached at its
 // start).
 type Exporter struct {
-	mu     sync.Mutex
-	run    *obs.Metrics
-	sweep  []*obs.Counter
-	gauges []gaugeSource
-	hists  []histSource
+	mu    sync.Mutex
+	run   *obs.Metrics
+	sweep []*obs.Counter
+	hists []histSource
 }
 
 // histSource is one registered standalone histogram (e.g. the provenance
@@ -63,7 +56,7 @@ type histSource struct {
 }
 
 // NewExporter returns an empty exporter; attach sources with SetRun,
-// SetSweep, and AddGauge.
+// SetSweep, and AddHistogram.
 func NewExporter() *Exporter { return &Exporter{} }
 
 // SetRun attaches a simulation run's metric registry: its pipeline
@@ -81,21 +74,6 @@ func (e *Exporter) SetSweep(counters []*obs.Counter) {
 	e.mu.Lock()
 	e.sweep = counters
 	e.mu.Unlock()
-}
-
-// AddGauge registers a callback gauge under the given family name
-// (without the rocc_ prefix). The callback runs at scrape time and must
-// be safe for concurrent use. Registering a name twice keeps the first
-// registration — families must appear exactly once in the output.
-func (e *Exporter) AddGauge(name, help string, read func() float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, g := range e.gauges {
-		if g.name == name {
-			return
-		}
-	}
-	e.gauges = append(e.gauges, gaugeSource{name: name, help: help, read: read})
 }
 
 // AddHistogram registers a standalone histogram family (named by the
@@ -129,7 +107,6 @@ type family struct {
 func (e *Exporter) WriteOpenMetrics(w io.Writer) error {
 	e.mu.Lock()
 	run, sweep := e.run, e.sweep
-	gauges := append([]gaugeSource(nil), e.gauges...)
 	hists := append([]histSource(nil), e.hists...)
 	e.mu.Unlock()
 
@@ -152,19 +129,10 @@ func (e *Exporter) WriteOpenMetrics(w io.Writer) error {
 		fams = append(fams, counterFamily(MetricPrefix+"sweep_"+sanitizeName(c.Name),
 			"distributed sweep fault-handling counter "+c.Name, c.Value()))
 	}
-	for _, g := range gauges {
-		fams = append(fams, family{
-			name:    MetricPrefix + sanitizeName(g.name),
-			typ:     "gauge",
-			help:    g.help,
-			samples: []string{fmt.Sprintf("%s %s", MetricPrefix+sanitizeName(g.name), formatFloat(g.read()))},
-		})
-	}
-
 	// Exactly-once with a stable order: sort by family name, drop any
 	// later duplicate. Every registry above already names its counters
-	// uniquely; this guards combinations (e.g. a callback gauge colliding
-	// with a counter family) so the exposition stays parseable.
+	// uniquely; this guards combinations (e.g. a standalone histogram
+	// colliding with a counter family) so the exposition stays parseable.
 	sort.SliceStable(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	out := fams[:0]
 	for _, f := range fams {

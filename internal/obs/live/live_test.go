@@ -6,10 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"rocc/internal/des"
 	"rocc/internal/dist"
 	"rocc/internal/obs"
 	"rocc/internal/obs/prov"
 	"rocc/internal/procs"
+	"rocc/internal/stats"
 )
 
 // The sweep-counter exposition is pinned byte for byte: every counter
@@ -86,9 +88,14 @@ func TestRunExpositionParses(t *testing.T) {
 		m.Latency.Observe(v)
 	}
 
+	sim := des.New()
+	sampler := obs.NewSampler(sim, 10)
+	sampler.Probe(m, "pipe depth", func(float64) float64 { return 1.5 })
+	sampler.Start()
+	sim.Run(15)
+
 	e := NewExporter()
 	e.SetRun(m)
-	e.AddGauge("sim_time_sec", "simulated seconds elapsed", func() float64 { return 1.5 })
 
 	var b strings.Builder
 	if err := e.WriteOpenMetrics(&b); err != nil {
@@ -104,7 +111,8 @@ func TestRunExpositionParses(t *testing.T) {
 		"# TYPE rocc_sample_latency_us histogram",
 		`rocc_sample_latency_us_bucket{le="+Inf"} 4`,
 		"rocc_sample_latency_us_count 4",
-		"rocc_sim_time_sec 1.5",
+		"# TYPE rocc_series_pipe_depth gauge",
+		`rocc_series_pipe_depth{sim_time_us="10"} 1.5`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -154,13 +162,12 @@ func TestExpositionStageHistograms(t *testing.T) {
 	}
 }
 
-// Name collisions keep the first registration: a callback gauge that
-// collides with an existing family must not produce a duplicate TYPE.
+// Name collisions keep the first registration: a standalone histogram
+// that collides with an existing family must not produce a duplicate TYPE.
 func TestExpositionDeduplicatesFamilies(t *testing.T) {
 	e := NewExporter()
 	e.SetSweep(dist.NewMonitor().Counters())
-	e.AddGauge("sweep_retries", "colliding name", func() float64 { return 99 })
-	e.AddGauge("sweep_retries", "registered twice", func() float64 { return 77 })
+	e.AddHistogram(stats.NewBucketHistogram("sweep_retries", []float64{1, 10}), "colliding name")
 
 	var b strings.Builder
 	if err := e.WriteOpenMetrics(&b); err != nil {

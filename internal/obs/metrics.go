@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -25,19 +24,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a point-in-time value, readable concurrently with Set (the
-// float is stored as atomic bits).
-type Gauge struct {
-	Name string
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Series is one sampled time series: value V[i] observed at simulated
 // time T[i] (microseconds). The sampler appends under mu so the live
@@ -163,7 +149,6 @@ type Sampler struct {
 	sim      *des.Simulator
 	interval float64
 	probes   []probe
-	stopped  bool
 
 	// expect is the tick-count capacity hint for new probe series
 	// (SetExpectedTicks); tickFn is the reusable reschedule closure
@@ -218,13 +203,7 @@ func (s *Sampler) Start() {
 	s.sim.Schedule(s.interval, s.tickFn)
 }
 
-// Stop halts sampling after the current tick.
-func (s *Sampler) Stop() { s.stopped = true }
-
 func (s *Sampler) tick() {
-	if s.stopped {
-		return
-	}
 	t := float64(s.sim.Now())
 	for _, p := range s.probes {
 		p.series.append(t, p.read(t))

@@ -123,7 +123,7 @@ func TestMetricsResetClearsEverything(t *testing.T) {
 	}
 }
 
-func TestSamplerTicksAndStops(t *testing.T) {
+func TestSamplerTicks(t *testing.T) {
 	sim := des.New()
 	s := NewSampler(sim, 10)
 	calls := 0
@@ -135,10 +135,5 @@ func TestSamplerTicksAndStops(t *testing.T) {
 	}
 	if len(ser.T) != 3 || ser.T[0] != 10 || ser.V[2] != 30 {
 		t.Fatalf("series = %+v, want ticks at 10,20,30 echoing time", ser)
-	}
-	s.Stop()
-	sim.Run(100)
-	if calls != 3 {
-		t.Fatalf("sampler kept ticking after Stop: %d calls", calls)
 	}
 }

@@ -30,56 +30,29 @@
 // The hook interfaces themselves live with the packages that call them
 // (des.Observer, resources.PipeObserver, procs.Observer); Collector
 // satisfies all of them structurally, so those packages stay free of any
-// obs dependency.
+// obs dependency. The per-sample lifecycle fan-out goes to the
+// provenance engine (internal/obs/prov.Engine), which folds each
+// sample's path into per-stage dwell times; it is the only consumer of
+// that fan-out, so Collector.Flow names it directly.
 package obs
 
 import (
+	"rocc/internal/obs/prov"
 	"rocc/internal/procs"
 	"rocc/internal/resources"
 )
 
-// FlowObserver consumes the per-sample lifecycle fan-out the provenance
-// engine (internal/obs/prov) needs to fold each sample's path into
-// per-stage dwell times. It is a subset-with-batches view of the
-// procs.Observer and resources.PipeObserver hooks: batch slices are
-// caller-owned and must not be retained.
-type FlowObserver interface {
-	// SampleGenerated: the sample exists; blocked reports a full-pipe stall.
-	SampleGenerated(t float64, s resources.Sample, blocked bool)
-	// PipePut: the sample was accepted into its pipe (admit time for
-	// blocked writers).
-	PipePut(t float64, s resources.Sample)
-	// PipeGet: a daemon drained the sample from its pipe.
-	PipeGet(t float64, s resources.Sample)
-	// PipeDropped: the sample was discarded at a full pipe.
-	PipeDropped(t float64, s resources.Sample)
-	// BatchForwarded: a daemon handed a message carrying batch to the
-	// network (hops==1: first forward after collection; >1: relay).
-	BatchForwarded(node int, t float64, batch []resources.Sample, hops int)
-	// BatchArrived: a relay daemon accepted a message from a child.
-	BatchArrived(node int, t float64, batch []resources.Sample, hops int)
-	// SampleDelivered: the sample reached the main process.
-	SampleDelivered(t float64, s resources.Sample, latencyUS float64)
-	// SampleLost: the sample left the system without reaching the main
-	// process.
-	SampleLost(node int, t float64, s resources.Sample, reason procs.LossReason)
-	// ResetAccounting discards aggregates at the warmup boundary (records
-	// of still-in-flight samples survive, mirroring the model's latency
-	// accounting, which measures carryover samples from generation).
-	ResetAccounting()
-}
-
 // Collector is the one-stop observer wired through a model: it fans each
 // instrumentation callback into the optional trace sink, metrics
-// registry, and per-sample flow observer. A nil Sink, Metrics, or Flow
-// disables that third; the corresponding work is skipped.
+// registry, and provenance engine. A nil Sink, Metrics, or Flow disables
+// that third; the corresponding work is skipped.
 //
 // Collector satisfies des.Observer, resources.PipeObserver, and
 // procs.Observer.
 type Collector struct {
 	Sink    *TraceSink
 	Metrics *Metrics
-	Flow    FlowObserver
+	Flow    *prov.Engine
 }
 
 // NewCollector returns a collector with a trace sink when trace is set

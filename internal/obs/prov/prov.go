@@ -1,5 +1,5 @@
 // Package prov is the streaming per-sample provenance engine: it
-// consumes the sample-lifecycle hook fan-out (obs.FlowObserver) and folds
+// consumes the sample-lifecycle hook fan-out (obs.Collector.Flow) and folds
 // each sample's path through the instrumentation system into a per-stage
 // dwell-time decomposition — where the paper's aggregate
 // generation→delivery latency (Figure 16) actually accrues.
@@ -230,9 +230,11 @@ type StageSummary struct {
 	SharePct float64
 }
 
-// Engine is the provenance engine. It implements obs.FlowObserver; wire
-// it as Collector.Flow. Not safe for concurrent use — it is fed from the
-// single simulation goroutine, like the trace sink.
+// Engine is the provenance engine; wire it as obs.Collector.Flow. Its
+// hook methods mirror the procs.Observer and resources.PipeObserver
+// callbacks, with batches passed as caller-owned slices that must not be
+// retained. Not safe for concurrent use — it is fed from the single
+// simulation goroutine, like the trace sink.
 type Engine struct {
 	wins [][]window // by node, then proc
 	open int        // records open across all windows
@@ -332,13 +334,14 @@ func (e *Engine) close(s resources.Sample) (rec record, ok bool) {
 	return rec, true
 }
 
-// SampleGenerated implements obs.FlowObserver.
+// SampleGenerated opens the sample's record; blocked reports a full-pipe
+// stall.
 func (e *Engine) SampleGenerated(t float64, s resources.Sample, blocked bool) {
 	e.get(s)
 	e.generated++
 }
 
-// PipePut implements obs.FlowObserver: pipe admission.
+// PipePut records pipe admission (the admit time for a blocked writer).
 func (e *Engine) PipePut(t float64, s resources.Sample) {
 	r := e.get(s)
 	if r == nil {
@@ -348,7 +351,7 @@ func (e *Engine) PipePut(t float64, s resources.Sample) {
 	r.maxPut = t
 }
 
-// PipeGet implements obs.FlowObserver: pipe drain.
+// PipeGet records that a daemon drained the sample from its pipe.
 func (e *Engine) PipeGet(t float64, s resources.Sample) {
 	r := e.get(s)
 	if r == nil {
@@ -358,10 +361,10 @@ func (e *Engine) PipeGet(t float64, s resources.Sample) {
 	r.hasGet = true
 }
 
-// PipeDropped implements obs.FlowObserver: the sample died at a full
-// pipe; its record closes without stage observations. A DropNewest
-// arrival fires this before any other hook of its sample, so a drop of an
-// unseen identity counts too, and marks it seen.
+// PipeDropped records that the sample died at a full pipe; its record
+// closes without stage observations. A DropNewest arrival fires this
+// before any other hook of its sample, so a drop of an unseen identity
+// counts too, and marks it seen.
 func (e *Engine) PipeDropped(t float64, s resources.Sample) {
 	if _, ok := e.close(s); ok {
 		e.dropped++
@@ -374,10 +377,12 @@ func (e *Engine) PipeDropped(t float64, s resources.Sample) {
 	}
 }
 
-// BatchForwarded implements obs.FlowObserver. At the first hop the batch
-// defines maxPut — the latest pipe admission across the message — which
-// splits each member's pipe dwell into batch-residency and pipe-wait
-// proper. Relay re-forwards close a merge leg.
+// BatchForwarded records that a daemon handed a message carrying batch to
+// the network (hops==1: first forward after collection; >1: relay). At
+// the first hop the batch defines maxPut — the latest pipe admission
+// across the message — which splits each member's pipe dwell into
+// batch-residency and pipe-wait proper. Relay re-forwards close a merge
+// leg.
 func (e *Engine) BatchForwarded(node int, t float64, batch []resources.Sample, hops int) {
 	if hops == 1 {
 		maxPut := math.Inf(-1)
@@ -418,8 +423,8 @@ func (e *Engine) BatchForwarded(node int, t float64, batch []resources.Sample, h
 	}
 }
 
-// BatchArrived implements obs.FlowObserver: relay receipt closes one
-// network leg.
+// BatchArrived records that a relay daemon accepted a message from a
+// child; the receipt closes one network leg.
 func (e *Engine) BatchArrived(node int, t float64, batch []resources.Sample, hops int) {
 	for _, s := range batch {
 		r := e.find(s)
@@ -431,11 +436,12 @@ func (e *Engine) BatchArrived(node int, t float64, batch []resources.Sample, hop
 	}
 }
 
-// SampleDelivered implements obs.FlowObserver: the path is complete. The
-// final network leg ends at the delivery instant; the six stages are
-// observed under one histogram lock and the record closes. A delivery
-// for an identity with no open record is an injected duplicate (the first delivery already closed it): it is
-// tallied separately so totals still reconcile with the aggregate latency
+// SampleDelivered records that the sample reached the main process: the
+// path is complete. The final network leg ends at the delivery instant;
+// the six stages are observed under one histogram lock and the record
+// closes. A delivery for an identity with no open record is an injected
+// duplicate (the first delivery already closed it): it is tallied
+// separately so totals still reconcile with the aggregate latency
 // histogram, which observes every delivery.
 func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float64) {
 	r, ok := e.close(s)
@@ -479,8 +485,8 @@ func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float6
 	}
 }
 
-// SampleLost implements obs.FlowObserver: the path ended without
-// delivery. The record closes without stage observations; a loss for an
+// SampleLost records that the sample left the system without delivery.
+// The record closes without stage observations; a loss for an
 // already-closed identity (a duplicate dying after the original closed)
 // is tallied separately.
 func (e *Engine) SampleLost(node int, t float64, s resources.Sample, reason procs.LossReason) {
@@ -493,10 +499,10 @@ func (e *Engine) SampleLost(node int, t float64, s resources.Sample, reason proc
 	}
 }
 
-// ResetAccounting implements obs.FlowObserver: warmup removal. All
-// aggregates clear; in-flight records survive, so a sample generated
-// during warmup but delivered in the measured window decomposes over its
-// full path — exactly how the model's latency accumulator measures it.
+// ResetAccounting is warmup removal. All aggregates clear; in-flight
+// records survive, so a sample generated during warmup but delivered in
+// the measured window decomposes over its full path — exactly how the
+// model's latency accumulator measures it.
 func (e *Engine) ResetAccounting() {
 	for i := Stage(0); i < NumStages; i++ {
 		e.Histogram(i).Reset()

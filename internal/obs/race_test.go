@@ -27,7 +27,6 @@ func TestConcurrentSnapshotWhileMutating(t *testing.T) {
 	i := 0
 	ser := sampler.Probe(m, "pipe_depth", func(float64) float64 { return float64(i % 7) })
 	sampler.Start()
-	var g obs.Gauge
 
 	const iters = 5000
 	var wg sync.WaitGroup
@@ -38,7 +37,6 @@ func TestConcurrentSnapshotWhileMutating(t *testing.T) {
 			m.Events.Add(1)
 			m.Generated.Add(2)
 			m.Latency.Observe(float64(100 + i%1000))
-			g.Set(float64(i))
 			sim.Step() // one sampler tick: appends to ser
 			if i%1024 == 0 {
 				m.Reset() // warmup removal can overlap a scrape too
@@ -60,7 +58,6 @@ func TestConcurrentSnapshotWhileMutating(t *testing.T) {
 					return
 				}
 				_ = m.Latency.Quantile(0.99)
-				_ = g.Value()
 				if _, _, ok := ser.Last(); ok {
 					_ = ser.Len()
 				}

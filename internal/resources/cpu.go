@@ -158,15 +158,3 @@ func (c *CPU) ResetAccounting() {
 	c.busy.reset()
 	c.busyTotal = 0
 }
-
-// Owners returns the set of owner classes that have accumulated CPU time.
-func (c *CPU) Owners() []string { return c.busy.owners() }
-
-// Utilization returns the fraction of total core-time an owner occupied
-// over elapsed microseconds of simulated time.
-func (c *CPU) Utilization(owner string, elapsed float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return c.busy.get(owner) / (float64(c.cores) * elapsed)
-}

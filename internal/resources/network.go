@@ -23,8 +23,7 @@ type Network struct {
 	queue   des.FIFO[*netReq]
 	serving bool
 
-	// busy accumulates per-owner occupancy time and completed-transfer
-	// counts (tally.counts).
+	// busy accumulates per-owner occupancy time.
 	busy      tally
 	busyTotal float64
 
@@ -117,9 +116,7 @@ func (n *Network) complete(req *netReq) {
 }
 
 func (n *Network) account(owner string, length float64) {
-	i := n.busy.idx(owner)
-	n.busy.vals[i] += length
-	n.busy.counts[i]++
+	n.busy.add(owner, length)
 	n.busyTotal += length
 	if n.OnOccupancy != nil {
 		n.OnOccupancy(owner, n.sim.Now()-length, length)
@@ -140,22 +137,9 @@ func (n *Network) Busy(owner string) float64 { return n.busy.get(owner) }
 // BusyTotal returns accumulated occupancy across all owners.
 func (n *Network) BusyTotal() float64 { return n.busyTotal }
 
-// Transfers returns the number of completed transfers for an owner class.
-func (n *Network) Transfers(owner string) int { return n.busy.count(owner) }
-
 // ResetAccounting clears occupancy accounting without disturbing queued or
 // in-flight transfers; used for warmup (initial-transient) removal.
 func (n *Network) ResetAccounting() {
 	n.busy.reset()
 	n.busyTotal = 0
-}
-
-// Utilization returns the fraction of channel time an owner occupied over
-// elapsed microseconds. For contention-free networks this is the offered
-// load rather than a true utilization.
-func (n *Network) Utilization(owner string, elapsed float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return n.busy.get(owner) / elapsed
 }

@@ -67,8 +67,8 @@ func TestCPUMultiCore(t *testing.T) {
 	if len(times) != 2 || times[0] != 5000 || times[1] != 5000 {
 		t.Fatalf("parallel completions %v", times)
 	}
-	if cpu.Utilization("app", 5000) != 1.0 {
-		t.Fatalf("utilization %v", cpu.Utilization("app", 5000))
+	if cpu.Busy("app") != 10000 {
+		t.Fatalf("app busy %v, want 10000 (two cores for 5000)", cpu.Busy("app"))
 	}
 }
 
@@ -112,11 +112,8 @@ func TestCPUOwnersAndQueue(t *testing.T) {
 		t.Fatalf("running=%d queued=%d", cpu.Running(), cpu.QueueLen())
 	}
 	sim.RunAll()
-	if len(cpu.Owners()) != 2 {
-		t.Fatalf("owners %v", cpu.Owners())
-	}
-	if cpu.Utilization("a", 0) != 0 {
-		t.Fatal("zero elapsed should give zero utilization")
+	if cpu.Busy("a") != 500 || cpu.Busy("b") != 500 || cpu.BusyTotal() != 1000 {
+		t.Fatalf("busy a=%v b=%v total=%v", cpu.Busy("a"), cpu.Busy("b"), cpu.BusyTotal())
 	}
 }
 
@@ -137,8 +134,8 @@ func TestTallyOwnerIdentityAndContents(t *testing.T) {
 	if got := ta.get("pvmd"); got != 0 {
 		t.Fatalf("unknown owner total %v, want 0", got)
 	}
-	if len(ta.owners()) != 2 {
-		t.Fatalf("owners %v", ta.owners())
+	if len(ta.names) != 2 {
+		t.Fatalf("owners %v", ta.names)
 	}
 }
 
@@ -159,7 +156,7 @@ func TestNetworkContendedFIFO(t *testing.T) {
 	if order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order %v", order)
 	}
-	if net.Transfers("a") != 1 || net.BusyTotal() != 160 {
+	if net.Busy("a") != 100 || net.BusyTotal() != 160 {
 		t.Fatal("accounting wrong")
 	}
 }
@@ -180,11 +177,8 @@ func TestNetworkContentionFree(t *testing.T) {
 	if net.Contended() {
 		t.Fatal("mode flag wrong")
 	}
-	if u := net.Utilization("a", 100); u != 1.0 {
-		t.Fatalf("offered load %v", u)
-	}
-	if net.Utilization("a", 0) != 0 {
-		t.Fatal("zero elapsed")
+	if net.Busy("a") != 100 || net.BusyTotal() != 200 {
+		t.Fatalf("busy a=%v total=%v", net.Busy("a"), net.BusyTotal())
 	}
 }
 

@@ -10,9 +10,8 @@ import "unsafe"
 // the tally stored: find compares string identity (data pointer and
 // length) first and falls back to comparing contents.
 type tally struct {
-	names  []string
-	vals   []float64
-	counts []int // completed-request counts (used by Network, idle for CPU)
+	names []string
+	vals  []float64
 }
 
 // ownerClasses is the number of owner classes the model charges
@@ -45,11 +44,9 @@ func (t *tally) idx(owner string) int {
 	if t.names == nil {
 		t.names = make([]string, 0, ownerClasses)
 		t.vals = make([]float64, 0, ownerClasses)
-		t.counts = make([]int, 0, ownerClasses)
 	}
 	t.names = append(t.names, owner)
 	t.vals = append(t.vals, 0)
-	t.counts = append(t.counts, 0)
 	return len(t.names) - 1
 }
 
@@ -64,25 +61,9 @@ func (t *tally) get(owner string) float64 {
 	return 0
 }
 
-func (t *tally) count(owner string) int {
-	if i := t.find(owner); i >= 0 {
-		return t.counts[i]
-	}
-	return 0
-}
-
 // reset forgets all owners (matching the fresh-map semantics the
 // accounting reset had when this was a map).
 func (t *tally) reset() {
 	t.names = t.names[:0]
 	t.vals = t.vals[:0]
-	t.counts = t.counts[:0]
-}
-
-// owners returns the owner classes with accumulated time, freshly
-// allocated (callers are test/report paths).
-func (t *tally) owners() []string {
-	out := make([]string, len(t.names))
-	copy(out, t.names)
-	return out
 }

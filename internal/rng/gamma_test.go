@@ -96,7 +96,6 @@ func TestVariatePanics(t *testing.T) {
 		func() { r.Exp(-1) },
 		func() { r.Weibull(0, 1) },
 		func() { r.Weibull(1, 0) },
-		func() { r.Erlang(0, 5) },
 		func() { LognormalParams(0, 1) },
 		func() { LognormalParams(1, -1) },
 	}

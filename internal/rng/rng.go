@@ -1,7 +1,7 @@
 // Package rng provides deterministic pseudo-random number streams and the
 // random-variate generators needed by the ROCC simulation model: uniform,
 // exponential, normal, lognormal (parameterized by mean and standard
-// deviation, the form used in Table 2 of the paper), Weibull, Erlang, and
+// deviation, the form used in Table 2 of the paper), Weibull, and
 // empirical distributions.
 //
 // Every stream is seeded explicitly so simulation experiments are exactly
@@ -193,28 +193,7 @@ func (r *Stream) Weibull(shape, scale float64) float64 {
 	return scale * math.Pow(-math.Log(r.open()), 1/shape)
 }
 
-// Erlang returns an Erlang-k variate with the given overall mean
-// (the sum of k exponentials each with mean mean/k).
-func (r *Stream) Erlang(k int, mean float64) float64 {
-	if k <= 0 {
-		panic("rng: Erlang with non-positive k")
-	}
-	prod := 1.0
-	for i := 0; i < k; i++ {
-		prod *= r.open()
-	}
-	return -(mean / float64(k)) * math.Log(prod)
-}
-
 // Bernoulli returns true with probability p.
 func (r *Stream) Bernoulli(p float64) bool {
 	return r.Float64() < p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -141,7 +141,7 @@ func (s Spec) Config() (core.Config, error) {
 	}
 	cfg.Nodes = s.Nodes
 	cfg.AppProcs = s.AppProcs
-	if s.Pds > 0 {
+	if s.Pds != 0 {
 		cfg.Pds = s.Pds
 	}
 	cfg.SamplingPeriod = s.SamplingPeriod
@@ -165,10 +165,10 @@ func (s Spec) Config() (core.Config, error) {
 		}
 		cfg.Forwarding = fwd
 	}
-	if s.PipeCapacity > 0 {
+	if s.PipeCapacity != 0 {
 		cfg.PipeCapacity = s.PipeCapacity
 	}
-	if s.Quantum > 0 {
+	if s.Quantum != 0 {
 		cfg.Quantum = s.Quantum
 	}
 	cfg.Duration = s.Duration

@@ -122,6 +122,13 @@ func TestSpecErrors(t *testing.T) {
 		`{"nodes": 1, "app_procs": 1, "sampling_period_us": 1, "duration_us": 1,
 		  "workload": {"app_cpu": {"type": "noise"}}}`,
 		`{"unknown_field": 1}`,
+		// A negative size or period used to run as its default: pipe
+		// capacity 256, one daemon, no barrier, no flush timer.
+		`{"nodes": 1, "app_procs": 1, "sampling_period_us": 1, "duration_us": 1, "pipe_capacity": -7}`,
+		`{"nodes": 1, "app_procs": 1, "sampling_period_us": 1, "duration_us": 1, "quantum_us": -5}`,
+		`{"nodes": 1, "app_procs": 1, "sampling_period_us": 1, "duration_us": 1, "pds": -2}`,
+		`{"nodes": 1, "app_procs": 1, "sampling_period_us": 1, "duration_us": 1, "barrier_period_us": -3}`,
+		`{"nodes": 1, "app_procs": 1, "sampling_period_us": 1, "duration_us": 1, "flush_timeout_us": -9}`,
 	}
 	for i, in := range bad {
 		spec, err := Load(strings.NewReader(in))

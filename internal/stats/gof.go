@@ -51,49 +51,3 @@ func KSCriticalValue(n int, alpha float64) (float64, error) {
 	}
 	return c / math.Sqrt(float64(n)), nil
 }
-
-// ChiSquareGOF performs a chi-square goodness-of-fit test by binning xs
-// into equal-probability cells of the theoretical distribution (Law &
-// Kelton's recommended construction). It returns the test statistic and its
-// degrees of freedom (cells - 1 - paramsEstimated).
-func ChiSquareGOF(xs []float64, invCDF func(float64) float64, cells, paramsEstimated int) (stat float64, df int, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmptySample
-	}
-	if cells < 2 {
-		return 0, 0, errors.New("stats: chi-square needs at least 2 cells")
-	}
-	expected := float64(len(xs)) / float64(cells)
-	// Cell boundaries at equal-probability quantiles.
-	bounds := make([]float64, cells-1)
-	for i := range bounds {
-		bounds[i] = invCDF(float64(i+1) / float64(cells))
-	}
-	counts := make([]int, cells)
-	for _, x := range xs {
-		i := sort.SearchFloat64s(bounds, x)
-		counts[i]++
-	}
-	for _, c := range counts {
-		d := float64(c) - expected
-		stat += d * d / expected
-	}
-	df = cells - 1 - paramsEstimated
-	if df < 1 {
-		df = 1
-	}
-	return stat, df, nil
-}
-
-// ChiSquareCritical returns an approximate upper critical value of the
-// chi-square distribution with df degrees of freedom at significance alpha,
-// via the Wilson-Hilferty normal approximation.
-func ChiSquareCritical(df int, alpha float64) float64 {
-	if df <= 0 {
-		return 0
-	}
-	z := NormalInvCDF(1 - alpha)
-	d := float64(df)
-	t := 1 - 2/(9*d) + z*math.Sqrt(2/(9*d))
-	return d * t * t * t
-}

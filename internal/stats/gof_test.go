@@ -42,55 +42,6 @@ func TestKSEdgeCases(t *testing.T) {
 	}
 }
 
-func TestChiSquareGOFAcceptsTrueDistribution(t *testing.T) {
-	xs := sampleFrom(12, 20000, func(r *rng.Stream) float64 { return r.Weibull(1.5, 200) })
-	fit := WeibullFit{Shape: 1.5, Scale: 200}
-	stat, df, err := ChiSquareGOF(xs, fit.InvCDF, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crit := ChiSquareCritical(df, 0.01); stat > crit {
-		t.Fatalf("chi-square %v (df %d) exceeds crit %v for true distribution", stat, df, crit)
-	}
-}
-
-func TestChiSquareGOFRejectsWrongDistribution(t *testing.T) {
-	xs := sampleFrom(13, 20000, func(r *rng.Stream) float64 { return r.Lognormal(100, 300) })
-	fit := ExpFit{MeanVal: 100}
-	stat, df, err := ChiSquareGOF(xs, fit.InvCDF, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crit := ChiSquareCritical(df, 0.01); stat < crit {
-		t.Fatalf("chi-square %v (df %d) failed to reject (crit %v)", stat, df, crit)
-	}
-}
-
-func TestChiSquareErrors(t *testing.T) {
-	inv := ExpFit{MeanVal: 1}.InvCDF
-	if _, _, err := ChiSquareGOF(nil, inv, 10, 0); err == nil {
-		t.Fatal("want error on empty")
-	}
-	if _, _, err := ChiSquareGOF([]float64{1}, inv, 1, 0); err == nil {
-		t.Fatal("want error on one cell")
-	}
-	// df floor at 1.
-	_, df, err := ChiSquareGOF([]float64{1, 2, 3}, inv, 2, 5)
-	if err != nil || df != 1 {
-		t.Fatalf("df floor: %d, %v", df, err)
-	}
-}
-
-func TestChiSquareCriticalReasonable(t *testing.T) {
-	// Known value: chi2(0.05, 10) = 18.307.
-	if got := ChiSquareCritical(10, 0.05); math.Abs(got-18.307) > 0.1 {
-		t.Fatalf("chi2 crit(10, .05) = %v, want ~18.307", got)
-	}
-	if ChiSquareCritical(0, 0.05) != 0 {
-		t.Fatal("df=0 should give 0")
-	}
-}
-
 func TestNormalCDFKnownValues(t *testing.T) {
 	cases := []struct{ z, want float64 }{
 		{0, 0.5},
@@ -225,59 +176,6 @@ func TestHistogramErrors(t *testing.T) {
 	}
 	if _, err := NewHistogram(nil, 1, 1, 3); err == nil {
 		t.Fatal("want error for empty range")
-	}
-	if _, err := AutoHistogram(nil); err == nil {
-		t.Fatal("want error for empty sample")
-	}
-}
-
-func TestAutoHistogramCoversSample(t *testing.T) {
-	xs := sampleFrom(15, 1000, func(r *rng.Stream) float64 { return r.Exp(10) })
-	h, err := AutoHistogram(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 0 || h.Over != 0 {
-		t.Fatalf("auto histogram dropped %d+%d observations", h.Under, h.Over)
-	}
-	sum := 0
-	for _, c := range h.Counts {
-		sum += c
-	}
-	if sum != len(xs) {
-		t.Fatalf("binned %d of %d", sum, len(xs))
-	}
-}
-
-func TestAutoHistogramConstantSample(t *testing.T) {
-	h, err := AutoHistogram([]float64{5, 5, 5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for _, c := range h.Counts {
-		sum += c
-	}
-	if sum != 4 {
-		t.Fatalf("constant sample binned %d of 4", sum)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	f, err := ECDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {4, 1},
-	}
-	for _, c := range cases {
-		if got := f(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if _, err := ECDF(nil); err == nil {
-		t.Fatal("want error on empty")
 	}
 }
 

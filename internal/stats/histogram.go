@@ -49,25 +49,6 @@ func NewHistogram(xs []float64, low, high float64, nbins int) (*Histogram, error
 	return h, nil
 }
 
-// AutoHistogram bins xs with Sturges' rule over the observed range.
-func AutoHistogram(xs []float64) (*Histogram, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmptySample
-	}
-	s := Summarize(xs)
-	nbins := int(math.Ceil(math.Log2(float64(len(xs))))) + 1
-	if nbins < 1 {
-		nbins = 1
-	}
-	high := s.Max
-	if high == s.Min {
-		high = s.Min + 1
-	}
-	// Nudge the top edge so the maximum lands inside the last bin.
-	high += (high - s.Min) * 1e-9
-	return NewHistogram(xs, s.Min, high, nbins)
-}
-
 // BinCenters returns the midpoints of the bins, for plotting.
 func (h *Histogram) BinCenters() []float64 {
 	cs := make([]float64, len(h.Counts))
@@ -90,22 +71,6 @@ func (h *Histogram) RelativeFrequencies() []float64 {
 		fs[i] = float64(c) * norm
 	}
 	return fs
-}
-
-// ECDF returns the empirical cumulative distribution function of xs as a
-// function usable for plotting and goodness-of-fit testing.
-func ECDF(xs []float64) (func(float64) float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmptySample
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	return func(x float64) float64 {
-		// Number of observations <= x.
-		i := sort.SearchFloat64s(sorted, math.Nextafter(x, math.Inf(1)))
-		return float64(i) / n
-	}, nil
 }
 
 // QQPoint is one point of a quantile-quantile plot.

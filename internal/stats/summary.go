@@ -1,7 +1,7 @@
 // Package stats provides the statistics toolkit used throughout the study:
 // descriptive summaries (Table 1), histogram and Q-Q series (Figure 8),
 // maximum-likelihood distribution fitting (Table 2, per Law & Kelton),
-// Kolmogorov-Smirnov and chi-square goodness-of-fit tests, and Student-t
+// the Kolmogorov-Smirnov goodness-of-fit statistic, and Student-t
 // confidence intervals for the 2^k·r factorial simulation experiments
 // (90% intervals from r=50 replications, per Jain).
 package stats

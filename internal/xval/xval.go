@@ -9,7 +9,7 @@
 // CI-gated artifact.
 //
 // Every backend is accessed only through the Evaluator interface, so
-// future routes (the measured testbed, MVA bounds) drop in without
+// future routes (the measured testbed, say) drop in without
 // touching the dashboard.
 package xval
 
