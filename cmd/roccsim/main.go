@@ -396,17 +396,7 @@ func printResult(w io.Writer, cfg core.Config, rep core.Replicated, reps int) er
 		return err
 	}
 	if len(res.LatencyStages) > 0 {
-		wf := report.Waterfall{Title: "latency decomposition (per-stage dwell)"}
-		for _, s := range res.LatencyStages {
-			wf.Rows = append(wf.Rows, report.StageRow{
-				Stage:    s.Stage,
-				MeanUS:   s.MeanSec * 1e6,
-				P50US:    s.P50Sec * 1e6,
-				P95US:    s.P95Sec * 1e6,
-				P99US:    s.P99Sec * 1e6,
-				SharePct: s.SharePct,
-			})
-		}
+		wf := report.Waterfall{Title: "latency decomposition (per-stage dwell)", Rows: core.StageRows(res.LatencyStages)}
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}

@@ -4,6 +4,12 @@
 // also exports and validates Chrome trace-event JSON (the Perfetto /
 // chrome://tracing format), which is what the CI smoke step checks.
 //
+// With -lat it renders the latency waterfall of an exported trace with no
+// re-simulation: obs.ReplayChrome feeds the trace's sample paths through
+// a fresh provenance engine (prov.Engine, the one a live run uses), so
+// its rows, quantiles included, equal the waterfall roccsim -stages
+// printed for the same run.
+//
 // Examples:
 //
 //	roccviz -nodes 8 -sp 40
@@ -157,17 +163,7 @@ func main() {
 	}
 
 	if len(res.LatencyStages) > 0 {
-		wf := report.Waterfall{Title: "latency decomposition (per-stage dwell)"}
-		for _, s := range res.LatencyStages {
-			wf.Rows = append(wf.Rows, report.StageRow{
-				Stage:    s.Stage,
-				MeanUS:   s.MeanSec * 1e6,
-				P50US:    s.P50Sec * 1e6,
-				P95US:    s.P95Sec * 1e6,
-				P99US:    s.P99Sec * 1e6,
-				SharePct: s.SharePct,
-			})
-		}
+		wf := report.Waterfall{Title: "latency decomposition (per-stage dwell)", Rows: core.StageRows(res.LatencyStages)}
 		if err := wf.Render(os.Stdout); err != nil {
 			fatal("%v", err)
 		}
@@ -244,6 +240,33 @@ func renderSeries(c *obs.Collector, csv bool) error {
 		return fig.RenderCSV(os.Stdout)
 	}
 	return fig.Render(os.Stdout)
+}
+
+// runLat is the -lat entry point: replay the trace through the provenance
+// engine and render the engine's waterfall.
+func runLat(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	eng, incomplete, err := obs.ReplayChrome(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if eng.Delivered() == 0 {
+		return fmt.Errorf("%s: no decomposable delivered samples in trace", path)
+	}
+	wf := report.Waterfall{
+		Title: fmt.Sprintf("latency decomposition replayed from %s", path),
+		Rows:  core.StageRows(core.StageLatencies(eng)),
+	}
+	if err := wf.Render(os.Stdout); err != nil {
+		return err
+	}
+	fmt.Printf("%d delivered samples decomposed (%d lost, %d dropped, %d duplicate deliveries, %d incomplete); max closure error %.3g us\n",
+		eng.Delivered(), eng.LostTotal(), eng.Dropped(), eng.DupDelivered(), incomplete, eng.MaxCloseErrUS())
+	return nil
 }
 
 func fatal(format string, args ...any) {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"rocc/internal/forward"
+	"rocc/internal/obs/prov"
 	"rocc/internal/procs"
+	"rocc/internal/report"
 )
 
 // Result holds the metrics of one simulation run. Utilizations are
@@ -115,6 +117,42 @@ type StageLatency struct {
 	SharePct float64
 }
 
+// StageLatencies is the provenance engine's decomposition in Result form
+// (microseconds to seconds), in stage order.
+func StageLatencies(eng *prov.Engine) []StageLatency {
+	var out []StageLatency
+	for _, s := range eng.Stages() {
+		out = append(out, StageLatency{
+			Stage:    s.Stage,
+			MeanSec:  s.MeanUS / 1e6,
+			P50Sec:   s.P50US / 1e6,
+			P95Sec:   s.P95US / 1e6,
+			P99Sec:   s.P99US / 1e6,
+			SharePct: s.SharePct,
+		})
+	}
+	return out
+}
+
+// StageRows converts a decomposition to waterfall rows (seconds to
+// microseconds): the one conversion every waterfall renders through, so
+// a run's live rows and the rows obs.ReplayChrome recovers from its trace
+// print the same bytes.
+func StageRows(stages []StageLatency) []report.StageRow {
+	rows := make([]report.StageRow, 0, len(stages))
+	for _, s := range stages {
+		rows = append(rows, report.StageRow{
+			Stage:    s.Stage,
+			MeanUS:   s.MeanSec * 1e6,
+			P50US:    s.P50Sec * 1e6,
+			P95US:    s.P95Sec * 1e6,
+			P99US:    s.P99Sec * 1e6,
+			SharePct: s.SharePct,
+		})
+	}
+	return rows
+}
+
 // collect computes the Result from the model's resource accounting.
 func (m *Model) collect() Result {
 	cfg := m.Cfg
@@ -160,16 +198,7 @@ func (m *Model) collect() Result {
 	res.MonitoringLatencyP99Sec = lat.Quantile(0.99) / 1e6
 	res.MonitoringLatencyMaxSec = lat.Max() / 1e6
 	if m.prov != nil {
-		for _, s := range m.prov.Stages() {
-			res.LatencyStages = append(res.LatencyStages, StageLatency{
-				Stage:    s.Stage,
-				MeanSec:  s.MeanUS / 1e6,
-				P50Sec:   s.P50US / 1e6,
-				P95Sec:   s.P95US / 1e6,
-				P99Sec:   s.P99US / 1e6,
-				SharePct: s.SharePct,
-			})
-		}
+		res.LatencyStages = StageLatencies(m.prov)
 	}
 	res.ForwardLatencySec = m.Main.ForwardLatency.Mean() / 1e6
 	res.ThroughputPerSec = float64(m.Main.SamplesReceived) / durSec

@@ -92,12 +92,7 @@ func latencyCellConfig(arch string) (core.Config, error) {
 // reads lifecycle hooks: every other Result field is byte-identical to
 // the plain run (pinned by TestProvenanceLeavesResultUnchanged).
 func runProvenance(cfg core.Config, opt Options) (core.Result, error) {
-	cfg.Duration = opt.DurationUS
-	cfg.Calendar = opt.Calendar
-	if cfg.Seed == 0 {
-		cfg.Seed = opt.Seed
-	}
-	m, err := core.New(cfg)
+	m, err := core.New(scaled(cfg, opt))
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -222,22 +217,6 @@ func RunLatencyBreakdown(opt Options, lb LatencyBreakdownOptions) ([]LatencyBrea
 	return cells, nil
 }
 
-// StageRows converts a point's stages to waterfall rows (seconds → µs).
-func (p LatencyBreakdownPoint) StageRows() []report.StageRow {
-	rows := make([]report.StageRow, 0, len(p.Stages))
-	for _, s := range p.Stages {
-		rows = append(rows, report.StageRow{
-			Stage:    s.Stage,
-			MeanUS:   s.MeanSec * 1e6,
-			P50US:    s.P50Sec * 1e6,
-			P95US:    s.P95Sec * 1e6,
-			P99US:    s.P99Sec * 1e6,
-			SharePct: s.SharePct,
-		})
-	}
-	return rows
-}
-
 func runExtLatencyBreakdown(w io.Writer, opt Options) error {
 	opt = opt.normalized()
 	lb := DefaultLatencyBreakdown()
@@ -267,7 +246,7 @@ func runExtLatencyBreakdown(w io.Writer, opt Options) error {
 		for _, p := range c.Points {
 			wf := report.Waterfall{
 				Title: fmt.Sprintf("%s / %s", c.Arch, p.Policy),
-				Rows:  p.StageRows(),
+				Rows:  core.StageRows(p.Stages),
 			}
 			if _, err := fmt.Fprintln(w); err != nil {
 				return err

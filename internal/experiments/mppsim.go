@@ -5,13 +5,14 @@ import (
 
 	"rocc/internal/core"
 	"rocc/internal/forward"
-	"rocc/internal/report"
 	"rocc/internal/scenario"
 )
 
 func init() {
-	register("table6", "MPP: 2^4·r factorial simulation results", runTable6)
-	register("fig25", "MPP: allocation of variation", runFig25)
+	register("table6", "MPP: 2^4·r factorial simulation results", factorialTable(mppFactorialRows,
+		"Table 6: MPP simulation results", "Pd CPU time/node (sec)"))
+	register("fig25", "MPP: allocation of variation", factorialAllocation(mppFactorialRows,
+		"Figure 25 (MPP)", "Pd CPU time"))
 	register("fig26", "MPP: four metrics over sampling period, direct vs tree (256 nodes)", runFig26)
 	register("fig27", "MPP: four metrics over number of nodes, direct vs tree", runFig27)
 	register("fig28", "MPP: effect of barrier-operation frequency (256 nodes)", runFig28)
@@ -24,41 +25,6 @@ func mppFactorialRows() ([]string, []factorialRow, error) {
 	g := scenario.Table6Grid()
 	rows, err := gridRows(g)
 	return g.Factors, rows, err
-}
-
-func runTable6(w io.Writer, opt Options) error {
-	opt = opt.normalized()
-	_, rows, err := mppFactorialRows()
-	if err != nil {
-		return err
-	}
-	ov, lat, err := runFactorial(rows, opt, core.MetricPdCPUTime, core.MetricLatency)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Table 6: MPP simulation results",
-		"configuration", "Pd CPU time/node (sec)", "±", "latency/sample (msec)", "±")
-	for i, row := range rows {
-		ovCI := ciOf(ov[i])
-		latCI := ciOf(lat[i])
-		t.AddRow(row.label,
-			report.F(ovCI.Mean), report.F(ovCI.HalfWidth),
-			report.F(latCI.Mean*1000), report.F(latCI.HalfWidth*1000))
-	}
-	return t.Render(w)
-}
-
-func runFig25(w io.Writer, opt Options) error {
-	opt = opt.normalized()
-	factors, rows, err := mppFactorialRows()
-	if err != nil {
-		return err
-	}
-	ov, lat, err := runFactorial(rows, opt, core.MetricPdCPUTime, core.MetricLatency)
-	if err != nil {
-		return err
-	}
-	return renderAllocation(w, "Figure 25 (MPP)", factors, "Pd CPU time", ov, lat)
 }
 
 // mppVariants builds direct / tree / uninstrumented series.

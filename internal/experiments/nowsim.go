@@ -7,12 +7,13 @@ import (
 	"rocc/internal/forward"
 	"rocc/internal/report"
 	"rocc/internal/scenario"
-	"rocc/internal/stats"
 )
 
 func init() {
-	register("table4", "NOW: 2^4·r factorial simulation results", runTable4)
-	register("fig16", "NOW: allocation of variation (principal factors)", runFig16)
+	register("table4", "NOW: 2^4·r factorial simulation results", factorialTable(nowFactorialRows,
+		"Table 4: NOW simulation results (means of r replications, 90% CI half-widths)", "Pd CPU time/node (sec)"))
+	register("fig16", "NOW: allocation of variation (principal factors)", factorialAllocation(nowFactorialRows,
+		"Figure 16 (NOW)", "Pd CPU time"))
 	register("fig17", "NOW local: Pd CPU time and forwarding throughput, CF vs BF", runFig17)
 	register("fig18", "NOW global: four metrics over nodes and sampling period, CF vs BF", runFig18)
 	register("fig19", "NOW: batch-size sweep (knee of the latency curve)", runFig19)
@@ -26,52 +27,6 @@ func nowFactorialRows() ([]string, []factorialRow, error) {
 	g := scenario.Table4Grid()
 	rows, err := gridRows(g)
 	return g.Factors, rows, err
-}
-
-func runTable4(w io.Writer, opt Options) error {
-	opt = opt.normalized()
-	_, rows, err := nowFactorialRows()
-	if err != nil {
-		return err
-	}
-	ov, lat, err := runFactorial(rows, opt, core.MetricPdCPUTime, core.MetricLatency)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Table 4: NOW simulation results (means of r replications, 90% CI half-widths)",
-		"configuration", "Pd CPU time/node (sec)", "±", "latency/sample (msec)", "±")
-	for i, row := range rows {
-		ovCI := ciOf(ov[i])
-		latCI := ciOf(lat[i])
-		t.AddRow(row.label,
-			report.F(ovCI.Mean), report.F(ovCI.HalfWidth),
-			report.F(latCI.Mean*1000), report.F(latCI.HalfWidth*1000))
-	}
-	return t.Render(w)
-}
-
-func ciOf(xs []float64) stats.ConfidenceInterval {
-	if len(xs) < 2 {
-		return stats.ConfidenceInterval{Mean: stats.MeanOf(xs)}
-	}
-	ci, err := stats.MeanCI(xs, 0.90)
-	if err != nil {
-		return stats.ConfidenceInterval{Mean: stats.MeanOf(xs)}
-	}
-	return ci
-}
-
-func runFig16(w io.Writer, opt Options) error {
-	opt = opt.normalized()
-	factors, rows, err := nowFactorialRows()
-	if err != nil {
-		return err
-	}
-	ov, lat, err := runFactorial(rows, opt, core.MetricPdCPUTime, core.MetricLatency)
-	if err != nil {
-		return err
-	}
-	return renderAllocation(w, "Figure 16 (NOW)", factors, "Pd CPU time", ov, lat)
 }
 
 func runFig17(w io.Writer, opt Options) error {

@@ -12,6 +12,7 @@ import (
 	"rocc/internal/par"
 	"rocc/internal/report"
 	"rocc/internal/scenario"
+	"rocc/internal/stats"
 )
 
 // distRunners builds the worker fleet for Options.DistWorkers — local
@@ -38,14 +39,20 @@ type simVariant struct {
 	cfg  func(x float64) core.Config
 }
 
-// runOne runs a single replication of cfg at the option scale.
-func runOne(cfg core.Config, opt Options) (core.Result, error) {
+// scaled returns cfg at the option scale: the option's duration and
+// calendar, and its seed when cfg carries none.
+func scaled(cfg core.Config, opt Options) core.Config {
 	cfg.Duration = opt.DurationUS
 	cfg.Calendar = opt.Calendar
 	if cfg.Seed == 0 {
 		cfg.Seed = opt.Seed
 	}
-	return core.Simulate(cfg)
+	return cfg
+}
+
+// runOne runs a single replication of cfg at the option scale.
+func runOne(cfg core.Config, opt Options) (core.Result, error) {
+	return core.Simulate(scaled(cfg, opt))
 }
 
 // runGrid executes the variants × xs simulation grid, fanning the
@@ -188,35 +195,83 @@ func runFactorial(rows []factorialRow, opt Options, overhead, latency core.Metri
 	return ov, lat, nil
 }
 
-// renderAllocation prints the allocation-of-variation chart data (the
-// pie-chart percentages of Figures 16, 20, and 25).
-func renderAllocation(w io.Writer, title string, factorNames []string, overheadName string,
-	ov, lat [][]float64) error {
-	for _, part := range []struct {
-		metric string
-		data   [][]float64
-	}{
-		{"monitoring latency", lat},
-		{overheadName, ov},
-	} {
-		an, err := doe.Analyze2KR(factorNames, part.data)
+// factorialTable returns the runner of a factorial results table (Tables
+// 4-6): per design row, the means and 90% CI half-widths of the direct
+// overhead and the monitoring latency over the replications.
+func factorialTable(design func() ([]string, []factorialRow, error), title, overheadName string) func(io.Writer, Options) error {
+	return func(w io.Writer, opt Options) error {
+		opt = opt.normalized()
+		_, rows, err := design()
 		if err != nil {
 			return err
 		}
-		t := report.NewTable(fmt.Sprintf("%s — variation explained for %s", title, part.metric),
-			"term", "fraction")
-		for _, e := range an.TopEffects(6) {
-			t.AddRow(e.Term, report.Pct(e.Fraction*100))
-		}
-		t.AddRow("error/rest", report.Pct(an.ErrorFraction*100))
-		if err := t.Render(w); err != nil {
+		ov, lat, err := runFactorial(rows, opt, core.MetricPdCPUTime, core.MetricLatency)
+		if err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "factors: %s\n", factorLegend(factorNames)); err != nil {
-			return err
+		t := report.NewTable(title, "configuration", overheadName, "±", "latency/sample (msec)", "±")
+		for i, row := range rows {
+			ovCI := ciOf(ov[i])
+			latCI := ciOf(lat[i])
+			t.AddRow(row.label,
+				report.F(ovCI.Mean), report.F(ovCI.HalfWidth),
+				report.F(latCI.Mean*1000), report.F(latCI.HalfWidth*1000))
 		}
+		return t.Render(w)
 	}
-	return nil
+}
+
+func ciOf(xs []float64) stats.ConfidenceInterval {
+	if len(xs) < 2 {
+		return stats.ConfidenceInterval{Mean: stats.MeanOf(xs)}
+	}
+	ci, err := stats.MeanCI(xs, 0.90)
+	if err != nil {
+		return stats.ConfidenceInterval{Mean: stats.MeanOf(xs)}
+	}
+	return ci
+}
+
+// factorialAllocation returns the runner of an allocation-of-variation
+// figure (the pie-chart percentages of Figures 16, 20, and 25) over a
+// factorial design, for monitoring latency and then the direct overhead.
+func factorialAllocation(design func() ([]string, []factorialRow, error), title, overheadName string) func(io.Writer, Options) error {
+	return func(w io.Writer, opt Options) error {
+		opt = opt.normalized()
+		factorNames, rows, err := design()
+		if err != nil {
+			return err
+		}
+		ov, lat, err := runFactorial(rows, opt, core.MetricPdCPUTime, core.MetricLatency)
+		if err != nil {
+			return err
+		}
+		for _, part := range []struct {
+			metric string
+			data   [][]float64
+		}{
+			{"monitoring latency", lat},
+			{overheadName, ov},
+		} {
+			an, err := doe.Analyze2KR(factorNames, part.data)
+			if err != nil {
+				return err
+			}
+			t := report.NewTable(fmt.Sprintf("%s — variation explained for %s", title, part.metric),
+				"term", "fraction")
+			for _, e := range an.TopEffects(6) {
+				t.AddRow(e.Term, report.Pct(e.Fraction*100))
+			}
+			t.AddRow("error/rest", report.Pct(an.ErrorFraction*100))
+			if err := t.Render(w); err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintf(w, "factors: %s\n", factorLegend(factorNames)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 func factorLegend(names []string) string {

@@ -10,8 +10,10 @@ import (
 )
 
 func init() {
-	register("table5", "SMP: 2^4·r factorial simulation results", runTable5)
-	register("fig20", "SMP: allocation of variation", runFig20)
+	register("table5", "SMP: 2^4·r factorial simulation results", factorialTable(smpFactorialRows,
+		"Table 5: SMP simulation results (number of app processes = number of nodes)", "IS CPU time/node (sec)"))
+	register("fig20", "SMP: allocation of variation", factorialAllocation(smpFactorialRows,
+		"Figure 20 (SMP)", "IS CPU time"))
 	register("fig21", "SMP: daemon throughput vs CPUs, 1-4 daemons, CF vs BF", runFig21)
 	register("fig22", "SMP: four metrics over number of nodes, 1-4 daemons", runFig22)
 	register("fig23", "SMP: four metrics over sampling period, 1-4 daemons", runFig23)
@@ -25,41 +27,6 @@ func smpFactorialRows() ([]string, []factorialRow, error) {
 	g := scenario.Table5Grid()
 	rows, err := gridRows(g)
 	return g.Factors, rows, err
-}
-
-func runTable5(w io.Writer, opt Options) error {
-	opt = opt.normalized()
-	_, rows, err := smpFactorialRows()
-	if err != nil {
-		return err
-	}
-	ov, lat, err := runFactorial(rows, opt, core.MetricPdCPUTime, core.MetricLatency)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Table 5: SMP simulation results (number of app processes = number of nodes)",
-		"configuration", "IS CPU time/node (sec)", "±", "latency/sample (msec)", "±")
-	for i, row := range rows {
-		ovCI := ciOf(ov[i])
-		latCI := ciOf(lat[i])
-		t.AddRow(row.label,
-			report.F(ovCI.Mean), report.F(ovCI.HalfWidth),
-			report.F(latCI.Mean*1000), report.F(latCI.HalfWidth*1000))
-	}
-	return t.Render(w)
-}
-
-func runFig20(w io.Writer, opt Options) error {
-	opt = opt.normalized()
-	factors, rows, err := smpFactorialRows()
-	if err != nil {
-		return err
-	}
-	ov, lat, err := runFactorial(rows, opt, core.MetricPdCPUTime, core.MetricLatency)
-	if err != nil {
-		return err
-	}
-	return renderAllocation(w, "Figure 20 (SMP)", factors, "IS CPU time", ov, lat)
 }
 
 func runFig21(w io.Writer, opt Options) error {

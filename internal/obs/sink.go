@@ -6,7 +6,9 @@ import (
 	"io"
 	"slices"
 
+	"rocc/internal/obs/prov"
 	"rocc/internal/procs"
+	"rocc/internal/resources"
 	"rocc/internal/trace"
 )
 
@@ -217,12 +219,9 @@ func (s *TraceSink) records(keep func(OccSpan) bool) []trace.Record {
 // axis groups tracks: one pid per CPU, one for the network, one per
 // node's sample lifecycle, one per pipe.
 const (
-	chromePIDNet = 999
-	chromePIDCPU = 1000 // + CPU unit
-	// ChromePIDSample is the pid base of the per-node sample-lifecycle
-	// tracks (pid = ChromePIDSample + node). Exported so trace consumers
-	// (roccviz -lat) can recover a delivered sample's node from its span.
-	ChromePIDSample = 2000
+	chromePIDNet    = 999
+	chromePIDCPU    = 1000 // + CPU unit
+	chromePIDSample = 2000 // + node: the node's sample-lifecycle track
 	chromePIDPipe   = 4000 // + pipe ID
 )
 
@@ -245,12 +244,17 @@ type ChromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// flowCat is the category of sample-path flow events; flowID is the
-// per-sample flow binding (unique because Seq never resets).
-const flowCat = "sampleflow"
+// flowCat is the category of sample-path flow events; flowIDFormat is the
+// per-sample flow binding (unique because Seq never resets), and
+// sampleSpanFormat names a delivered sample's span on its node's track.
+const (
+	flowCat          = "sampleflow"
+	flowIDFormat     = "n%d.p%d.s%d"
+	sampleSpanFormat = "sample p%d #%d"
+)
 
 func flowID(node, proc, seq int) string {
-	return fmt.Sprintf("n%d.p%d.s%d", node, proc, seq)
+	return fmt.Sprintf(flowIDFormat, node, proc, seq)
 }
 
 // ownerTID gives each owner class a stable thread row within a CPU track.
@@ -315,7 +319,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 	for _, e := range s.events {
 		switch e.Kind {
 		case EvSampleGenerated:
-			pid := ChromePIDSample + e.Node
+			pid := chromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
 			events = append(events, ChromeEvent{
 				Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
@@ -333,7 +337,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			if !gen[id] {
 				continue
 			}
-			pid := ChromePIDSample + e.Node
+			pid := chromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
 			events = append(events, ChromeEvent{
 				Name: e.Kind.String(), Cat: flowCat, Ph: "t",
@@ -341,7 +345,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 				Args: map[string]any{"pd": e.Unit, "hops": e.Hops},
 			})
 		case EvSampleLost:
-			pid := ChromePIDSample + e.Node
+			pid := chromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
 			events = append(events, ChromeEvent{
 				Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
@@ -357,10 +361,10 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 				})
 			}
 		case EvSampleDelivered:
-			pid := ChromePIDSample + e.Node
+			pid := chromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
 			events = append(events, ChromeEvent{
-				Name: fmt.Sprintf("sample p%d #%d", e.Proc, e.Seq),
+				Name: fmt.Sprintf(sampleSpanFormat, e.Proc, e.Seq),
 				Cat:  "sample", Ph: "X",
 				TS: e.TUS, Dur: e.DurUS,
 				PID: pid, TID: 1 + e.Proc,
@@ -383,7 +387,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 				Args: map[string]any{"node": e.Node, "proc": e.Proc, "seq": e.Seq, "n": e.N},
 			})
 		default:
-			pid := ChromePIDSample + e.Node
+			pid := chromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
 			events = append(events, ChromeEvent{
 				Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
@@ -461,4 +465,189 @@ func ValidateChrome(r io.Reader) (int, error) {
 		}
 	}
 	return len(events), nil
+}
+
+// replayEvent is the part of a trace event ReplayChrome reads. The
+// identity args are pointers so an absent field is told from a zero.
+type replayEvent struct {
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	TS   float64 `json:"ts"`
+	Dur  float64 `json:"dur"`
+	PID  int     `json:"pid"`
+	ID   string  `json:"id"`
+	Args struct {
+		Node   *int   `json:"node"`
+		Proc   *int   `json:"proc"`
+		Seq    *int   `json:"seq"`
+		Pd     *int   `json:"pd"`
+		Hops   *int   `json:"hops"`
+		Reason string `json:"reason"`
+	} `json:"args"`
+}
+
+// sampleID is a sample's (node, proc, seq) identity as the trace writes it.
+type sampleID struct{ node, proc, seq int }
+
+// parseFlowID reads a flow id written by flowID, rejecting any other form.
+func parseFlowID(id string) (sampleID, error) {
+	var k sampleID
+	if _, err := fmt.Sscanf(id, flowIDFormat, &k.node, &k.proc, &k.seq); err != nil || flowID(k.node, k.proc, k.seq) != id {
+		return sampleID{}, fmt.Errorf("malformed flow id %q", id)
+	}
+	return k, nil
+}
+
+// ReplayChrome feeds the sample paths of a WriteChrome trace back through
+// a fresh provenance engine's hooks, in trace order, and returns the
+// engine: its Stages() and its delivered, duplicate, lost and dropped
+// counts equal those of the live engine that watched the run. The
+// mapping, event by event:
+//
+//   - a flow start "s" is SampleGenerated, at GenTime = ts;
+//   - pipe-put, pipe-get and pipe-dropped are the pipe hooks;
+//   - each message's run of sample-forwarded steps is one BatchForwarded
+//     (WriteChrome emits a message's steps back to back);
+//   - a sample-arrived step is BatchArrived;
+//   - a delivered sample's "X" span is SampleDelivered at ts+dur;
+//   - a flow end "f" that does not close the delivery just before it is
+//     SampleLost, with the reason of the sample-lost instant before it.
+//
+// Samples whose generation is not in the trace (warmup carryover) cannot
+// be decomposed: their events are skipped, and each of their deliveries
+// is counted in incomplete. The trace comes from outside the program, so
+// no identity sizes storage: each (node, proc) and, within it, each seq
+// maps to a dense index in the order its flow start appears, which the
+// writer's seq order leaves unchanged.
+func ReplayChrome(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
+	var events []replayEvent
+	if err := json.NewDecoder(r).Decode(&events); err != nil {
+		return nil, 0, fmt.Errorf("obs: not a trace-event JSON array: %w", err)
+	}
+	samples := map[sampleID]resources.Sample{}
+	dense := map[[2]int]int{} // (node, proc) → index into next
+	var next []int            // next dense seq per process
+	for i, e := range events {
+		if e.Ph != "s" || e.Cat != flowCat {
+			continue
+		}
+		id, err := parseFlowID(e.ID)
+		if err != nil {
+			return nil, 0, fmt.Errorf("obs: event %d: %w", i, err)
+		}
+		if _, dup := samples[id]; dup {
+			return nil, 0, fmt.Errorf("obs: event %d: duplicate flow start %s", i, e.ID)
+		}
+		p, ok := dense[[2]int{id.node, id.proc}]
+		if !ok {
+			p = len(next)
+			dense[[2]int{id.node, id.proc}] = p
+			next = append(next, 0)
+		}
+		samples[id] = resources.Sample{GenTime: e.TS, Proc: p, Seq: next[p]}
+		next[p]++
+	}
+
+	eng = prov.NewEngine()
+	var (
+		batch          []resources.Sample // the forward run being gathered
+		fwdPd, fwdHops int
+		fwdT           float64
+		one            = make([]resources.Sample, 1)
+		delivered      sampleID // the sample the event at deliveredAt delivered
+		deliveredAt    = -1
+		reason         procs.LossReason
+		forwarded      = EvSampleForwarded.String()
+		arrived        = EvSampleArrived.String()
+		put            = EvPipePut.String()
+		get            = EvPipeGet.String()
+		dropped        = EvPipeDropped.String()
+	)
+	flush := func() {
+		if len(batch) > 0 {
+			eng.BatchForwarded(fwdPd, fwdT, batch, fwdHops)
+			batch = batch[:0]
+		}
+	}
+	for i, e := range events {
+		if e.TS < 0 || e.Dur < 0 {
+			return nil, 0, fmt.Errorf("obs: event %d: negative time", i)
+		}
+		step := e.Ph == "t" && e.Cat == flowCat
+		if step && (e.Args.Pd == nil || e.Args.Hops == nil) {
+			return nil, 0, fmt.Errorf("obs: event %d: flow step without pd and hops", i)
+		}
+		if !step || e.Name != forwarded || e.TS != fwdT || *e.Args.Pd != fwdPd || *e.Args.Hops != fwdHops {
+			flush()
+		}
+		switch {
+		case e.Ph == "s" && e.Cat == flowCat:
+			id, _ := parseFlowID(e.ID)
+			eng.SampleGenerated(e.TS, samples[id], false)
+		case e.Cat == "pipe" && (e.Name == put || e.Name == get || e.Name == dropped):
+			if e.Args.Node == nil || e.Args.Proc == nil || e.Args.Seq == nil {
+				return nil, 0, fmt.Errorf("obs: event %d: %s without a sample identity", i, e.Name)
+			}
+			s, ok := samples[sampleID{*e.Args.Node, *e.Args.Proc, *e.Args.Seq}]
+			switch {
+			case !ok:
+			case e.Name == put:
+				eng.PipePut(e.TS, s)
+			case e.Name == get:
+				eng.PipeGet(e.TS, s)
+			default:
+				eng.PipeDropped(e.TS, s)
+			}
+		case step:
+			id, err := parseFlowID(e.ID)
+			if err != nil {
+				return nil, 0, fmt.Errorf("obs: event %d: %w", i, err)
+			}
+			s, ok := samples[id]
+			if !ok {
+				continue
+			}
+			switch e.Name {
+			case forwarded:
+				if len(batch) == 0 {
+					fwdPd, fwdT, fwdHops = *e.Args.Pd, e.TS, *e.Args.Hops
+				}
+				batch = append(batch, s)
+			case arrived:
+				one[0] = s
+				eng.BatchArrived(*e.Args.Pd, e.TS, one, *e.Args.Hops)
+			}
+		case e.Ph == "X" && e.Cat == "sample":
+			var proc, seq int
+			if _, err := fmt.Sscanf(e.Name, sampleSpanFormat, &proc, &seq); err != nil || fmt.Sprintf(sampleSpanFormat, proc, seq) != e.Name {
+				return nil, 0, fmt.Errorf("obs: event %d: malformed sample span %q", i, e.Name)
+			}
+			id := sampleID{e.PID - chromePIDSample, proc, seq}
+			s, ok := samples[id]
+			if !ok {
+				incomplete++
+				continue
+			}
+			eng.SampleDelivered(e.TS+e.Dur, s, e.Dur)
+			delivered, deliveredAt = id, i
+		case e.Ph == "i" && e.Name == EvSampleLost.String():
+			reason = procs.LossThinned
+			for r := procs.LossThinned; r <= procs.LossGiveUp; r++ {
+				if r.String() == e.Args.Reason {
+					reason = r
+				}
+			}
+		case e.Ph == "f" && e.Cat == flowCat:
+			id, err := parseFlowID(e.ID)
+			if err != nil {
+				return nil, 0, fmt.Errorf("obs: event %d: %w", i, err)
+			}
+			if s, ok := samples[id]; ok && !(deliveredAt == i-1 && id == delivered) {
+				eng.SampleLost(0, e.TS, s, reason)
+			}
+		}
+	}
+	flush()
+	return eng, incomplete, nil
 }

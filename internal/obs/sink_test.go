@@ -247,3 +247,14 @@ func TestResetAccountingClearsSink(t *testing.T) {
 		t.Fatal("metrics survived ResetAccounting")
 	}
 }
+
+func TestParseFlowID(t *testing.T) {
+	if k, err := parseFlowID("n3.p1.s42"); err != nil || k != (sampleID{3, 1, 42}) {
+		t.Fatalf("parseFlowID: got %+v, %v", k, err)
+	}
+	for _, bad := range []string{"bogus", "n3.p1.s42x", "n+3.p1.s42", "n03.p1.s42", "n3.p1", ""} {
+		if _, err := parseFlowID(bad); err == nil {
+			t.Errorf("parseFlowID accepted %q", bad)
+		}
+	}
+}

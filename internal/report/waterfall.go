@@ -8,8 +8,8 @@ import (
 
 // StageRow is one stage of a latency decomposition, ready to render:
 // label, dwell statistics in microseconds, and the stage's share of the
-// total (percent). The provenance engine's StageSummary maps onto it
-// field for field; roccviz reconstructs the same rows from a trace.
+// total (percent). core.StageRows builds the rows from a run's stage
+// decomposition, live or replayed from its trace by roccviz -lat.
 type StageRow struct {
 	Stage    string
 	MeanUS   float64
