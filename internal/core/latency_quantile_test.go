@@ -17,8 +17,10 @@ type latencyRecorder struct {
 	lats []float64
 }
 
-func (r *latencyRecorder) SampleDelivered(t float64, s resources.Sample, latencyUS float64) {
-	r.lats = append(r.lats, latencyUS)
+func (r *latencyRecorder) MessageDelivered(t float64, batch []resources.Sample, hops int) {
+	for _, s := range batch {
+		r.lats = append(r.lats, t-s.GenTime)
+	}
 }
 
 // The Result's percentiles come from the main process's eighth-octave

@@ -486,6 +486,9 @@ func (m *Model) Run() Result {
 		m.resetAccounting()
 	}
 	m.Sim.Run(m.Cfg.Warmup + m.Cfg.Duration)
+	if m.obsC != nil && m.obsC.Metrics != nil {
+		m.obsC.Metrics.SyncEvents()
+	}
 	return m.collect()
 }
 

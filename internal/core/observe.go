@@ -30,8 +30,10 @@ type ObsOptions struct {
 // EnableObservability wires an obs.Collector through the assembled model:
 // occupancy hooks on every CPU and the network, lifecycle observers on
 // every pipe, application process, daemon, the main process, and (when a
-// fault plan is active) the uplinks, plus — with Metrics — the engine
-// observer and periodic utilization/queue/pipe-depth samplers.
+// fault plan is active) the uplinks, plus — with Metrics — the periodic
+// utilization/queue/pipe-depth samplers, whose ticks also refresh the
+// events counter from the simulator's dispatch count. No engine observer
+// is attached: the dispatch loop runs as in an unobserved run.
 //
 // Call after New and before Start/Run, at most once. The trace covers all
 // nodes, so per-class totals match the run's Result accounting;
@@ -91,7 +93,6 @@ func (m *Model) EnableObservability(o ObsOptions) (*obs.Collector, error) {
 	}
 
 	if c.Metrics != nil {
-		m.Sim.Obs = c
 		interval := o.SampleIntervalUS
 		if interval <= 0 {
 			interval = m.Cfg.Duration / 100
@@ -102,6 +103,7 @@ func (m *Model) EnableObservability(o ObsOptions) (*obs.Collector, error) {
 		// recording appends into flat storage without growth (see the obs
 		// allocs tests).
 		sampler.SetExpectedTicks(int((m.Cfg.Warmup+m.Cfg.Duration)/interval) + 2)
+		sampler.CountEvents(c.Metrics)
 		m.addProbes(c, sampler, interval)
 		sampler.Start()
 	}

@@ -269,35 +269,50 @@ func TestProvenanceStagesOnResult(t *testing.T) {
 // With metrics and provenance attached, a delivery observes the latency
 // histogram and the six stage histograms and closes the sample's window
 // slot: none of it allocates, so an observed run's per-sample cost stays
-// flat.
+// flat. The main process reports each message through one
+// MessageDelivered hook, for one sample or for a batch of 18 (about what
+// adaptive BF forwards under the chaos cocktail); the stage rows the
+// provenance engine folds under one lock reuse their storage.
 func TestObservedDeliveryDoesNotAllocate(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes = 2
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := m.EnableObservability(ObsOptions{Metrics: true, Provenance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]resources.Sample, 1)
-	seq := 0
-	lifecycle := func() {
-		s := resources.Sample{GenTime: float64(seq), Node: 1, Seq: seq}
-		batch[0] = s
-		c.PipePut(0, s.GenTime, s, 1)
-		c.SampleGenerated(s.GenTime, s, false)
-		c.PipeGet(0, s.GenTime+2, s, 0)
-		c.MessageForwarded(1, s.GenTime+3, batch, 1)
-		c.SampleDelivered(s.GenTime+9, s, 9)
-		seq++
-	}
-	lifecycle()
-	if allocs := testing.AllocsPerRun(1000, lifecycle); allocs > 0 {
-		t.Fatalf("observed sample lifecycle allocated %.2f objects", allocs)
-	}
-	if eng := m.Provenance(); eng.Delivered() != uint64(seq) || eng.InFlight() != 0 {
-		t.Fatalf("delivered %d of %d, in-flight %d", eng.Delivered(), seq, eng.InFlight())
+	for _, size := range []int{1, 18} {
+		cfg := DefaultConfig()
+		cfg.Nodes = 2
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := m.EnableObservability(ObsOptions{Metrics: true, Provenance: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]resources.Sample, size)
+		seq := 0
+		lifecycle := func() {
+			for i := range batch {
+				s := resources.Sample{GenTime: float64(seq), Node: 1, Seq: seq}
+				batch[i] = s
+				c.PipePut(0, s.GenTime, s, 1)
+				c.SampleGenerated(s.GenTime, s, false)
+				c.PipeGet(0, s.GenTime+2, s, 0)
+				seq++
+			}
+			now := batch[size-1].GenTime
+			c.MessageForwarded(1, now+3, batch, 1)
+			c.MessageDelivered(now+9, batch, 1)
+		}
+		lifecycle()
+		if allocs := testing.AllocsPerRun(1000, lifecycle); allocs > 0 {
+			t.Fatalf("%d-sample messages: observed lifecycle allocated %.2f objects per message", size, allocs)
+		}
+		eng := m.Provenance()
+		if eng.Delivered() != uint64(seq) || eng.InFlight() != 0 {
+			t.Fatalf("%d-sample messages: delivered %d of %d, in-flight %d", size, eng.Delivered(), seq, eng.InFlight())
+		}
+		if got := c.Metrics.Delivered.Value(); got != uint64(seq) {
+			t.Fatalf("%d-sample messages: delivered counter %d, want %d", size, got, seq)
+		}
+		if got := c.Metrics.DeliveredMsgs.Value(); got != uint64(seq/size) {
+			t.Fatalf("%d-sample messages: messages counter %d, want %d", size, got, seq/size)
+		}
 	}
 }

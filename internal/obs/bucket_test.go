@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -122,7 +123,8 @@ func TestHistogramRejectsBadBounds(t *testing.T) {
 }
 
 // The members of a set keep separate contents, and ObserveSet lands each
-// value in its own member without allocating.
+// value in its own member without allocating; a call with several rows
+// records them as one call per row would.
 func TestHistogramSetObserveSet(t *testing.T) {
 	s := stats.NewBucketHistogramSet([]float64{1, 10}, "a", "b")
 	a, b := s.Histogram(0), s.Histogram(1)
@@ -136,6 +138,13 @@ func TestHistogramSetObserveSet(t *testing.T) {
 	}
 	if got := b.Snapshot().Counts; got[2] != 2 {
 		t.Fatalf("b counts %v", got)
+	}
+	rows := stats.NewBucketHistogramSet([]float64{1, 10}, "a", "b")
+	rows.ObserveSet([]float64{0.5, 20, 5, 30})
+	for i := 0; i < 2; i++ {
+		if got, want := rows.Histogram(i).Snapshot(), s.Histogram(i).Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("member %d after one two-row call %+v, after two calls %+v", i, got, want)
+		}
 	}
 	allocs := testing.AllocsPerRun(1000, func() { s.ObserveSet([]float64{3, 4}) })
 	if allocs > 0 {

@@ -24,9 +24,9 @@
 package live
 
 import (
-	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -91,19 +91,28 @@ func (e *Exporter) AddHistogram(h *stats.BucketHistogram, help string) {
 	e.hists = append(e.hists, histSource{h: h, help: help})
 }
 
-// family is one metric family ready to render: a TYPE line and its
-// sample lines.
+// family is one metric family ready to render: its name, TYPE and HELP
+// lines and the values of its samples, read from the source when the
+// render starts. typ selects which of the value fields is used.
 type family struct {
-	name    string // full name, prefix included
-	typ     string // counter, gauge, histogram
-	help    string
-	samples []string // fully rendered sample lines
+	name string // full name, prefix included
+	typ  string // counter, gauge, histogram
+	// HELP text, written as help+helpArg (no HELP line when both are
+	// empty); the split saves a concatenation per family.
+	help, helpArg string
+
+	count uint64               // counter: its value
+	snap  stats.BucketSnapshot // histogram: its snapshot
+	// gauge: the series' latest sample at simulated time t, when ok.
+	t, v float64
+	ok   bool
 }
 
 // WriteOpenMetrics renders every attached source in the OpenMetrics text
 // exposition format: families sorted by name, each exactly once (the
 // first registration wins on a name collision), terminated by the
-// mandatory "# EOF" line.
+// mandatory "# EOF" line. The text is appended into one byte slice,
+// sized up front to hold it, and written with a single Write.
 func (e *Exporter) WriteOpenMetrics(w io.Writer) error {
 	e.mu.Lock()
 	run, sweep := e.run, e.sweep
@@ -112,97 +121,165 @@ func (e *Exporter) WriteOpenMetrics(w io.Writer) error {
 
 	var fams []family
 	if run != nil {
-		for _, c := range run.Counters() {
-			fams = append(fams, counterFamily(MetricPrefix+sanitizeName(c.Name),
-				"simulation pipeline counter "+c.Name, c.Value()))
+		counters := run.Counters()
+		series := run.Series()
+		fams = make([]family, 0, len(counters)+1+len(series)+len(hists)+len(sweep))
+		for _, c := range counters {
+			fams = append(fams, family{name: metricName(MetricPrefix, c.Name), typ: "counter",
+				help: "simulation pipeline counter ", helpArg: c.Name, count: c.Value()})
 		}
 		fams = append(fams, histogramFamily(run.Latency, "sample delivery latency distribution"))
-		for _, s := range run.Series() {
-			s := s
-			fams = append(fams, seriesFamily(s))
+		for _, s := range series {
+			f := family{name: metricName(MetricPrefix+"series_", s.Name), typ: "gauge",
+				help: "latest value of sampler series ", helpArg: s.Name}
+			f.t, f.v, f.ok = s.Last()
+			fams = append(fams, f)
 		}
 	}
 	for _, hs := range hists {
 		fams = append(fams, histogramFamily(hs.h, hs.help))
 	}
 	for _, c := range sweep {
-		fams = append(fams, counterFamily(MetricPrefix+"sweep_"+sanitizeName(c.Name),
-			"distributed sweep fault-handling counter "+c.Name, c.Value()))
+		fams = append(fams, family{name: metricName(MetricPrefix+"sweep_", c.Name), typ: "counter",
+			help: "distributed sweep fault-handling counter ", helpArg: c.Name, count: c.Value()})
 	}
 	// Exactly-once with a stable order: sort by family name, drop any
 	// later duplicate. Every registry above already names its counters
 	// uniquely; this guards combinations (e.g. a standalone histogram
 	// colliding with a counter family) so the exposition stays parseable.
-	sort.SliceStable(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	out := fams[:0]
-	for _, f := range fams {
-		if len(out) > 0 && out[len(out)-1].name == f.name {
+	order := make([]*family, len(fams))
+	size := len("# EOF\n")
+	for i := range fams {
+		order[i] = &fams[i]
+		size += fams[i].maxLen()
+	}
+	slices.SortStableFunc(order, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+
+	b := make([]byte, 0, size)
+	var les leLabels
+	for i, f := range order {
+		if i > 0 && order[i-1].name == f.name {
 			continue
 		}
-		out = append(out, f)
-	}
-
-	var b strings.Builder
-	for _, f := range out {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
+		if f.help != "" || f.helpArg != "" {
+			b = appendStrings(b, "# HELP ", f.name, " ", f.help, f.helpArg, "\n")
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.samples {
-			b.WriteString(s)
-			b.WriteByte('\n')
+		b = appendStrings(b, "# TYPE ", f.name, " ", f.typ, "\n")
+		switch f.typ {
+		case "counter":
+			b = appendStrings(b, f.name, "_total ")
+			b = append(strconv.AppendUint(b, f.count, 10), '\n')
+		case "histogram":
+			b = appendHistogram(b, f.name, &f.snap, les.of(f.snap.Bounds))
+		case "gauge":
+			// A sampler series shows its latest value, labeled with that
+			// sample's simulated time; before its first sample it reads 0.
+			b = append(b, f.name...)
+			if f.ok {
+				b = appendFloat(append(b, `{sim_time_us="`...), f.t)
+				b = appendFloat(append(b, `"} `...), f.v)
+			} else {
+				b = append(b, " 0"...)
+			}
+			b = append(b, '\n')
 		}
 	}
-	b.WriteString("# EOF\n")
-	_, err := io.WriteString(w, b.String())
+	b = append(b, "# EOF\n"...)
+	_, err := w.Write(b)
 	return err
 }
 
-// counterFamily renders one monotonic counter (sample name carries the
-// OpenMetrics-mandated _total suffix).
-func counterFamily(name, help string, v uint64) family {
-	return family{
-		name:    name,
-		typ:     "counter",
-		help:    help,
-		samples: []string{fmt.Sprintf("%s_total %d", name, v)},
+// appendStrings appends each of ss to b.
+func appendStrings(b []byte, ss ...string) []byte {
+	for _, s := range ss {
+		b = append(b, s...)
 	}
+	return b
 }
 
-// histogramFamily renders a histogram snapshot with cumulative buckets,
-// the mandatory +Inf bucket, and _sum/_count samples.
+// Widest renderings of a number: a float in shortest form
+// ("-1.2345678901234567e-308") and a uint64 in decimal.
+const (
+	maxFloatLen = 24
+	maxUintLen  = 20
+)
+
+// maxLen bounds the bytes the family renders to, so the render's buffer
+// never grows.
+func (f *family) maxLen() int {
+	n := len("# HELP  \n") + len(f.name) + len(f.help) + len(f.helpArg) +
+		len("# TYPE  \n") + len(f.name) + len(f.typ)
+	switch f.typ {
+	case "counter":
+		n += len(f.name) + len("_total \n") + maxUintLen
+	case "histogram":
+		// No cumulative bucket count has more digits than the total.
+		total := len(strconv.AppendUint(make([]byte, 0, maxUintLen), f.snap.Total, 10))
+		n += len(f.snap.Counts) * (len(f.name) + len(`_bucket{le=""} `+"\n") + maxFloatLen + total)
+		n += len(f.name) + len("_count \n") + maxUintLen + len(f.name) + len("_sum \n") + maxFloatLen
+	case "gauge":
+		n += len(f.name) + len(`{sim_time_us=""} `+"\n") + 2*maxFloatLen
+	}
+	return n
+}
+
+// leLabels holds the formatted le label values of one list of bucket
+// bounds. Histograms over the same bounds, like the six stage
+// histograms, render one after another, so each distinct list is
+// formatted once per render.
+type leLabels struct {
+	bounds []float64
+	text   []byte // the formatted bounds, back to back
+	ends   []int  // bound i's text is text[ends[i-1]:ends[i]]
+}
+
+// of returns the labels of bounds, formatting them unless they are the
+// bounds formatted last.
+func (l *leLabels) of(bounds []float64) *leLabels {
+	if l.ends != nil && slices.Equal(l.bounds, bounds) {
+		return l
+	}
+	l.bounds = bounds
+	l.text = slices.Grow(l.text[:0], len(bounds)*maxFloatLen)
+	l.ends = slices.Grow(l.ends[:0], len(bounds))
+	for _, v := range bounds {
+		l.text = appendFloat(l.text, v)
+		l.ends = append(l.ends, len(l.text))
+	}
+	return l
+}
+
+// label returns bound i's formatted text.
+func (l *leLabels) label(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = l.ends[i-1]
+	}
+	return l.text[start:l.ends[i]]
+}
+
+// histogramFamily snapshots a histogram for rendering.
 func histogramFamily(h *stats.BucketHistogram, help string) family {
 	snap := h.Snapshot()
-	name := MetricPrefix + sanitizeName(snap.Name)
-	samples := make([]string, 0, len(snap.Counts)+2)
+	return family{name: metricName(MetricPrefix, snap.Name), typ: "histogram", help: help, snap: snap}
+}
+
+// appendHistogram renders a histogram snapshot's samples: cumulative
+// buckets, the mandatory +Inf bucket, then _count and _sum. les holds
+// the snapshot's formatted bounds.
+func appendHistogram(b []byte, name string, snap *stats.BucketSnapshot, les *leLabels) []byte {
 	var cum uint64
 	for i, c := range snap.Counts {
 		cum += c
-		le := "+Inf"
+		b = appendStrings(b, name, `_bucket{le="`)
 		if i < len(snap.Bounds) {
-			le = formatFloat(snap.Bounds[i])
+			b = append(b, les.label(i)...)
+		} else {
+			b = append(b, "+Inf"...)
 		}
-		samples = append(samples, fmt.Sprintf("%s_bucket{le=%q} %d", name, le, cum))
+		b = append(strconv.AppendUint(append(b, `"} `...), cum, 10), '\n')
 	}
-	samples = append(samples,
-		fmt.Sprintf("%s_count %d", name, snap.Total),
-		fmt.Sprintf("%s_sum %s", name, formatFloat(snap.Sum)))
-	return family{name: name, typ: "histogram", help: help, samples: samples}
-}
-
-// seriesFamily renders a sampler series' most recent sample as a gauge,
-// with the simulated timestamp alongside in a companion label-free
-// metric would be overkill — the sim time rides as a label instead.
-func seriesFamily(s *obs.Series) family {
-	name := MetricPrefix + "series_" + sanitizeName(s.Name)
-	t, v, ok := s.Last()
-	if !ok {
-		return family{name: name, typ: "gauge",
-			help:    "latest value of sampler series " + s.Name,
-			samples: []string{name + " 0"}}
-	}
-	return family{name: name, typ: "gauge",
-		help: "latest value of sampler series " + s.Name,
-		samples: []string{fmt.Sprintf("%s{sim_time_us=%q} %s",
-			name, formatFloat(t), formatFloat(v))}}
+	b = append(strconv.AppendUint(appendStrings(b, name, "_count "), snap.Total, 10), '\n')
+	b = append(appendFloat(appendStrings(b, name, "_sum "), snap.Sum), '\n')
+	return b
 }

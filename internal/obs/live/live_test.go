@@ -2,12 +2,15 @@ package live
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"rocc/internal/core"
 	"rocc/internal/des"
 	"rocc/internal/dist"
+	"rocc/internal/forward"
 	"rocc/internal/obs"
 	"rocc/internal/obs/prov"
 	"rocc/internal/procs"
@@ -207,8 +210,8 @@ func TestSanitizeName(t *testing.T) {
 		"9lead":               "_lead",
 		"":                    "_",
 	} {
-		if got := sanitizeName(in); got != want {
-			t.Errorf("sanitizeName(%q) = %q, want %q", in, got, want)
+		if got := metricName("", in); got != want {
+			t.Errorf("metricName(\"\", %q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -221,12 +224,12 @@ func TestFormatFloat(t *testing.T) {
 		math.Inf(-1):     "-Inf",
 		0.00012345678901: "0.00012345678901",
 	} {
-		if got := formatFloat(v); got != want {
-			t.Errorf("formatFloat(%v) = %q, want %q", v, got, want)
+		if got := string(appendFloat(nil, v)); got != want {
+			t.Errorf("appendFloat(%v) = %q, want %q", v, got, want)
 		}
 	}
-	if got := formatFloat(math.NaN()); got != "NaN" {
-		t.Errorf("formatFloat(NaN) = %q", got)
+	if got := string(appendFloat(nil, math.NaN())); got != "NaN" {
+		t.Errorf("appendFloat(NaN) = %q", got)
 	}
 }
 
@@ -266,4 +269,71 @@ func TestScrapeWhileMutating(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// A live scrape reads the events counter while the run is going: the
+// counter is stored from the simulator's dispatch count at each sampler
+// tick, so mid-run scrapes see it advance in steps and never go back,
+// and once Model.Run returns it is exact. This is also the -race referee
+// for that read against an observed model's simulation goroutine.
+func TestScrapeDuringObservedRun(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Nodes = 4
+	cfg.SamplingPeriod = 2000
+	cfg.Strategy = forward.NewAdaptiveBF(forward.ControllerConfig{})
+	cfg.Duration = 2e6
+	m, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.EnableObservability(core.ObsOptions{Metrics: true, Provenance: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExporter()
+	e.SetRun(c.Metrics)
+	for st := prov.Stage(0); st < prov.NumStages; st++ {
+		e.AddHistogram(m.Provenance().Histogram(st), "per-sample dwell in stage "+st.String())
+	}
+	events := func() uint64 {
+		var b strings.Builder
+		if err := e.WriteOpenMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		text := b.String()
+		if _, err := ParseExposition(strings.NewReader(text)); err != nil {
+			t.Fatalf("scrape does not parse: %v", err)
+		}
+		_, v, ok := strings.Cut(text, "\nrocc_events_total ")
+		if !ok {
+			t.Fatal("scrape lacks rocc_events_total")
+		}
+		n, err := strconv.ParseUint(v[:strings.IndexByte(v, '\n')], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Run()
+	}()
+	var prev uint64
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if n := events(); n < prev {
+			t.Fatalf("rocc_events_total went back from %d to %d", prev, n)
+		} else {
+			prev = n
+		}
+	}
+	if got := events(); got != m.Sim.Dispatched {
+		t.Fatalf("rocc_events_total %d after the run, simulator dispatched %d", got, m.Sim.Dispatched)
+	}
 }

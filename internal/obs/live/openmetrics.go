@@ -1,28 +1,29 @@
 package live
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
-// sanitizeName maps an arbitrary metric name onto the OpenMetrics name
-// grammar [a-zA-Z_:][a-zA-Z0-9_:]*; every illegal rune becomes '_'.
-func sanitizeName(s string) string {
-	if s == "" {
-		return "_"
-	}
+// metricName returns prefix followed by s mapped onto the OpenMetrics
+// name grammar [a-zA-Z_:][a-zA-Z0-9_:]*: every illegal rune becomes '_',
+// and an empty s becomes "_". It makes one allocation.
+func metricName(prefix, s string) string {
 	var b strings.Builder
+	b.Grow(len(prefix) + len(s) + 1) // a rune never maps to more bytes
+	b.WriteString(prefix)
+	if s == "" {
+		b.WriteByte('_')
+	}
 	for i, r := range s {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if ok {
-			b.WriteRune(r)
+		if r < utf8.RuneSelf && nameByte(byte(r), i) {
+			b.WriteByte(byte(r))
 		} else {
 			b.WriteByte('_')
 		}
@@ -30,19 +31,19 @@ func sanitizeName(s string) string {
 	return b.String()
 }
 
-// formatFloat renders a float the way the exposition format expects:
+// appendFloat appends a float the way the exposition format expects:
 // shortest round-trip representation, with the spec spellings for the
 // non-finite values.
-func formatFloat(v float64) string {
+func appendFloat(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	case math.IsNaN(v):
-		return "NaN"
+		return append(b, "NaN"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // ParseExposition validates OpenMetrics/Prometheus text exposition
@@ -80,47 +81,70 @@ func ParseExpositionFamilies(r io.Reader) (samples int, families []string, err e
 	return samples, families, nil
 }
 
+// maxLineBytes is the longest line the parser accepts, newline
+// excluded: a line of 1 MiB or more is an error. The limit is the one
+// the test-only reference parser inherits from bufio.Scanner, so the two
+// agree on every input.
+const maxLineBytes = 1<<20 - 1
+
+// parseExposition reads the whole exposition into one string and scans
+// it by index: every line, field and name is a substring of it, so
+// parsing allocates the text and the family map, not anything per line.
 func parseExposition(r io.Reader) (samples int, types map[string]string, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	var all strings.Builder
+	if _, err := io.Copy(&all, r); err != nil {
+		return 0, nil, err
+	}
+	rest := all.String()
 	types = map[string]string{}
 	sawEOF := false
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
+	// last is the latest sample name found declared. Families are never
+	// undeclared, and a family's samples come in runs (a histogram's
+	// buckets share one name), so most lines skip the map lookups.
+	last := ""
+	for line := 1; rest != ""; line++ {
+		text := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			text, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if len(text) > maxLineBytes {
+			return 0, nil, fmt.Errorf("line %d: longer than %d bytes", line, maxLineBytes)
+		}
+		text = strings.TrimSuffix(text, "\r")
 		if sawEOF {
 			return 0, nil, fmt.Errorf("line %d: content after # EOF", line)
 		}
 		if text == "" {
 			continue
 		}
-		if strings.HasPrefix(text, "#") {
-			fields := strings.Fields(text)
-			if len(fields) >= 2 && fields[1] == "EOF" {
+		if text[0] == '#' {
+			_, f := nextField(text) // the leading "#..." field
+			key, f := nextField(f)
+			switch key {
+			case "EOF":
 				sawEOF = true
-				continue
-			}
-			if len(fields) >= 2 && (fields[1] == "TYPE" || fields[1] == "HELP" || fields[1] == "UNIT") {
-				if len(fields) < 3 {
-					return 0, nil, fmt.Errorf("line %d: malformed %s comment: %q", line, fields[1], text)
+			case "TYPE", "HELP", "UNIT":
+				name, f := nextField(f)
+				if name == "" {
+					return 0, nil, fmt.Errorf("line %d: malformed %s comment: %q", line, key, text)
 				}
-				if fields[1] == "TYPE" {
-					name := fields[2]
-					if len(fields) < 4 {
-						return 0, nil, fmt.Errorf("line %d: TYPE %s missing a type", line, name)
-					}
-					switch fields[3] {
-					case "counter", "gauge", "histogram", "summary", "untyped", "info", "stateset", "gaugehistogram":
-					default:
-						return 0, nil, fmt.Errorf("line %d: unknown metric type %q", line, fields[3])
-					}
-					if _, dup := types[name]; dup {
-						return 0, nil, fmt.Errorf("line %d: family %s declared twice", line, name)
-					}
-					types[name] = fields[3]
+				if key != "TYPE" {
+					continue
 				}
-				continue
+				typ, _ := nextField(f)
+				switch typ {
+				case "":
+					return 0, nil, fmt.Errorf("line %d: TYPE %s missing a type", line, name)
+				case "counter", "gauge", "histogram", "summary", "untyped", "info", "stateset", "gaugehistogram":
+				default:
+					return 0, nil, fmt.Errorf("line %d: unknown metric type %q", line, typ)
+				}
+				if _, dup := types[name]; dup {
+					return 0, nil, fmt.Errorf("line %d: family %s declared twice", line, name)
+				}
+				types[name] = typ
 			}
 			continue // free-form comment
 		}
@@ -128,13 +152,11 @@ func parseExposition(r io.Reader) (samples int, types map[string]string, err err
 		if err != nil {
 			return 0, nil, fmt.Errorf("line %d: %v", line, err)
 		}
-		if familyOf(name, types) == "" {
+		if name != last && !declared(name, types) {
 			return 0, nil, fmt.Errorf("line %d: sample %s has no # TYPE declaration", line, name)
 		}
+		last = name
 		samples++
-	}
-	if err := sc.Err(); err != nil {
-		return 0, nil, err
 	}
 	if !sawEOF {
 		return 0, nil, fmt.Errorf("missing terminating # EOF line")
@@ -142,35 +164,79 @@ func parseExposition(r io.Reader) (samples int, types map[string]string, err err
 	return samples, types, nil
 }
 
+// nextField returns the first white-space separated field of s and what
+// follows it, splitting where strings.Fields does (unicode.IsSpace); f is
+// empty when s holds no field.
+func nextField(s string) (f, rest string) {
+	i := 0
+	for i < len(s) {
+		n := spaceAt(s, i)
+		if n == 0 {
+			break
+		}
+		i += n
+	}
+	j := i
+	for j < len(s) {
+		if c := s[j]; c > ' ' && c < utf8.RuneSelf { // printable ASCII
+			j++
+			continue
+		}
+		if spaceAt(s, j) > 0 {
+			break
+		}
+		_, n := utf8.DecodeRuneInString(s[j:])
+		j += n
+	}
+	return s[i:j], s[j:]
+}
+
+// spaceAt returns the byte width of the white-space rune starting at
+// s[i], 0 when none starts there.
+func spaceAt(s string, i int) int {
+	switch c := s[i]; {
+	case c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
+		return 1
+	case c < utf8.RuneSelf:
+		return 0
+	}
+	if r, n := utf8.DecodeRuneInString(s[i:]); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
+}
+
 // parseSampleLine checks one sample line and returns its metric name.
 func parseSampleLine(text string) (string, error) {
-	rest := text
-	i := strings.IndexAny(rest, "{ ")
-	if i <= 0 {
+	i := 0
+	for i < len(text) && text[i] != '{' && text[i] != ' ' {
+		i++
+	}
+	if i == 0 || i == len(text) {
 		return "", fmt.Errorf("malformed sample line %q", text)
 	}
-	name := rest[:i]
+	name, rest := text[:i], text[i:]
 	if !validName(name) {
 		return "", fmt.Errorf("invalid metric name %q", name)
 	}
-	rest = rest[i:]
-	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
+	if rest[0] == '{' {
+		end := strings.IndexByte(rest, '}')
 		if end < 0 {
 			return "", fmt.Errorf("unterminated label set in %q", text)
 		}
 		rest = rest[end+1:]
 	}
-	fields := strings.Fields(rest)
-	if len(fields) < 1 || len(fields) > 2 {
+	value, rest := nextField(rest)
+	stamp, rest := nextField(rest)
+	if extra, _ := nextField(rest); value == "" || extra != "" {
 		return "", fmt.Errorf("want 'name[{labels}] value [timestamp]', got %q", text)
 	}
-	if _, err := parseValue(fields[0]); err != nil {
-		return "", fmt.Errorf("bad sample value %q: %v", fields[0], err)
+	if _, err := parseValue(value); err != nil {
+		return "", fmt.Errorf("bad sample value %q: %v", value, err)
 	}
-	if len(fields) == 2 {
-		if _, err := strconv.ParseFloat(fields[1], 64); err != nil {
-			return "", fmt.Errorf("bad timestamp %q", fields[1])
+	if stamp != "" {
+		if _, err := strconv.ParseFloat(stamp, 64); err != nil {
+			return "", fmt.Errorf("bad timestamp %q", stamp)
 		}
 	}
 	return name, nil
@@ -190,23 +256,39 @@ func parseValue(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
-// validName reports whether s matches the metric-name grammar.
-func validName(s string) bool {
-	return s != "" && s == sanitizeName(s)
+// nameByte reports whether c may appear in a metric name at byte index i
+// of the name: [a-zA-Z_:] anywhere, digits after the first byte.
+func nameByte(c byte, i int) bool {
+	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+		(i > 0 && c >= '0' && c <= '9')
 }
 
-// familyOf resolves a sample name to its declared family, stripping the
-// structured suffixes counters and histograms append to sample names.
-func familyOf(name string, types map[string]string) string {
-	if _, ok := types[name]; ok {
-		return name
+// validName reports whether s matches the metric-name grammar.
+func validName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !nameByte(s[i], i) {
+			return false
+		}
 	}
-	for _, suf := range []string{"_total", "_bucket", "_sum", "_count", "_created"} {
+	return s != ""
+}
+
+// sampleSuffixes are the structured suffixes counters and histograms
+// append to their family's name in sample names.
+var sampleSuffixes = [...]string{"_total", "_bucket", "_sum", "_count", "_created"}
+
+// declared reports whether a sample name belongs to a declared family,
+// directly or after stripping one of the sample suffixes.
+func declared(name string, types map[string]string) bool {
+	if _, ok := types[name]; ok {
+		return true
+	}
+	for _, suf := range sampleSuffixes {
 		if base, ok := strings.CutSuffix(name, suf); ok {
-			if _, declared := types[base]; declared {
-				return base
+			if _, ok := types[base]; ok {
+				return true
 			}
 		}
 	}
-	return ""
+	return false
 }

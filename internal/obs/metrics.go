@@ -69,7 +69,12 @@ func (s *Series) Last() (t, v float64, ok bool) {
 // series. Everything is touched from the single simulation goroutine;
 // no locking.
 type Metrics struct {
-	Events        Counter // engine events dispatched
+	// Events is the number of engine events dispatched since the last
+	// Reset. Nothing bumps it per event: Sampler.CountEvents binds it to
+	// the simulator's own Dispatched count, which SyncEvents stores into
+	// it at every sampler tick. Mid-run it therefore advances in steps;
+	// once the run's owner calls SyncEvents at the end it is exact.
+	Events        Counter
 	Generated     Counter // samples written by application processes
 	Delivered     Counter // samples received at the main process
 	DeliveredMsgs Counter // forwarded messages received at the main process
@@ -90,6 +95,11 @@ type Metrics struct {
 	Latency *stats.BucketHistogram
 
 	series []*Series
+
+	// sim is the simulator Events counts (nil until CountEvents);
+	// eventsBase is its Dispatched count at the last Reset.
+	sim        *des.Simulator
+	eventsBase uint64
 }
 
 // NewMetrics returns a registry with the standard pipeline counters over
@@ -123,14 +133,27 @@ func (m *Metrics) Counters() []*Counter {
 	}
 }
 
+// SyncEvents stores into Events the events the bound simulator has
+// dispatched since the last Reset; it does nothing before CountEvents.
+// Call it from the simulation goroutine, between events or after the run.
+func (m *Metrics) SyncEvents() {
+	if m.sim != nil {
+		m.Events.v.Store(m.sim.Dispatched - m.eventsBase)
+	}
+}
+
 // Series returns the sampler time series registered so far.
 func (m *Metrics) Series() []*Series { return m.series }
 
 // Reset zeroes all counters, the latency histogram, and sampler series
-// (warmup removal); probe registrations survive.
+// (warmup removal); probe registrations survive. Events restarts from the
+// simulator's dispatch count at the reset.
 func (m *Metrics) Reset() {
 	for _, c := range m.Counters() {
 		c.v.Store(0)
+	}
+	if m.sim != nil {
+		m.eventsBase = m.sim.Dispatched
 	}
 	m.Latency.Reset()
 	for _, s := range m.series {
@@ -155,6 +178,8 @@ type Sampler struct {
 	// (a method value would allocate at every tick).
 	expect int
 	tickFn func()
+
+	events *Metrics // registry whose Events each tick syncs (CountEvents)
 }
 
 // SetExpectedTicks sizes the T/V slices of subsequently registered probes
@@ -196,6 +221,15 @@ func (s *Sampler) Probe(m *Metrics, name string, read func(tUS float64) float64)
 	return ser
 }
 
+// CountEvents makes m.Events count the events the sampler's simulator
+// dispatches from now on, rebased at every m.Reset: each tick stores the
+// count, and m.SyncEvents makes it exact at the end of a run. Nothing
+// runs per event.
+func (s *Sampler) CountEvents(m *Metrics) {
+	m.sim, m.eventsBase = s.sim, s.sim.Dispatched
+	s.events = m
+}
+
 // Start schedules the first tick. Call once, after all probes are
 // registered.
 func (s *Sampler) Start() {
@@ -204,6 +238,9 @@ func (s *Sampler) Start() {
 }
 
 func (s *Sampler) tick() {
+	if s.events != nil {
+		s.events.SyncEvents()
+	}
 	t := float64(s.sim.Now())
 	for _, p := range s.probes {
 		p.series.append(t, p.read(t))

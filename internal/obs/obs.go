@@ -28,12 +28,26 @@
 //     as simulated-time series.
 //
 // The hook interfaces themselves live with the packages that call them
-// (des.Observer, resources.PipeObserver, procs.Observer); Collector
-// satisfies all of them structurally, so those packages stay free of any
-// obs dependency. The per-sample lifecycle fan-out goes to the
-// provenance engine (internal/obs/prov.Engine), which folds each
-// sample's path into per-stage dwell times; it is the only consumer of
-// that fan-out, so Collector.Flow names it directly.
+// (resources.PipeObserver, procs.Observer); Collector satisfies them
+// structurally, so those packages stay free of any obs dependency. The
+// per-sample lifecycle fan-out goes to the provenance engine
+// (internal/obs/prov.Engine), which folds each sample's path into
+// per-stage dwell times; it is the only consumer of that fan-out, so
+// Collector.Flow names it directly.
+//
+// # Cost when attached
+//
+// An attached layer pays per message and per sampler tick where it can,
+// not per event or per sample. No des.Observer is attached to the
+// engine: Metrics.Events is the simulator's own dispatch count, less its
+// value at the warmup reset, stored at every sampler tick and once more
+// when the run ends, so a mid-run scrape sees it advance in steps and
+// the final value is exact. The main process reports each received
+// message through one MessageDelivered hook carrying its samples; the
+// collector counts it once and the provenance engine folds the batch
+// under one histogram lock. What an observed run reports — its Result,
+// exposition and Chrome trace — is the same bytes either way (core's
+// TestObservedOutputPins).
 package obs
 
 import (
@@ -47,8 +61,9 @@ import (
 // registry, and provenance engine. A nil Sink, Metrics, or Flow disables
 // that third; the corresponding work is skipped.
 //
-// Collector satisfies des.Observer, resources.PipeObserver, and
-// procs.Observer.
+// Collector satisfies resources.PipeObserver and procs.Observer. It is
+// not a des.Observer: the events counter is read from the simulator's own
+// dispatch count (Sampler.CountEvents), not bumped per event.
 type Collector struct {
 	Sink    *TraceSink
 	Metrics *Metrics
@@ -78,13 +93,6 @@ func (c *Collector) ResetAccounting() {
 	}
 	if c.Flow != nil {
 		c.Flow.ResetAccounting()
-	}
-}
-
-// EventDispatched implements des.Observer: one engine event executed.
-func (c *Collector) EventDispatched(t float64, pending int) {
-	if c.Metrics != nil {
-		c.Metrics.Events.Add(1)
 	}
 }
 
@@ -205,28 +213,24 @@ func (c *Collector) MessageReceived(node int, t float64, batch []resources.Sampl
 }
 
 // MessageDelivered implements procs.Observer: the main Paradyn process
-// received one forwarded message.
-func (c *Collector) MessageDelivered(t float64, samples, hops int) {
+// received one forwarded message, and each sample in batch completed its
+// generation-to-receipt journey with end-to-end delay t − s.GenTime. The
+// main process has already observed every latency into Metrics.Latency.
+// The counters move once per message; the trace gets each sample's
+// delivery and then the message's.
+func (c *Collector) MessageDelivered(t float64, batch []resources.Sample, hops int) {
 	if c.Metrics != nil {
+		c.Metrics.Delivered.Add(uint64(len(batch)))
 		c.Metrics.DeliveredMsgs.Add(1)
 	}
-	if c.Sink != nil {
-		c.Sink.addEvent(Event{Kind: EvMessageDelivered, TUS: t, N: samples, Hops: hops})
-	}
-}
-
-// SampleDelivered implements procs.Observer: one sample completed its
-// generation-to-receipt journey; latencyUS is the end-to-end delay. The
-// main process has already observed it into Metrics.Latency.
-func (c *Collector) SampleDelivered(t float64, s resources.Sample, latencyUS float64) {
-	if c.Metrics != nil {
-		c.Metrics.Delivered.Add(1)
-	}
 	if c.Flow != nil {
-		c.Flow.SampleDelivered(t, s, latencyUS)
+		c.Flow.BatchDelivered(t, batch)
 	}
 	if c.Sink != nil {
-		c.Sink.addEvent(Event{Kind: EvSampleDelivered, TUS: s.GenTime, DurUS: latencyUS, Node: s.Node, Proc: s.Proc, Seq: s.Seq})
+		for _, s := range batch {
+			c.Sink.addEvent(Event{Kind: EvSampleDelivered, TUS: s.GenTime, DurUS: t - s.GenTime, Node: s.Node, Proc: s.Proc, Seq: s.Seq})
+		}
+		c.Sink.addEvent(Event{Kind: EvMessageDelivered, TUS: t, N: len(batch), Hops: hops})
 	}
 }
 

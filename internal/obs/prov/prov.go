@@ -241,6 +241,7 @@ type Engine struct {
 
 	stages *stats.BucketHistogramSet // one member per Stage, one lock
 	sums   [NumStages]float64
+	rows   []float64 // BatchDelivered's stage rows, reused across messages
 
 	// Counters over the measured window (Reset clears them at the warmup
 	// boundary; in-flight records survive, mirroring the model's latency
@@ -444,11 +445,34 @@ func (e *Engine) BatchArrived(node int, t float64, batch []resources.Sample, hop
 // separately so totals still reconcile with the aggregate latency
 // histogram, which observes every delivery.
 func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float64) {
+	if d, ok := e.deliver(t, s, latencyUS); ok {
+		e.stages.ObserveSet(d[:])
+	}
+}
+
+// BatchDelivered records a message's delivery to the main process at t:
+// each sample in batch is delivered as by SampleDelivered with latency
+// t − s.GenTime, and the stages of the whole batch are observed under a
+// single acquisition of the histogram lock.
+func (e *Engine) BatchDelivered(t float64, batch []resources.Sample) {
+	rows := e.rows[:0]
+	for _, s := range batch {
+		if d, ok := e.deliver(t, s, t-s.GenTime); ok {
+			rows = append(rows, d[:]...)
+		}
+	}
+	e.stages.ObserveSet(rows)
+	e.rows = rows
+}
+
+// deliver closes the sample's record, folds its accounting and returns
+// its stage dwells for the histograms; ok is false for a duplicate.
+func (e *Engine) deliver(t float64, s resources.Sample, latencyUS float64) (d [NumStages]float64, ok bool) {
 	r, ok := e.close(s)
 	if !ok {
 		e.dupDelivered++
 		e.dupLatencySumUS += latencyUS
-		return
+		return d, false
 	}
 	if !r.hasFwd {
 		// Degenerate path (no forward observed — cannot happen in the
@@ -460,7 +484,7 @@ func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float6
 	}
 	r.net += t - r.lastT
 
-	d := [NumStages]float64{
+	d = [NumStages]float64{
 		StagePipeWait:       (r.putT - s.GenTime) + (r.getT - r.maxPut),
 		StageBatchResidency: r.maxPut - r.putT,
 		StageDaemonService:  r.fwdT - r.getT,
@@ -476,13 +500,13 @@ func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float6
 		}
 		e.sums[i] += d[i]
 	}
-	e.stages.ObserveSet(d[:])
 
 	e.delivered++
 	e.latencySumUS += latencyUS
 	if err := math.Abs(sum - latencyUS); err > e.maxCloseErrUS {
 		e.maxCloseErrUS = err
 	}
+	return d, true
 }
 
 // SampleLost records that the sample left the system without delivery.

@@ -2,6 +2,8 @@ package prov
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -331,5 +333,50 @@ func TestStageNaming(t *testing.T) {
 	e := NewEngine()
 	if got := len(e.Stages()); got != int(NumStages) {
 		t.Fatalf("Stages() returned %d entries, want %d", got, NumStages)
+	}
+}
+
+// BatchDelivered is SampleDelivered over a message's samples, with one
+// histogram lock: the same stages, sums, counters and histogram contents,
+// a duplicate copy inside the batch included.
+func TestBatchDeliveredMatchesPerSample(t *testing.T) {
+	run := func(deliver func(e *Engine, t float64, batch []resources.Sample)) *Engine {
+		e := NewEngine()
+		var batch []resources.Sample
+		for seq := 0; seq < 40; seq++ {
+			s := resources.Sample{GenTime: float64(3 * seq), Node: seq % 2, Proc: seq % 3, Seq: seq}
+			e.SampleGenerated(s.GenTime, s, false)
+			e.PipePut(s.GenTime+float64(seq%4), s)
+			e.PipeGet(130, s)
+			batch = append(batch, s)
+		}
+		e.BatchForwarded(0, 131.5, batch, 1)
+		deliver(e, 170.25, batch[:25])
+		deliver(e, 171, append(batch[25:], batch[3])) // batch[3] again: a duplicate
+		return e
+	}
+	perSample := run(func(e *Engine, t float64, batch []resources.Sample) {
+		for _, s := range batch {
+			e.SampleDelivered(t, s, t-s.GenTime)
+		}
+	})
+	batched := run((*Engine).BatchDelivered)
+
+	if got, want := batched.Stages(), perSample.Stages(); !slices.Equal(got, want) {
+		t.Errorf("stages %+v, want %+v", got, want)
+	}
+	if batched.Delivered() != 40 || batched.DupDelivered() != 1 ||
+		batched.LatencySumUS() != perSample.LatencySumUS() ||
+		batched.DupLatencySumUS() != perSample.DupLatencySumUS() ||
+		batched.MaxCloseErrUS() != perSample.MaxCloseErrUS() || batched.InFlight() != 0 {
+		t.Errorf("batched delivered %d (dup %d), latency %v + %v, close err %v, in flight %d; per sample %v + %v, %v",
+			batched.Delivered(), batched.DupDelivered(), batched.LatencySumUS(), batched.DupLatencySumUS(),
+			batched.MaxCloseErrUS(), batched.InFlight(),
+			perSample.LatencySumUS(), perSample.DupLatencySumUS(), perSample.MaxCloseErrUS())
+	}
+	for st := Stage(0); st < NumStages; st++ {
+		if got, want := batched.Histogram(st).Snapshot(), perSample.Histogram(st).Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s histogram %+v, want %+v", st, got, want)
+		}
 	}
 }

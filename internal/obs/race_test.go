@@ -16,14 +16,16 @@ import (
 // while the simulation goroutine is still mutating them. This test is
 // the -race referee for that contract: one goroutine hammers counters,
 // gauges, the latency histogram, and a sampler series exactly the way a
-// running model does, while readers concurrently take the snapshot-style
-// reads the exporter uses (Value, Snapshot, Quantile, Last). It proves
-// nothing about values — only that no access is an unsynchronized data
-// race.
+// running model does (the events counter is stored from the simulator's
+// dispatch count at each sampler tick), while readers concurrently take
+// the snapshot-style reads the exporter uses (Value, Snapshot, Quantile,
+// Last). It proves nothing about values — only that no access is an
+// unsynchronized data race.
 func TestConcurrentSnapshotWhileMutating(t *testing.T) {
 	m := obs.NewMetrics(procs.NewLatencyHistogram())
 	sim := des.New()
 	sampler := obs.NewSampler(sim, 1)
+	sampler.CountEvents(m)
 	i := 0
 	ser := sampler.Probe(m, "pipe_depth", func(float64) float64 { return float64(i % 7) })
 	sampler.Start()
@@ -34,7 +36,6 @@ func TestConcurrentSnapshotWhileMutating(t *testing.T) {
 	go func() { // the "simulation" writer
 		defer wg.Done()
 		for ; i < iters; i++ {
-			m.Events.Add(1)
 			m.Generated.Add(2)
 			m.Latency.Observe(float64(100 + i%1000))
 			sim.Step() // one sampler tick: appends to ser
@@ -72,9 +73,9 @@ func TestConcurrentSnapshotWhileMutating(t *testing.T) {
 }
 
 // The provenance engine's six stage histograms share one lock, taken once
-// per delivery. This is the -race referee for that sharing: one goroutine
-// drives full sample lifecycles through a prov.Engine, with a warmup
-// reset mid-run, while two scrapers snapshot and query every stage
+// per delivered message. This is the -race referee for that sharing: one
+// goroutine drives full sample lifecycles through a prov.Engine, with a
+// warmup reset mid-run, while two scrapers snapshot and query every stage
 // histogram on its own, as the live exporter does.
 func TestConcurrentStageScrapeWhileDelivering(t *testing.T) {
 	e := prov.NewEngine()
@@ -92,7 +93,7 @@ func TestConcurrentStageScrapeWhileDelivering(t *testing.T) {
 			e.PipeGet(t0+2, s)
 			batch[0] = s
 			e.BatchForwarded(s.Node, t0+3, batch, 1)
-			e.SampleDelivered(t0+7, s, 7)
+			e.BatchDelivered(t0+7, batch)
 			if seq == iters/2 {
 				e.ResetAccounting()
 			}

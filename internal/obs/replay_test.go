@@ -189,7 +189,7 @@ func smallTrace() []byte {
 	c.MessageReceived(1, 40, []resources.Sample{a, b}, 1)
 	c.SampleLost(1, 41, b, procs.LossLink)
 	c.MessageForwarded(1, 50, []resources.Sample{a}, 2)
-	c.SampleDelivered(70, a, 60)
+	c.MessageDelivered(70, []resources.Sample{a}, 2)
 	var buf bytes.Buffer
 	if err := c.Sink.WriteChrome(&buf); err != nil {
 		panic(err)

@@ -88,7 +88,7 @@ func TestWriteChromeValidates(t *testing.T) {
 	c.SampleGenerated(10, sample, false)
 	c.PipePut(3, 10, sample, 1)
 	c.PipeGet(3, 40, sample, 0)
-	c.SampleDelivered(120, sample, 110)
+	c.MessageDelivered(120, []resources.Sample{sample}, 1)
 	c.DaemonCrashed(1, 130, 4)
 	c.DaemonRestored(1, 150)
 
@@ -101,9 +101,11 @@ func TestWriteChromeValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("export does not validate: %v\n%s", err, out)
 	}
-	// 2 spans + 6 lifecycle events + metadata (cpu 0, network, pipe 3,
-	// node-0 samples, node-1 samples) + the sample's flow start and end.
-	if want := 2 + 6 + 5 + 2; n != want {
+	// 2 spans + 7 lifecycle events (the delivery hook records the
+	// sample's delivery and its message's) + metadata (cpu 0, network,
+	// pipe 3, node-0 samples, node-1 samples) + the sample's flow start
+	// and end.
+	if want := 2 + 7 + 5 + 2; n != want {
 		t.Fatalf("validated %d events, want %d\n%s", n, want, out)
 	}
 	for _, needle := range []string{`"ph":"X"`, `"ph":"i"`, `"ph":"M"`, "sample p2 #7", "daemon-crash",
@@ -136,8 +138,8 @@ func TestWriteChromeFlowPath(t *testing.T) {
 	c.MessageForwarded(0, 25, batch, 1)
 	c.MessageReceived(1, 30, batch, 1)
 	c.MessageForwarded(1, 33, batch, 2)
-	c.SampleDelivered(40, a, 30)
-	c.SampleDelivered(41, a, 31) // injected duplicate: no second flow end
+	c.MessageDelivered(40, []resources.Sample{a}, 2)
+	c.MessageDelivered(41, []resources.Sample{a}, 2) // injected duplicate: no second flow end
 	c.SampleLost(1, 41, b, procs.LossCrash)
 
 	var buf bytes.Buffer
@@ -197,8 +199,7 @@ func TestCollectorMetricsCounters(t *testing.T) {
 	c.PipeDropped(0, 2, sample, false)
 	c.BatchCollected(0, 3, 8)
 	c.MessageForwarded(0, 4, []resources.Sample{sample}, 1)
-	c.MessageDelivered(5, 8, 1)
-	c.SampleDelivered(5, sample, 4)
+	c.MessageDelivered(5, []resources.Sample{sample}, 1)
 	c.SampleLost(0, 6, resources.Sample{Seq: 9}, procs.LossThinned)
 	c.DaemonCrashed(0, 6, 2)
 	c.MessageRetransmitted(0, 7, 1)

@@ -35,8 +35,7 @@ type MainProcess struct {
 	// pool the model's daemons draw their messages from.
 	Msgs *forward.MessagePool
 
-	// Obs, when non-nil, receives per-sample and per-message delivery
-	// notifications.
+	// Obs, when non-nil, receives one delivery notification per message.
 	Obs Observer
 
 	// Latency accumulates per-sample monitoring latency in microseconds.
@@ -80,9 +79,6 @@ func (m *MainProcess) Receive(msg *forward.Message) {
 		if s.GenTime > newest {
 			newest = s.GenTime
 		}
-		if m.Obs != nil {
-			m.Obs.SampleDelivered(now, s, lat)
-		}
 	}
 	if len(msg.Samples) > 0 {
 		m.ForwardLatency.Add(now - newest)
@@ -91,7 +87,7 @@ func (m *MainProcess) Receive(msg *forward.Message) {
 	m.MessagesReceived++
 	m.HopsTotal += msg.Hops
 	if m.Obs != nil {
-		m.Obs.MessageDelivered(now, len(msg.Samples), msg.Hops)
+		m.Obs.MessageDelivered(now, msg.Samples, msg.Hops)
 	}
 	m.Msgs.Put(msg)
 	m.CPU.Submit(OwnerMain, m.CPUDist.Sample(m.R), nil)

@@ -105,8 +105,7 @@ type jobRecorder struct {
 func (*jobRecorder) SampleGenerated(float64, resources.Sample, bool)       {}
 func (*jobRecorder) BatchCollected(int, float64, int)                      {}
 func (*jobRecorder) MessageReceived(int, float64, []resources.Sample, int) {}
-func (*jobRecorder) MessageDelivered(float64, int, int)                    {}
-func (*jobRecorder) SampleDelivered(float64, resources.Sample, float64)    {}
+func (*jobRecorder) MessageDelivered(float64, []resources.Sample, int)     {}
 func (*jobRecorder) DaemonCrashed(int, float64, int)                       {}
 func (*jobRecorder) DaemonRestored(int, float64)                           {}
 func (*jobRecorder) MessageRetransmitted(int, float64, int)                {}

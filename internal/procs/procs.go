@@ -61,8 +61,8 @@ func (r LossReason) String() string {
 //
 // Implementations must only record — they must not call back into the
 // process models or the simulator. Batch slices passed to
-// MessageForwarded and MessageReceived are owned by the caller and must
-// not be retained past the call.
+// MessageForwarded, MessageReceived and MessageDelivered are owned by the
+// caller and must not be retained past the call.
 type Observer interface {
 	// SampleGenerated fires when an application process writes a sample;
 	// blocked reports that the write stalled on a full pipe (§4.3.3).
@@ -77,11 +77,11 @@ type Observer interface {
 	// child for merging (tree forwarding only; direct-to-main delivery
 	// fires MessageDelivered instead).
 	MessageReceived(node int, t float64, batch []resources.Sample, hops int)
-	// MessageDelivered fires when the main process receives a message.
-	MessageDelivered(t float64, samples, hops int)
-	// SampleDelivered fires once per sample in a received message with the
-	// sample's end-to-end monitoring latency.
-	SampleDelivered(t float64, s resources.Sample, latencyUS float64)
+	// MessageDelivered fires once per message the main process receives,
+	// carrying the message's samples: each one's end-to-end monitoring
+	// latency is t − s.GenTime. One hook per message, not per sample, is
+	// batch-and-forward applied to the observer itself.
+	MessageDelivered(t float64, batch []resources.Sample, hops int)
 	// SampleLost fires once per sample that leaves the system without
 	// reaching the main process; node is the daemon (or link endpoint)
 	// where the loss happened.

@@ -141,11 +141,16 @@ func NewBucketHistogramSet(bounds []float64, names ...string) *BucketHistogramSe
 func (s *BucketHistogramSet) Histogram(i int) *BucketHistogram { return s.hs[i] }
 
 // ObserveSet records vs[i] into the i-th member, all under one lock
-// acquisition; vs must have one value per member.
+// acquisition. vs holds one or more rows of one value per member, row
+// after row; each row is recorded as one call with that row would record
+// it, and a trailing partial row is ignored.
 func (s *BucketHistogramSet) ObserveSet(vs []float64) {
+	n := len(s.hs)
 	s.mu.Lock()
-	for i, h := range s.hs {
-		h.observe(vs[i])
+	for ; n > 0 && len(vs) >= n; vs = vs[n:] {
+		for i, h := range s.hs {
+			h.observe(vs[i])
+		}
 	}
 	s.mu.Unlock()
 }
