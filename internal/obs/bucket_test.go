@@ -151,3 +151,103 @@ func TestHistogramSetObserveSet(t *testing.T) {
 		t.Fatalf("ObserveSet allocated %.2f objects per call", allocs)
 	}
 }
+
+// sameSnapshot compares two histogram snapshots bit for bit (NaN sums
+// included).
+func sameSnapshot(a, b stats.BucketSnapshot) bool {
+	bits := math.Float64bits
+	return a.Name == b.Name && slices.Equal(a.Bounds, b.Bounds) && slices.Equal(a.Counts, b.Counts) &&
+		a.Total == b.Total && bits(a.Sum) == bits(b.Sum) && bits(a.Min) == bits(b.Min) && bits(a.Max) == bits(b.Max)
+}
+
+// checkObserveSet feeds rows of values to a set in ObserveSet calls of
+// several rows each, and each member's column to a lone histogram one
+// Observe at a time; every member must end bit-identical to its lone twin.
+func checkObserveSet(t *testing.T, bs []float64, members int, vs []float64, split []int) {
+	t.Helper()
+	names := make([]string, members)
+	for i := range names {
+		names[i] = string(rune('a' + i))
+	}
+	set := stats.NewBucketHistogramSet(bs, names...)
+	lone := make([]*stats.BucketHistogram, members)
+	for i := range lone {
+		lone[i] = stats.NewBucketHistogram(names[i], bs)
+	}
+	rows := vs[:len(vs)/members*members]
+	for i, v := range rows {
+		lone[i%members].Observe(v)
+	}
+	for len(vs) > 0 { // the trailing partial row, if any, is ignored
+		n := len(vs)
+		if len(split) > 0 {
+			n = min(n, split[0]*members)
+			split = split[1:]
+		}
+		set.ObserveSet(vs[:n])
+		vs = vs[n:]
+	}
+	for i := range lone {
+		if got, want := set.Histogram(i).Snapshot(), lone[i].Snapshot(); !sameSnapshot(got, want) {
+			t.Fatalf("bounds %v, %d members, rows %v: member %d %+v, per-value Observe %+v", bs, members, rows, i, got, want)
+		}
+	}
+}
+
+// FuzzObserveSetMatchesObserve: ObserveSet's column fold (a run of equal
+// values down a member costs one bucket lookup) leaves every member
+// exactly as per-value Observe does, on rows full of repeats, zeros of
+// both signs, values on and next to bucket bounds, infinities and NaN.
+// Each input byte picks a value from that palette (or repeats the last
+// value of its column); the bytes past the values split the rows into
+// ObserveSet calls.
+func FuzzObserveSetMatchesObserve(f *testing.F) {
+	f.Add(uint8(6), []byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7}, []byte{1})
+	f.Add(uint8(2), []byte{9, 9, 9, 10, 10, 10, 11, 12, 13, 9}, []byte{})
+	f.Add(uint8(1), []byte{1, 2, 1, 2, 3, 3, 3, 14, 14, 15}, []byte{2, 1})
+	f.Add(uint8(3), []byte{16, 16, 16, 17, 17, 17, 18, 19, 20, 21, 22}, []byte{3})
+	f.Fuzz(func(t *testing.T, members uint8, picks, split []byte) {
+		bs := stats.ExpBuckets(1, math.Sqrt2, 60) // the prov stage buckets
+		m := int(members%6) + 1
+		if len(picks) > 4096 {
+			picks = picks[:4096]
+		}
+		vs := make([]float64, len(picks))
+		for i, p := range picks {
+			b := bs[int(p)%len(bs)]
+			switch p % 24 {
+			case 0:
+				vs[i] = 0
+			case 1:
+				vs[i] = math.Copysign(0, -1)
+			case 2, 3, 4, 5: // repeat the value above in this column
+				if i >= m {
+					vs[i] = vs[i-m]
+				} else {
+					vs[i] = b
+				}
+			case 6, 7, 8:
+				vs[i] = b // on a bound
+			case 9:
+				vs[i] = math.Nextafter(b, math.Inf(1))
+			case 10:
+				vs[i] = math.Nextafter(b, 0)
+			case 11:
+				vs[i] = math.Inf(1)
+			case 12:
+				vs[i] = -b
+			case 13:
+				vs[i] = math.NaN()
+			case 14:
+				vs[i] = bs[len(bs)-1] * 2 // overflow bucket
+			default:
+				vs[i] = float64(p) / 4
+			}
+		}
+		var sp []int
+		for _, s := range split {
+			sp = append(sp, int(s%8)+1)
+		}
+		checkObserveSet(t, bs, m, vs, sp)
+	})
+}

@@ -55,6 +55,25 @@
 // closed for good. A PipeDropped for an unseen identity is its first (and
 // final) drop.
 //
+// Each hook looks a sample's record up at most once per boundary. The
+// write path's two hooks (PipePut and SampleGenerated, in either order)
+// share one lookup: the engine memoizes the record it opened last, by
+// identity, and clears the memo whenever a record closes or PipeDropped
+// extends a window (an extend may move a window's records, and a window
+// that trim empties reuses its slots), so the memo only ever names an open
+// record where it lies. The drain (PipeGet) looks the record up once. The
+// first forward collects the batch's records in one pass into a reused
+// slice, takes maxPut over them and updates them in place. Delivery reads
+// the record where it lies and closes it, and BatchDelivered hands the
+// message's stage rows to the histograms under one lock. There a run of
+// equal values down a stage costs one bucket lookup
+// (stats.BucketHistogramSet.ObserveSet): under direct forwarding a
+// message's network-transit, merge and main-receipt dwells are one value
+// for all its samples, and so is daemon-service when its samples were
+// drained together. Counts, sums and extremes still advance per sample in
+// sample order, so the stage histograms hold the same bytes as per-sample
+// observation.
+//
 // # Fault interactions
 //
 // Thinning, daemon crashes, link losses, and exhausted retransmission
@@ -239,9 +258,15 @@ type Engine struct {
 	wins [][]window // by node, then proc
 	open int        // records open across all windows
 
-	stages *stats.BucketHistogramSet // one member per Stage, one lock
-	sums   [NumStages]float64
-	rows   []float64 // BatchDelivered's stage rows, reused across messages
+	// last is the record get opened most recently, and lastID its
+	// identity; nil once any record closes or PipeDropped extends a
+	// window (see "Hook order").
+	last   *record
+	lastID id
+
+	stages *stats.BucketHistogramSet // one member per Stage, one lock; their sums are the stage totals
+	rows   []float64                 // BatchDelivered's stage rows, reused across messages
+	recs   []*record                 // BatchForwarded's member records, reused across messages
 
 	// Counters over the measured window (Reset clears them at the warmup
 	// boundary; in-flight records survive, mirroring the model's latency
@@ -258,6 +283,11 @@ type Engine struct {
 	maxCloseErrUS   float64 // max |Σ stages − latency| over first deliveries
 }
 
+// id is a sample's identity.
+type id struct{ node, proc, seq int }
+
+func idOf(s resources.Sample) id { return id{s.Node, s.Proc, s.Seq} }
+
 // NewEngine returns an empty engine with one histogram per stage,
 // spanning sub-microsecond dwell to ~12 minutes in half-octave buckets.
 // The stage histograms share one lock, taken once per delivery.
@@ -270,14 +300,19 @@ func NewEngine() *Engine {
 }
 
 // window returns the window of the sample's process, nil when the engine
-// has none for it yet. With grow it allocates the window first (negative
-// identities, which the model never produces, get none).
-func (e *Engine) window(s resources.Sample, grow bool) *window {
+// has none for it yet.
+func (e *Engine) window(s resources.Sample) *window {
 	if uint(s.Node) < uint(len(e.wins)) && uint(s.Proc) < uint(len(e.wins[s.Node])) {
 		return &e.wins[s.Node][s.Proc]
 	}
-	if !grow || s.Node < 0 || s.Proc < 0 {
-		return nil
+	return nil
+}
+
+// grow returns the window of the sample's process, allocating it first
+// (negative identities, which the model never produces, get none).
+func (e *Engine) grow(s resources.Sample) *window {
+	if w := e.window(s); w != nil || s.Node < 0 || s.Proc < 0 {
+		return w
 	}
 	for len(e.wins) <= s.Node {
 		e.wins = append(e.wins, nil)
@@ -290,7 +325,7 @@ func (e *Engine) window(s resources.Sample, grow bool) *window {
 
 // find returns the identity's open record, nil when there is none.
 func (e *Engine) find(s resources.Sample) *record {
-	if w := e.window(s, false); w != nil {
+	if w := e.window(s); w != nil {
 		return w.find(s.Seq)
 	}
 	return nil
@@ -300,9 +335,14 @@ func (e *Engine) find(s resources.Sample) *record {
 // Hook ordering is not assumed: the pipe hooks fire before
 // SampleGenerated in the application's write path, so any creating hook
 // may be the first — the record starts from s.GenTime. An identity
-// already seen and closed is never reopened: get returns nil.
+// already seen and closed is never reopened: get returns nil. The record
+// it opened last is memoized, so the write path's second hook finds it
+// without a lookup.
 func (e *Engine) get(s resources.Sample) *record {
-	w := e.window(s, true)
+	if e.last != nil && e.lastID == idOf(s) {
+		return e.last
+	}
+	w := e.grow(s)
 	if w == nil {
 		return nil
 	}
@@ -314,25 +354,31 @@ func (e *Engine) get(s resources.Sample) *record {
 	r.putT = s.GenTime
 	r.maxPut = s.GenTime
 	e.open++
+	e.last, e.lastID = r, idOf(s)
 	return r
 }
 
-// close closes the identity's record and returns a copy of it; ok
-// reports whether one was open.
-func (e *Engine) close(s resources.Sample) (rec record, ok bool) {
-	w := e.window(s, false)
-	if w == nil {
-		return record{}, false
-	}
-	r := w.find(s.Seq)
-	if r == nil {
-		return record{}, false
-	}
-	rec = *r
+// closeIn closes r, an open record of w, and clears the memo: trim may
+// empty w, whose next extend then reuses r's slot.
+func (e *Engine) closeIn(w *window, r *record) {
 	r.open = false
 	e.open--
 	w.trim()
-	return rec, true
+	e.last = nil
+}
+
+// close closes the identity's record; it reports whether one was open.
+func (e *Engine) close(s resources.Sample) bool {
+	w := e.window(s)
+	if w == nil {
+		return false
+	}
+	r := w.find(s.Seq)
+	if r == nil {
+		return false
+	}
+	e.closeIn(w, r)
+	return true
 }
 
 // SampleGenerated opens the sample's record; blocked reports a full-pipe
@@ -367,13 +413,14 @@ func (e *Engine) PipeGet(t float64, s resources.Sample) {
 // before any other hook of its sample, so a drop of an unseen identity
 // counts too, and marks it seen.
 func (e *Engine) PipeDropped(t float64, s resources.Sample) {
-	if _, ok := e.close(s); ok {
+	if e.close(s) {
 		e.dropped++
 		return
 	}
-	if w := e.window(s, true); w != nil && s.Seq >= w.next() {
+	if w := e.grow(s); w != nil && s.Seq >= w.next() {
 		w.extend(s.Seq)
 		w.trim()
+		e.last = nil
 		e.dropped++
 	}
 }
@@ -383,20 +430,22 @@ func (e *Engine) PipeDropped(t float64, s resources.Sample) {
 // the first hop the batch defines maxPut — the latest pipe admission
 // across the message — which splits each member's pipe dwell into
 // batch-residency and pipe-wait proper. Relay re-forwards close a merge
-// leg.
+// leg. Each member's record is looked up once: the first hop collects
+// them while taking maxPut, then updates them in place (nothing opens or
+// closes in between, so their addresses hold).
 func (e *Engine) BatchForwarded(node int, t float64, batch []resources.Sample, hops int) {
 	if hops == 1 {
 		maxPut := math.Inf(-1)
+		recs := e.recs[:0]
 		for _, s := range batch {
-			if r := e.find(s); r != nil && r.putT > maxPut {
-				maxPut = r.putT
+			if r := e.find(s); r != nil {
+				recs = append(recs, r)
+				if r.putT > maxPut {
+					maxPut = r.putT
+				}
 			}
 		}
-		for _, s := range batch {
-			r := e.find(s)
-			if r == nil {
-				continue
-			}
+		for _, r := range recs {
 			if !r.hasGet {
 				r.getT = t
 			}
@@ -411,6 +460,7 @@ func (e *Engine) BatchForwarded(node int, t float64, batch []resources.Sample, h
 				r.inTransit = true
 			}
 		}
+		e.recs = recs
 		return
 	}
 	for _, s := range batch {
@@ -445,7 +495,8 @@ func (e *Engine) BatchArrived(node int, t float64, batch []resources.Sample, hop
 // separately so totals still reconcile with the aggregate latency
 // histogram, which observes every delivery.
 func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float64) {
-	if d, ok := e.deliver(t, s, latencyUS); ok {
+	var d [NumStages]float64
+	if e.deliver(t, s, latencyUS, &d) {
 		e.stages.ObserveSet(d[:])
 	}
 }
@@ -455,58 +506,66 @@ func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float6
 // t − s.GenTime, and the stages of the whole batch are observed under a
 // single acquisition of the histogram lock.
 func (e *Engine) BatchDelivered(t float64, batch []resources.Sample) {
-	rows := e.rows[:0]
+	if n := len(batch) * int(NumStages); len(e.rows) < n {
+		e.rows = make([]float64, n)
+	}
+	n := 0 // stage values written: one row per first delivery
 	for _, s := range batch {
-		if d, ok := e.deliver(t, s, t-s.GenTime); ok {
-			rows = append(rows, d[:]...)
+		if e.deliver(t, s, t-s.GenTime, (*[NumStages]float64)(e.rows[n:])) {
+			n += int(NumStages)
 		}
 	}
-	e.stages.ObserveSet(rows)
-	e.rows = rows
+	e.stages.ObserveSet(e.rows[:n])
 }
 
-// deliver closes the sample's record, folds its accounting and returns
-// its stage dwells for the histograms; ok is false for a duplicate.
-func (e *Engine) deliver(t float64, s resources.Sample, latencyUS float64) (d [NumStages]float64, ok bool) {
-	r, ok := e.close(s)
-	if !ok {
+// deliver closes the sample's record, reading it in place, folds its
+// accounting and writes its stage dwells to d for the histograms; it
+// reports false for a duplicate.
+func (e *Engine) deliver(t float64, s resources.Sample, latencyUS float64, d *[NumStages]float64) bool {
+	var r *record
+	w := e.window(s)
+	if w != nil {
+		r = w.find(s.Seq)
+	}
+	if r == nil {
 		e.dupDelivered++
 		e.dupLatencySumUS += latencyUS
-		return d, false
+		return false
 	}
+	getT, maxPut, fwdT, lastT := r.getT, r.maxPut, r.fwdT, r.lastT
 	if !r.hasFwd {
 		// Degenerate path (no forward observed — cannot happen in the
 		// model, but stay total): attribute everything to pipe-wait.
-		r.fwdT = t
-		r.getT = t
-		r.maxPut = r.putT
-		r.lastT = t
+		getT, maxPut, fwdT, lastT = t, r.putT, t, t
 	}
-	r.net += t - r.lastT
+	pipe := (r.putT - s.GenTime) + (getT - maxPut)
+	batch := maxPut - r.putT
+	daemon := fwdT - getT
+	net := r.net + (t - lastT)
+	merge := r.merge
+	e.closeIn(w, r)
 
-	d = [NumStages]float64{
-		StagePipeWait:       (r.putT - s.GenTime) + (r.getT - r.maxPut),
-		StageBatchResidency: r.maxPut - r.putT,
-		StageDaemonService:  r.fwdT - r.getT,
-		StageNetworkTransit: r.net,
-		StageMerge:          r.merge,
-		StageMainReceipt:    0,
-	}
-	sum := 0.0
-	for i, v := range d {
-		sum += v
-		if v < 0 { // float cancellation residue at a zero-width stage
-			d[i] = 0
-		}
-		e.sums[i] += d[i]
-	}
-
+	sum := pipe + batch + daemon + net + merge // main-receipt is 0
+	d[StagePipeWait] = nonNegative(pipe)
+	d[StageBatchResidency] = nonNegative(batch)
+	d[StageDaemonService] = nonNegative(daemon)
+	d[StageNetworkTransit] = nonNegative(net)
+	d[StageMerge] = nonNegative(merge)
+	d[StageMainReceipt] = 0
 	e.delivered++
 	e.latencySumUS += latencyUS
 	if err := math.Abs(sum - latencyUS); err > e.maxCloseErrUS {
 		e.maxCloseErrUS = err
 	}
-	return d, true
+	return true
+}
+
+// nonNegative clears float cancellation residue at a zero-width stage.
+func nonNegative(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	return v
 }
 
 // SampleLost records that the sample left the system without delivery.
@@ -514,7 +573,7 @@ func (e *Engine) deliver(t float64, s resources.Sample, latencyUS float64) (d [N
 // already-closed identity (a duplicate dying after the original closed)
 // is tallied separately.
 func (e *Engine) SampleLost(node int, t float64, s resources.Sample, reason procs.LossReason) {
-	if _, ok := e.close(s); !ok {
+	if !e.close(s) {
 		e.dupLost++
 		return
 	}
@@ -530,7 +589,6 @@ func (e *Engine) SampleLost(node int, t float64, s resources.Sample, reason proc
 func (e *Engine) ResetAccounting() {
 	for i := Stage(0); i < NumStages; i++ {
 		e.Histogram(i).Reset()
-		e.sums[i] = 0
 	}
 	e.generated, e.delivered, e.dropped = 0, 0, 0
 	e.lost = [4]uint64{}
@@ -545,10 +603,7 @@ func (e *Engine) Histogram(s Stage) *stats.BucketHistogram { return e.stages.His
 // Stages summarizes every stage over the delivered samples, in stage
 // order. Shares are exact sum ratios, so they are byte-deterministic.
 func (e *Engine) Stages() []StageSummary {
-	total := 0.0
-	for i := Stage(0); i < NumStages; i++ {
-		total += e.sums[i]
-	}
+	total := e.StageSumUS()
 	out := make([]StageSummary, 0, NumStages)
 	for i := Stage(0); i < NumStages; i++ {
 		h := e.Histogram(i)
@@ -558,10 +613,10 @@ func (e *Engine) Stages() []StageSummary {
 			P50US:  h.Quantile(0.50),
 			P95US:  h.Quantile(0.95),
 			P99US:  h.Quantile(0.99),
-			SumUS:  e.sums[i],
+			SumUS:  h.Sum(),
 		}
 		if total > 0 {
-			s.SharePct = e.sums[i] / total * 100
+			s.SharePct = s.SumUS / total * 100
 		}
 		out = append(out, s)
 	}
@@ -630,7 +685,7 @@ func (e *Engine) DupLatencySumUS() float64 { return e.dupLatencySumUS }
 func (e *Engine) StageSumUS() float64 {
 	total := 0.0
 	for i := Stage(0); i < NumStages; i++ {
-		total += e.sums[i]
+		total += e.Histogram(i).Sum()
 	}
 	return total
 }

@@ -53,6 +53,8 @@ type MainProcess struct {
 	SamplesReceived  int
 	MessagesReceived int
 	HopsTotal        int
+
+	lats []float64 // a message's latencies for Latencies, reused across messages
 }
 
 // ResetAccounting clears the main process's metrics; used for warmup
@@ -72,14 +74,17 @@ func (m *MainProcess) Receive(msg *forward.Message) {
 	msg.MustBeLive("procs.MainProcess.Receive")
 	now := m.Sim.Now()
 	newest := 0.0
+	lats := m.lats[:0]
 	for _, s := range msg.Samples {
 		lat := now - s.GenTime
 		m.Latency.Add(lat)
-		m.Latencies.Observe(lat)
+		lats = append(lats, lat)
 		if s.GenTime > newest {
 			newest = s.GenTime
 		}
 	}
+	m.Latencies.ObserveBatch(lats) // one lock per message
+	m.lats = lats
 	if len(msg.Samples) > 0 {
 		m.ForwardLatency.Add(now - newest)
 	}

@@ -1,12 +1,15 @@
 package procs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"rocc/internal/des"
 	"rocc/internal/forward"
 	"rocc/internal/resources"
 	"rocc/internal/rng"
+	"rocc/internal/stats"
 )
 
 // A CF daemon forwarding one sample from its pipe to delivery allocates
@@ -62,6 +65,45 @@ func TestDaemonRelayHopDoesNotAllocate(t *testing.T) {
 	}
 	if d.MessagesMerged != 102 {
 		t.Fatalf("merged %d messages, want 102", d.MessagesMerged)
+	}
+}
+
+// The main process's receipt of a message on the plain path (no
+// observer) allocates nothing once warm, at one sample per message (CF)
+// and at 18: the message's latencies reach the histogram in one locked
+// batch from a buffer the process reuses. The histogram and the latency
+// accumulator end as one Observe and one Add per sample, in sample order,
+// leave them.
+func TestMainReceiveDoesNotAllocate(t *testing.T) {
+	for _, size := range []int{1, 18} {
+		sim := des.New()
+		m := &MainProcess{Sim: sim, CPU: resources.NewCPU(sim, 1, 10000), R: rng.New(1),
+			CPUDist: rng.Constant{Value: 300}, Msgs: &forward.MessagePool{}, Latencies: NewLatencyHistogram()}
+		want := NewLatencyHistogram()
+		var wantAcc stats.Accumulator
+		gen := 0.0
+		receiveOne := func() {
+			msg := m.Msgs.Get()
+			for i := 0; i < size; i++ {
+				gen += 37.25
+				msg.Samples = append(msg.Samples, resources.Sample{GenTime: gen})
+				want.Observe(sim.Now() - gen)
+				wantAcc.Add(sim.Now() - gen)
+			}
+			m.Receive(msg)
+			sim.RunAll()
+		}
+		receiveOne() // warm up the pools and the latency buffer
+		if allocs := testing.AllocsPerRun(100, receiveOne); allocs != 0 {
+			t.Fatalf("%d-sample messages: receipt allocated %.2f objects, want 0", size, allocs)
+		}
+		if got := m.Latencies.Snapshot(); !reflect.DeepEqual(got, want.Snapshot()) {
+			t.Fatalf("%d-sample messages: latency histogram %+v, per-sample Observe %+v", size, got, want.Snapshot())
+		}
+		if m.Latency != wantAcc || m.SamplesReceived != 102*size {
+			t.Fatalf("%d-sample messages: latency accumulator %+v (want %+v), %d samples received",
+				size, m.Latency, wantAcc, m.SamplesReceived)
+		}
 	}
 }
 

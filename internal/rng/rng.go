@@ -129,7 +129,7 @@ func (r *Stream) Exp(mean float64) float64 {
 	if mean <= 0 {
 		panic("rng: Exp with non-positive mean")
 	}
-	return -mean * math.Log(r.open())
+	return -mean * logNormal(r.open())
 }
 
 // Normal returns a normal variate with mean mu and standard deviation sigma
@@ -146,7 +146,7 @@ func (r *Stream) Normal(mu, sigma float64) float64 {
 		if s >= 1 || s == 0 {
 			continue
 		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
+		f := math.Sqrt(-2 * logNormal(s) / s)
 		r.spare = v * f
 		r.hasSpare = true
 		return mu + sigma*u*f
@@ -190,7 +190,7 @@ func (r *Stream) Weibull(shape, scale float64) float64 {
 	if shape <= 0 || scale <= 0 {
 		panic("rng: Weibull parameters must be positive")
 	}
-	return scale * math.Pow(-math.Log(r.open()), 1/shape)
+	return scale * math.Pow(-logNormal(r.open()), 1/shape)
 }
 
 // Bernoulli returns true with probability p.

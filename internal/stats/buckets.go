@@ -143,14 +143,19 @@ func (s *BucketHistogramSet) Histogram(i int) *BucketHistogram { return s.hs[i] 
 // ObserveSet records vs[i] into the i-th member, all under one lock
 // acquisition. vs holds one or more rows of one value per member, row
 // after row; each row is recorded as one call with that row would record
-// it, and a trailing partial row is ignored.
+// it, and a trailing partial row is ignored. Each member takes its column
+// in row order, and a run of equal values down a column costs one bucket
+// lookup (observeColumn), so a stage that a whole message shares is
+// bucketed once per message.
 func (s *BucketHistogramSet) ObserveSet(vs []float64) {
 	n := len(s.hs)
+	if n == 0 || len(vs) < n {
+		return
+	}
+	vs = vs[:len(vs)/n*n]
 	s.mu.Lock()
-	for ; n > 0 && len(vs) >= n; vs = vs[n:] {
-		for i, h := range s.hs {
-			h.observe(vs[i])
-		}
+	for i, h := range s.hs {
+		h.observeColumn(vs[i:], n)
 	}
 	s.mu.Unlock()
 }
@@ -177,6 +182,14 @@ func (h *BucketHistogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
+// ObserveBatch records each value of vs in order under one lock
+// acquisition, exactly as one Observe per value would.
+func (h *BucketHistogram) ObserveBatch(vs []float64) {
+	h.mu.Lock()
+	h.observeColumn(vs, 1)
+	h.mu.Unlock()
+}
+
 // observe merges one value into the buckets; h.mu held.
 func (h *BucketHistogram) observe(v float64) {
 	h.counts[h.bucket(v)]++
@@ -188,6 +201,42 @@ func (h *BucketHistogram) observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// observeColumn merges vs[0], vs[stride], vs[2*stride], ... in that order;
+// h.mu held. It ends in exactly the state one observe per value leaves:
+// a run of equal values lands in one bucket, whose count and the total
+// move by the run's length; only a run's first value can move min or max
+// (the rest compare equal, and NaN never joins a run); and sum still adds
+// every value, in order, so its rounding is unchanged.
+func (h *BucketHistogram) observeColumn(vs []float64, stride int) {
+	sum, total, lo, hi := h.sum, h.total, h.min, h.max
+	for i := 0; i < len(vs); {
+		v := vs[i]
+		sum += v
+		n := uint64(1)
+		for i += stride; i < len(vs) && vs[i] == v; i += stride {
+			sum += vs[i]
+			n++
+		}
+		h.counts[h.bucket(v)] += n
+		total += n
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	h.sum, h.total, h.min, h.max = sum, total, lo, hi
+}
+
+// Sum returns the exact total of all observations, added in observation
+// order.
+func (h *BucketHistogram) Sum() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum
 }
 
 // Count returns the number of observations.
