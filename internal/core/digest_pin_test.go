@@ -24,11 +24,14 @@ type pinCell struct {
 	maxAllocs uint64
 }
 
-// digestPinCells are short fixed-seed runs over the four sample paths a
+// digestPinCells are short fixed-seed runs over the sample paths a
 // speed-only change must not disturb: the dense CF direct path, the
 // engine-bound MPP tree with blocking pipes, adaptive BF under the full
 // fault cocktail, and a resilient tree whose links lose, duplicate and
-// retransmit messages.
+// retransmit messages. Two more saturate the main process on a CPU it
+// shares: the SMP pool with the applications and daemons, and a NOW node
+// with the daemon, the application and main's consultant and UI threads,
+// so main's queued requests interleave with every other owner's.
 func digestPinCells() map[string]pinCell {
 	nowCF := DefaultConfig()
 	nowCF.Nodes = 32
@@ -67,6 +70,17 @@ func digestPinCells() map[string]pinCell {
 		Resilience: faults.Resilience{Retransmit: true, RTO: 5000},
 	}
 
+	smpCF := DefaultConfig()
+	smpCF.Arch = SMP
+	smpCF.Nodes = 16
+	smpCF.AppProcs = 16
+	smpCF.SamplingPeriod = 1000
+	smpCF.Duration = 5e5
+
+	sharedCF := nowCF
+	sharedCF.DedicatedHost = false
+	sharedCF.MainThreads = MainThreadModel{ConsultantPeriod: 20000, UIPeriod: 10000}
+
 	return map[string]pinCell{
 		"now32-cf-direct": {nowCF,
 			"ed54dfac837e9f7c6d3c24487f4686f4a634c9e2be5a5869e5dcdb52d170301d", 22866, 3600},
@@ -76,6 +90,10 @@ func digestPinCells() map[string]pinCell {
 			"017d574a30b8e87800b2f3e8b4edfa5c5caf1b58434add4dac07016f4c2319d7", 27114, 3200},
 		"mpp8-tree-retransmit": {tree,
 			"fa85c5cd30b0051b2ad35d128e501a8dd4572f3b922388198f51fce615948710", 17225, 1900},
+		"smp16-cf-shared-pool": {smpCF,
+			"bc5537a9581e01dbfaf9280a577cc019242ab1e226d57707aa5b249a303b8adc", 16025, 9300},
+		"now32-cf-shared-host-threads": {sharedCF,
+			"97c9a19e8759974c5c9ef3c20033252952b89303d875925f551a41d61a41eba9", 22385, 1800},
 	}
 }
 
