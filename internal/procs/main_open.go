@@ -29,7 +29,15 @@ type MainProcess struct {
 	CPU *resources.CPU
 	R   *rng.Stream
 
-	CPUDist rng.Dist // per-message processing demand
+	// CPUDist is the per-message processing demand, drawn from R when a
+	// core first takes the message's request rather than on arrival, so a
+	// backlog that is never served draws nothing and the CPU queues it as
+	// one counted entry (resources.CPU.SubmitDeferred). R feeds this draw
+	// alone and cores take requests first in arrival order, so the n-th
+	// request served gets the same n-th draw as on arrival, and Results
+	// do not change. A draw ≤ 1e-9 µs needs no core, but until a core
+	// takes it the CPU's QueueLen (the host.ready gauge) counts it.
+	CPUDist rng.Dist
 
 	// Msgs takes back every message once it has been received; it is the
 	// pool the model's daemons draw their messages from.
@@ -95,8 +103,14 @@ func (m *MainProcess) Receive(msg *forward.Message) {
 		m.Obs.MessageDelivered(now, msg.Samples, msg.Hops)
 	}
 	m.Msgs.Put(msg)
-	m.CPU.Submit(OwnerMain, m.CPUDist.Sample(m.R), nil)
+	m.CPU.SubmitDeferred(OwnerMain, (*mainDemand)(m))
 }
+
+// mainDemand is the main process as its CPU's source of per-message
+// demands: each call draws CPUDist from R.
+type mainDemand MainProcess
+
+func (d *mainDemand) Demand() float64 { return d.CPUDist.Sample(d.R) }
 
 // OpenSource generates an open stream of resource occupancy requests. It
 // models the PVM daemon (chained: each arrival occupies CPU then the
