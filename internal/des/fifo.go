@@ -20,10 +20,6 @@ type FIFO[T any] struct {
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return q.n }
 
-// Cap returns the number of slots in the ring: the items the queue holds
-// before its next Push grows it.
-func (q *FIFO[T]) Cap() int { return len(q.buf) }
-
 // Push appends v at the tail, doubling the ring when it is full.
 func (q *FIFO[T]) Push(v T) {
 	if q.n == len(q.buf) {

@@ -32,13 +32,6 @@ type CPU struct {
 	ready   des.FIFO[cpuReq]
 	running int
 
-	// src draws the demands of deferred requests, all of them srcOwner's
-	// (see SubmitDeferred); undrawn counts the deferred requests that wait
-	// in the ready queue beyond the first of their entry.
-	src      DemandSource
-	srcOwner string
-	undrawn  int
-
 	busy      tally
 	busyTotal float64
 
@@ -46,8 +39,7 @@ type CPU struct {
 	// takes a slot only while it holds a core, so at most cores slots ever
 	// exist and the per-slice hot path (Submit → dispatch → slice expiry)
 	// allocates nothing once they do and the ready queue has reached its
-	// peak length. A run of deferred requests is one ready entry, so a
-	// backlog of them grows no ring at all.
+	// peak length.
 	free []*cpuSlot
 
 	// OnOccupancy, if set, observes every completed occupancy slice
@@ -56,20 +48,11 @@ type CPU struct {
 	OnOccupancy func(owner string, start, length float64)
 }
 
-// cpuReq is a request waiting in the ready queue or holding a core. A
-// ready entry with a negative remaining stands for -remaining deferred
-// requests of the CPU's src whose demands are not yet drawn.
+// cpuReq is a request waiting in the ready queue or holding a core.
 type cpuReq struct {
 	owner     string
 	remaining float64
 	onDone    func()
-}
-
-// A DemandSource draws the service demands of a CPU's deferred requests,
-// one per call, in the order the CPU's cores first take them. The CPU
-// tells sources apart with ==, so an implementation is a pointer.
-type DemandSource interface {
-	Demand() float64
 }
 
 // cpuSlot is a core running one request's current quantum slice.
@@ -95,7 +78,9 @@ func NewCPU(sim *des.Simulator, cores int, quantum float64) *CPU {
 // onDone runs when the request has received its full service demand; it may
 // be nil. Zero-length requests complete immediately.
 func (c *CPU) Submit(owner string, length float64, onDone func()) {
-	checkLength(length)
+	if length < 0 || math.IsNaN(length) {
+		panic("resources: negative or NaN CPU request")
+	}
 	if length <= epsilon {
 		if onDone != nil {
 			onDone()
@@ -106,65 +91,8 @@ func (c *CPU) Submit(owner string, length float64, onDone func()) {
 	c.dispatch()
 }
 
-// SubmitDeferred enqueues a request for owner that has no completion
-// callback and whose demand src draws only when a core first takes it.
-// Cores first take requests in submission order, so src's draws go to the
-// same requests, in the same order, as draws made on submission and
-// handed to Submit; a request no core takes draws nothing. Consecutive
-// deferred requests share one ready entry that counts them, so a backlog
-// of them holds constant memory.
-//
-// A CPU serves one deferred source: SubmitDeferred panics when a
-// different src or owner submitted before. A drawn demand of at most
-// epsilon completes without taking a core, as Submit completes it at
-// once; until a core takes it, though, QueueLen counts it, where Submit
-// would never have queued it.
-func (c *CPU) SubmitDeferred(owner string, src DemandSource) {
-	if c.src == nil {
-		c.src, c.srcOwner = src, owner
-	} else if src != c.src || owner != c.srcOwner {
-		panic("resources: a second deferred demand source on one CPU")
-	}
-	if n := c.ready.Len(); n > 0 && c.ready.At(n-1).remaining < 0 {
-		c.ready.At(n-1).remaining--
-		c.undrawn++
-	} else {
-		c.ready.Push(cpuReq{owner: owner, remaining: -1})
-	}
-	c.dispatch()
-}
-
-// checkLength panics on a demand no request can have.
-func checkLength(length float64) {
-	if length < 0 || math.IsNaN(length) {
-		panic("resources: negative or NaN CPU request")
-	}
-}
-
-// take removes the ready queue's oldest request, drawing its demand if it
-// is deferred.
-func (c *CPU) take() cpuReq {
-	head := c.ready.At(0)
-	if head.remaining >= 0 {
-		return c.ready.Pop()
-	}
-	if head.remaining == -1 {
-		c.ready.Pop()
-	} else {
-		head.remaining++
-		c.undrawn--
-	}
-	length := c.src.Demand()
-	checkLength(length)
-	return cpuReq{owner: c.srcOwner, remaining: length}
-}
-
 func (c *CPU) dispatch() {
 	for c.running < c.cores && c.ready.Len() > 0 {
-		req := c.take()
-		if req.remaining <= epsilon {
-			continue // a drawn demand too short to need a core
-		}
 		var slot *cpuSlot
 		if n := len(c.free); n > 0 {
 			slot = c.free[n-1]
@@ -174,7 +102,7 @@ func (c *CPU) dispatch() {
 			slot = &cpuSlot{}
 			slot.fire = func() { c.complete(slot) }
 		}
-		slot.req = req
+		slot.req = c.ready.Pop()
 		c.running++
 		slice := slot.req.remaining
 		if slice > c.quantum {
@@ -211,13 +139,10 @@ func (c *CPU) complete(slot *cpuSlot) {
 // Release gives the ready queue's ring to des's process-wide pool (see
 // des.FIFO.Release) once the run is over; requests still waiting are
 // dropped. The CPU must not be used again.
-func (c *CPU) Release() {
-	c.ready.Release()
-	c.undrawn = 0
-}
+func (c *CPU) Release() { c.ready.Release() }
 
 // QueueLen returns the number of requests waiting (not running).
-func (c *CPU) QueueLen() int { return c.ready.Len() + c.undrawn }
+func (c *CPU) QueueLen() int { return c.ready.Len() }
 
 // Running returns the number of requests currently holding a core.
 func (c *CPU) Running() int { return c.running }
