@@ -148,12 +148,12 @@ func (m *Model) dedicatedHost() bool {
 }
 
 // addProbes registers the standard resource samplers: windowed busy
-// fraction and ready-queue length per CPU, the same for the network, and
-// aggregate pipe depth and blocked-writer counts. Utilization probes
-// report the busy time accumulated in each sampling window as a percent
-// of the window (an SMP pool can exceed 100: it has Nodes cores). The
-// first window after warmup reads low because accounting resets
-// mid-window; every later window is exact.
+// fraction and ready-queue length per CPU, the same for the network,
+// main's inbox, and aggregate pipe depth and blocked-writer counts.
+// Utilization probes report the busy time accumulated in each sampling
+// window as a percent of the window (an SMP pool can exceed 100: it has
+// Nodes cores). The first window after warmup reads low because
+// accounting resets mid-window; every later window is exact.
 func (m *Model) addProbes(c *obs.Collector, sampler *obs.Sampler, interval float64) {
 	utilProbe := func(name string, busyTotal func() float64) {
 		prev := 0.0
@@ -179,6 +179,7 @@ func (m *Model) addProbes(c *obs.Collector, sampler *obs.Sampler, interval float
 		utilProbe("host.util_pct", m.HostCPU.BusyTotal)
 		queueProbe("host.ready", func() int { return m.HostCPU.QueueLen() + m.HostCPU.Running() })
 	}
+	queueProbe("main.inbox", func() int { return m.Main.Inbox })
 	utilProbe("net.util_pct", m.Net.BusyTotal)
 	queueProbe("net.queue", m.Net.QueueLen)
 	queueProbe("pipes.depth", func() int {

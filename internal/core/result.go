@@ -101,6 +101,13 @@ type Result struct {
 	MessagesMerged    int
 	BlockedPuts       int
 	BarrierReleases   int
+
+	// Main's backlog, which no latency or throughput field shows: both
+	// count a message on arrival. MainInboxPeak is the most messages
+	// waiting at main during the measured window, MainInboxFinal the
+	// number still waiting when the run ended.
+	MainInboxPeak  int
+	MainInboxFinal int
 }
 
 // StageLatency is one stage of the per-sample latency decomposition:
@@ -278,6 +285,8 @@ func (m *Model) collect() Result {
 	res.SamplesReceived = m.Main.SamplesReceived
 	res.WarmupCarryover = m.warmupCarryover
 	res.MessagesReceived = m.Main.MessagesReceived
+	res.MainInboxPeak = m.Main.InboxPeak
+	res.MainInboxFinal = m.Main.Inbox
 	if m.Barrier != nil {
 		res.BarrierReleases = m.Barrier.Releases
 	}
