@@ -22,7 +22,7 @@
 // roccbench keeps no performance record of its own: the perfbench module
 // measures wall time, spread and per-layer cost, and TestResultDigestPins
 // (internal/core) pins the exact events and bounds the allocations of
-// four fixed-seed runs.
+// six fixed-seed runs.
 package main
 
 import (

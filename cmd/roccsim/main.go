@@ -181,7 +181,6 @@ func main() {
 		logger.Info("run finished",
 			"generated", c.Metrics.Generated.Value(),
 			"delivered", c.Metrics.Delivered.Value(),
-			"dropped", c.Metrics.Dropped.Value(),
 			"events", c.Metrics.Events.Value())
 		rep = core.Replicated{Results: []core.Result{res}}
 		if *traceOut != "" {

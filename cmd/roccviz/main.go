@@ -264,8 +264,8 @@ func runLat(path string) error {
 	if err := wf.Render(os.Stdout); err != nil {
 		return err
 	}
-	fmt.Printf("%d delivered samples decomposed (%d lost, %d dropped, %d duplicate deliveries, %d incomplete); max closure error %.3g us\n",
-		eng.Delivered(), eng.LostTotal(), eng.Dropped(), eng.DupDelivered(), incomplete, eng.MaxCloseErrUS())
+	fmt.Printf("%d delivered samples decomposed (%d lost, %d duplicate deliveries, %d incomplete); max closure error %.3g us\n",
+		eng.Delivered(), eng.LostTotal(), eng.DupDelivered(), incomplete, eng.MaxCloseErrUS())
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"rocc/internal/des"
 	"rocc/internal/faults"
 	"rocc/internal/forward"
-	"rocc/internal/resources"
 )
 
 // calendarCases spans the model's behavior space: every architecture, CF
@@ -45,7 +44,6 @@ func calendarCases() map[string]Config {
 	detailed.Detailed = DetailedModel{IOProb: 0.05, SpawnPeriod: 2e6}
 
 	faulty := shortCfg()
-	faulty.Overflow = resources.DropOldest
 	faulty.Faults = &faults.Plan{
 		Seed:      3,
 		Loss:      0.05,

@@ -17,7 +17,6 @@ import (
 	"rocc/internal/des"
 	"rocc/internal/faults"
 	"rocc/internal/forward"
-	"rocc/internal/resources"
 	"rocc/internal/rng"
 )
 
@@ -163,11 +162,6 @@ type Config struct {
 	// PipeCapacity is the per-pipe sample buffer size (default 256).
 	PipeCapacity int
 
-	// Overflow selects what a full pipe does with an incoming sample:
-	// Block (the real write(2) behavior and the default), DropNewest, or
-	// DropOldest. Drops are accounted in Result.PipeDropped.
-	Overflow resources.OverflowPolicy
-
 	// Faults, when non-nil and active, overlays a deterministic fault
 	// schedule (message loss/duplication/delay, transient daemon crashes,
 	// pipe capacity squeezes) and the configured resilience policies on
@@ -215,13 +209,6 @@ type Config struct {
 	// periodic process forking.
 	Detailed DetailedModel
 
-	// MainThreads enables the main Paradyn process's sibling threads
-	// (§2: "the main Paradyn process ... is implemented as a multithreaded
-	// process"): beyond the Data Manager work charged per received
-	// message, the Performance Consultant and User Interface Manager
-	// periodically occupy the host CPU.
-	MainThreads MainThreadModel
-
 	// DedicatedHost places the main Paradyn process on its own host
 	// workstation CPU (Figure 1); otherwise it shares node 0's CPU (for
 	// SMP it always shares the CPU pool).
@@ -240,23 +227,6 @@ type Config struct {
 	Seed     uint64
 	Workload Workload
 	Cost     forward.CostModel
-}
-
-// MainThreadModel parameterizes the Performance Consultant and User
-// Interface Manager threads of the main Paradyn process. Zero values
-// disable a thread.
-type MainThreadModel struct {
-	// ConsultantPeriod and ConsultantCPU: every period, the Performance
-	// Consultant evaluates its hypotheses (W3 search step).
-	ConsultantPeriod float64
-	ConsultantCPU    rng.Dist
-	// UIPeriod and UICPU: periodic display refresh work.
-	UIPeriod float64
-	UICPU    rng.Dist
-}
-
-func (m MainThreadModel) enabled() bool {
-	return m.ConsultantPeriod > 0 || m.UIPeriod > 0
 }
 
 // DetailedModel parameterizes the Figure 6 extensions to the process
@@ -316,8 +286,6 @@ func (c Config) Validate() (Config, error) {
 		{"PipeCapacity", float64(c.PipeCapacity), true}, {"Pds", float64(c.Pds), true},
 		{"Detailed.IOProb", c.Detailed.IOProb, false},
 		{"Detailed.SpawnPeriod", c.Detailed.SpawnPeriod, true},
-		{"MainThreads.ConsultantPeriod", c.MainThreads.ConsultantPeriod, true},
-		{"MainThreads.UIPeriod", c.MainThreads.UIPeriod, true},
 	} {
 		// NaN slips through every ordered comparison below, and an
 		// infinite Duration would never end.
@@ -345,9 +313,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.PipeCapacity == 0 {
 		c.PipeCapacity = 256
-	}
-	if c.Overflow < resources.Block || c.Overflow > resources.DropOldest {
-		return c, errors.New("core: unknown pipe overflow policy")
 	}
 	if c.Faults != nil {
 		// Validated even when inactive: a NaN rate reads as "off" to
@@ -390,20 +355,12 @@ func (c Config) Validate() (Config, error) {
 	if c.PhasePeriod > 0 && c.PhaseWorkload == nil {
 		return c, errors.New("core: PhasePeriod needs a PhaseWorkload")
 	}
-	if c.MainThreads.ConsultantPeriod > 0 && c.MainThreads.ConsultantCPU == nil {
-		c.MainThreads.ConsultantCPU = rng.Lognormal{MeanVal: 3208, SD: 3287}
-	}
-	if c.MainThreads.UIPeriod > 0 && c.MainThreads.UICPU == nil {
-		c.MainThreads.UICPU = rng.Exponential{MeanVal: 2000}
-	}
 	dists := c.Workload.dists("Workload.")
 	if c.PhaseWorkload != nil {
 		dists = append(dists, c.PhaseWorkload.dists("PhaseWorkload.")...)
 	}
 	dists = append(dists,
-		namedDist{"Detailed.IOBlock", c.Detailed.IOBlock, false},
-		namedDist{"MainThreads.ConsultantCPU", c.MainThreads.ConsultantCPU, false},
-		namedDist{"MainThreads.UICPU", c.MainThreads.UICPU, false})
+		namedDist{"Detailed.IOBlock", c.Detailed.IOBlock, false})
 	if c.Faults != nil {
 		dists = append(dists,
 			namedDist{"Faults.Delay", c.Faults.Delay, false},

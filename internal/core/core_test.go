@@ -66,8 +66,6 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"PhasePeriod NaN", func(c *Config) { c.PhasePeriod = nan }},
 		{"Detailed.IOProb NaN", func(c *Config) { c.Detailed.IOProb = nan }},
 		{"Detailed.SpawnPeriod -Inf", func(c *Config) { c.Detailed.SpawnPeriod = math.Inf(-1) }},
-		{"MainThreads.ConsultantPeriod NaN", func(c *Config) { c.MainThreads.ConsultantPeriod = nan }},
-		{"MainThreads.UIPeriod +Inf", func(c *Config) { c.MainThreads.UIPeriod = inf }},
 		{"Faults.CrashMTBF NaN", func(c *Config) { c.Faults = &faults.Plan{Loss: 0.05, CrashMTBF: nan} }},
 		{"inactive Faults.Loss NaN", func(c *Config) { c.Faults = &faults.Plan{Loss: nan} }},
 	}
@@ -95,8 +93,6 @@ func TestValidateRejectsNegativePeriodsAndSizes(t *testing.T) {
 		{"Quantum", func(c *Config, v float64) { c.Quantum = v }},
 		{"Pds", func(c *Config, v float64) { c.Pds = int(v) }},
 		{"Detailed.SpawnPeriod", func(c *Config, v float64) { c.Detailed.SpawnPeriod = v }},
-		{"MainThreads.ConsultantPeriod", func(c *Config, v float64) { c.MainThreads.ConsultantPeriod = v }},
-		{"MainThreads.UIPeriod", func(c *Config, v float64) { c.MainThreads.UIPeriod = v }},
 	}
 	for _, tc := range cases {
 		cfg := shortCfg()
@@ -139,14 +135,6 @@ func TestValidateRejectsUnusableDistributions(t *testing.T) {
 		}},
 		{"Detailed.IOBlock NaN", func(c *Config) {
 			c.Detailed.IOProb, c.Detailed.IOBlock = 0.1, rng.Exponential{MeanVal: nan}
-		}},
-		{"MainThreads.ConsultantCPU negative", func(c *Config) {
-			c.MainThreads.ConsultantPeriod = 1000
-			c.MainThreads.ConsultantCPU = rng.Lognormal{MeanVal: -3, SD: 1}
-		}},
-		{"MainThreads.UICPU +Inf SD", func(c *Config) {
-			c.MainThreads.UIPeriod = 1000
-			c.MainThreads.UICPU = rng.Lognormal{MeanVal: 3, SD: inf}
 		}},
 		{"Faults.Delay negative", func(c *Config) {
 			c.Faults = &faults.Plan{DelayProb: 0.1, Delay: rng.Constant{Value: -1}}
@@ -529,8 +517,8 @@ func TestMainOnNodeZeroWhenNotDedicated(t *testing.T) {
 }
 
 // The main process is one server: however long its backlog, it holds at
-// most one of the SMP pool's CPUs, so without MainThreads its CPU time
-// cannot exceed the measured duration. SMP, 50 CPUs and 50 processes
+// most one of the SMP pool's CPUs, so its CPU time cannot exceed the
+// measured duration. SMP, 50 CPUs and 50 processes
 // under CF at 1 ms saturate it.
 func TestMainHoldsAtMostOneCPU(t *testing.T) {
 	cfg := DefaultConfig()

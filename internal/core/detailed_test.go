@@ -140,37 +140,6 @@ func TestPhasedWorkloadAlternates(t *testing.T) {
 	}
 }
 
-func TestMainThreadsAddHostLoad(t *testing.T) {
-	base := shortCfg()
-	base.Duration = 10e6
-	plain := mustRun(t, base)
-
-	threaded := base
-	threaded.MainThreads = MainThreadModel{
-		ConsultantPeriod: 100000, // W3 evaluation every 100 ms
-		UIPeriod:         50000,  // display refresh every 50 ms
-	}
-	rt := mustRun(t, threaded)
-	// The PC and UIM threads add main-process CPU time beyond the Data
-	// Manager's per-message work.
-	if rt.MainCPUTimeSec <= plain.MainCPUTimeSec {
-		t.Fatalf("main threads added no load: %v vs %v", rt.MainCPUTimeSec, plain.MainCPUTimeSec)
-	}
-	// Roughly: 100 PC evals * 3208us + 200 UI refreshes * 2000us = ~0.72 s.
-	added := rt.MainCPUTimeSec - plain.MainCPUTimeSec
-	if added < 0.3 || added > 1.5 {
-		t.Fatalf("added main CPU %v s implausible", added)
-	}
-	// Defaults applied by validation.
-	v, err := threaded.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.MainThreads.ConsultantCPU == nil || v.MainThreads.UICPU == nil {
-		t.Fatal("thread CPU defaults not applied")
-	}
-}
-
 func TestPhasedValidate(t *testing.T) {
 	cfg := shortCfg()
 	cfg.PhasePeriod = 1e6

@@ -29,9 +29,10 @@ type pinCell struct {
 // engine-bound MPP tree with blocking pipes, adaptive BF under the full
 // fault cocktail, and a resilient tree whose links lose, duplicate and
 // retransmit messages. Two more saturate the main process on a CPU it
-// shares: the SMP pool with the applications and daemons, and a NOW node
-// with the daemon, the application and main's consultant and UI threads,
-// so main's one outstanding request interleaves with every other owner's.
+// shares: the SMP pool with the applications and daemons, and NOW node 0
+// with its application, its daemon, the PVM daemon and the "other"
+// processes, so main's one outstanding request interleaves with every
+// other owner's.
 func digestPinCells() map[string]pinCell {
 	nowCF := DefaultConfig()
 	nowCF.Nodes = 32
@@ -79,21 +80,20 @@ func digestPinCells() map[string]pinCell {
 
 	sharedCF := nowCF
 	sharedCF.DedicatedHost = false
-	sharedCF.MainThreads = MainThreadModel{ConsultantPeriod: 20000, UIPeriod: 10000}
 
 	return map[string]pinCell{
 		"now32-cf-direct": {nowCF,
-			"f07e767151227b4a3689c415ef80df14b5a5e9a89181f9bfc45942d61bf3a2d1", 22867, 1800},
+			"0974159602a873fe67d5513b370408d187acb0546caf586189fbc563d8163931", 22867, 1800},
 		"mpp256-tree-pipe8": {mppTree,
-			"398df394da9d108f0f1c50075e858a2870a2635d6a638df0cf0c66e32655aab4", 77878, 13700},
+			"ff195ba360246e5e1764764d2509cfdcd01d6276beaf0c0fb8ed3f409e7a6552", 77878, 13700},
 		"now16-abf-chaos": {chaos,
-			"6f43ac28c6c2d33c0d8294114d03908e41501368aa6702637393bd4898a8e807", 27114, 1950},
+			"c444cf8dfc7d9af6755af8d5030f3ef699ec42209552b57d5043a74b5c0ef545", 27114, 1950},
 		"mpp8-tree-retransmit": {tree,
-			"e3c616a7c317cdb5ac55fc5afcaebe3a1f4c8bfd6c4d1ac975270c03a9105271", 17225, 1250},
+			"bd797d88e3b18495671f9748674b3728e4c3e9d22934999acfcc5cdde1eb436c", 17225, 1250},
 		"smp16-cf-shared-pool": {smpCF,
-			"9ccfb641267775f1abe6a334d728dcd509595449887f02f772f47851eb04b720", 20436, 25400},
-		"now32-cf-shared-host-threads": {sharedCF,
-			"697273e021f97e07dd54e0455c6cd0fe690a923fedfc767824262aa2c6b0e0f0", 22519, 1800},
+			"9ec42cfcc582720446fa4ac32fdd33c896bc3fa1f722ae09bd0d9fea8c91fbc6", 20436, 25400},
+		"now32-cf-shared-host": {sharedCF,
+			"0f8d1e086b4259fc4b687ef15ae92c3959575b85753c2d7e9938aa9717b98831", 22527, 1800},
 	}
 }
 

@@ -98,9 +98,6 @@ func New(cfg Config) (*Model, error) {
 	if cfg.Background {
 		m.addBackground(master)
 	}
-	if cfg.MainThreads.enabled() {
-		m.addMainThreads(master)
-	}
 	if err := m.wireFaults(); err != nil {
 		return nil, err
 	}
@@ -108,10 +105,9 @@ func New(cfg Config) (*Model, error) {
 }
 
 // initPipe applies the model-wide pipe settings: the simulation clock for
-// blocked-writer wait accounting and the configured overflow policy.
+// blocked-writer wait accounting and, on an observed run, the observer.
 func (m *Model) initPipe(p *resources.Pipe) *resources.Pipe {
 	p.SetClock(m.Sim.Now)
-	p.SetPolicy(m.Cfg.Overflow)
 	if m.obsC != nil { // pipes spawned after EnableObservability
 		p.SetObserver(m.obsPipeSeq, m.obsC)
 		m.obsPipeSeq++
@@ -159,31 +155,6 @@ func (m *Model) wireFaults() error {
 	}
 	inj.SchedulePipeSqueezes(pipes)
 	return nil
-}
-
-// addMainThreads attaches the Performance Consultant and UI Manager
-// threads of the multithreaded main Paradyn process as periodic CPU
-// demand on the host CPU, accounted under the main-process owner class.
-func (m *Model) addMainThreads(master *rng.Stream) {
-	mt := m.Cfg.MainThreads
-	if mt.ConsultantPeriod > 0 {
-		m.Sources = append(m.Sources, &procs.OpenSource{
-			Sim: m.Sim, CPU: m.HostCPU, Net: m.Net,
-			R:               master.Derive(streamID(streamMain, 0, 1)),
-			Owner:           procs.OwnerMain,
-			CPUDist:         rng.Prepare(mt.ConsultantCPU),
-			CPUInterarrival: rng.Constant{Value: mt.ConsultantPeriod},
-		})
-	}
-	if mt.UIPeriod > 0 {
-		m.Sources = append(m.Sources, &procs.OpenSource{
-			Sim: m.Sim, CPU: m.HostCPU, Net: m.Net,
-			R:               master.Derive(streamID(streamMain, 0, 2)),
-			Owner:           procs.OwnerMain,
-			CPUDist:         rng.Prepare(mt.UICPU),
-			CPUInterarrival: rng.Constant{Value: mt.UIPeriod},
-		})
-	}
 }
 
 // buildPerNode assembles the NOW and MPP architectures: one CPU per node,
@@ -405,10 +376,10 @@ func (m *Model) addBackground(master *rng.Stream) {
 
 // dists holds Cfg's sampled distributions that several processes share,
 // or that flipPhase installs mid-run, each prepared once (rng.Prepare) so
-// a lognormal draw skips re-deriving its normal parameters; addMainThreads
-// prepares its two single-use demands itself. Draws are bit-identical to
-// sampling Cfg's distributions directly. The prepared values never go
-// back into Cfg: scenario.SpecOf type-switches on the plain types.
+// a lognormal draw skips re-deriving its normal parameters. Draws are
+// bit-identical to sampling Cfg's distributions directly. The prepared
+// values never go back into Cfg: scenario.SpecOf type-switches on the
+// plain types.
 type dists struct {
 	work, phase Workload
 	cost        forward.CostModel

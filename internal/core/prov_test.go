@@ -49,7 +49,6 @@ func provChaosConfigs() map[string]Config {
 	}
 
 	squeeze := base()
-	squeeze.Overflow = resources.DropOldest
 	squeeze.PipeCapacity = 16
 	squeeze.Faults = &faults.Plan{
 		Seed: 9, SqueezeMTBF: 4e5, CrashMTBF: 2e6,
@@ -74,18 +73,9 @@ func provChaosConfigs() map[string]Config {
 		Resilience: faults.Resilience{Retransmit: true, Degrade: true},
 	}
 
-	// A DropNewest arrival at a full pipe fires PipeDropped as the
-	// sample's first hook. CF, because a batch larger than the pipe would
-	// never fill.
-	dropNewest := base()
-	dropNewest.Strategy = forward.NewCF()
-	dropNewest.Overflow = resources.DropNewest
-	dropNewest.PipeCapacity = 2
-	dropNewest.SamplingPeriod = 200
-
 	return map[string]Config{
-		"direct-dup": direct, "retransmit": retrans, "tree": tree, "squeeze-drop": squeeze,
-		"degrade-thinning": thinning, "drop-newest": dropNewest,
+		"direct-dup": direct, "retransmit": retrans, "tree": tree, "squeeze": squeeze,
+		"degrade-thinning": thinning,
 	}
 }
 
@@ -129,24 +119,12 @@ func TestProvenanceChaosReconciliation(t *testing.T) {
 			if diff := math.Abs(eng.StageSumUS() - eng.LatencySumUS()); diff > 1e-6*(1+eng.LatencySumUS()) {
 				t.Errorf("stage total %v vs latency total %v", eng.StageSumUS(), eng.LatencySumUS())
 			}
-			// No leaks: every generated sample is delivered, dropped, lost,
-			// or still in a pipe/daemon/network (in-flight), exactly.
-			accounted := eng.Delivered() + eng.Dropped() + eng.LostTotal() + uint64(eng.InFlight())
+			// No leaks: every generated sample is delivered, lost, or still
+			// in a pipe/daemon/network (in-flight), exactly.
+			accounted := eng.Delivered() + eng.LostTotal() + uint64(eng.InFlight())
 			if accounted != eng.Generated() {
-				t.Errorf("accounting leak: generated %d, accounted %d (delivered %d dropped %d lost %d in-flight %d)",
-					eng.Generated(), accounted, eng.Delivered(), eng.Dropped(), eng.LostTotal(), eng.InFlight())
-			}
-			var pipeDrops uint64
-			for _, d := range m.Daemons {
-				for _, p := range d.Pipes {
-					pipeDrops += uint64(p.Dropped())
-				}
-			}
-			if eng.Dropped() != pipeDrops {
-				t.Errorf("engine counted %d drops, the pipes %d", eng.Dropped(), pipeDrops)
-			}
-			if name == "drop-newest" && pipeDrops == 0 {
-				t.Error("drop-newest cell dropped nothing; coverage lost")
+				t.Errorf("accounting leak: generated %d, accounted %d (delivered %d lost %d in-flight %d)",
+					eng.Generated(), accounted, eng.Delivered(), eng.LostTotal(), eng.InFlight())
 			}
 			if name == "degrade-thinning" && eng.Lost(procs.LossThinned) == 0 {
 				t.Error("degrade-thinning cell thinned nothing; coverage lost")

@@ -46,10 +46,7 @@ type Result struct {
 	ThroughputPerSec        float64 // samples received at main per second
 	PdThroughputPerSec      float64 // samples forwarded by daemons per second
 
-	// Pipe overflow and blocked-writer accounting.
-	PipeDropped        int     // samples discarded at full pipes (all causes)
-	PipeDroppedNewest  int     // discarded on arrival (DropNewest, TryPut)
-	PipeDroppedOldest  int     // evicted to admit newer data (DropOldest)
+	// Blocked-writer accounting.
 	PipeBlockedWaitSec float64 // cumulative time writers spent blocked
 
 	// Fault injection and resilience (populated when Cfg.Faults is
@@ -223,9 +220,6 @@ func (m *Model) collect() Result {
 		res.SamplesThinned += d.SamplesThinned
 		res.CrashLostSamples += d.CrashLostSamples
 		for _, p := range d.Pipes {
-			res.PipeDropped += p.Dropped()
-			res.PipeDroppedNewest += p.DroppedNewest()
-			res.PipeDroppedOldest += p.DroppedOldest()
 			res.PipeBlockedWaitSec += p.BlockedWaitTotal() / 1e6
 		}
 	}

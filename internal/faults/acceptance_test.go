@@ -6,7 +6,6 @@ import (
 
 	"rocc/internal/core"
 	"rocc/internal/faults"
-	"rocc/internal/resources"
 	"rocc/internal/rng"
 )
 
@@ -168,34 +167,5 @@ func TestDegradationReducesBlocking(t *testing.T) {
 	if deg.PipeBlockedWaitSec >= base.PipeBlockedWaitSec {
 		t.Fatalf("degraded blocking %.3fs not below unprotected baseline %.3fs",
 			deg.PipeBlockedWaitSec, base.PipeBlockedWaitSec)
-	}
-}
-
-// TestDropPoliciesAccountLosses checks the configurable overflow
-// policies end to end: under overload, DropNewest and DropOldest keep
-// the application from blocking and account every discarded sample.
-func TestDropPoliciesAccountLosses(t *testing.T) {
-	mk := func(p resources.OverflowPolicy) core.Result {
-		cfg := shortCfg()
-		cfg.Duration = 2e6
-		cfg.Nodes = 2
-		cfg.SamplingPeriod = 200
-		cfg.PipeCapacity = 4
-		cfg.Overflow = p
-		return run(t, cfg)
-	}
-
-	newest := mk(resources.DropNewest)
-	if newest.PipeDroppedNewest == 0 || newest.PipeDropped != newest.PipeDroppedNewest {
-		t.Fatalf("DropNewest accounting: %+v", newest)
-	}
-	oldest := mk(resources.DropOldest)
-	if oldest.PipeDroppedOldest == 0 || oldest.PipeDropped != oldest.PipeDroppedOldest {
-		t.Fatalf("DropOldest accounting: %+v", oldest)
-	}
-	for _, r := range []core.Result{newest, oldest} {
-		if r.BlockedPuts != 0 || r.PipeBlockedWaitSec != 0 {
-			t.Fatalf("drop policy still blocked the application: %+v", r)
-		}
 	}
 }

@@ -316,6 +316,20 @@ func TestScheduleCrashesAlternates(t *testing.T) {
 func TestSchedulePipeSqueezes(t *testing.T) {
 	sim := des.New()
 	p := resources.NewPipe(16)
+	for i := 0; i < 4; i++ {
+		p.Put(resources.Sample{}, nil)
+	}
+	// squeezedTo4 probes the pipe, which holds 4 samples, and leaves it so:
+	// a put blocks only under a limit of at most 4, and the get after it
+	// admits that writer again unless the limit is below 4.
+	squeezedTo4 := func() bool {
+		blocked := !p.Put(resources.Sample{}, nil)
+		p.Get()
+		if p.Len() != 4 || p.Blocked() != 0 {
+			t.Fatalf("squeeze below 4 samples: len %d, blocked %d", p.Len(), p.Blocked())
+		}
+		return blocked
+	}
 	inj, err := NewInjector(sim, Plan{
 		Seed:            13,
 		SqueezeMTBF:     5000,
@@ -328,7 +342,7 @@ func TestSchedulePipeSqueezes(t *testing.T) {
 	inj.SchedulePipeSqueezes([]*resources.Pipe{p})
 	sawSqueeze := false
 	for i := 0; i < 2000 && sim.Step(); i++ {
-		if p.CapacityLimit() == 4 {
+		if squeezedTo4() {
 			sawSqueeze = true
 		}
 		if sim.Now() > 100000 {
@@ -377,7 +391,7 @@ func TestDegraderEngagesAndBacksOff(t *testing.T) {
 	// controller sees sustained pressure across ticks.
 	refill := func() {
 		for pipe.Len() < 6 {
-			pipe.TryPut(resources.Sample{})
+			pipe.Put(resources.Sample{}, nil)
 		}
 	}
 	refill()
@@ -405,7 +419,9 @@ func TestDegraderEngagesAndBacksOff(t *testing.T) {
 
 	// Relief: drain the pipe; after the 3-tick decay hysteresis the
 	// controller steps settings back each tick.
-	pipe.Drain(0)
+	for pipe.Len() > 0 {
+		pipe.Get()
+	}
 	for sim.Step() && sim.Now() <= 15000 {
 	}
 	if d.Thinning > 1 {

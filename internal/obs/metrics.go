@@ -78,7 +78,6 @@ type Metrics struct {
 	Generated     Counter // samples written by application processes
 	Delivered     Counter // samples received at the main process
 	DeliveredMsgs Counter // forwarded messages received at the main process
-	Dropped       Counter // samples discarded at full pipes
 	BlockedPuts   Counter // application writes stalled on a full pipe
 	Batches       Counter // daemon pipe-drain batches
 	Forwards      Counter // messages put on the network by daemons
@@ -111,7 +110,6 @@ func NewMetrics(latency *stats.BucketHistogram) *Metrics {
 		"generated":    &m.Generated,
 		"delivered":    &m.Delivered,
 		"messages":     &m.DeliveredMsgs,
-		"dropped":      &m.Dropped,
 		"blocked_puts": &m.BlockedPuts,
 		"batches":      &m.Batches,
 		"forwards":     &m.Forwards,
@@ -127,7 +125,7 @@ func NewMetrics(latency *stats.BucketHistogram) *Metrics {
 // Counters returns the registry's counters in a stable order.
 func (m *Metrics) Counters() []*Counter {
 	return []*Counter{
-		&m.Events, &m.Generated, &m.Delivered, &m.DeliveredMsgs, &m.Dropped,
+		&m.Events, &m.Generated, &m.Delivered, &m.DeliveredMsgs,
 		&m.BlockedPuts, &m.Batches, &m.Forwards, &m.Retransmits, &m.Crashes,
 		&m.Lost,
 	}

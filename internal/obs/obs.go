@@ -143,24 +143,6 @@ func (c *Collector) PipeBlocked(pipe int, t float64, s resources.Sample) {
 	}
 }
 
-// PipeDropped implements resources.PipeObserver: a sample was discarded at
-// a full pipe; oldest distinguishes DropOldest evictions from arrivals.
-func (c *Collector) PipeDropped(pipe int, t float64, s resources.Sample, oldest bool) {
-	if c.Metrics != nil {
-		c.Metrics.Dropped.Add(1)
-	}
-	if c.Flow != nil {
-		c.Flow.PipeDropped(t, s)
-	}
-	if c.Sink != nil {
-		n := 0
-		if oldest {
-			n = 1
-		}
-		c.Sink.addEvent(Event{Kind: EvPipeDropped, TUS: t, Unit: pipe, Node: s.Node, Proc: s.Proc, Seq: s.Seq, N: n})
-	}
-}
-
 // PipeGet implements resources.PipeObserver: a daemon drained a sample.
 func (c *Collector) PipeGet(pipe int, t float64, s resources.Sample, depth int) {
 	if c.Flow != nil {

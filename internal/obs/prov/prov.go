@@ -46,27 +46,27 @@
 // # Hook order
 //
 // The application fires SampleGenerated only after Pipe.Put returns, and
-// Put's synchronous callbacks may already have ended the sample: a
-// DropNewest arrival fires PipeDropped, and a daemon woken by the put can
-// drain and thin it (SampleLost). So no hook may assume it is first, and
-// a creating hook (SampleGenerated, PipePut, PipeGet) must never reopen
-// an identity the engine has already seen. Each window tracks the
-// process's seq high-water mark: identities below it are either open or
-// closed for good. A PipeDropped for an unseen identity is its first (and
-// final) drop.
+// Put's synchronous callbacks may already have ended the sample: a daemon
+// woken by the put can drain and thin it (SampleLost). Thinning is the
+// only hook that can end a sample before SampleGenerated. So no hook may
+// assume it is first, and a creating hook (SampleGenerated, PipePut,
+// PipeGet) must never reopen an identity the engine has already seen.
+// Each window tracks the process's seq high-water mark: identities below
+// it are either open or closed for good.
 //
 // Each hook looks a sample's record up at most once per boundary. The
 // write path's two hooks (PipePut and SampleGenerated, in either order)
 // share one lookup: the engine memoizes the record it opened last, by
-// identity, and clears the memo whenever a record closes or PipeDropped
-// extends a window (an extend may move a window's records, and a window
-// that trim empties reuses its slots), so the memo only ever names an open
-// record where it lies. The drain (PipeGet) looks the record up once. The
-// first forward collects the batch's records in one pass into a reused
-// slice, takes maxPut over them and updates them in place. Delivery reads
-// the record where it lies and closes it, and BatchDelivered hands the
-// message's stage rows to the histograms under one lock. There a run of
-// equal values down a stage costs one bucket lookup
+// identity, and clears the memo whenever a record closes (a window that
+// trim empties reuses its slots). Only the opening of a record extends a
+// window, which may move its records, and that opening replaces the memo,
+// so the memo only ever names an open record where it lies. The drain
+// (PipeGet) looks the record up once. The first forward collects the
+// batch's records in one pass into a reused slice, takes maxPut over them
+// and updates them in place. Delivery reads the record where it lies and
+// closes it, and BatchDelivered hands the message's stage rows to the
+// histograms under one lock. There a run of equal values down a stage
+// costs one bucket lookup
 // (stats.BucketHistogramSet.ObserveSet): under direct forwarding a
 // message's network-transit, merge and main-receipt dwells are one value
 // for all its samples, and so is daemon-service when its samples were
@@ -259,8 +259,7 @@ type Engine struct {
 	open int        // records open across all windows
 
 	// last is the record get opened most recently, and lastID its
-	// identity; nil once any record closes or PipeDropped extends a
-	// window (see "Hook order").
+	// identity; nil once any record closes (see "Hook order").
 	last   *record
 	lastID id
 
@@ -273,7 +272,6 @@ type Engine struct {
 	// accounting, which measures carryover samples from generation).
 	generated    uint64
 	delivered    uint64
-	dropped      uint64
 	lost         [4]uint64 // by procs.LossReason
 	dupDelivered uint64    // deliveries of an already-closed identity
 	dupLost      uint64    // losses of an already-closed identity
@@ -406,23 +404,6 @@ func (e *Engine) PipeGet(t float64, s resources.Sample) {
 	}
 	r.getT = t
 	r.hasGet = true
-}
-
-// PipeDropped records that the sample died at a full pipe; its record
-// closes without stage observations. A DropNewest arrival fires this
-// before any other hook of its sample, so a drop of an unseen identity
-// counts too, and marks it seen.
-func (e *Engine) PipeDropped(t float64, s resources.Sample) {
-	if e.close(s) {
-		e.dropped++
-		return
-	}
-	if w := e.grow(s); w != nil && s.Seq >= w.next() {
-		w.extend(s.Seq)
-		w.trim()
-		e.last = nil
-		e.dropped++
-	}
 }
 
 // BatchForwarded records that a daemon handed a message carrying batch to
@@ -590,7 +571,7 @@ func (e *Engine) ResetAccounting() {
 	for i := Stage(0); i < NumStages; i++ {
 		e.Histogram(i).Reset()
 	}
-	e.generated, e.delivered, e.dropped = 0, 0, 0
+	e.generated, e.delivered = 0, 0
 	e.lost = [4]uint64{}
 	e.dupDelivered, e.dupLost = 0, 0
 	e.latencySumUS, e.dupLatencySumUS, e.maxCloseErrUS = 0, 0, 0
@@ -630,9 +611,6 @@ func (e *Engine) Generated() uint64 { return e.generated }
 
 // Delivered returns first deliveries (duplicates excluded).
 func (e *Engine) Delivered() uint64 { return e.delivered }
-
-// Dropped returns samples that died at a full pipe.
-func (e *Engine) Dropped() uint64 { return e.dropped }
 
 // Lost returns first losses with the given reason.
 func (e *Engine) Lost(reason procs.LossReason) uint64 {

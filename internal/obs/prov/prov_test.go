@@ -142,20 +142,19 @@ func TestHopGuardRejectsStaleCopies(t *testing.T) {
 	}
 }
 
-// Losses and drops close records without stage observations, by reason.
+// Losses close records without stage observations, by reason.
 func TestLossAndDropAccounting(t *testing.T) {
 	e := NewEngine()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		s := sample(0, i)
 		e.SampleGenerated(10, s, false)
 		e.PipePut(10, s)
 	}
 	e.SampleLost(0, 20, sample(0, 0), procs.LossThinned)
 	e.SampleLost(0, 21, sample(0, 1), procs.LossCrash)
-	e.PipeDropped(22, sample(0, 2))
-	if e.Lost(procs.LossThinned) != 1 || e.Lost(procs.LossCrash) != 1 || e.Dropped() != 1 {
-		t.Fatalf("loss accounting: thinned %d crash %d dropped %d",
-			e.Lost(procs.LossThinned), e.Lost(procs.LossCrash), e.Dropped())
+	if e.Lost(procs.LossThinned) != 1 || e.Lost(procs.LossCrash) != 1 {
+		t.Fatalf("loss accounting: thinned %d crash %d",
+			e.Lost(procs.LossThinned), e.Lost(procs.LossCrash))
 	}
 	if e.LostTotal() != 2 || e.InFlight() != 1 {
 		t.Fatalf("total %d in-flight %d", e.LostTotal(), e.InFlight())
@@ -257,27 +256,6 @@ func TestLateGenerateDoesNotReopen(t *testing.T) {
 	if e.Generated() != 1 || e.Lost(procs.LossThinned) != 1 || e.InFlight() != 0 || e.WindowSlots() != 0 {
 		t.Fatalf("generated %d thinned %d in-flight %d slots %d",
 			e.Generated(), e.Lost(procs.LossThinned), e.InFlight(), e.WindowSlots())
-	}
-}
-
-// A DropNewest arrival fires PipeDropped before any other hook of its
-// sample: that first sight counts as the drop, and the SampleGenerated
-// that follows must not open a record for it.
-func TestDropOfUnseenSampleCounts(t *testing.T) {
-	e := NewEngine()
-	open := sample(0, 1)
-	e.SampleGenerated(10, open, false)
-	e.PipePut(10, open)
-	for seq := 2; seq <= 4; seq++ {
-		s := sample(0, seq)
-		e.PipeDropped(11, s)
-		e.SampleGenerated(11, s, false)
-	}
-	e.PipeDropped(12, open) // seen and still open: an ordinary drop
-	e.PipeDropped(13, open) // seen and closed: not a second drop
-	if e.Generated() != 4 || e.Dropped() != 4 || e.InFlight() != 0 || e.WindowSlots() != 0 {
-		t.Fatalf("generated %d dropped %d in-flight %d slots %d",
-			e.Generated(), e.Dropped(), e.InFlight(), e.WindowSlots())
 	}
 }
 

@@ -26,7 +26,7 @@ type refEngine struct {
 	hist [NumStages]*stats.BucketHistogram
 	sums [NumStages]float64
 
-	generated, delivered, dropped uint64
+	generated, delivered          uint64
 	lost                          [4]uint64
 	dupDelivered, dupLost         uint64
 	latencySumUS, dupLatencySumUS float64
@@ -79,21 +79,6 @@ func (e *refEngine) PipePut(t float64, s resources.Sample) {
 func (e *refEngine) PipeGet(t float64, s resources.Sample) {
 	if r := e.get(s); r != nil {
 		r.getT, r.hasGet = t, true
-	}
-}
-
-func (e *refEngine) PipeDropped(t float64, s resources.Sample) {
-	if _, ok := e.close(s); ok {
-		e.dropped++
-		return
-	}
-	if s.Node < 0 || s.Proc < 0 {
-		return
-	}
-	p := [2]int{s.Node, s.Proc}
-	if next, ok := e.next[p]; !ok || s.Seq >= next {
-		e.next[p] = s.Seq + 1
-		e.dropped++
 	}
 }
 
@@ -224,7 +209,6 @@ type hooks interface {
 	SampleGenerated(t float64, s resources.Sample, blocked bool)
 	PipePut(t float64, s resources.Sample)
 	PipeGet(t float64, s resources.Sample)
-	PipeDropped(t float64, s resources.Sample)
 	BatchForwarded(node int, t float64, batch []resources.Sample, hops int)
 	BatchArrived(node int, t float64, batch []resources.Sample, hops int)
 	SampleLost(node int, t float64, s resources.Sample, reason procs.LossReason)
@@ -235,7 +219,6 @@ type scriptCase struct {
 	name     string
 	tree     bool // relays: arrival and re-forward legs, with stale duplicates
 	blocked  bool // writers that block: SampleGenerated first, PipePut later
-	drops    bool // DropNewest arrivals (a drop of an unseen identity) and DropOldest evictions
 	thin     bool // thinning in the drain path
 	dups     bool // duplicates delivered inside a batch and in later batches
 	lossLate bool // losses of identities already closed, and link losses
@@ -273,15 +256,6 @@ func runScript(seed uint64, c scriptCase, e hooks, deliver func(t float64, batch
 				s := resources.Sample{GenTime: tick(12), Node: node, Proc: pid, Seq: p.seq}
 				p.seq++
 				switch x := rnd.IntN(20); {
-				case c.drops && x == 0: // DropNewest: the drop is the first hook
-					e.PipeDropped(t, s)
-					e.SampleGenerated(s.GenTime, s, false)
-				case c.drops && x == 1 && len(p.pipe) > 0: // DropOldest evicts the head
-					e.PipeDropped(t, p.pipe[0])
-					p.pipe = p.pipe[1:]
-					e.PipePut(t, s)
-					e.SampleGenerated(s.GenTime, s, false)
-					p.pipe = append(p.pipe, s)
 				case c.blocked && x < 5:
 					e.SampleGenerated(s.GenTime, s, true)
 					p.held = append(p.held, s)
@@ -373,12 +347,11 @@ var scriptCases = []scriptCase{
 	{name: "direct"},
 	{name: "tree", tree: true},
 	{name: "blocked", blocked: true},
-	{name: "drops", drops: true},
 	{name: "thinning", thin: true},
 	{name: "duplicates", dups: true},
 	{name: "late-losses", lossLate: true},
 	{name: "unforwarded", unseen: true},
-	{name: "all", tree: true, blocked: true, drops: true, thin: true, dups: true, lossLate: true, unseen: true},
+	{name: "all", tree: true, blocked: true, thin: true, dups: true, lossLate: true, unseen: true},
 }
 
 // checkMatchesReference compares every output of e with ref's: the stage
@@ -390,15 +363,15 @@ func checkMatchesReference(t *testing.T, label string, e *Engine, ref *refEngine
 		t.Fatalf("%s: stages %+v, reference %+v", label, got, want)
 	}
 	type counters struct {
-		Generated, Delivered, Dropped, DupDelivered, DupLost uint64
-		Lost                                                 [4]uint64
-		InFlight, WindowSlots                                int
-		LatencySum, DupLatencySum, MaxCloseErr               float64
+		Generated, Delivered, DupDelivered, DupLost uint64
+		Lost                                        [4]uint64
+		InFlight, WindowSlots                       int
+		LatencySum, DupLatencySum, MaxCloseErr      float64
 	}
-	got := counters{e.Generated(), e.Delivered(), e.Dropped(), e.DupDelivered(), e.DupLost(),
+	got := counters{e.Generated(), e.Delivered(), e.DupDelivered(), e.DupLost(),
 		[4]uint64{e.Lost(0), e.Lost(1), e.Lost(2), e.Lost(3)}, e.InFlight(), e.WindowSlots(),
 		e.LatencySumUS(), e.DupLatencySumUS(), e.MaxCloseErrUS()}
-	want := counters{ref.generated, ref.delivered, ref.dropped, ref.dupDelivered, ref.dupLost,
+	want := counters{ref.generated, ref.delivered, ref.dupDelivered, ref.dupLost,
 		ref.lost, len(ref.recs), ref.windowSlots(),
 		ref.latencySumUS, ref.dupLatencySumUS, ref.maxCloseErrUS}
 	if got != want {
@@ -421,8 +394,8 @@ func checkMatchesReference(t *testing.T, label string, e *Engine, ref *refEngine
 // TestEngineMatchesReference is the referee for the engine's one lookup
 // per boundary, its memo, its in-place delivery and the per-message stage
 // fold: over random scripts mixing direct and tree forwarding, blocked
-// writers, DropNewest and DropOldest, thinning, duplicates delivered
-// inside a batch and later, losses after close, and messages delivered
+// writers, thinning, duplicates delivered inside a batch and later,
+// losses after close, and messages delivered
 // with no forward seen, the engine fed one BatchDelivered per message,
 // and the engine fed one SampleDelivered per sample, both equal the plain
 // per-sample reference on every output.

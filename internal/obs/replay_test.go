@@ -92,7 +92,6 @@ func TestReplayChromeMatchesEngine(t *testing.T) {
 				{"delivered", live.Delivered(), replay.Delivered()},
 				{"duplicate deliveries", live.DupDelivered(), replay.DupDelivered()},
 				{"lost", live.LostTotal(), replay.LostTotal()},
-				{"dropped", live.Dropped(), replay.Dropped()},
 			} {
 				if c.live != c.replay {
 					t.Errorf("%s: live %d, replay %d", c.name, c.live, c.replay)
@@ -169,20 +168,16 @@ var hostileTraces = []string{
 	`[`,
 }
 
-// smallTrace exports a hand-driven run of three samples through a
-// Collector: one delivered over a relay, one lost in transit and one
-// dropped at a full pipe.
+// smallTrace exports a hand-driven run of two samples through a
+// Collector: one delivered over a relay and one lost in transit.
 func smallTrace() []byte {
 	c := obs.NewCollector(true, nil)
 	a := resources.Sample{GenTime: 10, Node: 0, Proc: 0, Seq: 0}
 	b := resources.Sample{GenTime: 12, Node: 0, Proc: 1, Seq: 0}
-	d := resources.Sample{GenTime: 14, Node: 1, Proc: 0, Seq: 0}
 	c.PipePut(0, 10, a, 1)
 	c.SampleGenerated(10, a, false)
 	c.PipePut(1, 12, b, 1)
 	c.SampleGenerated(12, b, false)
-	c.PipeDropped(2, 14, d, false)
-	c.SampleGenerated(14, d, false)
 	c.PipeGet(0, 20, a, 0)
 	c.PipeGet(1, 20, b, 0)
 	c.MessageForwarded(0, 25, []resources.Sample{a, b}, 1)
@@ -215,9 +210,9 @@ func TestReplayChromeSmallTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Delivered() != 1 || eng.Lost(procs.LossLink) != 1 || eng.Dropped() != 1 || incomplete != 0 {
-		t.Fatalf("delivered %d, lost(link) %d, dropped %d, incomplete %d; want 1, 1, 1, 0",
-			eng.Delivered(), eng.Lost(procs.LossLink), eng.Dropped(), incomplete)
+	if eng.Delivered() != 1 || eng.Lost(procs.LossLink) != 1 || incomplete != 0 {
+		t.Fatalf("delivered %d, lost(link) %d, incomplete %d; want 1, 1, 0",
+			eng.Delivered(), eng.Lost(procs.LossLink), incomplete)
 	}
 	// a: generated and put at 10, joined in its batch by b's put at 12,
 	// drained at 20, forwarded at 25, relayed 40→50, delivered at 70.

@@ -40,7 +40,6 @@ const (
 	EvSampleBlocked
 	EvPipePut
 	EvPipeBlocked
-	EvPipeDropped
 	EvPipeGet
 	EvBatchCollected
 	EvMessageForwarded
@@ -70,8 +69,6 @@ func (k EventKind) String() string {
 		return "pipe-put"
 	case EvPipeBlocked:
 		return "pipe-blocked"
-	case EvPipeDropped:
-		return "pipe-dropped"
 	case EvPipeGet:
 		return "pipe-get"
 	case EvBatchCollected:
@@ -101,14 +98,14 @@ func (k EventKind) String() string {
 // Event is one sample-lifecycle event. Field use varies by Kind:
 //
 //   - Node/Proc/Seq identify the sample for per-sample kinds (generated,
-//     pipe put/block/drop/get, delivered) and the daemon's node for
+//     pipe put/block/get, delivered) and the daemon's node for
 //     daemon-scoped kinds (batch, forward, crash, restore, retransmit).
 //   - Unit is the pipe ID for pipe events.
 //   - DurUS is the end-to-end latency for EvSampleDelivered (whose TUS is
 //     the sample's generation time, so the event renders as a span).
-//   - N is a kind-specific count: pipe depth after put/get, 1 for a
-//     DropOldest eviction (0 for an arrival drop), samples per batch or
-//     message, samples lost in a crash, or the retransmit attempt number.
+//   - N is a kind-specific count: pipe depth after put/get, samples per
+//     batch or message, samples lost in a crash, or the retransmit attempt
+//     number.
 //   - Hops is the forwarding hop count (tree depth) for message kinds.
 type Event struct {
 	Kind  EventKind
@@ -378,7 +375,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 					TS: e.TUS + e.DurUS, PID: pid, TID: 1 + e.Proc, ID: id, BP: "e",
 				})
 			}
-		case EvPipePut, EvPipeBlocked, EvPipeDropped, EvPipeGet:
+		case EvPipePut, EvPipeBlocked, EvPipeGet:
 			pid := chromePIDPipe + e.Unit
 			name(pid, fmt.Sprintf("pipe %d", e.Unit))
 			events = append(events, ChromeEvent{
@@ -501,12 +498,12 @@ func parseFlowID(id string) (sampleID, error) {
 
 // ReplayChrome feeds the sample paths of a WriteChrome trace back through
 // a fresh provenance engine's hooks, in trace order, and returns the
-// engine: its Stages() and its delivered, duplicate, lost and dropped
-// counts equal those of the live engine that watched the run. The
+// engine: its Stages() and its delivered, duplicate and lost counts equal
+// those of the live engine that watched the run. The
 // mapping, event by event:
 //
 //   - a flow start "s" is SampleGenerated, at GenTime = ts;
-//   - pipe-put, pipe-get and pipe-dropped are the pipe hooks;
+//   - pipe-put and pipe-get are the pipe hooks;
 //   - each message's run of sample-forwarded steps is one BatchForwarded
 //     (WriteChrome emits a message's steps back to back);
 //   - a sample-arrived step is BatchArrived;
@@ -562,7 +559,6 @@ func ReplayChrome(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
 		arrived        = EvSampleArrived.String()
 		put            = EvPipePut.String()
 		get            = EvPipeGet.String()
-		dropped        = EvPipeDropped.String()
 	)
 	flush := func() {
 		if len(batch) > 0 {
@@ -585,7 +581,7 @@ func ReplayChrome(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
 		case e.Ph == "s" && e.Cat == flowCat:
 			id, _ := parseFlowID(e.ID)
 			eng.SampleGenerated(e.TS, samples[id], false)
-		case e.Cat == "pipe" && (e.Name == put || e.Name == get || e.Name == dropped):
+		case e.Cat == "pipe" && (e.Name == put || e.Name == get):
 			if e.Args.Node == nil || e.Args.Proc == nil || e.Args.Seq == nil {
 				return nil, 0, fmt.Errorf("obs: event %d: %s without a sample identity", i, e.Name)
 			}
@@ -594,10 +590,8 @@ func ReplayChrome(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
 			case !ok:
 			case e.Name == put:
 				eng.PipePut(e.TS, s)
-			case e.Name == get:
-				eng.PipeGet(e.TS, s)
 			default:
-				eng.PipeDropped(e.TS, s)
+				eng.PipeGet(e.TS, s)
 			}
 		case step:
 			id, err := parseFlowID(e.ID)

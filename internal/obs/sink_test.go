@@ -196,7 +196,6 @@ func TestCollectorMetricsCounters(t *testing.T) {
 	c := NewCollector(false, NewMetrics(procs.NewLatencyHistogram()))
 	sample := resources.Sample{GenTime: 1, Node: 0, Proc: 0, Seq: 0}
 	c.SampleGenerated(1, sample, true)
-	c.PipeDropped(0, 2, sample, false)
 	c.BatchCollected(0, 3, 8)
 	c.MessageForwarded(0, 4, []resources.Sample{sample}, 1)
 	c.MessageDelivered(5, []resources.Sample{sample}, 1)
@@ -211,7 +210,6 @@ func TestCollectorMetricsCounters(t *testing.T) {
 	}{
 		{"generated", m.Generated.Value(), 1},
 		{"blocked_puts", m.BlockedPuts.Value(), 1},
-		{"dropped", m.Dropped.Value(), 1},
 		{"batches", m.Batches.Value(), 1},
 		{"forwards", m.Forwards.Value(), 1},
 		{"messages", m.DeliveredMsgs.Value(), 1},

@@ -1,10 +1,6 @@
 package resources
 
-import (
-	"fmt"
-
-	"rocc/internal/des"
-)
+import "rocc/internal/des"
 
 // Sample is one instrumentation data sample flowing from an application
 // process through a pipe to a Paradyn daemon and on to the main process.
@@ -21,54 +17,22 @@ type Sample struct {
 }
 
 // PipeObserver receives pipe-level lifecycle notifications for tracing.
-// depth is the buffered-sample count after the operation; oldest marks a
-// DropOldest eviction (false for a discarded arrival).
+// depth is the buffered-sample count after the operation.
 type PipeObserver interface {
 	PipePut(pipe int, t float64, s Sample, depth int)
 	PipeBlocked(pipe int, t float64, s Sample)
-	PipeDropped(pipe int, t float64, s Sample, oldest bool)
 	PipeGet(pipe int, t float64, s Sample, depth int)
-}
-
-// OverflowPolicy selects what a Pipe does with a Put when it is full.
-type OverflowPolicy int
-
-const (
-	// Block suspends the writer until space frees — the real write(2)
-	// behavior on a full pipe, the §4.3.3 effect, and the default.
-	Block OverflowPolicy = iota
-	// DropNewest discards the incoming sample; the writer proceeds.
-	DropNewest
-	// DropOldest evicts the oldest buffered sample to admit the new one,
-	// preserving the freshest data; the writer proceeds.
-	DropOldest
-)
-
-// String implements fmt.Stringer.
-func (o OverflowPolicy) String() string {
-	switch o {
-	case Block:
-		return "block"
-	case DropNewest:
-		return "drop-newest"
-	case DropOldest:
-		return "drop-oldest"
-	}
-	return fmt.Sprintf("OverflowPolicy(%d)", int(o))
 }
 
 // Pipe is the bounded kernel buffer (a Unix pipe in the real system)
 // between an instrumented application process and its local Paradyn daemon.
-// Under the default Block policy a Put into a full pipe blocks the writing
-// application process — the effect §4.3.3 of the paper identifies at small
+// A Put into a full pipe blocks the writing application process, as
+// write(2) does — the effect §4.3.3 of the paper identifies at small
 // sampling periods, where a full pipe stalls the application until the
-// daemon drains samples. The DropNewest and DropOldest policies model
-// lossy kernel buffers instead: the writer never blocks and discarded
-// samples are accounted in Dropped.
+// daemon drains samples.
 type Pipe struct {
 	capacity int
 	limit    int // fault-injected capacity squeeze; 0 = no limit
-	policy   OverflowPolicy
 	items    des.FIFO[Sample]
 	blocked  des.FIFO[blockedPut]
 
@@ -80,18 +44,11 @@ type Pipe struct {
 	// clock, if set, timestamps blocked writers for wait-time accounting.
 	clock func() des.Time
 
-	// obs, if set, receives put/block/drop/get notifications; obsID
+	// obs, if set, receives put/block/get notifications; obsID
 	// identifies this pipe in them. Nil-guarded: costs one branch per
 	// operation when tracing is off.
 	obs   PipeObserver
 	obsID int
-
-	// dropped counts samples discarded for any reason (TryPut on a full
-	// pipe, DropNewest, DropOldest evictions).
-	dropped    int
-	droppedNew int
-	droppedOld int
-	puts       int
 
 	// blockedWait accumulates the simulated time writers spent blocked on
 	// a full pipe (completed waits only; see BlockedWaitTotal).
@@ -127,15 +84,9 @@ func (p *Pipe) SetOnData(fn func()) { p.onData = fn }
 // wait time. Without a clock, BlockedWaitTotal reports zero.
 func (p *Pipe) SetClock(fn func() des.Time) { p.clock = fn }
 
-// SetPolicy selects the overflow policy (default Block).
-func (p *Pipe) SetPolicy(policy OverflowPolicy) { p.policy = policy }
-
 // SetObserver attaches a lifecycle observer; id identifies this pipe in
 // the callbacks. A nil observer detaches.
 func (p *Pipe) SetObserver(id int, o PipeObserver) { p.obsID, p.obs = id, o }
-
-// Policy returns the overflow policy.
-func (p *Pipe) Policy() OverflowPolicy { return p.policy }
 
 // SetCapacityLimit squeezes the pipe's effective capacity down to limit
 // samples (clamped to at least 1), modeling transient kernel buffer
@@ -148,9 +99,6 @@ func (p *Pipe) SetCapacityLimit(limit int) {
 	p.limit = limit
 	p.admitBlocked()
 }
-
-// CapacityLimit returns the current squeeze limit (0 = none).
-func (p *Pipe) CapacityLimit() int { return p.limit }
 
 // effCap is the capacity currently enforced on writers.
 func (p *Pipe) effCap() int {
@@ -180,19 +128,6 @@ func (p *Pipe) Cap() int { return p.capacity }
 // Blocked returns the number of writers currently blocked on a full pipe.
 func (p *Pipe) Blocked() int { return p.blocked.Len() }
 
-// Puts returns the total samples accepted into the pipe.
-func (p *Pipe) Puts() int { return p.puts }
-
-// Dropped returns the total samples discarded: TryPut on a full pipe plus
-// DropNewest discards plus DropOldest evictions.
-func (p *Pipe) Dropped() int { return p.dropped }
-
-// DroppedNewest returns samples discarded on arrival (TryPut, DropNewest).
-func (p *Pipe) DroppedNewest() int { return p.droppedNew }
-
-// DroppedOldest returns buffered samples evicted by DropOldest.
-func (p *Pipe) DroppedOldest() int { return p.droppedOld }
-
 // BlockedWaitTotal returns the cumulative simulated time writers have
 // spent blocked on a full pipe, including writers still blocked now.
 // Requires SetClock; without a clock it returns 0.
@@ -207,12 +142,10 @@ func (p *Pipe) BlockedWaitTotal() float64 {
 	return w
 }
 
-// ResetAccounting clears the pipe's counters without disturbing buffered
-// samples or blocked writers (their wait restarts at the current clock);
-// used for warmup (initial-transient) removal.
+// ResetAccounting clears the pipe's blocked-wait total without disturbing
+// buffered samples or blocked writers (their wait restarts at the current
+// clock); used for warmup (initial-transient) removal.
 func (p *Pipe) ResetAccounting() {
-	p.dropped, p.droppedNew, p.droppedOld = 0, 0, 0
-	p.puts = 0
 	p.blockedWait = 0
 	now := p.now()
 	for i := 0; i < p.blocked.Len(); i++ {
@@ -221,32 +154,11 @@ func (p *Pipe) ResetAccounting() {
 }
 
 // Put writes a sample. If there is room it is accepted immediately and Put
-// returns true. On a full pipe the overflow policy decides: Block queues
-// the writer (Put returns false and onAccepted fires later, when space
-// frees and the sample enters the pipe); DropNewest discards the sample;
-// DropOldest evicts the oldest buffered sample to admit this one. Under
-// both drop policies the writer proceeds (Put returns true). onAccepted
-// may be nil.
+// returns true. On a full pipe the writer blocks: Put returns false and
+// onAccepted fires later, when space frees and the sample enters the pipe.
+// onAccepted may be nil.
 func (p *Pipe) Put(s Sample, onAccepted func()) bool {
 	if p.items.Len() < p.effCap() {
-		p.accept(s)
-		return true
-	}
-	switch p.policy {
-	case DropNewest:
-		p.dropped++
-		p.droppedNew++
-		if p.obs != nil {
-			p.obs.PipeDropped(p.obsID, p.now(), s, false)
-		}
-		return true
-	case DropOldest:
-		evicted := p.items.Pop()
-		p.dropped++
-		p.droppedOld++
-		if p.obs != nil {
-			p.obs.PipeDropped(p.obsID, p.now(), evicted, true)
-		}
 		p.accept(s)
 		return true
 	}
@@ -257,24 +169,8 @@ func (p *Pipe) Put(s Sample, onAccepted func()) bool {
 	return false
 }
 
-// TryPut writes a sample if there is room, otherwise drops it and returns
-// false. It models lossy instrumentation buffers for ablation experiments.
-func (p *Pipe) TryPut(s Sample) bool {
-	if p.items.Len() < p.effCap() {
-		p.accept(s)
-		return true
-	}
-	p.dropped++
-	p.droppedNew++
-	if p.obs != nil {
-		p.obs.PipeDropped(p.obsID, p.now(), s, false)
-	}
-	return false
-}
-
 func (p *Pipe) accept(s Sample) {
 	p.items.Push(s)
-	p.puts++
 	if p.obs != nil {
 		p.obs.PipePut(p.obsID, p.now(), s, p.items.Len())
 	}
@@ -311,22 +207,4 @@ func (p *Pipe) admitBlocked() {
 			bp.onAccepted()
 		}
 	}
-}
-
-// Drain removes and returns up to max samples (all buffered samples if max
-// <= 0), unblocking writers as space frees. The daemon uses Drain to build
-// a batch under the BF policy.
-func (p *Pipe) Drain(max int) []Sample {
-	if max <= 0 || max > p.items.Len()+p.blocked.Len() {
-		max = p.items.Len() // blocked items enter as space frees below
-	}
-	var out []Sample
-	for len(out) < max {
-		s, ok := p.Get()
-		if !ok {
-			break
-		}
-		out = append(out, s)
-	}
-	return out
 }

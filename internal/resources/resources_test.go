@@ -3,6 +3,7 @@ package resources
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -193,7 +194,7 @@ func TestPipeBasics(t *testing.T) {
 	if !p.Put(Sample{GenTime: 1}, nil) || !p.Put(Sample{GenTime: 2}, nil) {
 		t.Fatal("puts under capacity should succeed")
 	}
-	if p.Len() != 2 || p.Cap() != 2 || p.Puts() != 2 {
+	if p.Len() != 2 || p.Cap() != 2 {
 		t.Fatal("length/cap accounting")
 	}
 	s, ok := p.Get()
@@ -261,37 +262,28 @@ func TestPipeOnData(t *testing.T) {
 	}
 }
 
-func TestPipeTryPutDrops(t *testing.T) {
-	p := NewPipe(1)
-	if !p.TryPut(Sample{}) {
-		t.Fatal("first TryPut should succeed")
-	}
-	if p.TryPut(Sample{}) {
-		t.Fatal("TryPut on full pipe should fail")
-	}
-	if p.Dropped() != 1 {
-		t.Fatal("dropped count")
-	}
-}
-
+// Draining a full pipe by repeated Get, as a daemon collects a batch,
+// takes the buffered samples and then the blocked writers' samples in
+// write order, admitting each writer as space frees.
 func TestPipeDrain(t *testing.T) {
-	p := NewPipe(8)
+	p := NewPipe(3)
+	admitted := 0
 	for i := 0; i < 5; i++ {
-		p.Put(Sample{GenTime: float64(i)}, nil)
+		p.Put(Sample{GenTime: float64(i)}, func() { admitted++ })
 	}
-	batch := p.Drain(3)
-	if len(batch) != 3 || batch[0].GenTime != 0 || batch[2].GenTime != 2 {
-		t.Fatalf("batch %v", batch)
+	var got []float64
+	for {
+		s, ok := p.Get()
+		if !ok {
+			break
+		}
+		got = append(got, s.GenTime)
 	}
-	rest := p.Drain(0)
-	if len(rest) != 2 {
-		t.Fatalf("drain-all returned %d", len(rest))
+	if !slices.Equal(got, []float64{0, 1, 2, 3, 4}) {
+		t.Fatalf("drained %v, want 0..4 in write order", got)
 	}
-	if p.Len() != 0 {
-		t.Fatal("pipe not empty")
-	}
-	if got := p.Drain(4); len(got) != 0 {
-		t.Fatal("drain of empty pipe")
+	if admitted != 2 || p.Len() != 0 || p.Blocked() != 0 {
+		t.Fatalf("admitted %d, len %d, blocked %d; want 2, 0, 0", admitted, p.Len(), p.Blocked())
 	}
 }
 
@@ -373,50 +365,6 @@ func TestQuickNetworkSerializes(t *testing.T) {
 	}
 }
 
-func TestPipeDropNewestPolicy(t *testing.T) {
-	p := NewPipe(2)
-	p.SetPolicy(DropNewest)
-	if p.Policy() != DropNewest {
-		t.Fatal("policy accessor")
-	}
-	p.Put(Sample{GenTime: 1}, nil)
-	p.Put(Sample{GenTime: 2}, nil)
-	if !p.Put(Sample{GenTime: 3}, nil) {
-		t.Fatal("DropNewest writer must not block")
-	}
-	if p.Blocked() != 0 || p.Len() != 2 {
-		t.Fatal("DropNewest must not queue the writer or grow the pipe")
-	}
-	if p.Dropped() != 1 || p.DroppedNewest() != 1 || p.DroppedOldest() != 0 {
-		t.Fatalf("drop accounting: %d/%d/%d", p.Dropped(), p.DroppedNewest(), p.DroppedOldest())
-	}
-	s, _ := p.Get()
-	if s.GenTime != 1 {
-		t.Fatal("DropNewest must keep the oldest samples")
-	}
-}
-
-func TestPipeDropOldestPolicy(t *testing.T) {
-	p := NewPipe(2)
-	p.SetPolicy(DropOldest)
-	p.Put(Sample{GenTime: 1}, nil)
-	p.Put(Sample{GenTime: 2}, nil)
-	if !p.Put(Sample{GenTime: 3}, nil) {
-		t.Fatal("DropOldest writer must not block")
-	}
-	if p.Len() != 2 || p.Dropped() != 1 || p.DroppedOldest() != 1 {
-		t.Fatalf("eviction accounting: len %d dropped %d", p.Len(), p.Dropped())
-	}
-	s, _ := p.Get()
-	if s.GenTime != 2 {
-		t.Fatalf("oldest not evicted: got %v", s.GenTime)
-	}
-	s, _ = p.Get()
-	if s.GenTime != 3 {
-		t.Fatal("newest sample lost")
-	}
-}
-
 func TestPipeBlockedWaitAccounting(t *testing.T) {
 	now := des.Time(0)
 	p := NewPipe(1)
@@ -437,8 +385,8 @@ func TestPipeBlockedWaitAccounting(t *testing.T) {
 		t.Fatal("completed wait must not keep growing")
 	}
 	p.ResetAccounting()
-	if p.BlockedWaitTotal() != 0 || p.Puts() != 0 || p.Dropped() != 0 {
-		t.Fatal("ResetAccounting must clear counters")
+	if p.BlockedWaitTotal() != 0 {
+		t.Fatal("ResetAccounting must clear the blocked wait")
 	}
 }
 
@@ -448,9 +396,6 @@ func TestPipeCapacitySqueeze(t *testing.T) {
 		p.Put(Sample{GenTime: float64(i)}, nil)
 	}
 	p.SetCapacityLimit(2)
-	if p.CapacityLimit() != 2 {
-		t.Fatal("limit accessor")
-	}
 	// Above the squeezed capacity: writers block even though Cap() has room.
 	if p.Put(Sample{GenTime: 9}, nil) {
 		t.Fatal("put above squeeze limit must block")
@@ -491,15 +436,6 @@ func TestPipeSqueezeReleaseAdmitsBlocked(t *testing.T) {
 	}
 }
 
-func TestOverflowPolicyStrings(t *testing.T) {
-	if Block.String() != "block" || DropNewest.String() != "drop-newest" || DropOldest.String() != "drop-oldest" {
-		t.Fatal("policy strings")
-	}
-	if OverflowPolicy(9).String() == "" {
-		t.Fatal("unknown policy should still render")
-	}
-}
-
 // pipeEvents records PipeObserver callbacks as compact strings.
 type pipeEvents struct{ got []string }
 
@@ -509,17 +445,13 @@ func (p *pipeEvents) PipePut(pipe int, t float64, s Sample, depth int) {
 func (p *pipeEvents) PipeBlocked(pipe int, t float64, s Sample) {
 	p.got = append(p.got, fmt.Sprintf("blocked p%d seq%d", pipe, s.Seq))
 }
-func (p *pipeEvents) PipeDropped(pipe int, t float64, s Sample, oldest bool) {
-	p.got = append(p.got, fmt.Sprintf("dropped p%d seq%d oldest=%v", pipe, s.Seq, oldest))
-}
 func (p *pipeEvents) PipeGet(pipe int, t float64, s Sample, depth int) {
 	p.got = append(p.got, fmt.Sprintf("get p%d seq%d depth%d", pipe, s.Seq, depth))
 }
 
 // The pipe reports every lifecycle transition to its observer: accepted
-// puts with resulting depth, blocked writers, drops under each overflow
-// policy (flagging DropOldest evictions), and gets with remaining depth
-// — including the deferred put when a blocked writer is admitted.
+// puts with resulting depth, blocked writers, and gets with remaining
+// depth — including the deferred put when a blocked writer is admitted.
 func TestPipeObserverLifecycle(t *testing.T) {
 	p := NewPipe(1)
 	obs := &pipeEvents{}
@@ -544,41 +476,5 @@ func TestPipeObserverLifecycle(t *testing.T) {
 		if obs.got[i] != want[i] {
 			t.Fatalf("event %d = %q, want %q (all: %v)", i, obs.got[i], want[i], obs.got)
 		}
-	}
-}
-
-func TestPipeObserverDropPolicies(t *testing.T) {
-	// DropNewest: the arriving sample is reported dropped.
-	p := NewPipe(1)
-	obs := &pipeEvents{}
-	p.SetObserver(0, obs)
-	p.SetPolicy(DropNewest)
-	p.Put(Sample{Seq: 0}, nil)
-	p.Put(Sample{Seq: 1}, nil)
-	if got := obs.got[len(obs.got)-1]; got != "dropped p0 seq1 oldest=false" {
-		t.Fatalf("DropNewest reported %q", got)
-	}
-
-	// DropOldest: the evicted buffered sample is reported, then the new
-	// sample's put.
-	p = NewPipe(1)
-	obs = &pipeEvents{}
-	p.SetObserver(0, obs)
-	p.SetPolicy(DropOldest)
-	p.Put(Sample{Seq: 0}, nil)
-	p.Put(Sample{Seq: 1}, nil)
-	tail := obs.got[len(obs.got)-2:]
-	if tail[0] != "dropped p0 seq0 oldest=true" || tail[1] != "put p0 seq1 depth1" {
-		t.Fatalf("DropOldest reported %v", tail)
-	}
-
-	// TryPut on a full pipe.
-	p = NewPipe(1)
-	obs = &pipeEvents{}
-	p.SetObserver(0, obs)
-	p.TryPut(Sample{Seq: 0})
-	p.TryPut(Sample{Seq: 1})
-	if got := obs.got[len(obs.got)-1]; got != "dropped p0 seq1 oldest=false" {
-		t.Fatalf("TryPut reported %q", got)
 	}
 }
