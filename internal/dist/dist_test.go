@@ -489,7 +489,8 @@ func TestResumeWithoutJournalFile(t *testing.T) {
 }
 
 // TestServeWorkerProtocol drives the worker loop over in-memory buffers:
-// normal execution, in-band job errors, and version mismatch.
+// normal execution, in-band job errors, and version mismatch, both with a
+// future version and with the version before main became one server.
 func TestServeWorkerProtocol(t *testing.T) {
 	jobs := testJobs(t, 2)
 
@@ -501,8 +502,11 @@ func TestServeWorkerProtocol(t *testing.T) {
 	if err := writeFrame(&in, request{V: wireVersion, ID: 4, Jobs: []Job{bad}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(&in, request{V: 99, ID: 5}); err != nil {
-		t.Fatal(err)
+	versions := []int{99, 2} // shards 5 and 6
+	for i, v := range versions {
+		if err := writeFrame(&in, request{V: v, ID: 5 + i}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := ServeWorker(&in, &out); err != nil {
 		t.Fatalf("ServeWorker: %v", err)
@@ -529,12 +533,14 @@ func TestServeWorkerProtocol(t *testing.T) {
 	if resp.ID != 4 || resp.Error == "" {
 		t.Fatalf("bad-job response: %+v, want in-band error", resp)
 	}
-	resp = response{}
-	if err := readFrame(&out, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 5 || !strings.Contains(resp.Error, "protocol version") {
-		t.Fatalf("version-mismatch response: %+v", resp)
+	for i, v := range versions {
+		resp = response{}
+		if err := readFrame(&out, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != 5+i || !strings.Contains(resp.Error, "protocol version") {
+			t.Fatalf("V:%d version-mismatch response: %+v", v, resp)
+		}
 	}
 }
 

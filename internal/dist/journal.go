@@ -29,8 +29,10 @@ import (
 
 // journalVersion versions the journal format and, like wireVersion, the
 // meaning of the Results it holds (2: percentiles from the main process's
-// histogram), so an older journal is refused rather than merged.
-const journalVersion = 2
+// histogram; 3: the main process served as one thread, and the three
+// pipe-drop counts gone), so an older journal is refused rather than
+// merged.
+const journalVersion = 3
 
 type journalHeader struct {
 	V           int    `json:"v"`

@@ -126,9 +126,10 @@ func TestJournalDropsEntryWithoutNewline(t *testing.T) {
 }
 
 // A journal written before the latency quantiles moved to the main
-// process's histogram holds Results of another meaning: refuse it.
+// process's histogram (1), or before main became one server (2), holds
+// Results of another meaning: refuse it.
 func TestJournalRefusesOtherVersion(t *testing.T) {
-	for _, v := range []int{1, journalVersion + 1} {
+	for _, v := range []int{1, 2, journalVersion + 1} {
 		path := filepath.Join(t.TempDir(), "sweep.journal")
 		old := testHeader
 		old.V = v

@@ -23,9 +23,10 @@ import (
 
 // wireVersion is bumped on any incompatible protocol change, including a
 // change in what a core.Result means (2: percentiles from the main
-// process's histogram); mismatches fail the shard (and eventually drain
-// it locally) rather than guessing.
-const wireVersion = 2
+// process's histogram; 3: the main process served as one thread, and the
+// three pipe-drop counts gone); mismatches fail the shard (and eventually
+// drain it locally) rather than guessing.
+const wireVersion = 3
 
 // maxFrame bounds a frame payload (64 MiB) so a corrupt length prefix
 // cannot make the driver attempt a multi-gigabyte allocation.
