@@ -428,6 +428,25 @@ func TestOpenSourceChained(t *testing.T) {
 	if got := net.Busy(OwnerPvm); math.Abs(got-100*58) > 60 {
 		t.Fatalf("pvm net %v", got)
 	}
+
+	// The PVM daemon is an open stream on purpose, as Table 2 gives it an
+	// arrival stream: arrivals every 1 ms while a 20 ms request holds the
+	// CPU each queue a request of their own. Serving them one at a time,
+	// as main is served, changes Results and must be a deliberate edit.
+	sim = des.New()
+	cpu = resources.NewCPU(sim, 1, 20000)
+	cpu.Submit(OwnerApp, 20000, nil)
+	o = &OpenSource{
+		Sim: sim, CPU: cpu, Net: resources.NewNetwork(sim, false), R: rng.New(3), Owner: OwnerPvm,
+		CPUDist: rng.Constant{Value: 294}, NetDist: rng.Constant{Value: 58},
+		Chained: true, CPUInterarrival: rng.Constant{Value: 1000},
+	}
+	o.Start()
+	sim.Run(19500)
+	if o.Arrivals != 19 || cpu.Running() != 1 || cpu.QueueLen() != 19 {
+		t.Fatalf("%d arrivals behind a held CPU left %d requests queued, %d running; want 19 queued, 1 running",
+			o.Arrivals, cpu.QueueLen(), cpu.Running())
+	}
 }
 
 func TestOpenSourceIndependentStreams(t *testing.T) {
