@@ -46,6 +46,9 @@ type Model struct {
 	master      *rng.Stream         // for mid-run spawns
 	spawnSeq    int
 
+	// st holds the records New built; release gives it back to storePool.
+	st *store
+
 	dists dists // what the processes sample, prepared once
 
 	// PhaseFlips counts workload phase transitions (PhasePeriod option).
@@ -76,7 +79,7 @@ func streamID(kind, node, idx int) uint64 {
 }
 
 // New assembles a model from a configuration (validated and normalized
-// first).
+// first). Every record it builds lives in a store from storePool.
 func New(cfg Config) (*Model, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
@@ -84,20 +87,7 @@ func New(cfg Config) (*Model, error) {
 	}
 	cal := des.NewCalendarFor(cfg.Calendar, des.WorkloadHints{PendingEvents: cfg.expectedPending()})
 	m := &Model{Cfg: cfg, Sim: des.NewWithCalendar(cal), Msgs: &forward.MessagePool{}, dists: prepareDists(cfg)}
-	master := rng.New(cfg.Seed)
-	m.master = master
-
-	m.Net = resources.NewNetwork(m.Sim, cfg.contended())
-
-	if cfg.Arch == SMP {
-		m.buildSMP(master)
-	} else {
-		m.buildPerNode(master)
-	}
-
-	if cfg.Background {
-		m.addBackground(master)
-	}
+	m.build(storePool.Get().(*store))
 	if err := m.wireFaults(); err != nil {
 		return nil, err
 	}
@@ -157,63 +147,107 @@ func (m *Model) wireFaults() error {
 	return nil
 }
 
-// buildPerNode assembles the NOW and MPP architectures: one CPU per node,
-// one (or more) daemons per node, AppProcs application processes per node.
-func (m *Model) buildPerNode(master *rng.Stream) {
+// build assembles the model's processes and resources into st. NOW and
+// MPP have one single-core CPU per node, Pds daemons per node and
+// AppProcs application processes per node; SMP is one machine whose
+// Nodes cores all processes share, with Pds daemons and AppProcs
+// application processes in total, forwarding directly to main over the
+// shared bus.
+func (m *Model) build(st *store) {
 	cfg, w := m.Cfg, m.dists.work
-	m.topo = forward.NewTopology(cfg.Forwarding, cfg.Nodes)
-
-	m.NodeCPUs = make([]*resources.CPU, cfg.Nodes)
-	for i := range m.NodeCPUs {
-		m.NodeCPUs[i] = resources.NewCPU(m.Sim, 1, cfg.Quantum)
-	}
-	if cfg.DedicatedHost {
-		m.HostCPU = resources.NewCPU(m.Sim, 1, cfg.Quantum)
+	m.st = st
+	machines, cores := cfg.Nodes, 1
+	if cfg.Arch == SMP {
+		machines, cores = 1, cfg.Nodes
+		m.topo = forward.DirectTopology{}
 	} else {
-		m.HostCPU = m.NodeCPUs[0]
+		m.topo = forward.NewTopology(cfg.Forwarding, cfg.Nodes)
 	}
-	m.Main = &procs.MainProcess{
+	cpus := machines
+	if m.dedicatedHost() {
+		cpus++
+	}
+	sources := 0
+	if cfg.Background {
+		sources = 2 * machines
+	}
+	st.size(machines, cpus, machines*cfg.Pds, machines*cfg.AppProcs, sources)
+
+	master := &st.streams[0]
+	master.Seed(cfg.Seed)
+	m.master = master
+
+	m.Net = &st.net
+	m.Net.Init(m.Sim, cfg.contended())
+	m.NodeCPUs = st.cpuPtrs
+	for i := range m.NodeCPUs {
+		st.cpus[i].Init(m.Sim, cores, cfg.Quantum)
+		m.NodeCPUs[i] = &st.cpus[i]
+	}
+	m.HostCPU = m.NodeCPUs[0]
+	if m.dedicatedHost() {
+		m.HostCPU = &st.cpus[machines]
+		m.HostCPU.Init(m.Sim, 1, cfg.Quantum)
+	}
+	m.Main = &st.main
+	*m.Main = procs.MainProcess{
 		Sim: m.Sim, CPU: m.HostCPU,
-		R:         master.Derive(streamID(streamMain, 0, 0)),
+		R:         st.stream(master, streamID(streamMain, 0, 0)),
 		CPUDist:   w.MainCPU,
 		Msgs:      m.Msgs,
 		Latencies: procs.NewLatencyHistogram(),
 	}
 
-	totalApps := cfg.Nodes * cfg.AppProcs
 	if cfg.BarrierPeriod > 0 {
-		m.Barrier = &procs.Barrier{Participants: totalApps}
+		m.Barrier = &st.barrier
+		*m.Barrier = procs.Barrier{Participants: machines * cfg.AppProcs}
 	}
 
-	// Daemons first so pipes can be attached as apps are created.
-	m.Daemons = make([]*procs.PdDaemon, 0, cfg.Nodes*cfg.Pds)
-	m.nodeDaemons = make([][]*procs.PdDaemon, cfg.Nodes)
-	for node := 0; node < cfg.Nodes; node++ {
+	// Daemons first so pipes can be attached as apps are created. Each
+	// daemon's pipes sit together in st.pipePtrs, in the order its
+	// applications are built: d.Pipes starts as an empty window onto them
+	// whose capacity is exactly the daemon's share of the node's
+	// applications (round-robin), so appending a spawned child's pipe
+	// moves d.Pipes to the heap instead of overwriting a neighbour's.
+	m.Daemons = st.daemonPtrs
+	m.nodeDaemons = st.nodeDaemons
+	pipes := 0
+	for node := 0; node < machines; node++ {
+		lo := node * cfg.Pds
+		m.nodeDaemons[node] = m.Daemons[lo : lo+cfg.Pds : lo+cfg.Pds]
 		for k := 0; k < cfg.Pds; k++ {
-			d := &procs.PdDaemon{
+			n := (cfg.AppProcs - k + cfg.Pds - 1) / cfg.Pds
+			d := &st.daemons[lo+k]
+			*d = procs.PdDaemon{
 				Sim: m.Sim, CPU: m.NodeCPUs[node], Net: m.Net,
-				R:            master.Derive(streamID(streamPd, node, k)),
+				R:            st.stream(master, streamID(streamPd, node, k)),
+				Pipes:        st.pipePtrs[pipes : pipes : pipes+n],
 				Strategy:     cfg.Strategy.Clone(),
 				Cost:         m.dists.cost,
 				Node:         node,
 				FlushTimeout: cfg.FlushTimeout,
 				Msgs:         m.Msgs,
 			}
+			pipes += n
 			m.wireDelivery(d)
-			m.Daemons = append(m.Daemons, d)
-			m.nodeDaemons[node] = append(m.nodeDaemons[node], d)
+			m.Daemons[lo+k] = d
 		}
 	}
 
-	for node := 0; node < cfg.Nodes; node++ {
+	m.Apps = st.appPtrs
+	for node := 0; node < machines; node++ {
 		for j := 0; j < cfg.AppProcs; j++ {
-			pipe := m.initPipe(resources.NewPipe(cfg.PipeCapacity))
+			i := node*cfg.AppProcs + j
+			pipe := &st.pipes[i]
+			pipe.Init(cfg.PipeCapacity)
+			m.initPipe(pipe)
 			// Round-robin pipes over the node's daemons.
-			d := m.nodeDaemons[node][j%len(m.nodeDaemons[node])]
+			d := m.nodeDaemons[node][j%cfg.Pds]
 			d.Pipes = append(d.Pipes, pipe)
-			app := &procs.AppProcess{
+			app := &st.apps[i]
+			*app = procs.AppProcess{
 				Sim: m.Sim, CPU: m.NodeCPUs[node], Net: m.Net, Pipe: pipe,
-				R:              master.Derive(streamID(streamApp, node, j)),
+				R:              st.stream(master, streamID(streamApp, node, j)),
 				CPUDist:        w.AppCPU,
 				NetDist:        w.AppNet,
 				SamplingPeriod: cfg.SamplingPeriod,
@@ -222,12 +256,16 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 				Node:           node, ID: j,
 			}
 			m.applyDetailed(app, d)
-			m.Apps = append(m.Apps, app)
+			m.Apps[i] = app
 		}
 	}
-	m.nodeProcs = make([]int, cfg.Nodes)
+	m.nodeProcs = st.nodeProcs
 	for i := range m.nodeProcs {
 		m.nodeProcs[i] = cfg.AppProcs
+	}
+
+	if cfg.Background {
+		m.addBackground(st)
 	}
 }
 
@@ -244,61 +282,6 @@ func (m *Model) wireDelivery(d *procs.PdDaemon) {
 		}
 		m.nodeDaemons[parent][0].Receive(msg)
 	}
-}
-
-// buildSMP assembles the shared-memory architecture: Nodes CPUs in one
-// pool shared by all application processes, the daemons, and the main
-// process; the interconnect is the shared bus.
-func (m *Model) buildSMP(master *rng.Stream) {
-	cfg, w := m.Cfg, m.dists.work
-	m.topo = forward.DirectTopology{}
-
-	cpu := resources.NewCPU(m.Sim, cfg.Nodes, cfg.Quantum)
-	m.NodeCPUs = []*resources.CPU{cpu}
-	m.HostCPU = cpu
-	m.Main = &procs.MainProcess{
-		Sim: m.Sim, CPU: cpu,
-		R:         master.Derive(streamID(streamMain, 0, 0)),
-		CPUDist:   w.MainCPU,
-		Msgs:      m.Msgs,
-		Latencies: procs.NewLatencyHistogram(),
-	}
-	if cfg.BarrierPeriod > 0 {
-		m.Barrier = &procs.Barrier{Participants: cfg.AppProcs}
-	}
-
-	m.Daemons = make([]*procs.PdDaemon, cfg.Pds)
-	for k := range m.Daemons {
-		d := &procs.PdDaemon{
-			Sim: m.Sim, CPU: cpu, Net: m.Net,
-			R:            master.Derive(streamID(streamPd, 0, k)),
-			Strategy:     cfg.Strategy.Clone(),
-			Cost:         m.dists.cost,
-			Node:         0,
-			FlushTimeout: cfg.FlushTimeout,
-			Deliver:      func(msg *forward.Message) { m.Main.Receive(msg) },
-			Msgs:         m.Msgs,
-		}
-		m.Daemons[k] = d
-	}
-
-	for j := 0; j < cfg.AppProcs; j++ {
-		pipe := m.initPipe(resources.NewPipe(cfg.PipeCapacity))
-		m.Daemons[j%cfg.Pds].Pipes = append(m.Daemons[j%cfg.Pds].Pipes, pipe)
-		app := &procs.AppProcess{
-			Sim: m.Sim, CPU: cpu, Net: m.Net, Pipe: pipe,
-			R:              master.Derive(streamID(streamApp, 0, j)),
-			CPUDist:        w.AppCPU,
-			NetDist:        w.AppNet,
-			SamplingPeriod: cfg.SamplingPeriod,
-			Barrier:        m.Barrier,
-			BarrierPeriod:  cfg.BarrierPeriod,
-			Node:           0, ID: j,
-		}
-		m.applyDetailed(app, m.Daemons[j%cfg.Pds])
-		m.Apps = append(m.Apps, app)
-	}
-	m.nodeProcs = []int{cfg.AppProcs}
 }
 
 // applyDetailed attaches the event-tracing and Figure 6 detailed-model
@@ -351,26 +334,28 @@ func (m *Model) spawnChild(parent *procs.AppProcess, d *procs.PdDaemon) {
 // addBackground attaches the PVM daemon and other user/system process
 // request streams of Table 2: one of each per node (one pair total for
 // SMP, which is a single machine).
-func (m *Model) addBackground(master *rng.Stream) {
+func (m *Model) addBackground(st *store) {
 	w := m.dists.work
+	m.Sources = st.sourcePtrs
 	for node, cpu := range m.NodeCPUs {
-		pvm := &procs.OpenSource{
+		pvm, other := &st.sources[2*node], &st.sources[2*node+1]
+		*pvm = procs.OpenSource{
 			Sim: m.Sim, CPU: cpu, Net: m.Net,
-			R:       master.Derive(streamID(streamPvm, node, 0)),
+			R:       st.stream(m.master, streamID(streamPvm, node, 0)),
 			Owner:   procs.OwnerPvm,
 			CPUDist: w.PvmCPU, NetDist: w.PvmNet,
 			Chained:         true,
 			CPUInterarrival: w.PvmInterarrival,
 		}
-		other := &procs.OpenSource{
+		*other = procs.OpenSource{
 			Sim: m.Sim, CPU: cpu, Net: m.Net,
-			R:       master.Derive(streamID(streamOther, node, 0)),
+			R:       st.stream(m.master, streamID(streamOther, node, 0)),
 			Owner:   procs.OwnerOther,
 			CPUDist: w.OtherCPU, NetDist: w.OtherNet,
 			CPUInterarrival: w.OtherCPUInterarrival,
 			NetInterarrival: w.OtherNetInterarrival,
 		}
-		m.Sources = append(m.Sources, pvm, other)
+		m.Sources[2*node], m.Sources[2*node+1] = pvm, other
 	}
 }
 
@@ -465,11 +450,14 @@ func (m *Model) Run() Result {
 
 // Simulate assembles a model from cfg, runs it, and returns its Result,
 // like New followed by Run, for callers that neither keep nor observe the
-// model. Afterwards it gives the run's large storage — the queue rings,
-// the calendar's arrays and the events — to process-wide pools, from
-// which the next model draws, so a sweep of many runs stops feeding the
-// garbage collector. Only storage is reused: the Result is the same bytes
-// New followed by Run gives.
+// model. Afterwards it gives the run's storage back to process-wide pools,
+// from which the next model on that worker draws: the store of per-node
+// records (CPUs, pipes, daemons, application and background processes and
+// their random streams), the queue rings, the calendar's arrays and the
+// events. What the run allocates as it goes stays garbage: children
+// spawned mid-run and the free-list records of daemon jobs, CPU slots,
+// network requests and messages. Only storage is reused: the Result is
+// the same bytes New followed by Run gives.
 func Simulate(cfg Config) (Result, error) {
 	m, err := New(cfg)
 	if err != nil {
@@ -481,8 +469,9 @@ func Simulate(cfg Config) (Result, error) {
 }
 
 // release gives the model's queue rings, calendar arrays and events back
-// to the pools, visiting each CPU once (HostCPU may alias NodeCPUs[0]).
-// The model must not be run or inspected afterwards.
+// to the pools, visiting each CPU once (HostCPU may alias NodeCPUs[0]),
+// then clears the store and gives it back too. The model must not be run
+// or inspected afterwards.
 func (m *Model) release() {
 	for _, cpu := range m.NodeCPUs {
 		cpu.Release()
@@ -498,6 +487,9 @@ func (m *Model) release() {
 		d.Release()
 	}
 	m.Sim.Release()
+	m.st.clear()
+	storePool.Put(m.st)
+	m.st = nil
 }
 
 // resetAccounting discards warmup-period metrics across the model. Samples

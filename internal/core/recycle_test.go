@@ -144,3 +144,92 @@ func TestSimulateReusesStorage(t *testing.T) {
 	}
 	t.Logf("second Simulate %d B, New %d B", simBytes, newBytes)
 }
+
+// storeCells are three runs whose stores differ in shape, so that a
+// record or pointer release failed to clear would carry into the next:
+// A, NOW-50 with CF; B, SMP-16 with 16 application processes and two
+// daemons; C, MPP-8 with tree forwarding, the fault cocktail and forking
+// application processes, whose children and their pipes live outside the
+// store.
+func storeCells() []Config {
+	smp := DefaultConfig()
+	smp.Arch = SMP
+	smp.Nodes = 16
+	smp.AppProcs = 16
+	smp.Pds = 2
+	smp.SamplingPeriod = 2000
+	smp.Duration = 2.5e5
+
+	mpp := DefaultConfig()
+	mpp.Arch = MPP
+	mpp.Nodes = 8
+	mpp.Forwarding = forward.Tree
+	mpp.SamplingPeriod = 5000
+	mpp.Duration = 2e6
+	mpp.Detailed.SpawnPeriod = 2e5
+	mpp.Faults = recycleCells()[3].Faults
+	return []Config{saturatedCF(), smp, mpp}
+}
+
+// Runs A, B, C and then A, B, C again through Simulate in one process,
+// with the collector off so that each New builds into the store the run
+// before gave back, give the same bytes in both rounds and the same bytes
+// as a model that never touched the pool.
+func TestSimulateStoreReuseIsDeterministic(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cells := storeCells()
+	want := make([]string, len(cells))
+	for i, cfg := range cells {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = resultJSON(t, m.Run())
+		if i == 2 && len(m.Apps) <= cfg.Nodes*cfg.AppProcs {
+			t.Fatalf("cell C spawned no children: %d application processes", len(m.Apps))
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i, cfg := range cells {
+			res, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultJSON(t, res); got != want[i] {
+				t.Errorf("round %d, cell %c: Simulate differs from a fresh model\n got %s\nwant %s",
+					round, 'A'+i, got, want[i])
+			}
+		}
+	}
+}
+
+// After a warm Simulate, New for NOW-50 builds every per-node record into
+// the store that run gave back: what it still allocates is the model's
+// singletons (simulator, histogram, message pool), the daemons' strategy
+// clones and delivery closures. Assembling the same model from fresh
+// storage took 92.5 KB. GC and GOMAXPROCS are held as in
+// TestSimulateReusesStorage.
+func TestNewReusesStore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := saturatedCF()
+	if _, err := Simulate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var m *Model
+	newBytes := totalAlloc(func() {
+		var err error
+		if m, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	m.release()
+	const limit = 30 << 10
+	if newBytes > limit {
+		t.Fatalf("New after a warm Simulate allocated %d B, limit %d B", newBytes, limit)
+	}
+	t.Logf("New after a warm Simulate: %d B", newBytes)
+}

@@ -17,8 +17,12 @@ import (
 // of the value; core's TestLatencyQuantilesMatchExactOrderStatistic holds
 // P50 and P95 within 1.5% of the exact order statistic and P99 within 3%.
 func NewLatencyHistogram() *stats.BucketHistogram {
-	return stats.NewBucketHistogram("sample_latency_us", stats.ExpBuckets(1, math.Exp2(1.0/8), 216))
+	return stats.NewBucketHistogram("sample_latency_us", latencyBounds)
 }
+
+// latencyBounds are NewLatencyHistogram's bucket bounds, computed once:
+// every histogram copies them.
+var latencyBounds = stats.ExpBuckets(1, math.Exp2(1.0/8), 216)
 
 // MainProcess is the main Paradyn process: it receives forwarded messages
 // and spends CPU consuming each one (delivering metrics to the Performance

@@ -1,6 +1,8 @@
 package resources
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rocc/internal/des"
@@ -80,8 +82,8 @@ func TestContendedNetworkSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// A fresh tally that meets all five owner classes allocates each of its
-// two slices once, on the first add, and never regrows them.
+// A fresh tally that meets all five owner classes keeps them in its own
+// arrays: accounting allocates nothing.
 func TestTallyReservesEveryOwnerClass(t *testing.T) {
 	owners := []string{"app", "pd", "pvmd", "other", "paradyn"}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -89,11 +91,32 @@ func TestTallyReservesEveryOwnerClass(t *testing.T) {
 		for i, o := range owners {
 			ta.add(o, float64(i))
 		}
-		if len(ta.names) != len(owners) {
-			t.Fatalf("%d owners, want %d", len(ta.names), len(owners))
+		if len(ta.owners()) != len(owners) {
+			t.Fatalf("%d owners, want %d", len(ta.owners()), len(owners))
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("five owners cost %.0f allocations, want at most one per slice (2)", allocs)
+	if allocs != 0 {
+		t.Fatalf("five owners cost %.0f allocations, want 0", allocs)
 	}
+}
+
+// One owner past the tally's room panics, naming that owner; the owners
+// already met keep their totals up to the panic.
+func TestTallyPanicsOnOneOwnerTooMany(t *testing.T) {
+	var ta tally
+	for i := 0; i < ownerClasses; i++ {
+		ta.add(fmt.Sprintf("owner%d", i), 1)
+	}
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, `"intruder"`) {
+			t.Fatalf("panic %v does not name the owner", r)
+		}
+		if len(ta.owners()) != ownerClasses || ta.get("owner0") != 1 {
+			t.Fatalf("owners %v after the panic", ta.owners())
+		}
+	}()
+	ta.add("intruder", 1)
+	t.Fatal("a sixth owner was accepted")
 }

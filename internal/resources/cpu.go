@@ -65,13 +65,21 @@ type cpuSlot struct {
 // NewCPU returns a CPU with the given core count and scheduling quantum in
 // microseconds. It panics on non-positive arguments.
 func NewCPU(sim *des.Simulator, cores int, quantum float64) *CPU {
+	c := &CPU{}
+	c.Init(sim, cores, quantum)
+	return c
+}
+
+// Init overwrites c with the CPU NewCPU(sim, cores, quantum) returns, so a
+// caller can keep CPUs in storage it owns. It panics where NewCPU does.
+func (c *CPU) Init(sim *des.Simulator, cores int, quantum float64) {
 	if cores <= 0 {
 		panic("resources: CPU needs at least one core")
 	}
 	if quantum <= 0 {
 		panic("resources: CPU quantum must be positive")
 	}
-	return &CPU{sim: sim, cores: cores, quantum: quantum}
+	*c = CPU{sim: sim, cores: cores, quantum: quantum}
 }
 
 // Submit enqueues a CPU occupancy request of the given length for owner.

@@ -51,7 +51,15 @@ const maxReqFree = 1024
 // NewNetwork returns a network resource. contended selects the single
 // FIFO-channel discipline; otherwise transfers do not queue.
 func NewNetwork(sim *des.Simulator, contended bool) *Network {
-	return &Network{sim: sim, contended: contended}
+	n := &Network{}
+	n.Init(sim, contended)
+	return n
+}
+
+// Init overwrites n with the network NewNetwork(sim, contended) returns,
+// so a caller can keep the network in storage it owns.
+func (n *Network) Init(sim *des.Simulator, contended bool) {
+	*n = Network{sim: sim, contended: contended}
 }
 
 // Contended reports the service discipline.

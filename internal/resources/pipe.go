@@ -63,10 +63,18 @@ type blockedPut struct {
 
 // NewPipe returns a pipe with the given sample capacity (must be positive).
 func NewPipe(capacity int) *Pipe {
+	p := &Pipe{}
+	p.Init(capacity)
+	return p
+}
+
+// Init overwrites p with the pipe NewPipe(capacity) returns, so a caller
+// can keep pipes in storage it owns. It panics where NewPipe does.
+func (p *Pipe) Init(capacity int) {
 	if capacity <= 0 {
 		panic("resources: pipe capacity must be positive")
 	}
-	return &Pipe{capacity: capacity}
+	*p = Pipe{capacity: capacity}
 }
 
 // Release gives the rings of the buffered samples and of the blocked

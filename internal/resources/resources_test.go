@@ -3,6 +3,7 @@ package resources
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -94,6 +95,60 @@ func TestCPUPanics(t *testing.T) {
 	mustPanic(t, func() { cpu.Submit("x", math.NaN(), nil) })
 }
 
+// panics reports whether f panics.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// The in-place initialisers panic on exactly the arguments the
+// constructors reject, and otherwise turn a used record into the one the
+// constructor returns.
+func TestInitMatchesConstructors(t *testing.T) {
+	sim := des.New()
+	for _, cores := range []int{-1, 0, 1, 2} {
+		for _, quantum := range []float64{-1, 0, 1e-9, 10} {
+			var want *CPU
+			newPanics := panics(func() { want = NewCPU(sim, cores, quantum) })
+			used := NewCPU(sim, 1, 5)
+			used.Submit("app", 12, nil)
+			sim.RunAll()
+			used.OnOccupancy = func(string, float64, float64) {}
+			if initPanics := panics(func() { used.Init(sim, cores, quantum) }); initPanics != newPanics {
+				t.Fatalf("cores %d quantum %v: Init panics %v, NewCPU %v", cores, quantum, initPanics, newPanics)
+			}
+			if !newPanics && !reflect.DeepEqual(used, want) {
+				t.Fatalf("cores %d quantum %v: Init gave %+v, NewCPU %+v", cores, quantum, used, want)
+			}
+		}
+	}
+	for _, capacity := range []int{-1, 0, 1, 256} {
+		var want *Pipe
+		newPanics := panics(func() { want = NewPipe(capacity) })
+		used := NewPipe(1)
+		used.SetClock(sim.Now)
+		used.Put(Sample{Seq: 1}, nil)
+		used.Put(Sample{Seq: 2}, nil) // blocks
+		used.SetCapacityLimit(1)
+		if initPanics := panics(func() { used.Init(capacity) }); initPanics != newPanics {
+			t.Fatalf("capacity %d: Init panics %v, NewPipe %v", capacity, initPanics, newPanics)
+		}
+		if !newPanics && !reflect.DeepEqual(used, want) {
+			t.Fatalf("capacity %d: Init gave %+v, NewPipe %+v", capacity, used, want)
+		}
+	}
+	for _, contended := range []bool{false, true} {
+		used := NewNetwork(sim, !contended)
+		used.Submit("pd", 3, nil)
+		sim.RunAll()
+		used.Init(sim, contended)
+		if want := NewNetwork(sim, contended); !reflect.DeepEqual(used, want) {
+			t.Fatalf("contended %v: Init gave %+v, NewNetwork %+v", contended, used, want)
+		}
+	}
+}
+
 func mustPanic(t *testing.T, f func()) {
 	t.Helper()
 	defer func() {
@@ -135,8 +190,8 @@ func TestTallyOwnerIdentityAndContents(t *testing.T) {
 	if got := ta.get("pvmd"); got != 0 {
 		t.Fatalf("unknown owner total %v, want 0", got)
 	}
-	if len(ta.names) != 2 {
-		t.Fatalf("owners %v", ta.names)
+	if len(ta.owners()) != 2 {
+		t.Fatalf("owners %v", ta.owners())
 	}
 }
 

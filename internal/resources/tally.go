@@ -1,34 +1,42 @@
 package resources
 
-import "unsafe"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // tally accumulates per-owner occupancy time. The owner set is a handful
 // of fixed class labels (app, pd, pvmd, other, paradyn), so a linear scan
-// over parallel slices beats a map on the per-slice accounting hot path,
-// and the structure allocates nothing after its first add. The labels
-// are package constants, so a caller almost always passes the very string
-// the tally stored: find compares string identity (data pointer and
-// length) first and falls back to comparing contents.
+// over parallel arrays beats a map on the per-slice accounting hot path.
+// The arrays live inside the tally, and so inside its CPU or network:
+// accounting never allocates. The labels are package constants, so a
+// caller almost always passes the very string the tally stored: find
+// compares string identity (data pointer and length) first and falls back
+// to comparing contents.
 type tally struct {
-	names []string
-	vals  []float64
+	names [ownerClasses]string
+	vals  [ownerClasses]float64
+	n     int
 }
 
 // ownerClasses is the number of owner classes the model charges
-// (procs.OwnerApp, OwnerPd, OwnerPvm, OwnerOther, OwnerMain): a tally's
-// first add reserves room for all of them, so a CPU or the network meeting
-// its owners one by one never regrows its slices.
+// (procs.OwnerApp, OwnerPd, OwnerPvm, OwnerOther, OwnerMain), and so the
+// number of owners a tally holds: node 0 of a shared host meets all five.
+// No test charges more distinct owners to one resource.
 const ownerClasses = 5
+
+// owners returns the owners met so far, in order of first add.
+func (t *tally) owners() []string { return t.names[:t.n] }
 
 // find returns owner's slot, or -1 if owner has none.
 func (t *tally) find(owner string) int {
 	p := unsafe.StringData(owner)
-	for i, n := range t.names {
+	for i, n := range t.owners() {
 		if unsafe.StringData(n) == p && len(n) == len(owner) {
 			return i
 		}
 	}
-	for i, n := range t.names {
+	for i, n := range t.owners() {
 		if n == owner {
 			return i
 		}
@@ -36,18 +44,19 @@ func (t *tally) find(owner string) int {
 	return -1
 }
 
-// idx returns owner's slot, adding one if needed.
+// idx returns owner's slot, adding one if needed. It panics on an owner
+// past the ownerClasses the tally has room for.
 func (t *tally) idx(owner string) int {
 	if i := t.find(owner); i >= 0 {
 		return i
 	}
-	if t.names == nil {
-		t.names = make([]string, 0, ownerClasses)
-		t.vals = make([]float64, 0, ownerClasses)
+	if t.n == ownerClasses {
+		panic(fmt.Sprintf("resources: owner %q is one more than the %d owner classes a resource accounts", owner, ownerClasses))
 	}
-	t.names = append(t.names, owner)
-	t.vals = append(t.vals, 0)
-	return len(t.names) - 1
+	i := t.n
+	t.names[i], t.vals[i] = owner, 0
+	t.n++
+	return i
 }
 
 func (t *tally) add(owner string, v float64) {
@@ -63,7 +72,4 @@ func (t *tally) get(owner string) float64 {
 
 // reset forgets all owners (matching the fresh-map semantics the
 // accounting reset had when this was a map).
-func (t *tally) reset() {
-	t.names = t.names[:0]
-	t.vals = t.vals[:0]
-}
+func (t *tally) reset() { *t = tally{} }

@@ -37,6 +37,14 @@ type Stream struct {
 // are, for simulation purposes, independent.
 func New(seed uint64) *Stream {
 	st := &Stream{}
+	st.Seed(seed)
+	return st
+}
+
+// Seed overwrites st with the stream New(seed) returns, so a caller can
+// keep its streams in storage it owns.
+func (st *Stream) Seed(seed uint64) {
+	*st = Stream{}
 	sm := seed
 	for i := range st.s {
 		st.s[i] = splitMix64(&sm)
@@ -45,16 +53,23 @@ func New(seed uint64) *Stream {
 	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
 		st.s[0] = 0x9e3779b97f4a7c15
 	}
-	return st
 }
 
 // Derive returns a substream keyed by id. Substreams with distinct ids are
 // independent of each other and of the parent; deriving does not advance the
 // parent stream.
 func (r *Stream) Derive(id uint64) *Stream {
+	st := &Stream{}
+	r.DeriveInto(st, id)
+	return st
+}
+
+// DeriveInto overwrites st with the substream Derive(id) returns, so a
+// caller can keep its streams in storage it owns. st may be r itself.
+func (r *Stream) DeriveInto(st *Stream, id uint64) {
 	sm := r.s[0] ^ (r.s[2] * 0x9e3779b97f4a7c15)
 	mix := splitMix64(&sm) ^ (id * 0xd1342543de82ef95)
-	return New(mix)
+	st.Seed(mix)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

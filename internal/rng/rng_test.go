@@ -73,6 +73,33 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
+// DeriveInto overwrites a used stream — advanced, with a cached normal
+// spare — with exactly the substream Derive returns, and Derive's draws
+// keep the values they had when it built a fresh stream itself.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	parent := New(7)
+	var st Stream
+	parent.DeriveInto(&st, 3)
+	st.Normal(0, 1) // leaves a spare behind
+	st.Uint64()
+	parent.DeriveInto(&st, 9)
+	want := parent.Derive(9)
+	if st != *want {
+		t.Fatalf("DeriveInto gave %+v, Derive %+v", st, *want)
+	}
+	for i, w := range []uint64{0xced94a294dc32c75, 0x6a3afe0a24c4505a, 0xc1b14fd5f1f9610b} {
+		if got := st.Uint64(); got != w {
+			t.Fatalf("draw %d = %#x, want %#x", i, got, w)
+		}
+	}
+	// Deriving into the parent itself reads the parent before writing it.
+	self := New(7)
+	self.DeriveInto(self, 9)
+	if *self != *want {
+		t.Fatalf("DeriveInto(self) gave %+v, want %+v", *self, *want)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 100000; i++ {
