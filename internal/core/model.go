@@ -86,8 +86,9 @@ func New(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	cal := des.NewCalendarFor(cfg.Calendar, des.WorkloadHints{PendingEvents: cfg.expectedPending()})
-	m := &Model{Cfg: cfg, Sim: des.NewWithCalendar(cal), Msgs: &forward.MessagePool{}, dists: prepareDists(cfg)}
-	m.build(storePool.Get().(*store))
+	m := &Model{Cfg: cfg, Sim: des.NewWithCalendar(cal), Msgs: &forward.MessagePool{},
+		dists: prepareDists(cfg), st: storePool.Get().(*store)}
+	m.build()
 	if err := m.wireFaults(); err != nil {
 		return nil, err
 	}
@@ -147,15 +148,14 @@ func (m *Model) wireFaults() error {
 	return nil
 }
 
-// build assembles the model's processes and resources into st. NOW and
+// build assembles the model's processes and resources into m.st. NOW and
 // MPP have one single-core CPU per node, Pds daemons per node and
 // AppProcs application processes per node; SMP is one machine whose
 // Nodes cores all processes share, with Pds daemons and AppProcs
 // application processes in total, forwarding directly to main over the
 // shared bus.
-func (m *Model) build(st *store) {
-	cfg, w := m.Cfg, m.dists.work
-	m.st = st
+func (m *Model) build() {
+	cfg, w, st := m.Cfg, m.dists.work, m.st
 	machines, cores := cfg.Nodes, 1
 	if cfg.Arch == SMP {
 		machines, cores = 1, cfg.Nodes
@@ -265,7 +265,7 @@ func (m *Model) build(st *store) {
 	}
 
 	if cfg.Background {
-		m.addBackground(st)
+		m.addBackground()
 	}
 }
 
@@ -334,8 +334,8 @@ func (m *Model) spawnChild(parent *procs.AppProcess, d *procs.PdDaemon) {
 // addBackground attaches the PVM daemon and other user/system process
 // request streams of Table 2: one of each per node (one pair total for
 // SMP, which is a single machine).
-func (m *Model) addBackground(st *store) {
-	w := m.dists.work
+func (m *Model) addBackground() {
+	w, st := m.dists.work, m.st
 	m.Sources = st.sourcePtrs
 	for node, cpu := range m.NodeCPUs {
 		pvm, other := &st.sources[2*node], &st.sources[2*node+1]

@@ -24,7 +24,8 @@ func splitMix64(state *uint64) uint64 {
 }
 
 // Stream is a deterministic pseudo-random stream (xoshiro256**) with
-// variate-generation methods. The zero value is not valid; use New or Derive.
+// variate-generation methods. The zero value is not valid; use New or Derive,
+// or Seed or DeriveInto to set up a stream in place.
 type Stream struct {
 	s [4]uint64
 
