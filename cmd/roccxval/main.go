@@ -79,7 +79,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := xval.Run(g, xval.DefaultEvaluators(opt), opt)
+	rep, err := xval.Run(g, opt)
 	if err != nil {
 		fatal(err)
 	}

@@ -21,7 +21,7 @@ func runExtCrossVal(w io.Writer, opt Options) error {
 	xopt.DurationUS = opt.DurationUS
 	xopt.Reps = opt.Reps
 	xopt.Workers = opt.Parallel
-	rep, err := xval.Run(scenario.SmokeGrid(), xval.DefaultEvaluators(xopt), xopt)
+	rep, err := xval.Run(scenario.SmokeGrid(), xopt)
 	if err != nil {
 		return err
 	}

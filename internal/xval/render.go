@@ -28,33 +28,17 @@ func coveredStr(c *bool) string {
 	return "OUT"
 }
 
-// comparedBackends returns the non-reference backend names in report
-// order.
-func (r *Report) comparedBackends() []string {
-	var out []string
-	for _, b := range r.Backends {
-		if b != r.Reference {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // RenderText writes the full dashboard: per-group detail tables covering
 // every cell and metric, the relative-error heatmap, the per-group
 // summaries, and the per-architecture/policy worst-case table.
 func (r *Report) RenderText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w,
-		"ROCC cross-validation: grid=%s reference=%s seed=%d duration=%gs reps=%d ci=%g%%\n\n",
-		r.Grid, r.Reference, r.Seed, r.DurationSec, r.Reps, r.CILevel*100); err != nil {
+		"ROCC cross-validation: grid=%s reference=simulation seed=%d duration=%gs reps=%d ci=%g%%\n\n",
+		r.Grid, r.Seed, r.DurationSec, r.Reps, r.CILevel*100); err != nil {
 		return err
 	}
 
-	others := r.comparedBackends()
-	cols := []string{"cell", "metric", r.Reference, "±CI"}
-	for _, b := range others {
-		cols = append(cols, b, "err", "ci?")
-	}
+	cols := []string{"cell", "metric", "simulation", "±CI", "analytic", "err", "ci?"}
 	group := ""
 	var t *report.Table
 	flush := func() error {
@@ -77,32 +61,27 @@ func (r *Report) RenderText(w io.Writer) error {
 		}
 		label := fmt.Sprintf("%s (%s)", cell.ID, cell.Label)
 		for _, mc := range cell.Metrics {
-			row := []string{label, mc.Metric, optF(mc.Reference), optF(mc.HalfWidth)}
-			label = "" // only on the first metric row of the cell
-			for _, bc := range mc.Backends {
-				errStr := optF(bc.RelError)
-				if bc.Diverged {
-					errStr = "DIVERGED"
-				}
-				row = append(row, optF(bc.Value), errStr, coveredStr(bc.CICovered))
+			errStr := optF(mc.RelError)
+			if mc.Diverged {
+				errStr = "DIVERGED"
 			}
-			t.AddRow(row...)
+			t.AddRow(label, mc.Metric, optF(mc.Simulation), optF(mc.HalfWidth),
+				optF(mc.Analytic), errStr, coveredStr(mc.CICovered))
+			label = "" // only on the first metric row of the cell
 		}
 	}
 	if err := flush(); err != nil {
 		return err
 	}
 
-	for _, b := range others {
-		if err := r.heatmap(b).Render(w); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+	if err := r.heatmap().Render(w); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintln(w); err != nil {
+		return err
 	}
 
-	if err := renderSummaries(w, "summary by grid group (vs "+r.Reference+")",
+	if err := renderSummaries(w, "summary by grid group (vs simulation)",
 		"group", r.GroupSummaries); err != nil {
 		return err
 	}
@@ -113,27 +92,20 @@ func (r *Report) RenderText(w io.Writer) error {
 		"arch/policy", r.ArchPolicySummaries)
 }
 
-// heatmap builds the relative-error surface of one backend vs the
-// reference: rows are grid cells, columns the compared metrics; diverged
+// heatmap builds the relative-error surface of the analytic model vs the
+// simulation: rows are grid cells, columns the compared metrics; diverged
 // cells are +Inf ('!'), incomparable cells NaN (blank).
-func (r *Report) heatmap(backend string) *report.Heatmap {
+func (r *Report) heatmap() *report.Heatmap {
 	h := &report.Heatmap{
-		Title:     fmt.Sprintf("relative error heatmap: %s vs %s", backend, r.Reference),
+		Title:     "relative error heatmap: analytic vs simulation",
 		ColLabels: MetricNames,
 	}
 	for _, cell := range r.Cells {
 		row := make([]float64, 0, len(cell.Metrics))
 		for _, mc := range cell.Metrics {
-			v := math.NaN()
-			for _, bc := range mc.Backends {
-				if bc.Backend != backend {
-					continue
-				}
-				if bc.Diverged {
-					v = math.Inf(1)
-				} else {
-					v = float64(bc.RelError)
-				}
+			v := float64(mc.RelError)
+			if mc.Diverged {
+				v = math.Inf(1)
 			}
 			row = append(row, v)
 		}
@@ -151,7 +123,7 @@ func renderSummaries(w io.Writer, title, scopeCol string, sums []Summary) error 
 		if s.CIEligible > 0 {
 			cover = fmt.Sprintf("%d/%d", s.CICovered, s.CIEligible)
 		}
-		t.AddRow(s.Scope, s.Backend, s.Metric,
+		t.AddRow(s.Scope, "analytic", s.Metric,
 			fmt.Sprint(s.Cells), fmt.Sprint(s.Compared),
 			optF(s.MeanRelErr), optF(s.MaxRelErr), s.WorstCell,
 			cover, fmt.Sprint(s.Diverged), fmt.Sprint(s.MissingData))

@@ -26,17 +26,12 @@ type Options struct {
 	DurationUS float64
 	// Reps is the simulation replication count per cell.
 	Reps int
-	// Workers sizes the cell × backend worker pool: 0 = one per core,
+	// Workers sizes the per-cell worker pool: 0 = one per core,
 	// 1 = serial.
 	Workers int
 	// CILevel is the confidence level for simulation CIs (default 0.90).
 	CILevel float64
 }
-
-// reference names the backend whose estimates anchor relative errors and
-// whose CIs define coverage; Run falls back to the first evaluator when
-// no evaluator has this name.
-const reference = "simulation"
 
 // DefaultOptions returns the default cross-validation scaling: 10
 // simulated seconds, 3 replications, 90% CIs.
@@ -57,68 +52,44 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// DefaultEvaluators returns the two standard backends at the option
-// scale: analytic and simulation. The simulation evaluator runs its
-// replications serially (Workers 1) because Run fans grid cells out
-// across Options.Workers already.
-func DefaultEvaluators(opt Options) []Evaluator {
-	opt = opt.normalized()
-	return []Evaluator{
-		AnalyticEvaluator{},
-		SimEvaluator{Reps: opt.Reps, DurationUS: opt.DurationUS, Workers: 1, CILevel: opt.CILevel},
-	}
-}
-
-// BackendEstimates is one backend's output for one cell.
-type BackendEstimates struct {
-	Backend   string    `json:"backend"`
-	Estimates Estimates `json:"estimates"`
-}
-
-// BackendComparison compares one non-reference backend's value for one
-// metric against the reference.
-type BackendComparison struct {
-	Backend string   `json:"backend"`
-	Value   OptFloat `json:"value"`
-	// RelError is |value - ref| / |ref|; Missing when either side is
-	// absent or non-finite.
+// MetricComparison is the error-surface row for one metric of one cell:
+// the simulated value and its CI half-width are the reference the
+// analytic value is measured against.
+type MetricComparison struct {
+	Metric     string   `json:"metric"`
+	Simulation OptFloat `json:"simulation"`
+	HalfWidth  OptFloat `json:"ci_half_width"`
+	Analytic   OptFloat `json:"analytic"`
+	// RelError is |analytic - simulation| / |simulation|; Missing when
+	// either side is absent or non-finite.
 	RelError OptFloat `json:"rel_error"`
 	// Diverged marks exactly one side non-finite — the analytic queue
 	// saturated where the (finite-duration) simulation still measured a
 	// value, or vice versa. Two same-signed infinities agree and are not
 	// divergence.
 	Diverged bool `json:"diverged,omitempty"`
-	// CICovered reports whether the value lies inside the reference
-	// confidence interval; nil when the reference carries no interval or
-	// either side is non-finite.
+	// CICovered reports whether the analytic value lies inside the
+	// simulation's confidence interval; nil when the simulation carries
+	// no interval or either side is non-finite.
 	CICovered *bool `json:"ci_covered,omitempty"`
-}
-
-// MetricComparison is the error-surface row for one metric of one cell.
-type MetricComparison struct {
-	Metric    string              `json:"metric"`
-	Reference OptFloat            `json:"reference"`
-	HalfWidth OptFloat            `json:"ci_half_width"`
-	Backends  []BackendComparison `json:"backends"`
 }
 
 // CellReport is the full cross-validation record of one grid cell.
 type CellReport struct {
-	ID        string             `json:"id"`
-	Group     string             `json:"group"`
-	Label     string             `json:"label"`
-	Arch      string             `json:"arch"`
-	Policy    string             `json:"policy"`
-	Estimates []BackendEstimates `json:"estimates"`
-	Metrics   []MetricComparison `json:"metrics"`
+	ID         string             `json:"id"`
+	Group      string             `json:"group"`
+	Label      string             `json:"label"`
+	Arch       string             `json:"arch"`
+	Policy     string             `json:"policy"`
+	Analytic   Estimates          `json:"analytic"`
+	Simulation Estimates          `json:"simulation"`
+	Metrics    []MetricComparison `json:"metrics"`
 }
 
-// Summary aggregates one (scope, backend, metric) slice of the error
-// surface: the scope is either a grid group or an architecture/policy
-// cell.
+// Summary aggregates one (scope, metric) slice of the error surface: the
+// scope is either a grid group or an architecture/policy cell.
 type Summary struct {
 	Scope       string   `json:"scope"`
-	Backend     string   `json:"backend"`
 	Metric      string   `json:"metric"`
 	Cells       int      `json:"cells"`
 	Compared    int      `json:"compared"`
@@ -138,8 +109,6 @@ type Report struct {
 	DurationSec float64      `json:"duration_sec"`
 	Reps        int          `json:"reps"`
 	CILevel     float64      `json:"ci_level"`
-	Reference   string       `json:"reference"`
-	Backends    []string     `json:"backends"`
 	Cells       []CellReport `json:"cells"`
 	// GroupSummaries aggregates per grid group; ArchPolicySummaries per
 	// architecture/policy cell (the worst-case-divergence view).
@@ -147,59 +116,15 @@ type Report struct {
 	ArchPolicySummaries []Summary `json:"arch_policy_summaries"`
 }
 
-// Run executes every evaluator over every grid cell (fanned across
-// Options.Workers; results collected in index order, so output is
-// identical at any pool size) and assembles the error surface.
-func Run(g scenario.Grid, evals []Evaluator, opt Options) (*Report, error) {
-	if len(evals) == 0 {
-		return nil, errors.New("xval: no evaluators")
-	}
+// Run evaluates every grid cell's analytic estimate and replicated
+// simulation (cells fanned across Options.Workers; results collected in
+// index order, so output is identical at any pool size) and assembles
+// the error surface.
+func Run(g scenario.Grid, opt Options) (*Report, error) {
 	if len(g.Cells) == 0 {
 		return nil, errors.New("xval: empty grid")
 	}
 	opt = opt.normalized()
-
-	names := make([]string, len(evals))
-	for i, ev := range evals {
-		names[i] = ev.Name()
-	}
-	refIdx := 0
-	for i, n := range names {
-		if n == reference {
-			refIdx = i
-			break
-		}
-	}
-
-	// Pre-derive per-cell seeds and pin durations so every backend of a
-	// cell sees the identical spec.
-	specs := make([]scenario.Spec, len(g.Cells))
-	for i, c := range g.Cells {
-		s := c.Spec
-		s.Seed = core.DeriveSeed(opt.Seed, core.SeedStreamCrossVal, uint64(i))
-		if opt.DurationUS > 0 {
-			s.Duration = opt.DurationUS
-		}
-		specs[i] = s
-	}
-
-	type job struct{ ci, ei int }
-	jobs := make([]job, 0, len(g.Cells)*len(evals))
-	for ci := range g.Cells {
-		for ei := range evals {
-			jobs = append(jobs, job{ci, ei})
-		}
-	}
-	flat, err := par.Map(opt.Workers, jobs, func(_ int, j job) (BackendEstimates, error) {
-		est, err := evals[j.ei].Evaluate(specs[j.ci])
-		if err != nil {
-			return BackendEstimates{}, fmt.Errorf("%s on %s: %w", names[j.ei], g.Cells[j.ci].ID, err)
-		}
-		return BackendEstimates{Backend: names[j.ei], Estimates: est}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 
 	rep := &Report{
 		Grid:        g.Name,
@@ -207,36 +132,39 @@ func Run(g scenario.Grid, evals []Evaluator, opt Options) (*Report, error) {
 		DurationSec: opt.DurationUS / 1e6,
 		Reps:        opt.Reps,
 		CILevel:     opt.CILevel,
-		Reference:   names[refIdx],
-		Backends:    names,
 	}
-	for ci, cell := range g.Cells {
-		ests := flat[ci*len(evals) : (ci+1)*len(evals)]
+	cells, err := par.Map(opt.Workers, g.Cells, func(i int, cell scenario.Cell) (CellReport, error) {
+		s := cell.Spec
+		s.Seed = core.DeriveSeed(opt.Seed, core.SeedStreamCrossVal, uint64(i))
+		if opt.DurationUS > 0 {
+			s.Duration = opt.DurationUS
+		}
+		cfg, err := s.Config()
+		if err != nil {
+			return CellReport{}, fmt.Errorf("%s: %w", cell.ID, err)
+		}
 		cr := CellReport{
-			ID:        cell.ID,
-			Group:     cell.Group,
-			Label:     cell.Label,
-			Arch:      strings.ToUpper(cell.Spec.Arch),
-			Policy:    policyLabel(cell.Spec),
-			Estimates: ests,
+			ID:     cell.ID,
+			Group:  cell.Group,
+			Label:  cell.Label,
+			Arch:   strings.ToUpper(cell.Spec.Arch),
+			Policy: policyLabel(cell.Spec),
 		}
-		ref := ests[refIdx].Estimates
+		if cr.Analytic, err = analyticEstimates(cfg); err != nil {
+			return CellReport{}, fmt.Errorf("analytic on %s: %w", cell.ID, err)
+		}
+		if cr.Simulation, err = simulate(cfg, opt); err != nil {
+			return CellReport{}, fmt.Errorf("simulation on %s: %w", cell.ID, err)
+		}
 		for _, metric := range MetricNames {
-			mc := MetricComparison{
-				Metric:    metric,
-				Reference: ref.Metric(metric),
-				HalfWidth: ref.HalfWidth(metric),
-			}
-			for ei, be := range ests {
-				if ei == refIdx {
-					continue
-				}
-				mc.Backends = append(mc.Backends, compareOne(be, mc.Reference, mc.HalfWidth, metric))
-			}
-			cr.Metrics = append(cr.Metrics, mc)
+			cr.Metrics = append(cr.Metrics, compare(metric, cr.Analytic, cr.Simulation))
 		}
-		rep.Cells = append(rep.Cells, cr)
+		return cr, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	rep.Cells = cells
 	rep.GroupSummaries = rep.summarize(func(c CellReport) string { return c.Group })
 	rep.ArchPolicySummaries = rep.summarize(func(c CellReport) string { return c.Arch + "/" + c.Policy })
 	return rep, nil
@@ -259,83 +187,82 @@ func policyLabel(s scenario.Spec) string {
 	return fmt.Sprintf("BF(%d)", s.BatchSize)
 }
 
-// compareOne computes one backend-vs-reference comparison.
-func compareOne(be BackendEstimates, ref, hw OptFloat, metric string) BackendComparison {
-	bc := BackendComparison{
-		Backend:  be.Backend,
-		Value:    be.Estimates.Metric(metric),
-		RelError: Missing(),
+// compare builds one metric's row: the analytic value against the
+// simulated one and its confidence interval.
+func compare(metric string, ana, sim Estimates) MetricComparison {
+	mc := MetricComparison{
+		Metric:     metric,
+		Simulation: sim.Metric(metric),
+		HalfWidth:  sim.HalfWidth(metric),
+		Analytic:   ana.Metric(metric),
+		RelError:   Missing(),
 	}
-	v, r := float64(bc.Value), float64(ref)
+	v, r := float64(mc.Analytic), float64(mc.Simulation)
 	switch {
 	case math.IsNaN(v) || math.IsNaN(r):
 		// Missing on either side: nothing to compare.
 	case math.IsInf(v, 0) != math.IsInf(r, 0):
-		bc.Diverged = true
+		mc.Diverged = true
 	case math.IsInf(v, 0): // both infinite
 		if math.Signbit(v) != math.Signbit(r) {
-			bc.Diverged = true
+			mc.Diverged = true
 		}
 		// Same-signed infinities agree; RelError stays Missing.
 	case r == 0:
 		if v == 0 {
-			bc.RelError = 0
+			mc.RelError = 0
 		}
 	default:
-		bc.RelError = OptFloat(math.Abs(v-r) / math.Abs(r))
+		mc.RelError = OptFloat(math.Abs(v-r) / math.Abs(r))
 	}
-	if bc.Value.Finite() && ref.Finite() && hw.Finite() {
-		in := math.Abs(v-r) <= float64(hw)
-		bc.CICovered = &in
+	if mc.Analytic.Finite() && mc.Simulation.Finite() && mc.HalfWidth.Finite() {
+		in := math.Abs(v-r) <= float64(mc.HalfWidth)
+		mc.CICovered = &in
 	}
-	return bc
+	return mc
 }
 
 // summarize aggregates the error surface by a scope function, in
-// first-seen scope order, backend order, metric order — fully
-// deterministic.
+// first-seen scope order, then metric order — fully deterministic.
 func (r *Report) summarize(scope func(CellReport) string) []Summary {
-	type key struct{ scope, backend, metric string }
+	type key struct{ scope, metric string }
 	acc := map[key]*Summary{}
 	var order []key
 	for _, cell := range r.Cells {
 		sc := scope(cell)
 		for _, mc := range cell.Metrics {
-			for _, bc := range mc.Backends {
-				k := key{sc, bc.Backend, mc.Metric}
-				s, ok := acc[k]
-				if !ok {
-					s = &Summary{Scope: sc, Backend: bc.Backend, Metric: mc.Metric,
-						MeanRelErr: Missing(), MaxRelErr: Missing()}
-					acc[k] = s
-					order = append(order, k)
+			k := key{sc, mc.Metric}
+			s, ok := acc[k]
+			if !ok {
+				s = &Summary{Scope: sc, Metric: mc.Metric, MeanRelErr: Missing(), MaxRelErr: Missing()}
+				acc[k] = s
+				order = append(order, k)
+			}
+			s.Cells++
+			if mc.Diverged {
+				s.Diverged++
+			}
+			if mc.Analytic.IsMissing() {
+				s.MissingData++
+			}
+			if mc.CICovered != nil {
+				s.CIEligible++
+				if *mc.CICovered {
+					s.CICovered++
 				}
-				s.Cells++
-				if bc.Diverged {
-					s.Diverged++
-				}
-				if bc.Value.IsMissing() {
-					s.MissingData++
-				}
-				if bc.CICovered != nil {
-					s.CIEligible++
-					if *bc.CICovered {
-						s.CICovered++
-					}
-				}
-				if re := float64(bc.RelError); !math.IsNaN(re) {
-					s.Compared++
-					// Accumulate the mean in MeanRelErr; finalized below.
-					if s.Compared == 1 {
-						s.MeanRelErr = bc.RelError
-						s.MaxRelErr = bc.RelError
+			}
+			if re := float64(mc.RelError); !math.IsNaN(re) {
+				s.Compared++
+				// Accumulate the mean in MeanRelErr; finalized below.
+				if s.Compared == 1 {
+					s.MeanRelErr = mc.RelError
+					s.MaxRelErr = mc.RelError
+					s.WorstCell = cell.ID
+				} else {
+					s.MeanRelErr += mc.RelError
+					if re > float64(s.MaxRelErr) {
+						s.MaxRelErr = mc.RelError
 						s.WorstCell = cell.ID
-					} else {
-						s.MeanRelErr += bc.RelError
-						if re > float64(s.MaxRelErr) {
-							s.MaxRelErr = bc.RelError
-							s.WorstCell = cell.ID
-						}
 					}
 				}
 			}
@@ -352,43 +279,36 @@ func (r *Report) summarize(scope func(CellReport) string) []Summary {
 	return out
 }
 
-// MaxRelError returns the maximum finite relative error of the named
-// backend vs the reference for one metric across every cell, with the
-// worst cell's id; Missing when no cell was comparable.
-func (r *Report) MaxRelError(backend, metric string) (OptFloat, string) {
+// MaxRelError returns the maximum finite relative error of the analytic
+// model against the simulation for one metric across every cell, with
+// the worst cell's id; Missing when no cell was comparable.
+func (r *Report) MaxRelError(metric string) (OptFloat, string) {
 	max, worst := Missing(), ""
 	for _, cell := range r.Cells {
 		for _, mc := range cell.Metrics {
-			if mc.Metric != metric {
+			if mc.Metric != metric || mc.RelError.IsMissing() {
 				continue
 			}
-			for _, bc := range mc.Backends {
-				if bc.Backend != backend || bc.RelError.IsMissing() {
-					continue
-				}
-				if max.IsMissing() || float64(bc.RelError) > float64(max) {
-					max, worst = bc.RelError, cell.ID
-				}
+			if max.IsMissing() || float64(mc.RelError) > float64(max) {
+				max, worst = mc.RelError, cell.ID
 			}
 		}
 	}
 	return max, worst
 }
 
-// Coverage returns the CI-coverage counts of the named backend across
-// every cell and metric: how many comparisons had a reference interval,
-// and how many of those the backend value fell inside.
-func (r *Report) Coverage(backend string) (covered, eligible int) {
+// Coverage returns the CI-coverage counts across every cell and metric:
+// how many comparisons had a simulation interval, and how many of those
+// the analytic value fell inside.
+func (r *Report) Coverage() (covered, eligible int) {
 	for _, cell := range r.Cells {
 		for _, mc := range cell.Metrics {
-			for _, bc := range mc.Backends {
-				if bc.Backend != backend || bc.CICovered == nil {
-					continue
-				}
-				eligible++
-				if *bc.CICovered {
-					covered++
-				}
+			if mc.CICovered == nil {
+				continue
+			}
+			eligible++
+			if *mc.CICovered {
+				covered++
 			}
 		}
 	}
@@ -397,8 +317,9 @@ func (r *Report) Coverage(backend string) (covered, eligible int) {
 
 // Tolerance is the committed CI gate for a cross-validation run: the run
 // parameters that produced the reference surface and the per-metric
-// relative-error ceilings (plus a CI-coverage floor) the gated backend
-// must stay within.
+// relative-error ceilings (plus a CI-coverage floor) the analytic model
+// must stay within. Backend names the gated model and must be
+// "analytic", the only one compared with the simulation.
 type Tolerance struct {
 	Grid          string             `json:"grid"`
 	DurationSec   float64            `json:"duration_sec"`
@@ -418,7 +339,7 @@ func (r *Report) Check(tol Tolerance) error {
 		if !ok {
 			continue
 		}
-		max, worst := r.MaxRelError(tol.Backend, metric)
+		max, worst := r.MaxRelError(metric)
 		if max.IsMissing() {
 			problems = append(problems, fmt.Sprintf("%s: no comparable cells", metric))
 			continue
@@ -429,7 +350,7 @@ func (r *Report) Check(tol Tolerance) error {
 		}
 	}
 	if tol.MinCICoverage > 0 {
-		covered, eligible := r.Coverage(tol.Backend)
+		covered, eligible := r.Coverage()
 		if eligible == 0 {
 			problems = append(problems, "ci coverage: no eligible comparisons")
 		} else if frac := float64(covered) / float64(eligible); frac < tol.MinCICoverage {
@@ -452,8 +373,12 @@ func LoadTolerance(rd io.Reader) (Tolerance, error) {
 	if err := dec.Decode(&t); err != nil {
 		return Tolerance{}, fmt.Errorf("xval: tolerance: %w", err)
 	}
-	if t.Backend == "" {
+	switch t.Backend {
+	case "":
 		t.Backend = "analytic"
+	case "analytic":
+	default:
+		return Tolerance{}, fmt.Errorf("xval: tolerance: backend %q: only \"analytic\" is compared with the simulation", t.Backend)
 	}
 	return t, nil
 }

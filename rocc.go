@@ -296,17 +296,11 @@ func PaperGrid() ScenarioGrid { return scenario.PaperGrid() }
 // FullGrid extends PaperGrid with the SMP and MPP factorial designs.
 func FullGrid() ScenarioGrid { return scenario.FullGrid() }
 
-// Cross-validation: the unified Evaluator API and the dashboard built on
-// it (see internal/xval).
+// Cross-validation: the analytic model against the simulation over a
+// scenario grid (see internal/xval).
 type (
-	// Evaluator is one evaluation backend mapping a scenario to estimates.
-	Evaluator = xval.Evaluator
-	// Estimates is the common output schema of every backend.
+	// Estimates is the output schema both models map onto.
 	Estimates = xval.Estimates
-	// SimEvaluator evaluates by discrete-event simulation.
-	SimEvaluator = xval.SimEvaluator
-	// AnalyticEvaluator evaluates equations (1)-(16).
-	AnalyticEvaluator = xval.AnalyticEvaluator
 	// CrossValidationOptions scales a cross-validation run.
 	CrossValidationOptions = xval.Options
 	// CrossValidationReport is the resulting error surface.
@@ -316,18 +310,14 @@ type (
 // DefaultCrossValidationOptions returns the default dashboard scaling.
 func DefaultCrossValidationOptions() CrossValidationOptions { return xval.DefaultOptions() }
 
-// DefaultEvaluators returns the two standard backends — analytic and
-// simulation — at the option scale.
-func DefaultEvaluators(opt CrossValidationOptions) []Evaluator { return xval.DefaultEvaluators(opt) }
-
-// CrossValidate runs every evaluator over every grid cell and assembles
-// the error surface: per-metric relative error against the simulation
-// backend (the first evaluator if none is named "simulation"), CI
-// coverage, and worst-case divergence per architecture/policy cell.
-// Output is deterministic for a fixed Options.Seed at any Options.Workers
-// setting.
-func CrossValidate(g ScenarioGrid, evals []Evaluator, opt CrossValidationOptions) (*CrossValidationReport, error) {
-	return xval.Run(g, evals, opt)
+// CrossValidate evaluates the analytic model and the replicated
+// simulation on every grid cell and assembles the error surface:
+// per-metric relative error of the analytic value against the simulated
+// one, CI coverage, and worst-case divergence per architecture/policy
+// cell. Output is deterministic for a fixed Options.Seed at any
+// Options.Workers setting.
+func CrossValidate(g ScenarioGrid, opt CrossValidationOptions) (*CrossValidationReport, error) {
+	return xval.Run(g, opt)
 }
 
 // Distributed sweeps: the fault-tolerant fan-out engine behind roccsweep
