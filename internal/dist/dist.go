@@ -66,6 +66,15 @@ func Execute(j Job) (core.Result, error) {
 	return core.Simulate(cfg)
 }
 
+const (
+	// deadlineFactor scales the longest observed shard duration into the
+	// per-attempt deadline once shards have completed.
+	deadlineFactor = 8
+	// workerStartRetries is how many extra times a slot re-attempts
+	// starting a worker before retiring.
+	workerStartRetries = 2
+)
+
 // Options tunes the distribution and fault-handling of a run. The zero
 // value is usable: no Runners means pure local execution (which still
 // honors ShardSize, Journal, and Resume).
@@ -92,18 +101,14 @@ type Options struct {
 
 	// InitialDeadline is the per-attempt deadline before any shard has
 	// completed (default 2m). Once shards complete, the deadline becomes
-	// DeadlineFactor × the longest observed shard duration (default 8),
-	// floored at MinDeadline (default 1s).
+	// deadlineFactor × the longest observed shard duration, floored at
+	// MinDeadline (default 1s).
 	InitialDeadline time.Duration
 	MinDeadline     time.Duration
-	DeadlineFactor  float64
 
 	// QuarantineAfter retires a worker slot after that many consecutive
 	// failures (default 3).
 	QuarantineAfter int
-	// WorkerStartRetries is how many extra times a slot re-attempts
-	// starting a worker before retiring (default 2).
-	WorkerStartRetries int
 
 	// NoLocalFallback fails the run instead of draining unfinished
 	// shards locally when workers are lost or budgets exhaust.
@@ -147,16 +152,8 @@ func (o Options) normalized() Options {
 	if o.MinDeadline <= 0 {
 		o.MinDeadline = time.Second
 	}
-	if o.DeadlineFactor <= 1 {
-		o.DeadlineFactor = 8
-	}
 	if o.QuarantineAfter <= 0 {
 		o.QuarantineAfter = 3
-	}
-	if o.WorkerStartRetries < 0 {
-		o.WorkerStartRetries = 0
-	} else if o.WorkerStartRetries == 0 {
-		o.WorkerStartRetries = 2
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -424,7 +421,7 @@ func (c *coord) startWorker(ctx context.Context, r Runner) Worker {
 		if err == nil {
 			return w
 		}
-		if k >= c.opt.WorkerStartRetries {
+		if k >= workerStartRetries {
 			c.warnf("dist: worker %s: start failed %d time(s), slot retired (last: %v)", r.Name(), k+1, err)
 			return nil
 		}
@@ -566,7 +563,7 @@ func (c *coord) attemptDeadline() time.Duration {
 	if c.maxDur == 0 {
 		return c.opt.InitialDeadline
 	}
-	d := time.Duration(c.opt.DeadlineFactor * float64(c.maxDur))
+	d := time.Duration(deadlineFactor * float64(c.maxDur))
 	if d < c.opt.MinDeadline {
 		d = c.opt.MinDeadline
 	}
