@@ -70,18 +70,13 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		classes, shares, err := trace.Timeline(recs, res, *timeline)
+		classes, mids, shares, err := trace.Timeline(recs, res, *timeline)
 		if err != nil {
 			fatal("%v", err)
 		}
-		width := an.DurationUS / float64(*timeline)
-		xs := make([]float64, *timeline)
-		for i := range xs {
-			xs[i] = (float64(i) + 0.5) * width / 1e6
-		}
 		fig := report.NewFigure(
-			fmt.Sprintf("%s occupancy share per %.3f-s window", res, width/1e6),
-			"t_sec", "share", xs)
+			fmt.Sprintf("%s occupancy share per %.3f-s window", res, 2*mids[0]),
+			"t_sec", "share", mids)
 		for i, class := range classes {
 			if err := fig.Add(class, shares[i]); err != nil {
 				fatal("%v", err)

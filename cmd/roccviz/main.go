@@ -188,22 +188,13 @@ func renderTimeline(c *obs.Collector, windows int, csv bool) error {
 		fmt.Println("(no occupancy records: timeline skipped)")
 		return nil
 	}
-	classes, shares, err := trace.Timeline(recs, trace.CPU, windows)
+	classes, mids, shares, err := trace.Timeline(recs, trace.CPU, windows)
 	if err != nil {
 		return err
-	}
-	an, err := trace.Analyze(recs)
-	if err != nil {
-		return err
-	}
-	width := an.DurationUS / float64(windows)
-	xs := make([]float64, windows)
-	for i := range xs {
-		xs[i] = (float64(i) + 0.5) * width / 1e6
 	}
 	fig := report.NewFigure(
-		fmt.Sprintf("CPU occupancy share per %.3f-s window", width/1e6),
-		"t_sec", "share", xs)
+		fmt.Sprintf("CPU occupancy share per %.3f-s window", 2*mids[0]),
+		"t_sec", "share", mids)
 	for i, class := range classes {
 		if err := fig.Add(class, shares[i]); err != nil {
 			return err

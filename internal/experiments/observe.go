@@ -55,22 +55,13 @@ func runExtObservability(w io.Writer, opt Options) error {
 	// the same pipeline rocctrace applies to measured AIX traces.
 	recs := c.Sink.TraceRecords()
 	const windows = 10
-	classes, shares, err := trace.Timeline(recs, trace.CPU, windows)
+	classes, mids, shares, err := trace.Timeline(recs, trace.CPU, windows)
 	if err != nil {
 		return err
-	}
-	an, err := trace.Analyze(recs)
-	if err != nil {
-		return err
-	}
-	width := an.DurationUS / windows
-	xs := make([]float64, windows)
-	for i := range xs {
-		xs[i] = (float64(i) + 0.5) * width / 1e6
 	}
 	fig := report.NewFigure(
-		fmt.Sprintf("CPU occupancy share per %.2f-s window (from the run's own trace)", width/1e6),
-		"t_sec", "share", xs)
+		fmt.Sprintf("CPU occupancy share per %.2f-s window (from the run's own trace)", 2*mids[0]),
+		"t_sec", "share", mids)
 	for i, class := range classes {
 		if err := fig.Add(class, shares[i]); err != nil {
 			return err

@@ -124,19 +124,24 @@ func Analyze(recs []Record) (Analysis, error) {
 }
 
 // Timeline bins a trace's resource occupancy into fixed windows: result
-// [class][window] = occupied fraction of the window. Occupancy spanning a
-// window boundary is split proportionally.
-func Timeline(recs []Record, res Resource, windows int) (classes []string, shares [][]float64, err error) {
+// [class][window] = occupied fraction of the window, and midsSec[window]
+// = the window's midpoint in seconds. Occupancy spanning a window
+// boundary is split proportionally.
+func Timeline(recs []Record, res Resource, windows int) (classes []string, midsSec []float64, shares [][]float64, err error) {
 	if windows < 1 {
-		return nil, nil, errors.New("trace: need at least one window")
+		return nil, nil, nil, errors.New("trace: need at least one window")
 	}
 	an, err := Analyze(recs)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	width := an.DurationUS / float64(windows)
 	if width <= 0 {
-		return nil, nil, errors.New("trace: zero-duration trace")
+		return nil, nil, nil, errors.New("trace: zero-duration trace")
+	}
+	midsSec = make([]float64, windows)
+	for i := range midsSec {
+		midsSec[i] = (float64(i) + 0.5) * width / 1e6
 	}
 	index := map[string]int{}
 	for _, t := range an.Totals {
@@ -170,5 +175,5 @@ func Timeline(recs []Record, res Resource, windows int) (classes []string, share
 			}
 		}
 	}
-	return classes, shares, nil
+	return classes, midsSec, shares, nil
 }

@@ -75,9 +75,13 @@ func TestTimelineSplitsAcrossWindows(t *testing.T) {
 		// Fixes the trace span at 200 us.
 		{StartUS: 199, PID: 2, Process: ProcPd, Resource: CPU, DurationUS: 1},
 	}
-	classes, shares, err := Timeline(recs, CPU, 2)
+	classes, mids, shares, err := Timeline(recs, CPU, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Window midpoints in seconds: 50 us and 150 us.
+	if len(mids) != 2 || math.Abs(mids[0]-50e-6) > 1e-18 || math.Abs(mids[1]-150e-6) > 1e-18 {
+		t.Fatalf("midpoints %v, want [5e-05 0.00015]", mids)
 	}
 	var appIdx int = -1
 	for i, c := range classes {
@@ -98,7 +102,7 @@ func TestTimelineFiltersResource(t *testing.T) {
 	recs := []Record{
 		{StartUS: 0, PID: 1, Process: ProcApplication, Resource: Network, DurationUS: 100},
 	}
-	_, shares, err := Timeline(recs, CPU, 4)
+	_, _, shares, err := Timeline(recs, CPU, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +116,11 @@ func TestTimelineFiltersResource(t *testing.T) {
 }
 
 func TestTimelineErrors(t *testing.T) {
-	if _, _, err := Timeline(nil, CPU, 4); err == nil {
+	if _, _, _, err := Timeline(nil, CPU, 4); err == nil {
 		t.Fatal("empty trace")
 	}
 	recs := []Record{{StartUS: 0, PID: 1, Process: "a", Resource: CPU, DurationUS: 1}}
-	if _, _, err := Timeline(recs, CPU, 0); err == nil {
+	if _, _, _, err := Timeline(recs, CPU, 0); err == nil {
 		t.Fatal("zero windows")
 	}
 }
@@ -131,7 +135,7 @@ func TestTimelineConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classes, shares, err := Timeline(recs, CPU, 37)
+	classes, _, shares, err := Timeline(recs, CPU, 37)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestTimelineSingleWindow(t *testing.T) {
 		{StartUS: 0, PID: 1, Process: ProcApplication, Resource: CPU, DurationUS: 60},
 		{StartUS: 100, PID: 2, Process: ProcPd, Resource: CPU, DurationUS: 100},
 	}
-	classes, shares, err := Timeline(recs, CPU, 1)
+	classes, _, shares, err := Timeline(recs, CPU, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +182,7 @@ func TestTimelineMoreWindowsThanRecords(t *testing.T) {
 		{StartUS: 0, PID: 1, Process: ProcApplication, Resource: CPU, DurationUS: 10},
 		{StartUS: 990, PID: 1, Process: ProcApplication, Resource: CPU, DurationUS: 10},
 	}
-	classes, shares, err := Timeline(recs, CPU, 100) // 10-us windows over a 1000-us span
+	classes, _, shares, err := Timeline(recs, CPU, 100) // 10-us windows over a 1000-us span
 	if err != nil {
 		t.Fatal(err)
 	}
