@@ -1,6 +1,5 @@
 // Package obs is the in-simulator observability layer: sample-lifecycle
-// tracing, metrics probes, and structured run logging for the ROCC
-// simulation stack.
+// tracing and metrics probes for the ROCC simulation stack.
 //
 // The design goal is zero overhead when disabled. Every instrumentation
 // point in internal/des, internal/resources, and internal/procs is a
