@@ -7,17 +7,14 @@
 //	roccbench -exp all -duration 100 -reps 50   # paper scale
 //	roccbench -exp fig9 -csv                    # CSV series for plotting
 //	roccbench -exp fig16 -parallel 8            # fan replications over 8 workers
-//	roccbench -exp table4 -dist 4               # fan factorial runs over 4 worker processes
-//	roccbench -exp table4 -dist 4 -http :9090   # live /metrics and /progress while it runs
 //	roccbench -exp fig17 -cpuprofile cpu.pprof  # profile the regeneration
 //
 // -parallel N fans the independent simulation runs of an experiment
 // (replications, factorial rows, sweep points) over N worker goroutines;
 // 0 means one per core, 1 forces the serial path. Output is byte-identical
-// at any setting. -dist N instead fans the factorial designs over N worker
-// processes through the fault-tolerant distributed engine (internal/dist);
-// the workers are this binary re-executed with -worker, and output is
-// byte-identical to the in-process paths.
+// at any setting. To fan Tables 4-6 over worker processes or hosts, use
+// roccsweep -grid table4 (or table5, table6): it runs the same seed chain
+// through the fault-tolerant distributed engine (internal/dist).
 //
 // roccbench keeps no performance record of its own: the perfbench module
 // measures wall time, spread and per-layer cost, and TestResultDigestPins
@@ -36,16 +33,12 @@ import (
 
 	"rocc/internal/cli"
 	"rocc/internal/des"
-	"rocc/internal/dist"
 	"rocc/internal/experiments"
-	"rocc/internal/obs/live"
 )
 
 func main() {
 	var (
 		exp       = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		worker    = flag.Bool("worker", false, "run as a distributed-sweep worker on stdin/stdout (started by -dist drivers)")
-		distN     = flag.Int("dist", 0, "fan factorial designs over this many worker processes (0 = in-process)")
 		list      = flag.Bool("list", false, "list available experiments")
 		duration  = flag.Float64("duration", 10, "simulated seconds per run")
 		reps      = flag.Int("reps", 3, "replications for factorial designs (paper: 50)")
@@ -56,20 +49,11 @@ func main() {
 		seed      = cli.Seed(flag.CommandLine)
 		policy    = cli.Policy(flag.CommandLine)
 		parallel  = cli.Parallel(flag.CommandLine)
-		httpAddr  = cli.HTTP(flag.CommandLine)
 		calName   = flag.String("calendar", "auto", "event calendar: auto, heap, bucket (results identical; perf only)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit")
 	)
 	flag.Parse()
-
-	if *worker {
-		if err := dist.ServeWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "roccbench worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -124,23 +108,9 @@ func main() {
 		opt.Seed = *seed
 	}
 	opt.Parallel = *parallel
-	opt.DistWorkers = *distN
 	if policy.Given() {
 		spec := policy.Spec()
 		opt.Policy = &spec
-	}
-	if *httpAddr != "" {
-		opt.Monitor = dist.NewMonitor()
-		srv := live.NewServer(nil)
-		srv.Exporter().SetSweep(opt.Monitor.Counters())
-		srv.SetProgress(func() any { return opt.Monitor.Snapshot() })
-		addr, err := srv.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "roccbench:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "roccbench: monitoring on http://%s (/metrics /healthz /progress /debug/pprof/)\n", addr)
 	}
 	cal, err := des.ParseCalendarKind(*calName)
 	if err != nil {

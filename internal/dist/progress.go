@@ -149,9 +149,9 @@ func (m *Monitor) Counters() []*obs.Counter {
 
 // begin records the sweep's shape: total shards and how many arrived
 // pre-completed from a resumed journal. A monitor may outlive one sweep
-// (roccbench runs several experiments through one endpoint), but it
-// observes one at a time: begin resets the per-sweep shape and timeline
-// while the cumulative counters and worker histories carry over.
+// (a caller may pass it to several sweeps in turn), but it observes one
+// at a time: begin resets the per-sweep shape and timeline while the
+// cumulative counters and worker histories carry over.
 func (m *Monitor) begin(shards, recovered int) {
 	m.mu.Lock()
 	m.shards = shards

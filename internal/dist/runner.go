@@ -43,7 +43,7 @@ type Worker interface {
 // SubprocessRunner starts workers as local child processes speaking the
 // length-prefixed JSON protocol on stdin/stdout — the `roccsweep -worker`
 // mode. The zero value re-executes the current binary with -worker,
-// which is what roccsweep and roccbench use for local fan-out.
+// which is what roccsweep uses for local fan-out.
 type SubprocessRunner struct {
 	// Binary is the worker executable; empty means the current binary
 	// (os.Executable).

@@ -1,49 +1,57 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"rocc/internal/core"
 	"rocc/internal/dist"
-	"rocc/internal/scenario"
 )
 
-// TestRunFactorialDistMatchesLocal pins the -dist wiring to the
-// determinism contract: a factorial design fanned through the
-// distributed engine — with worker crashes injected — produces exactly
-// the values the in-process par.Map path produces.
-func TestRunFactorialDistMatchesLocal(t *testing.T) {
-	rows, err := gridRows(scenario.Table4Grid())
+// TestDistSweepMatchesRunFactorial pins the cross-command contract that
+// roccsweep -grid table4 reproduces roccbench -exp table4's runs: a
+// distributed sweep of the table4 grid yields exactly the per-row values
+// runFactorial computes for the same seed, reps and duration. Worker
+// faults and retries are dist's own concern (TestDeterministicUnderFaults).
+func TestDistSweepMatchesRunFactorial(t *testing.T) {
+	const seed, reps, durationSec = 5, 2, 0.02
+	_, rows, err := nowFactorialRows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Seed: 5, DurationUS: 0.02e6, Reps: 2}
-	ovLocal, latLocal, err := runFactorial(rows, opt, core.MetricPdCPUUtil, core.MetricLatency)
+	opt := Options{Seed: seed, DurationUS: durationSec * 1e6, Reps: reps}
+	ov, lat, err := runFactorial(rows, opt, core.MetricPdCPUTime, core.MetricLatency)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Workers run in-process (the test binary cannot self-exec as a
-	// worker), with deterministic crash injection to exercise retries.
-	orig := distRunners
-	defer func() { distRunners = orig }()
-	distRunners = func(n int) []dist.Runner {
-		rs := make([]dist.Runner, n)
-		for i := range rs {
-			rs[i] = &dist.Chaos{Inner: dist.InProcessRunner{ID: i}, Seed: uint64(i + 1), Crash: 0.2}
-		}
-		return rs
+	runners := make([]dist.Runner, 3)
+	for i := range runners {
+		runners[i] = dist.InProcessRunner{ID: i}
 	}
-	opt.DistWorkers = 3
-	ovDist, latDist, err := runFactorial(rows, opt, core.MetricPdCPUUtil, core.MetricLatency)
+	rep, err := dist.Sweep(context.Background(), dist.SweepOptions{
+		Grid: "table4", Seed: seed, Reps: reps, DurationSec: durationSec,
+		Dist: dist.Options{Runners: runners, ShardSize: 3},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ovDist, ovLocal) {
-		t.Fatal("distributed overhead values diverge from local path")
+	if len(rep.Cells) != len(rows) {
+		t.Fatalf("sweep has %d cells, design has %d rows", len(rep.Cells), len(rows))
 	}
-	if !reflect.DeepEqual(latDist, latLocal) {
-		t.Fatal("distributed latency values diverge from local path")
+	for i, cell := range rep.Cells {
+		if cell.Label != rows[i].label {
+			t.Fatalf("cell %d label %q, design row %q", i, cell.Label, rows[i].label)
+		}
+		var sweepOv, sweepLat []float64
+		for _, r := range cell.Results {
+			sweepOv = append(sweepOv, core.MetricPdCPUTime(r))
+			sweepLat = append(sweepLat, core.MetricLatency(r))
+		}
+		if !reflect.DeepEqual(sweepOv, ov[i]) || !reflect.DeepEqual(sweepLat, lat[i]) {
+			t.Fatalf("row %s: sweep (%v, %v) != runFactorial (%v, %v)",
+				rows[i].label, sweepOv, sweepLat, ov[i], lat[i])
+		}
 	}
 }

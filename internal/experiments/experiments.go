@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"rocc/internal/des"
-	"rocc/internal/dist"
 	"rocc/internal/forward"
 )
 
@@ -40,16 +39,9 @@ type Options struct {
 	// byte-identical at any setting — seeds are pre-derived and results
 	// collected in index order.
 	Parallel int
-	// DistWorkers, when positive, fans the factorial designs across that
-	// many worker processes through the fault-tolerant distributed engine
-	// (internal/dist) instead of in-process goroutines. The seed chain is
-	// shared with the local path, so output stays byte-identical.
-	DistWorkers int
 	// Calendar overrides the simulator's future-event-list implementation
-	// for every local run (roccbench/roccsim -calendar). Purely a
-	// performance knob: results are byte-identical for every kind, so
-	// distributed workers — which always run the auto selection — stay
-	// output-compatible regardless of this setting.
+	// for every run (roccbench -calendar). Purely a performance knob:
+	// results are byte-identical for every kind.
 	Calendar des.CalendarKind
 	// Policy, when non-nil, overrides the candidate forwarding strategy of
 	// the experiments that take one (roccbench -policy): ext-adaptive-bf
@@ -57,11 +49,6 @@ type Options struct {
 	// axis the paper pins (the tables and figures) ignore it, so their
 	// output stays byte-identical.
 	Policy *forward.StrategySpec
-	// Monitor, when set, observes the distributed factorial runs
-	// (DistWorkers > 0): fault counters for a /metrics exposition and
-	// shard progress for /progress. It only observes — results stay
-	// byte-identical with or without it.
-	Monitor *dist.Monitor
 }
 
 // Default returns the fast default scaling.

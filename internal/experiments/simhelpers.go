@@ -1,25 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"os"
 
 	"rocc/internal/core"
-	"rocc/internal/dist"
 	"rocc/internal/doe"
 	"rocc/internal/par"
 	"rocc/internal/report"
 	"rocc/internal/scenario"
 	"rocc/internal/stats"
 )
-
-// distRunners builds the worker fleet for Options.DistWorkers — local
-// subprocesses re-executing the current binary with -worker. A variable
-// so tests (whose binary is the test runner, not a worker) substitute
-// in-process runners.
-var distRunners = func(n int) []dist.Runner { return dist.LocalRunners(n) }
 
 // simMetrics are the four panels of the simulation figures (18, 19, 22-24,
 // 26-28).
@@ -161,28 +152,13 @@ func runFactorial(rows []factorialRow, opt Options, overhead, latency core.Metri
 			jobs = append(jobs, job{row: i, cfg: c})
 		}
 	}
-	var flat []core.Result
-	if opt.DistWorkers > 0 {
-		djobs := make([]dist.Job, len(jobs))
-		for k, j := range jobs {
-			djobs[k] = dist.Job{Spec: scenario.FromConfig(j.cfg), Seed: j.cfg.Seed}
+	flat, err := par.Map(opt.Parallel, jobs, func(_ int, j job) (core.Result, error) {
+		res, err := core.Simulate(j.cfg)
+		if err != nil {
+			return core.Result{}, fmt.Errorf("row %s: %w", rows[j.row].label, err)
 		}
-		dopt := dist.Options{
-			Runners:       distRunners(opt.DistWorkers),
-			LocalParallel: opt.Parallel,
-			Log:           os.Stderr,
-			Monitor:       opt.Monitor,
-		}
-		flat, err = dist.Run(context.Background(), djobs, dopt)
-	} else {
-		flat, err = par.Map(opt.Parallel, jobs, func(_ int, j job) (core.Result, error) {
-			res, err := core.Simulate(j.cfg)
-			if err != nil {
-				return core.Result{}, fmt.Errorf("row %s: %w", rows[j.row].label, err)
-			}
-			return res, nil
-		})
-	}
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}

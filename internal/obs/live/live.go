@@ -13,7 +13,7 @@
 //     histograms and sampler series copy under their locks (see
 //     internal/obs and internal/stats).
 //   - Server is the embeddable monitoring HTTP server behind the -http
-//     flag of roccsweep, roccbench, and roccsim: /metrics (OpenMetrics),
+//     flag of roccsweep, roccsim, and roccviz: /metrics (OpenMetrics),
 //     /healthz (liveness JSON), /progress (a caller-supplied JSON
 //     snapshot, e.g. dist.Progress), and net/http/pprof under
 //     /debug/pprof/.

@@ -321,7 +321,7 @@ func CrossValidate(g ScenarioGrid, opt CrossValidationOptions) (*CrossValidation
 }
 
 // Distributed sweeps: the fault-tolerant fan-out engine behind roccsweep
-// and roccbench -dist (see internal/dist and DESIGN.md).
+// (see internal/dist and DESIGN.md).
 type (
 	// SweepJob is one distributable simulation unit: a scenario plus its
 	// pre-derived model seed.
@@ -339,7 +339,7 @@ type (
 
 // LocalSweepWorkers returns n worker slots that re-execute the current
 // binary with -worker (the binary must dispatch that flag to
-// ServeSweepWorker, as roccsweep and roccbench do).
+// ServeSweepWorker, as roccsweep does).
 func LocalSweepWorkers(n int) []SweepRunner { return dist.LocalRunners(n) }
 
 // SSHSweepWorker returns a worker slot on an ssh-reachable host running
