@@ -9,6 +9,7 @@
 //	roccsim -nodes 8 -reps 5 -json -out run.json  # scenario + results as JSON
 //	roccsim -nodes 8 -trace run.json            # Chrome/Perfetto trace
 //	roccsim -nodes 8 -trace run.txt             # AIX-like text trace
+//	roccsim -config s.json -trace run.json      # scenario from a -save-config file
 //	roccsim -nodes 64 -duration 1000 -http :0   # live /metrics + pprof while it runs
 //	roccsim -nodes 8 -policy bf:64 -stages      # per-stage latency waterfall
 //	roccsim -cpuprofile cpu.pprof -log -         # run log lines on stderr
@@ -65,7 +66,7 @@ func main() {
 		traceOut = flag.String("trace", "", "export the run's trace (.json = Chrome/Perfetto, else AIX-like text)")
 		stages   = flag.Bool("stages", false, "decompose sample latency per stage (waterfall; LatencyStages in -json)")
 		httpAddr = cli.HTTP(flag.CommandLine)
-		cfgIn    = flag.String("config", "", "load the scenario from a JSON file (other flags ignored)")
+		cfgIn    = flag.String("config", "", "load the scenario from a JSON file (scenario flags ignored)")
 		cfgOut   = flag.String("save-config", "", "write the scenario as JSON and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit")
@@ -83,45 +84,58 @@ func main() {
 	stopProf := startProfiling(*cpuProf, *execTr)
 	logger := openLogger(*logDest)
 
-	if *cfgIn != "" {
-		runFromFile(*cfgIn, calKind, *reps, *parallel, *jsonOut, *outPath)
-		stopProf()
-		writeMemProfile(*memProf)
-		return
-	}
-
+	// The scenario comes from -config or from the scenario flags; either
+	// way it runs through the same observed, replicated and -save-config
+	// paths below.
 	cfg := core.DefaultConfig()
-	switch strings.ToLower(*arch) {
-	case "now":
-		cfg.Arch = core.NOW
-	case "smp":
-		cfg.Arch = core.SMP
-	case "mpp":
-		cfg.Arch = core.MPP
-	default:
-		fatal("unknown architecture %q", *arch)
+	if *cfgIn != "" {
+		f, err := os.Open(*cfgIn)
+		if err != nil {
+			fatal("%v", err)
+		}
+		spec, err := scenario.Load(f)
+		f.Close()
+		if err != nil {
+			fatal("%v", err)
+		}
+		if cfg, err = spec.Config(); err != nil {
+			fatal("%v", err)
+		}
+	} else {
+		switch strings.ToLower(*arch) {
+		case "now":
+			cfg.Arch = core.NOW
+		case "smp":
+			cfg.Arch = core.SMP
+		case "mpp":
+			cfg.Arch = core.MPP
+		default:
+			fatal("unknown architecture %q", *arch)
+		}
+		cfg.Nodes = *nodes
+		cfg.AppProcs = *procs
+		cfg.Pds = *pds
+		cfg.SamplingPeriod = *spMS * 1000
+		cfg.Strategy = policy.Strategy(defaultBatch)
+		fwdCfg, err := forward.ParseConfig(*fwd)
+		if err != nil {
+			fatal("%v", err)
+		}
+		cfg.Forwarding = fwdCfg
+		cfg.Duration = *dur * 1e6
+		cfg.Seed = *seed
+		cfg.PipeCapacity = *pipeCap
+		cfg.Quantum = *quantum
+		cfg.BarrierPeriod = *barrier * 1000
+		cfg.Background = !*noBg
+		cfg.Warmup = *warmup * 1e6
+		if *commApp {
+			cfg.Workload = core.CommIntensive.Apply(core.DefaultWorkload())
+		}
 	}
-	cfg.Nodes = *nodes
-	cfg.AppProcs = *procs
-	cfg.Pds = *pds
-	cfg.SamplingPeriod = *spMS * 1000
-	cfg.Strategy = policy.Strategy(defaultBatch)
-	fwdCfg, err := forward.ParseConfig(*fwd)
-	if err != nil {
-		fatal("%v", err)
-	}
-	cfg.Forwarding = fwdCfg
-	cfg.Duration = *dur * 1e6
-	cfg.Seed = *seed
-	cfg.PipeCapacity = *pipeCap
-	cfg.Quantum = *quantum
-	cfg.BarrierPeriod = *barrier * 1000
-	cfg.Background = !*noBg
-	cfg.Warmup = *warmup * 1e6
+	// Scenarios never carry the calendar (it cannot change results), so
+	// -calendar applies to a -config scenario too.
 	cfg.Calendar = calKind
-	if *commApp {
-		cfg.Workload = core.CommIntensive.Apply(core.DefaultWorkload())
-	}
 
 	if *cfgOut != "" {
 		f, err := os.Create(*cfgOut)
@@ -400,31 +414,6 @@ func printResult(w io.Writer, cfg core.Config, rep core.Replicated, reps int) er
 		return wf.Render(w)
 	}
 	return nil
-}
-
-// runFromFile loads a JSON scenario, runs it, and prints the metrics.
-// The calendar kind comes from the -calendar flag: scenarios never carry
-// it (it cannot change results), so the CLI choice applies here too.
-func runFromFile(path string, cal des.CalendarKind, reps, parallel int, asJSON bool, outPath string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal("%v", err)
-	}
-	spec, err := scenario.Load(f)
-	f.Close()
-	if err != nil {
-		fatal("%v", err)
-	}
-	cfg, err := spec.Config()
-	if err != nil {
-		fatal("%v", err)
-	}
-	cfg.Calendar = cal
-	rep, err := core.RunReplicationsParallel(cfg, reps, parallel)
-	if err != nil {
-		fatal("%v", err)
-	}
-	emitResult(cfg, rep, reps, asJSON, outPath)
 }
 
 func fatal(format string, args ...any) {
