@@ -79,6 +79,10 @@ func main() {
 		return
 	}
 
+	if *windows < 1 {
+		fatal("-windows must be at least 1, got %d", *windows)
+	}
+
 	cfg := core.DefaultConfig()
 	switch strings.ToLower(*arch) {
 	case "now":
