@@ -6,7 +6,7 @@
 // Examples:
 //
 //	paradyn -kernel bt -policy cf -sp 10ms -duration 5s
-//	paradyn -kernel is -policy bf -batch 32 -sp 10ms -duration 5s
+//	paradyn -kernel is -policy bf:32 -sp 10ms -duration 5s
 //	paradyn -compare -duration 2s     # CF vs BF side by side
 package main
 
@@ -16,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"rocc/internal/cli"
 	"rocc/internal/forward"
 	"rocc/internal/report"
 	"rocc/internal/testbed"
@@ -25,8 +26,7 @@ func main() {
 	var (
 		kernel   = flag.String("kernel", "bt", "application kernel: bt (pvmbt) or is (pvmis)")
 		size     = flag.Int("size", 0, "kernel size (0 = default)")
-		policy   = flag.String("policy", "cf", "forwarding policy: cf or bf")
-		batch    = flag.Int("batch", 32, "batch size under bf")
+		policy   = cli.Policy(flag.CommandLine, 32)
 		sp       = flag.Duration("sp", 10*time.Millisecond, "sampling period")
 		duration = flag.Duration("duration", 2*time.Second, "run duration")
 		pipeCap  = flag.Int("pipe", 256, "pipe capacity (samples)")
@@ -37,17 +37,21 @@ func main() {
 	)
 	flag.Parse()
 
+	strategy := policy.Strategy()
+	if strategy == nil {
+		strategy = forward.NewCF()
+	}
+
 	if *nodes > 1 || *tree {
-		runCluster(*nodes, *kernel, *size, *policy, *batch, *sp, *duration, *pipeCap, *seed, *tree)
+		runCluster(*nodes, *kernel, *size, strategy, *sp, *duration, *pipeCap, *seed, *tree)
 		return
 	}
 
-	mkCfg := func(p forward.Policy) testbed.ExpConfig {
+	mkCfg := func(s forward.Strategy) testbed.ExpConfig {
 		return testbed.ExpConfig{
 			Kernel:         *kernel,
 			KernelSize:     *size,
-			Policy:         p,
-			BatchSize:      *batch,
+			Strategy:       s,
 			SamplingPeriod: *sp,
 			Duration:       *duration,
 			PipeCapacity:   *pipeCap,
@@ -56,15 +60,20 @@ func main() {
 	}
 
 	if *compare {
-		cf, err := testbed.Run(mkCfg(forward.CF))
+		// CF beside the -policy BF strategy, or bf:32 when -policy names none.
+		bfStrategy := forward.NewFixedBF(32)
+		if p, _ := forward.PolicyOf(strategy); p == forward.BF {
+			bfStrategy = strategy
+		}
+		cf, err := testbed.Run(mkCfg(forward.NewCF()))
 		if err != nil {
 			fatal("%v", err)
 		}
-		bf, err := testbed.Run(mkCfg(forward.BF))
+		bf, err := testbed.Run(mkCfg(bfStrategy))
 		if err != nil {
 			fatal("%v", err)
 		}
-		t := report.NewTable(fmt.Sprintf("CF vs BF on %s (SP=%v, batch=%d, %v run)", *kernel, *sp, *batch, *duration),
+		t := report.NewTable(fmt.Sprintf("CF vs BF on %s (SP=%v, %s, %v run)", *kernel, *sp, bfStrategy, *duration),
 			"metric", "CF", "BF")
 		t.AddRow("daemon CPU time (sec)", report.F(cf.Daemon.BusySec), report.F(bf.Daemon.BusySec))
 		t.AddRow("main CPU time (sec)", report.F(cf.Collector.BusySec), report.F(bf.Collector.BusySec))
@@ -83,15 +92,11 @@ func main() {
 		return
 	}
 
-	p, err := forward.ParsePolicy(*policy)
+	res, err := testbed.Run(mkCfg(strategy))
 	if err != nil {
 		fatal("%v", err)
 	}
-	res, err := testbed.Run(mkCfg(p))
-	if err != nil {
-		fatal("%v", err)
-	}
-	t := report.NewTable(fmt.Sprintf("Measurement run: %s under %s (SP=%v, %v)", *kernel, p, *sp, *duration),
+	t := report.NewTable(fmt.Sprintf("Measurement run: %s under %s (SP=%v, %v)", *kernel, strategy, *sp, *duration),
 		"metric", "value")
 	t.AddRow("application steps", fmt.Sprint(res.App.Steps))
 	t.AddRow("application ops", fmt.Sprint(res.App.Ops))
@@ -112,18 +117,13 @@ func main() {
 
 // runCluster executes the multi-node testbed (the Figure 29 setup) and
 // prints per-node and aggregate overheads.
-func runCluster(nodes int, kernel string, size int, policy string, batch int,
+func runCluster(nodes int, kernel string, size int, strategy forward.Strategy,
 	sp, duration time.Duration, pipeCap int, seed uint64, tree bool) {
-	p, err := forward.ParsePolicy(policy)
-	if err != nil {
-		fatal("%v", err)
-	}
 	res, err := testbed.RunCluster(testbed.ClusterConfig{
 		Nodes:          nodes,
 		Kernel:         kernel,
 		KernelSize:     size,
-		Policy:         p,
-		BatchSize:      batch,
+		Strategy:       strategy,
 		SamplingPeriod: sp,
 		Duration:       duration,
 		PipeCapacity:   pipeCap,
@@ -137,7 +137,7 @@ func runCluster(nodes int, kernel string, size int, policy string, batch int,
 	if tree {
 		cfgName = "tree"
 	}
-	t := report.NewTable(fmt.Sprintf("Cluster run: %d nodes, %s under %s (%s forwarding)", nodes, kernel, p, cfgName),
+	t := report.NewTable(fmt.Sprintf("Cluster run: %d nodes, %s under %s (%s forwarding)", nodes, kernel, strategy, cfgName),
 		"node", "app steps", "samples", "daemon CPU (sec)", "writes", "blocked (sec)")
 	for i, nr := range res.Nodes {
 		t.AddRow(fmt.Sprint(i), fmt.Sprint(nr.App.Steps), fmt.Sprint(nr.App.SamplesGenerated),

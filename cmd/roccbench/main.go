@@ -47,7 +47,7 @@ func main() {
 		plot      = flag.Bool("plot", false, "additionally render figures as ASCII charts")
 		paper     = flag.Bool("paper", false, "paper-scale options (100 s, r=50, 5 s testbed; slow)")
 		seed      = cli.Seed(flag.CommandLine)
-		policy    = cli.Policy(flag.CommandLine)
+		policy    = cli.Policy(flag.CommandLine, 0)
 		parallel  = cli.Parallel(flag.CommandLine)
 		calName   = flag.String("calendar", "auto", "event calendar: auto, heap, bucket (results identical; perf only)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run")
@@ -108,10 +108,7 @@ func main() {
 		opt.Seed = *seed
 	}
 	opt.Parallel = *parallel
-	if policy.Given() {
-		spec := policy.Spec()
-		opt.Policy = &spec
-	}
+	opt.Policy = policy.Strategy()
 	cal, err := des.ParseCalendarKind(*calName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "roccbench:", err)

@@ -34,7 +34,7 @@ func main() {
 		squeeze = flag.Float64("squeeze-mtbf", 0, "pipe capacity-squeeze mean interval in milliseconds (0 = none)")
 		nodes   = flag.Int("nodes", 8, "number of nodes (CPUs for SMP)")
 		spMS    = flag.Float64("sp", 20, "sampling period in milliseconds")
-		policy  = cli.Policy(flag.CommandLine)
+		policy  = cli.Policy(flag.CommandLine, 16)
 		dur     = flag.Float64("duration", 10, "simulated seconds per run")
 		seed    = flag.Uint64("seed", 1, "random seed (model and fault schedules)")
 	)
@@ -56,10 +56,7 @@ func main() {
 		SqueezeMTBFUS:    *squeeze * 1000,
 		SamplingPeriodUS: *spMS * 1000,
 		Nodes:            *nodes,
-	}
-	if policy.Given() {
-		spec := policy.Spec()
-		sw.Policy = &spec
+		Policy:           policy.Strategy(),
 	}
 	if err := experiments.FaultSweep(os.Stdout, opt, sw); err != nil {
 		fatal("%v", err)

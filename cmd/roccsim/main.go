@@ -39,9 +39,6 @@ import (
 	"rocc/internal/trace"
 )
 
-// defaultBatch is the batch size of a bare -policy bf.
-const defaultBatch = 32
-
 func main() {
 	var (
 		arch     = flag.String("arch", "now", "architecture: now, smp, mpp")
@@ -49,7 +46,7 @@ func main() {
 		procs    = flag.Int("procs", 1, "application processes per node (total for SMP)")
 		pds      = flag.Int("pds", 1, "Paradyn daemons (per node; total for SMP)")
 		spMS     = flag.Float64("sp", 40, "sampling period in milliseconds (0 = uninstrumented)")
-		policy   = cli.Policy(flag.CommandLine)
+		policy   = cli.Policy(flag.CommandLine, 32)
 		fwd      = flag.String("forward", "direct", "forwarding configuration: direct or tree (MPP)")
 		dur      = flag.Float64("duration", 100, "simulated seconds")
 		seed     = cli.Seed(flag.CommandLine)
@@ -82,6 +79,10 @@ func main() {
 	}
 
 	stopProf := startProfiling(*cpuProf, *execTr)
+	defer func() {
+		stopProf()
+		writeMemProfile(*memProf)
+	}()
 	logger := openLogger(*logDest)
 
 	// The scenario comes from -config or from the scenario flags; either
@@ -116,7 +117,9 @@ func main() {
 		cfg.AppProcs = *procs
 		cfg.Pds = *pds
 		cfg.SamplingPeriod = *spMS * 1000
-		cfg.Strategy = policy.Strategy(defaultBatch)
+		if s := policy.Strategy(); s != nil {
+			cfg.Strategy = s
+		}
 		fwdCfg, err := forward.ParseConfig(*fwd)
 		if err != nil {
 			fatal("%v", err)
@@ -217,8 +220,6 @@ func main() {
 	}
 
 	emitResult(cfg, rep, *reps, *jsonOut, *outPath)
-	stopProf()
-	writeMemProfile(*memProf)
 }
 
 // emitResult writes the run's metrics to the -out destination: a text

@@ -37,15 +37,12 @@ import (
 	"rocc/internal/trace"
 )
 
-// defaultBatch is the batch size of a bare -policy bf.
-const defaultBatch = 32
-
 func main() {
 	var (
 		arch    = flag.String("arch", "now", "architecture: now, smp, mpp")
 		nodes   = flag.Int("nodes", 8, "number of nodes (CPUs for SMP)")
 		spMS    = flag.Float64("sp", 40, "sampling period in milliseconds")
-		policy  = cli.Policy(flag.CommandLine)
+		policy  = cli.Policy(flag.CommandLine, 32)
 		dur     = flag.Float64("duration", 10, "simulated seconds")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		windows = flag.Int("windows", 10, "occupancy timeline windows")
@@ -96,7 +93,9 @@ func main() {
 	}
 	cfg.Nodes = *nodes
 	cfg.SamplingPeriod = *spMS * 1000
-	cfg.Strategy = policy.Strategy(defaultBatch)
+	if s := policy.Strategy(); s != nil {
+		cfg.Strategy = s
+	}
 	cfg.Duration = *dur * 1e6
 	cfg.Seed = *seed
 

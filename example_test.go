@@ -51,7 +51,7 @@ func ExampleSimulateReplications() {
 func ExampleMeasure() {
 	res, err := rocc.Measure(rocc.MeasureConfig{
 		Kernel:         "is",
-		Policy:         rocc.CF,
+		Strategy:       rocc.NewCFStrategy(),
 		SamplingPeriod: 2 * time.Millisecond,
 		Duration:       100 * time.Millisecond,
 		Seed:           1,

@@ -16,11 +16,10 @@ func main() {
 	for _, kernel := range []string{"bt", "is"} {
 		fmt.Printf("== %s kernel (real execution, 1 ms sampling, 1 s run) ==\n", kernel)
 		var cf rocc.MeasureResult
-		for _, policy := range []rocc.Policy{rocc.CF, rocc.BF} {
+		for i, strategy := range []rocc.ForwardStrategy{rocc.NewCFStrategy(), rocc.NewFixedBFStrategy(32)} {
 			cfg := rocc.MeasureConfig{
 				Kernel:         kernel,
-				Policy:         policy,
-				BatchSize:      32,
+				Strategy:       strategy,
 				SamplingPeriod: time.Millisecond,
 				Duration:       time.Second,
 				Seed:           1,
@@ -31,9 +30,9 @@ func main() {
 			}
 			fmt.Printf("  %s: daemon %.4f s (%d write syscalls), collector %.4f s, "+
 				"%d samples, mean latency %.3f ms\n",
-				policy, res.Daemon.BusySec, res.Daemon.Writes, res.Collector.BusySec,
+				strategy, res.Daemon.BusySec, res.Daemon.Writes, res.Collector.BusySec,
 				res.Collector.Samples, res.Collector.MeanLatencySec*1000)
-			if policy == rocc.CF {
+			if i == 0 {
 				cf = res
 			} else if cf.Daemon.BusySec > 0 {
 				fmt.Printf("  -> BF: %.0f%% fewer syscalls, %.0f%% less daemon overhead\n",

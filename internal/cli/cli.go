@@ -139,12 +139,11 @@ func (v httpValue) Set(raw string) error {
 }
 
 // Policy registers -policy: the forwarding-strategy spec shared by
-// roccsim, roccbench, and roccfault. Malformed specs (unknown kinds,
-// bf:0, abf:-1) are rejected at parse time with a usage error. The
-// default is the zero spec, which callers treat as "flag not given"
-// (Given reports false).
-func Policy(fs *flag.FlagSet) *PolicyValue {
-	v := new(PolicyValue)
+// roccsim, roccviz, roccbench, roccfault and paradyn. A bare "bf" takes
+// defaultBatch and is a usage error when defaultBatch < 1; malformed
+// specs (unknown kinds, bf:0, abf:-1) are rejected at parse time too.
+func Policy(fs *flag.FlagSet, defaultBatch int) *PolicyValue {
+	v := &PolicyValue{defaultBatch: defaultBatch}
 	fs.Var(v, "policy",
 		"forwarding strategy: cf, bf (tool's batch default), bf:<n>, abf, or abf:<latency ms>")
 	return v
@@ -152,40 +151,31 @@ func Policy(fs *flag.FlagSet) *PolicyValue {
 
 // PolicyValue is the parsed -policy flag.
 type PolicyValue struct {
-	spec  forward.StrategySpec
-	given bool
+	defaultBatch int
+	strategy     forward.Strategy
 }
 
 // String implements flag.Value.
 func (v *PolicyValue) String() string {
-	if v == nil || !v.given {
+	if v == nil || v.strategy == nil {
 		return ""
 	}
-	return v.spec.String()
+	return v.strategy.String()
 }
 
 // Set implements flag.Value, validating the spec at parse time.
 func (v *PolicyValue) Set(raw string) error {
-	spec, err := forward.ParseStrategySpec(raw)
+	s, err := forward.ParseStrategy(raw, v.defaultBatch)
 	if err != nil {
 		return errors.New(strings.TrimPrefix(err.Error(), "forward: "))
 	}
-	v.spec = spec
-	v.given = true
+	v.strategy = s
 	return nil
 }
 
-// Given reports whether -policy appeared on the command line.
-func (v *PolicyValue) Given() bool { return v.given }
-
-// Spec returns the parsed strategy spec (the zero spec if not given).
-func (v *PolicyValue) Spec() forward.StrategySpec { return v.spec }
-
-// Strategy returns the strategy the flag denotes: CF when -policy was not
-// given, and a fixed BF at the tool's defaultBatch for a bare "bf".
-func (v *PolicyValue) Strategy(defaultBatch int) forward.Strategy {
-	return v.spec.NewStrategy(defaultBatch)
-}
+// Strategy returns the strategy the flag names, or nil when -policy was
+// not given.
+func (v *PolicyValue) Strategy() forward.Strategy { return v.strategy }
 
 // nopCloser wraps stdout so Output callers can defer Close uniformly.
 type nopCloser struct{ io.Writer }

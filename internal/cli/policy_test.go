@@ -5,69 +5,62 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"rocc/internal/forward"
 )
 
-func newPolicyFS() (*flag.FlagSet, *PolicyValue) {
+func newPolicyFS(defaultBatch int) (*flag.FlagSet, *PolicyValue) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	return fs, Policy(fs)
+	return fs, Policy(fs, defaultBatch)
 }
 
 func TestPolicyFlagParses(t *testing.T) {
-	cases := []struct {
-		arg  string
-		want forward.StrategySpec
-	}{
-		{"cf", forward.StrategySpec{Policy: forward.CF, Batch: 1}},
-		{"bf", forward.StrategySpec{Policy: forward.BF}},
-		{"bf:16", forward.StrategySpec{Policy: forward.BF, Batch: 16}},
-		{"abf", forward.StrategySpec{Policy: forward.BF, Adaptive: true}},
-		{"abf:2.5", forward.StrategySpec{Policy: forward.BF, Adaptive: true, TargetMS: 2.5}},
+	cases := []struct{ arg, want string }{
+		{"cf", "cf"},
+		{"bf:16", "bf:16"},
+		{"abf", "abf"},
+		{"abf:2.5", "abf:2.5"},
 	}
 	for _, c := range cases {
-		fs, v := newPolicyFS()
+		fs, v := newPolicyFS(0)
 		if err := fs.Parse([]string{"-policy", c.arg}); err != nil {
 			t.Errorf("-policy %s: %v", c.arg, err)
 			continue
 		}
-		if !v.Given() {
-			t.Errorf("-policy %s: Given() false", c.arg)
+		if v.Strategy() == nil {
+			t.Errorf("-policy %s: no strategy", c.arg)
+			continue
 		}
-		if v.Spec() != c.want {
-			t.Errorf("-policy %s: spec %+v, want %+v", c.arg, v.Spec(), c.want)
+		if got := v.Strategy().String(); got != c.want {
+			t.Errorf("-policy %s: strategy %q, want %q", c.arg, got, c.want)
 		}
 	}
 }
 
 func TestPolicyFlagNotGiven(t *testing.T) {
-	fs, v := newPolicyFS()
+	fs, v := newPolicyFS(32)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if v.Given() {
-		t.Fatal("Given() true without the flag")
-	}
-	// Without the flag the tool runs CF, whatever its batch default.
-	if got := v.Strategy(32).String(); got != "cf" {
-		t.Fatalf("Strategy without flag = %q, want cf", got)
+	if v.Strategy() != nil {
+		t.Fatalf("strategy %q without the flag, want nil", v.Strategy())
 	}
 }
 
 // Malformed specs are usage errors at flag-parse time, before any run
-// starts, with the parser's descriptive message.
+// starts, with the parser's descriptive message. A bare bf is one when
+// the tool has no batch default.
 func TestPolicyFlagRejectsMalformed(t *testing.T) {
 	cases := []struct{ arg, wantSub string }{
 		{"bf:0", "batch size must be an integer >= 1"},
 		{"bf:-1", "batch size must be an integer >= 1"},
+		{"bf", "needs a batch size"},
 		{"abf:-1", "latency budget must be a positive number"},
 		{"abf:0", "latency budget must be a positive number"},
 		{"cf:2", "cf takes no argument"},
 		{"zz", "unknown policy spec"},
 	}
 	for _, c := range cases {
-		fs, _ := newPolicyFS()
+		fs, _ := newPolicyFS(0)
 		err := fs.Parse([]string{"-policy", c.arg})
 		if err == nil {
 			t.Errorf("-policy %s: expected parse error", c.arg)
@@ -88,18 +81,18 @@ func TestPolicyStrategy(t *testing.T) {
 		{"abf:1.5", "abf:1.5"},
 	}
 	for _, c := range cases {
-		fs, v := newPolicyFS()
+		fs, v := newPolicyFS(32)
 		if err := fs.Parse([]string{"-policy", c.arg}); err != nil {
 			t.Fatalf("-policy %s: %v", c.arg, err)
 		}
-		if got := v.Strategy(32).String(); got != c.want {
+		if got := v.Strategy().String(); got != c.want {
 			t.Errorf("-policy %s: strategy %q, want %q", c.arg, got, c.want)
 		}
 	}
 }
 
 func TestPolicyFlagStringRendersSpec(t *testing.T) {
-	fs, v := newPolicyFS()
+	fs, v := newPolicyFS(0)
 	if v.String() != "" {
 		t.Fatalf("zero value String %q", v.String())
 	}

@@ -29,9 +29,6 @@ type AdaptiveBFOptions struct {
 	// (lowest reps-mean forwarding latency) becomes the per-cell oracle
 	// the adaptive candidate is judged against.
 	Batches []int
-	// Candidate overrides the adaptive strategy under test (default bare
-	// "abf"); roccbench -policy feeds this through Options.Policy.
-	Candidate *forward.StrategySpec
 }
 
 // DefaultAdaptiveBF returns the default sweep: the Figure 19 sampling
@@ -89,23 +86,17 @@ func RunAdaptiveBFSweep(opt Options, ab AdaptiveBFOptions) ([]AdaptiveBFCell, er
 	if len(ab.Batches) == 0 {
 		ab.Batches = def.Batches
 	}
-	cand := forward.StrategySpec{Policy: forward.BF, Adaptive: true}
-	switch {
-	case ab.Candidate != nil:
-		cand = *ab.Candidate
-	case opt.Policy != nil:
-		cand = *opt.Policy
-	}
-	if !cand.Adaptive && cand.Policy == forward.BF && cand.Batch == 0 {
-		return nil, fmt.Errorf("experiments: candidate %q needs a batch size (bf:<n>)", cand)
-	}
-
-	// Variant order: CF, the fixed batches, then the candidate.
-	specs := []forward.StrategySpec{{Policy: forward.CF, Batch: 1}}
+	// Variant order: CF, the fixed batches, then the candidate (the
+	// default adaptive controller unless opt.Policy overrides it).
+	variants := []forward.Strategy{forward.NewCF()}
 	for _, b := range ab.Batches {
-		specs = append(specs, forward.StrategySpec{Policy: forward.BF, Batch: b})
+		variants = append(variants, forward.NewFixedBF(b))
 	}
-	specs = append(specs, cand)
+	cand := opt.Policy
+	if cand == nil {
+		cand = forward.NewAdaptiveBF(forward.ControllerConfig{})
+	}
+	variants = append(variants, cand)
 
 	type cellKey struct {
 		spMS  float64
@@ -127,13 +118,13 @@ func RunAdaptiveBFSweep(opt Options, ab AdaptiveBFOptions) ([]AdaptiveBFCell, er
 	for ci, k := range keys {
 		seeds := core.ReplicationSeeds(
 			core.DeriveSeed(opt.Seed, core.SeedStreamAdaptive, uint64(ci)), reps)
-		for vi, spec := range specs {
+		for vi, v := range variants {
 			for ri, seed := range seeds {
 				cfg := core.DefaultConfig()
 				cfg.Nodes = k.nodes
 				cfg.SamplingPeriod = k.spMS * 1000
 				cfg.Seed = seed
-				cfg.Strategy = spec.NewStrategy(0)
+				cfg.Strategy = v
 				jobs = append(jobs, job{ci, vi, ri, cfg})
 			}
 		}
@@ -142,7 +133,7 @@ func RunAdaptiveBFSweep(opt Options, ab AdaptiveBFOptions) ([]AdaptiveBFCell, er
 		res, err := runOne(j.cfg, opt)
 		if err != nil {
 			return core.Result{}, fmt.Errorf("ext-adaptive-bf sp=%v nodes=%d %s: %w",
-				keys[j.ci].spMS, keys[j.ci].nodes, specs[j.vi], err)
+				keys[j.ci].spMS, keys[j.ci].nodes, variants[j.vi], err)
 		}
 		return res, nil
 	})
@@ -155,10 +146,10 @@ func RunAdaptiveBFSweep(opt Options, ab AdaptiveBFOptions) ([]AdaptiveBFCell, er
 		lat, cpu, batch []float64
 		adjustments     int
 	}
-	aggs := make([]agg, len(keys)*len(specs))
+	aggs := make([]agg, len(keys)*len(variants))
 	for k, j := range jobs {
 		r := flat[k]
-		a := &aggs[j.ci*len(specs)+j.vi]
+		a := &aggs[j.ci*len(variants)+j.vi]
 		a.lat = append(a.lat, r.ForwardLatencySec)
 		a.cpu = append(a.cpu, pdUSPerSample(r, keys[j.ci].nodes))
 		if r.AdaptiveFinalBatchMean > 0 {
@@ -167,9 +158,9 @@ func RunAdaptiveBFSweep(opt Options, ab AdaptiveBFOptions) ([]AdaptiveBFCell, er
 		a.adjustments += r.AdaptiveAdjustments
 	}
 	point := func(ci, vi int) AdaptiveBFPoint {
-		a := aggs[ci*len(specs)+vi]
+		a := aggs[ci*len(variants)+vi]
 		return AdaptiveBFPoint{
-			Policy:            specs[vi].String(),
+			Policy:            variants[vi].String(),
 			ForwardLatencySec: stats.MeanOf(a.lat),
 			PdUSPerSample:     stats.MeanOf(a.cpu),
 			FinalBatchMean:    stats.MeanOf(a.batch),
@@ -199,7 +190,7 @@ func RunAdaptiveBFSweep(opt Options, ab AdaptiveBFOptions) ([]AdaptiveBFCell, er
 		if c.Best.Policy == "" {
 			c.Best = c.Fixed[0]
 		}
-		c.Adaptive = point(ci, len(specs)-1)
+		c.Adaptive = point(ci, len(variants)-1)
 		cells = append(cells, c)
 	}
 	return cells, nil

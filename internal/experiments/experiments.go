@@ -45,10 +45,10 @@ type Options struct {
 	Calendar des.CalendarKind
 	// Policy, when non-nil, overrides the candidate forwarding strategy of
 	// the experiments that take one (roccbench -policy): ext-adaptive-bf
-	// swaps its adaptive candidate for this spec. Experiments whose policy
-	// axis the paper pins (the tables and figures) ignore it, so their
-	// output stays byte-identical.
-	Policy *forward.StrategySpec
+	// swaps its adaptive candidate for this strategy. Experiments whose
+	// policy axis the paper pins (the tables and figures) ignore it, so
+	// their output stays byte-identical.
+	Policy forward.Strategy
 }
 
 // Default returns the fast default scaling.

@@ -39,11 +39,10 @@ type FaultSweepOptions struct {
 	// Nodes is the node count (CPU count for SMP).
 	Nodes int
 	// Policy, when non-nil, pins the policy axis (roccfault -policy):
-	// only matrix rows of the matching family run (cf keeps the CF rows,
-	// bf and abf the BF rows), and the BF rows run the spec's strategy,
-	// with faultSweepBatch for a bare bf. Nil sweeps the full CF × BF
-	// matrix, BF at faultSweepBatch.
-	Policy *forward.StrategySpec
+	// only matrix rows of its family run (cf keeps the CF rows, bf:<n>
+	// and abf the BF rows), and they run this strategy. Nil sweeps the
+	// full CF × BF matrix, BF at faultSweepBatch.
+	Policy forward.Strategy
 }
 
 // DefaultFaultSweep returns the default sweep: 1%, 5%, and 10% loss with
@@ -62,36 +61,47 @@ const faultSweepBatch = 16
 
 // faultVariant is one architecture × policy × forwarding combination.
 type faultVariant struct {
-	arch   core.Arch
-	policy forward.Policy
-	fwd    forward.Config
+	arch     core.Arch
+	strategy forward.Strategy
+	fwd      forward.Config
 }
 
+// label renders the row's arch, policy and forwarding columns: the
+// policy is CF or BF for a fixed strategy, the upper-cased spec of an
+// adaptive one.
 func (v faultVariant) label() (string, string, string) {
-	return v.arch.String(), v.policy.String(), v.fwd.String()
+	p, batch := forward.PolicyOf(v.strategy)
+	policy := p.String()
+	if batch == 0 {
+		policy = strings.ToUpper(v.strategy.String())
+	}
+	return v.arch.String(), policy, v.fwd.String()
 }
 
 // faultVariants enumerates the survivability matrix: CF and BF on each
 // architecture, plus tree forwarding for MPP (the only architecture the
 // model supports it on). A non-nil pin keeps only the rows of its policy
-// family (abf pins to the BF rows).
-func faultVariants(pin *forward.StrategySpec) []faultVariant {
+// family (abf pins to the BF rows) and runs them under the pin.
+func faultVariants(pin forward.Strategy) []faultVariant {
+	cf, bf := forward.NewCF(), forward.NewFixedBF(faultSweepBatch)
 	all := []faultVariant{
-		{core.NOW, forward.CF, forward.Direct},
-		{core.NOW, forward.BF, forward.Direct},
-		{core.SMP, forward.CF, forward.Direct},
-		{core.SMP, forward.BF, forward.Direct},
-		{core.MPP, forward.CF, forward.Direct},
-		{core.MPP, forward.CF, forward.Tree},
-		{core.MPP, forward.BF, forward.Direct},
-		{core.MPP, forward.BF, forward.Tree},
+		{core.NOW, cf, forward.Direct},
+		{core.NOW, bf, forward.Direct},
+		{core.SMP, cf, forward.Direct},
+		{core.SMP, bf, forward.Direct},
+		{core.MPP, cf, forward.Direct},
+		{core.MPP, cf, forward.Tree},
+		{core.MPP, bf, forward.Direct},
+		{core.MPP, bf, forward.Tree},
 	}
 	if pin == nil {
 		return all
 	}
+	family, _ := forward.PolicyOf(pin)
 	var out []faultVariant
 	for _, v := range all {
-		if v.policy == pin.Policy {
+		if p, _ := forward.PolicyOf(v.strategy); p == family {
+			v.strategy = pin
 			out = append(out, v)
 		}
 	}
@@ -161,9 +171,6 @@ func FaultSweep(w io.Writer, opt Options, sw FaultSweepOptions) error {
 	for k := 0; k < len(cells); k += 2 {
 		bare, res := results[k], results[k+1]
 		arch, pol, fwd := cells[k].v.label()
-		if sw.Policy != nil && sw.Policy.Adaptive {
-			pol = strings.ToUpper(sw.Policy.String())
-		}
 		t.AddRow(arch, pol, fwd, report.F(cells[k].loss*100),
 			report.F(delivered(bare)), report.F(delivered(res)),
 			fmt.Sprintf("%d", res.Retransmits),
@@ -189,13 +196,7 @@ func runFaultVariant(v faultVariant, sw FaultSweepOptions, opt Options, plan fau
 	cfg.Arch = v.arch
 	cfg.Nodes = sw.Nodes
 	cfg.Forwarding = v.fwd
-	if v.policy == forward.BF {
-		spec := forward.StrategySpec{Policy: forward.BF}
-		if sw.Policy != nil {
-			spec = *sw.Policy
-		}
-		cfg.Strategy = spec.NewStrategy(faultSweepBatch)
-	}
+	cfg.Strategy = v.strategy
 	if v.arch == core.SMP {
 		// SMP: AppProcs is the machine total, one process per CPU.
 		cfg.AppProcs = sw.Nodes

@@ -122,10 +122,10 @@ func RunLatencyBreakdown(opt Options, lb LatencyBreakdownOptions) ([]LatencyBrea
 		lb.SamplingPeriodMS = def.SamplingPeriodMS
 	}
 
-	specs := []forward.StrategySpec{
-		{Policy: forward.CF, Batch: 1},
-		{Policy: forward.BF, Batch: lb.Batch},
-		{Policy: forward.BF, Adaptive: true},
+	variants := []forward.Strategy{
+		forward.NewCF(),
+		forward.NewFixedBF(lb.Batch),
+		forward.NewAdaptiveBF(forward.ControllerConfig{}),
 	}
 
 	reps := opt.Reps
@@ -142,11 +142,11 @@ func RunLatencyBreakdown(opt Options, lb LatencyBreakdownOptions) ([]LatencyBrea
 		base.SamplingPeriod = lb.SamplingPeriodMS * 1000
 		seeds := core.ReplicationSeeds(
 			core.DeriveSeed(opt.Seed, core.SeedStreamLatency, uint64(ci)), reps)
-		for vi, spec := range specs {
+		for vi, v := range variants {
 			for ri, seed := range seeds {
 				cfg := base
 				cfg.Seed = seed
-				cfg.Strategy = spec.NewStrategy(0)
+				cfg.Strategy = v
 				jobs = append(jobs, job{ci, vi, ri, cfg})
 			}
 		}
@@ -155,7 +155,7 @@ func RunLatencyBreakdown(opt Options, lb LatencyBreakdownOptions) ([]LatencyBrea
 		res, err := runProvenance(j.cfg, opt)
 		if err != nil {
 			return core.Result{}, fmt.Errorf("ext-latency-breakdown %s %s: %w",
-				lb.Archs[j.ci], specs[j.vi], err)
+				lb.Archs[j.ci], variants[j.vi], err)
 		}
 		return res, nil
 	})
@@ -169,18 +169,18 @@ func RunLatencyBreakdown(opt Options, lb LatencyBreakdownOptions) ([]LatencyBrea
 		stages [][]core.StageLatency
 		lat    []float64
 	}
-	aggs := make([]agg, len(lb.Archs)*len(specs))
+	aggs := make([]agg, len(lb.Archs)*len(variants))
 	for k, j := range jobs {
 		r := flat[k]
-		a := &aggs[j.ci*len(specs)+j.vi]
+		a := &aggs[j.ci*len(variants)+j.vi]
 		if len(r.LatencyStages) > 0 {
 			a.stages = append(a.stages, r.LatencyStages)
 		}
 		a.lat = append(a.lat, r.MonitoringLatencySec)
 	}
 	point := func(ci, vi int) LatencyBreakdownPoint {
-		a := aggs[ci*len(specs)+vi]
-		p := LatencyBreakdownPoint{Policy: specs[vi].String(), LatencySec: stats.MeanOf(a.lat)}
+		a := aggs[ci*len(variants)+vi]
+		p := LatencyBreakdownPoint{Policy: variants[vi].String(), LatencySec: stats.MeanOf(a.lat)}
 		if len(a.stages) == 0 {
 			return p
 		}
@@ -209,7 +209,7 @@ func RunLatencyBreakdown(opt Options, lb LatencyBreakdownOptions) ([]LatencyBrea
 	for ci, arch := range lb.Archs {
 		base, _ := latencyCellConfig(arch)
 		c := LatencyBreakdownCell{Arch: arch, Nodes: base.Nodes}
-		for vi := range specs {
+		for vi := range variants {
 			c.Points = append(c.Points, point(ci, vi))
 		}
 		cells = append(cells, c)

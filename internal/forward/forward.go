@@ -12,7 +12,9 @@ import (
 	"rocc/internal/rng"
 )
 
-// Policy selects how a Paradyn daemon schedules data forwarding.
+// Policy labels the family of a forwarding strategy, CF or BF, for table
+// rows and titles; PolicyOf reads it off a Strategy, which is what selects
+// how a Paradyn daemon schedules data forwarding.
 type Policy int
 
 const (

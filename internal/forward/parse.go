@@ -6,18 +6,6 @@ import (
 	"strings"
 )
 
-// ParsePolicy parses a legacy forwarding-policy name ("cf" or "bf", any
-// case). It is the inverse of Policy.String up to case.
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "cf":
-		return CF, nil
-	case "bf":
-		return BF, nil
-	}
-	return CF, fmt.Errorf("forward: unknown policy %q (cf, bf)", s)
-}
-
 // ParseConfig parses a forwarding-configuration name ("direct" or
 // "tree", any case). It is the inverse of Config.String up to case.
 func ParseConfig(s string) (Config, error) {
@@ -30,90 +18,51 @@ func ParseConfig(s string) (Config, error) {
 	return Direct, fmt.Errorf("forward: unknown forwarding config %q (direct, tree)", s)
 }
 
-// StrategySpec is the parsed form of a -policy flag value. The grammar is
+// ParseStrategy parses a -policy spec into the strategy it names. The
+// grammar is
 //
 //	cf              collect-and-forward
-//	bf              batch-and-forward at the tool's default batch size
+//	bf              batch-and-forward at defaultBatch
 //	bf:<n>          batch-and-forward at batch size n >= 1
 //	abf             adaptive batch-and-forward, auto latency budget
 //	abf:<ms>        adaptive batch-and-forward, explicit budget in ms
 //
-// A zero StrategySpec means "not specified" (Policy CF with Batch 0 is
-// impossible to parse: bare "cf" yields Batch 1).
-type StrategySpec struct {
-	Policy   Policy  // CF or BF; BF also covers the adaptive variant
-	Adaptive bool    // true for abf specs
-	Batch    int     // fixed batch size; 0 after bare "bf" (tool default)
-	TargetMS float64 // adaptive latency budget in ms; 0 = auto-derive
-}
-
-// ParseStrategySpec parses a -policy spec string. Malformed specs —
-// unknown kinds, bf:0, abf:0, negative or non-finite values, trailing
-// garbage — are rejected here, at flag-parse time, with descriptive
-// errors.
-func ParseStrategySpec(s string) (StrategySpec, error) {
-	kind, arg, hasArg := strings.Cut(strings.TrimSpace(s), ":")
+// Malformed specs — unknown kinds, bf:0, abf:0, negative or non-finite
+// values, trailing garbage — are errors, and so is a bare "bf" when
+// defaultBatch < 1. Every strategy it returns renders back as a spec
+// (String) that parses to the same strategy.
+func ParseStrategy(spec string, defaultBatch int) (Strategy, error) {
+	kind, arg, hasArg := strings.Cut(strings.TrimSpace(spec), ":")
 	switch strings.ToLower(kind) {
 	case "cf":
 		if hasArg {
-			return StrategySpec{}, fmt.Errorf("forward: policy spec %q: cf takes no argument", s)
+			return nil, fmt.Errorf("forward: policy spec %q: cf takes no argument", spec)
 		}
-		return StrategySpec{Policy: CF, Batch: 1}, nil
+		return NewCF(), nil
 	case "bf":
-		spec := StrategySpec{Policy: BF}
-		if hasArg {
-			n, err := strconv.Atoi(arg)
-			if err != nil || n < 1 {
-				return StrategySpec{}, fmt.Errorf("forward: policy spec %q: batch size must be an integer >= 1", s)
+		if !hasArg {
+			if defaultBatch < 1 {
+				return nil, fmt.Errorf("forward: policy spec %q needs a batch size (bf:<n>)", spec)
 			}
-			spec.Batch = n
+			return NewFixedBF(defaultBatch), nil
 		}
-		return spec, nil
+		n, err := strconv.Atoi(arg)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("forward: policy spec %q: batch size must be an integer >= 1", spec)
+		}
+		return NewFixedBF(n), nil
 	case "abf":
-		spec := StrategySpec{Policy: BF, Adaptive: true}
+		var ms float64
 		if hasArg {
 			// !(ms > 0) also rejects NaN; the budget is used in
 			// microseconds, so it must stay finite after scaling.
-			ms, err := strconv.ParseFloat(arg, 64)
+			var err error
+			ms, err = strconv.ParseFloat(arg, 64)
 			if err != nil || !(ms > 0) || !finite(ms*1000) {
-				return StrategySpec{}, fmt.Errorf("forward: policy spec %q: latency budget must be a positive number of ms", s)
+				return nil, fmt.Errorf("forward: policy spec %q: latency budget must be a positive number of ms", spec)
 			}
-			spec.TargetMS = ms
 		}
-		return spec, nil
+		return NewAdaptiveBF(ControllerConfig{TargetLatencyUS: ms * 1000}), nil
 	}
-	return StrategySpec{}, fmt.Errorf("forward: unknown policy spec %q (cf, bf[:<n>], abf[:<ms>])", s)
-}
-
-// String renders the spec back in -policy form; it round-trips through
-// ParseStrategySpec.
-func (s StrategySpec) String() string {
-	switch {
-	case s.Adaptive && s.TargetMS > 0:
-		return fmt.Sprintf("abf:%g", s.TargetMS)
-	case s.Adaptive:
-		return "abf"
-	case s.Policy == CF:
-		return "cf"
-	case s.Batch > 0:
-		return fmt.Sprintf("bf:%d", s.Batch)
-	default:
-		return "bf"
-	}
-}
-
-// NewStrategy builds the Strategy the spec denotes. defaultBatch supplies
-// the tool's batch default for a bare "bf" spec.
-func (s StrategySpec) NewStrategy(defaultBatch int) Strategy {
-	if s.Adaptive {
-		return NewAdaptiveBF(ControllerConfig{TargetLatencyUS: s.TargetMS * 1000})
-	}
-	if s.Policy == CF {
-		return NewCF()
-	}
-	b := s.Batch
-	if b == 0 {
-		b = defaultBatch
-	}
-	return NewFixedBF(b)
+	return nil, fmt.Errorf("forward: unknown policy spec %q (cf, bf[:<n>], abf[:<ms>])", spec)
 }

@@ -15,9 +15,6 @@ const (
 	// ForwardNow drains one batch of the size returned alongside the
 	// action and forwards it as a single message.
 	ForwardNow
-	// FlushAll drains every buffered sample into one message regardless of
-	// any batch target (a latency escape hatch for custom strategies).
-	FlushAll
 )
 
 // String implements fmt.Stringer.
@@ -27,8 +24,6 @@ func (a Action) String() string {
 		return "accumulate"
 	case ForwardNow:
 		return "forward"
-	case FlushAll:
-		return "flush"
 	}
 	return fmt.Sprintf("Action(%d)", int(a))
 }
@@ -68,7 +63,7 @@ func (f Feedback) Occupancy() float64 {
 
 // Strategy is a pluggable forwarding-scheduling policy: it decides, each
 // time a daemon is free to work and samples are buffered, whether to
-// forward now, keep accumulating, or flush everything, and it receives
+// forward a batch now or keep accumulating, and it receives
 // completion feedback for every batch it forwarded. The built-ins are
 // NewCF (collect-and-forward), NewFixedBF (batch-and-forward at a fixed
 // batch size — the two policies of the paper's Figure 3), and

@@ -31,9 +31,8 @@ type PdDaemon struct {
 	Node  int
 
 	// Strategy schedules forwarding: each time the daemon is free it asks
-	// the strategy whether to forward a batch, keep accumulating, or flush
-	// everything, and reports completion feedback for every batch it
-	// collects locally. It must be set before Start, and each daemon must
+	// the strategy whether to forward a batch or keep accumulating, and
+	// reports completion feedback for every batch it collects locally. It must be set before Start, and each daemon must
 	// own its instance (the model wires one Clone per daemon).
 	Strategy forward.Strategy
 
@@ -225,22 +224,19 @@ func (d *PdDaemon) Wake() {
 			break
 		}
 		act, want := strat.Decide(d.Sim.Now(), avail, capTotal)
-		switch act {
-		case forward.Accumulate:
+		if act == forward.Accumulate {
 			// Partial batch pending: arm the flush timer if configured.
 			if d.FlushTimeout > 0 && d.flushTimer == nil {
 				d.flushTimer = d.Sim.Schedule(d.FlushTimeout, d.flush)
 			}
 			return
-		case forward.FlushAll:
-			want = avail
-		default: // ForwardNow: clamp to what is reachable
-			if want < 1 {
-				want = 1
-			}
-			if want > capTotal && capTotal > 0 {
-				want = capTotal
-			}
+		}
+		// ForwardNow: clamp to what is reachable.
+		if want < 1 {
+			want = 1
+		}
+		if want > capTotal && capTotal > 0 {
+			want = capTotal
 		}
 		msg := d.drain(want)
 		if len(msg.Samples) == 0 {

@@ -112,7 +112,7 @@ type Spec struct {
 	Pds            int          `json:"pds,omitempty"`
 	SamplingPeriod float64      `json:"sampling_period_us"`
 	Policy         string       `json:"policy"`               // a -policy spec: cf, bf:<n>, abf, abf:<ms>
-	BatchSize      int          `json:"batch_size,omitempty"` // older files' batch for a bare "bf"; never written
+	BatchSize      int          `json:"batch_size,omitempty"` // older files' default batch for a bare "bf"; never written
 	Forwarding     string       `json:"forwarding,omitempty"` // direct, tree
 	PipeCapacity   int          `json:"pipe_capacity,omitempty"`
 	Quantum        float64      `json:"quantum_us,omitempty"`
@@ -146,17 +146,11 @@ func (s Spec) Config() (core.Config, error) {
 	}
 	cfg.SamplingPeriod = s.SamplingPeriod
 	if s.Policy != "" {
-		pspec, err := forward.ParseStrategySpec(s.Policy)
+		strategy, err := forward.ParseStrategy(s.Policy, s.BatchSize)
 		if err != nil {
 			return cfg, fmt.Errorf("scenario: %w", err)
 		}
-		if !pspec.Adaptive && pspec.Policy == forward.BF && pspec.Batch == 0 {
-			if s.BatchSize < 1 {
-				return cfg, fmt.Errorf("scenario: policy %q needs batch_size >= 1", s.Policy)
-			}
-			pspec.Batch = s.BatchSize
-		}
-		cfg.Strategy = pspec.NewStrategy(0)
+		cfg.Strategy = strategy
 	}
 	if s.Forwarding != "" {
 		fwd, err := forward.ParseConfig(s.Forwarding)

@@ -125,9 +125,9 @@ func TestSpecRejectsMalformedPolicy(t *testing.T) {
 		want string
 	}{
 		{`{"policy":"bf:0"}`, "batch size must be an integer >= 1"},
-		{`{"policy":"bf"}`, "needs batch_size >= 1"},
-		{`{"policy":"bf","batch_size":0}`, "needs batch_size >= 1"},
-		{`{"policy":"bf","batch_size":-3}`, "needs batch_size >= 1"},
+		{`{"policy":"bf"}`, "needs a batch size"},
+		{`{"policy":"bf","batch_size":0}`, "needs a batch size"},
+		{`{"policy":"bf","batch_size":-3}`, "needs a batch size"},
 	}
 	for _, c := range cases {
 		_, err := decodeMinimal(c.json)

@@ -135,8 +135,9 @@ type ClusterConfig struct {
 	Kernel     string
 	KernelSize int
 
-	Policy    forward.Policy
-	BatchSize int
+	// Strategy is the daemons' forwarding policy: nil or forward.NewCF,
+	// or forward.NewFixedBF. Adaptive strategies are rejected.
+	Strategy forward.Strategy
 
 	SamplingPeriod time.Duration
 	Duration       time.Duration
@@ -179,8 +180,8 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	if cfg.PipeCapacity <= 0 {
 		cfg.PipeCapacity = 256
 	}
-	if cfg.Policy == forward.BF && cfg.BatchSize < 1 {
-		return ClusterResult{}, errors.New("testbed: BF needs BatchSize >= 1")
+	if _, err := fixedBatch(cfg.Strategy); err != nil {
+		return ClusterResult{}, err
 	}
 
 	collector, err := NewCollector()
@@ -235,7 +236,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 				return
 			}
 			pipe := make(chan Sample, cfg.PipeCapacity)
-			daemon := &Daemon{Policy: cfg.Policy, BatchSize: cfg.BatchSize}
+			daemon := &Daemon{Strategy: cfg.Strategy}
 			done := make(chan struct{})
 			var dstats DaemonStats
 			var derr error

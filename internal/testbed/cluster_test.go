@@ -12,7 +12,6 @@ func clusterCfg(nodes int, tree bool) ClusterConfig {
 		Nodes:          nodes,
 		Kernel:         "is",
 		KernelSize:     1 << 11,
-		Policy:         forward.CF,
 		SamplingPeriod: 2 * time.Millisecond,
 		Duration:       150 * time.Millisecond,
 		Seed:           1,
@@ -92,8 +91,7 @@ func TestClusterBFReducesMeanOverheadWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	bf := cf
-	bf.Policy = forward.BF
-	bf.BatchSize = 16
+	bf.Strategy = forward.NewFixedBF(16)
 	bfRes, err := RunCluster(bf)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +112,7 @@ func TestClusterErrors(t *testing.T) {
 		{Nodes: 1},
 		{Nodes: 1, Duration: time.Millisecond},
 		{Nodes: 1, Duration: time.Millisecond, SamplingPeriod: time.Millisecond,
-			Kernel: "is", Policy: forward.BF},
+			Kernel: "is", Strategy: forward.NewAdaptiveBF(forward.ControllerConfig{})},
 		{Nodes: 1, Duration: time.Millisecond, SamplingPeriod: time.Millisecond,
 			Kernel: "nope"},
 	}

@@ -61,8 +61,9 @@ type ExpConfig struct {
 	// picks a default sized so one step takes ~a millisecond.
 	KernelSize int
 
-	Policy    forward.Policy
-	BatchSize int
+	// Strategy is the daemon's forwarding policy: nil or forward.NewCF,
+	// or forward.NewFixedBF. Adaptive strategies are rejected.
+	Strategy forward.Strategy
 
 	SamplingPeriod time.Duration
 	Duration       time.Duration
@@ -113,8 +114,8 @@ func Run(cfg ExpConfig) (ExpResult, error) {
 	if cfg.PipeCapacity <= 0 {
 		cfg.PipeCapacity = 256
 	}
-	if cfg.Policy == forward.BF && cfg.BatchSize < 1 {
-		return ExpResult{}, errors.New("testbed: BF needs BatchSize >= 1")
+	if _, err := fixedBatch(cfg.Strategy); err != nil {
+		return ExpResult{}, err
 	}
 	kernel, err := NewKernel(cfg.Kernel, cfg.KernelSize, cfg.Seed)
 	if err != nil {
@@ -128,7 +129,7 @@ func Run(cfg ExpConfig) (ExpResult, error) {
 	defer collector.Close()
 
 	pipe := make(chan Sample, cfg.PipeCapacity)
-	daemon := &Daemon{Policy: cfg.Policy, BatchSize: cfg.BatchSize}
+	daemon := &Daemon{Strategy: cfg.Strategy}
 	daemonDone := make(chan struct{})
 	var dstats DaemonStats
 	var derr error

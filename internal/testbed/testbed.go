@@ -16,7 +16,6 @@ package testbed
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -182,19 +181,36 @@ type DaemonStats struct {
 }
 
 // Daemon forwards samples from the pipe to the collector until the pipe
-// is closed, then flushes any partial batch.
+// is closed, then flushes any partial batch. Its Strategy (nil = CF)
+// decides after each sample read whether the buffered samples go out as
+// one write.
 type Daemon struct {
-	Policy    forward.Policy
-	BatchSize int
+	Strategy forward.Strategy
 
 	stats DaemonStats
+}
+
+// fixedBatch returns the batch size of a strategy the testbed can run —
+// CF (or nil) and fixed BF — and an error for any other: the adaptive
+// controller steers by feedback the simulator computes, which the real
+// daemon does not.
+func fixedBatch(s forward.Strategy) (int, error) {
+	if _, batch := forward.PolicyOf(s); batch > 0 {
+		return batch, nil
+	}
+	return 0, fmt.Errorf("testbed: strategy %q needs simulated feedback; the testbed runs cf or bf:<n>", s)
 }
 
 // Run drains pipe into a TCP connection to addr. It returns the daemon's
 // statistics when the pipe closes.
 func (d *Daemon) Run(addr string, pipe <-chan Sample) (DaemonStats, error) {
-	if d.Policy == forward.BF && d.BatchSize < 1 {
-		return DaemonStats{}, errors.New("testbed: BF daemon needs BatchSize >= 1")
+	batchSize, err := fixedBatch(d.Strategy)
+	if err != nil {
+		return DaemonStats{}, err
+	}
+	strategy := d.Strategy
+	if strategy == nil {
+		strategy = forward.NewCF()
 	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -202,10 +218,6 @@ func (d *Daemon) Run(addr string, pipe <-chan Sample) (DaemonStats, error) {
 	}
 	defer conn.Close()
 
-	batchSize := d.BatchSize
-	if d.Policy == forward.CF {
-		batchSize = 1
-	}
 	batch := make([]Sample, 0, batchSize)
 	buf := make([]byte, 0, 4+batchSize*sampleWireBytes)
 
@@ -224,11 +236,15 @@ func (d *Daemon) Run(addr string, pipe <-chan Sample) (DaemonStats, error) {
 		return err
 	}
 
+	// CF and fixed BF forward exactly the samples buffered when they say
+	// ForwardNow, so the daemon flushes its whole batch.
+	begin := time.Now()
 	for s := range pipe {
 		start := time.Now()
 		batch = append(batch, s)
+		act, _ := strategy.Decide(float64(start.Sub(begin).Microseconds()), len(batch), cap(pipe))
 		d.stats.BusySec += time.Since(start).Seconds()
-		if len(batch) >= batchSize {
+		if act == forward.ForwardNow {
 			if err := flush(); err != nil {
 				return d.stats, fmt.Errorf("testbed: forwarding: %w", err)
 			}

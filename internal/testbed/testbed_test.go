@@ -20,7 +20,6 @@ func baseCfg() ExpConfig {
 	return ExpConfig{
 		Kernel:         "is",
 		KernelSize:     1 << 12,
-		Policy:         forward.CF,
 		SamplingPeriod: 2 * time.Millisecond,
 		Duration:       250 * time.Millisecond,
 		Seed:           1,
@@ -55,8 +54,7 @@ func TestEndToEndCF(t *testing.T) {
 
 func TestEndToEndBF(t *testing.T) {
 	cfg := baseCfg()
-	cfg.Policy = forward.BF
-	cfg.BatchSize = 16
+	cfg.Strategy = forward.NewFixedBF(16)
 	res := runExp(t, cfg)
 	if res.Daemon.SamplesForwarded != res.App.SamplesGenerated {
 		t.Fatalf("forwarded %d of %d (flush missing?)", res.Daemon.SamplesForwarded, res.App.SamplesGenerated)
@@ -81,8 +79,7 @@ func TestBFBeatsCFOnRealSyscalls(t *testing.T) {
 	rcf := runExp(t, cf)
 
 	bf := cf
-	bf.Policy = forward.BF
-	bf.BatchSize = 32
+	bf.Strategy = forward.NewFixedBF(32)
 	rbf := runExp(t, bf)
 
 	if rcf.Daemon.Writes < 10*rbf.Daemon.Writes {
@@ -132,7 +129,7 @@ func TestRunConfigErrors(t *testing.T) {
 		{Kernel: "is", Duration: time.Millisecond},                                     // no sampling period
 		{Kernel: "nope", Duration: time.Millisecond, SamplingPeriod: time.Millisecond}, // bad kernel
 		{Kernel: "is", Duration: time.Millisecond, SamplingPeriod: time.Millisecond,
-			Policy: forward.BF}, // BF without batch size
+			Strategy: forward.NewAdaptiveBF(forward.ControllerConfig{})}, // adaptive strategy rejected
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
@@ -173,7 +170,7 @@ func TestCollectorRejectsOversizedMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	d := &Daemon{Policy: forward.CF}
+	d := &Daemon{}
 	pipe := make(chan Sample, 1)
 	pipe <- Sample{GenTime: time.Now()}
 	close(pipe)
@@ -191,10 +188,50 @@ func TestCollectorRejectsOversizedMessage(t *testing.T) {
 }
 
 func TestDaemonDialFailure(t *testing.T) {
-	d := &Daemon{Policy: forward.CF}
+	d := &Daemon{}
 	pipe := make(chan Sample)
 	close(pipe)
 	if _, err := d.Run("127.0.0.1:1", pipe); err == nil {
 		t.Fatal("dial to closed port should fail")
+	}
+}
+
+// A fixed BF daemon writes once per full batch plus once for the final
+// partial batch: ceil(samples/n) writes for n up to the pipe capacity,
+// and a batch larger than the pipe clamps to the pipe as in the model.
+func TestDaemonFixedBatchWrites(t *testing.T) {
+	const samples, pipeCap = 21, 8
+	cases := []struct {
+		strategy   forward.Strategy
+		wantWrites int
+	}{
+		{nil, samples},
+		{forward.NewCF(), samples},
+		{forward.NewFixedBF(1), samples},
+		{forward.NewFixedBF(5), 5},
+		{forward.NewFixedBF(pipeCap), 3},
+		{forward.NewFixedBF(64), 3},
+	}
+	for _, c := range cases {
+		col, err := NewCollector()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe := make(chan Sample, pipeCap)
+		go func() {
+			for i := 0; i < samples; i++ {
+				pipe <- Sample{GenTime: time.Now(), Seq: uint64(i)}
+			}
+			close(pipe)
+		}()
+		st, err := (&Daemon{Strategy: c.strategy}).Run(col.Addr(), pipe)
+		col.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", c.strategy, err)
+		}
+		if st.Writes != c.wantWrites || st.SamplesForwarded != samples {
+			t.Errorf("%v: %d writes for %d samples, want %d writes for %d",
+				c.strategy, st.Writes, st.SamplesForwarded, c.wantWrites, samples)
+		}
 	}
 }

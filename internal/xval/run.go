@@ -148,7 +148,7 @@ func Run(g scenario.Grid, opt Options) (*Report, error) {
 			Group:  cell.Group,
 			Label:  cell.Label,
 			Arch:   strings.ToUpper(cell.Spec.Arch),
-			Policy: policyLabel(cell.Spec),
+			Policy: policyLabel(cfg.Strategy),
 		}
 		if cr.Analytic, err = analyticEstimates(cfg); err != nil {
 			return CellReport{}, fmt.Errorf("analytic on %s: %w", cell.ID, err)
@@ -170,21 +170,17 @@ func Run(g scenario.Grid, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// policyLabel renders a spec's policy axis ("CF", "BF(32)", "ABF"). The
-// policy field is a -policy spec, so bf:32 and abf:5 label correctly; an
-// unparseable label degrades to CF, matching the pre-spec behavior.
-func policyLabel(s scenario.Spec) string {
-	spec, err := forward.ParseStrategySpec(s.Policy)
-	if err != nil || spec.Policy == forward.CF {
+// policyLabel renders a cell's policy axis ("CF", "BF(32)", "ABF",
+// "ABF:5") from its parsed strategy.
+func policyLabel(s forward.Strategy) string {
+	p, batch := forward.PolicyOf(s)
+	switch {
+	case p == forward.CF:
 		return "CF"
+	case batch == 0:
+		return strings.ToUpper(s.String())
 	}
-	if spec.Adaptive {
-		return strings.ToUpper(spec.String())
-	}
-	if spec.Batch > 0 {
-		return fmt.Sprintf("BF(%d)", spec.Batch)
-	}
-	return fmt.Sprintf("BF(%d)", s.BatchSize)
+	return fmt.Sprintf("BF(%d)", batch)
 }
 
 // compare builds one metric's row: the analytic value against the

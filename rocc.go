@@ -79,32 +79,24 @@ const (
 	CommIntensive    = core.CommIntensive
 )
 
-// Forwarding policies and configurations.
-type (
-	// Policy is CF or BF.
-	Policy = forward.Policy
-	// Forwarding is Direct or Tree.
-	Forwarding = forward.Config
-)
+// Forwarding is the forwarding configuration: Direct or Tree.
+type Forwarding = forward.Config
 
-// Policy and forwarding-configuration values.
+// Forwarding-configuration values.
 const (
-	CF     = forward.CF
-	BF     = forward.BF
 	Direct = forward.Direct
 	Tree   = forward.Tree
 )
 
-// Pluggable forwarding strategies: the open surface behind Config.Strategy.
-// A Strategy decides, at every daemon decision point, whether to forward a
-// batch, keep accumulating, or flush, and receives completion feedback per
-// forwarded batch (see internal/forward for the contract).
+// Pluggable forwarding strategies: the one value that names a forwarding
+// policy, in Config.Strategy, MeasureConfig.Strategy and
+// ClusterConfig.Strategy. A Strategy decides, at every daemon decision
+// point, whether to forward a batch or keep accumulating, and receives
+// completion feedback per forwarded batch (see internal/forward for the
+// contract).
 type (
 	// ForwardStrategy schedules a daemon's forwarding decisions.
 	ForwardStrategy = forward.Strategy
-	// ForwardStrategySpec is the parsed form of a -policy spec
-	// ("cf", "bf:32", "abf", "abf:1.5").
-	ForwardStrategySpec = forward.StrategySpec
 	// ForwardFeedback is the completion report fed back per batch.
 	ForwardFeedback = forward.Feedback
 	// AdaptiveBFConfig parameterizes the adaptive batch-size controller.
@@ -124,16 +116,14 @@ func NewFixedBFStrategy(batch int) ForwardStrategy { return forward.NewFixedBF(b
 // zero AdaptiveBFConfig selects the scenario-free defaults.
 func NewAdaptiveBFStrategy(cfg AdaptiveBFConfig) *AdaptiveBF { return forward.NewAdaptiveBF(cfg) }
 
-// ParsePolicy parses a bare policy name ("cf", "bf").
-func ParsePolicy(s string) (Policy, error) { return forward.ParsePolicy(s) }
-
 // ParseForwarding parses a forwarding configuration ("direct", "tree").
 func ParseForwarding(s string) (Forwarding, error) { return forward.ParseConfig(s) }
 
-// ParseStrategySpec parses a -policy spec ("cf", "bf", "bf:<n>", "abf",
-// "abf:<ms>") with descriptive errors; Spec.NewStrategy materializes it.
-func ParseStrategySpec(s string) (ForwardStrategySpec, error) {
-	return forward.ParseStrategySpec(s)
+// ParseForwardStrategy parses a -policy spec ("cf", "bf", "bf:<n>",
+// "abf", "abf:<ms>") into its strategy, with descriptive errors. A bare
+// "bf" takes defaultBatch, and is an error when defaultBatch < 1.
+func ParseForwardStrategy(spec string, defaultBatch int) (ForwardStrategy, error) {
+	return forward.ParseStrategy(spec, defaultBatch)
 }
 
 // DefaultConfig returns the paper's "typical" configuration: NOW, 8 nodes,

@@ -74,7 +74,7 @@ func TestPublicAPIAnalytic(t *testing.T) {
 func TestPublicAPIMeasure(t *testing.T) {
 	res, err := Measure(MeasureConfig{
 		Kernel:         "is",
-		Policy:         CF,
+		Strategy:       NewCFStrategy(),
 		SamplingPeriod: 2 * time.Millisecond,
 		Duration:       50 * time.Millisecond,
 		Seed:           1,
@@ -167,15 +167,15 @@ func TestModelInspection(t *testing.T) {
 }
 
 func TestPublicAPIForwardStrategy(t *testing.T) {
-	// A custom strategy spec drives a simulation through Config.Strategy.
-	spec, err := ParseStrategySpec("abf")
+	// A parsed strategy spec drives a simulation through Config.Strategy.
+	strategy, err := ParseForwardStrategy("abf", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Duration = 1e6
 	cfg.Nodes = 2
-	cfg.Strategy = spec.NewStrategy(0)
+	cfg.Strategy = strategy
 	res, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +193,11 @@ func TestPublicAPIForwardStrategy(t *testing.T) {
 	if got := NewCFStrategy().String(); got != "cf" {
 		t.Fatalf("cf strategy renders %q", got)
 	}
-	if _, err := ParseStrategySpec("bf:0"); err == nil {
+	if _, err := ParseForwardStrategy("bf:0", 32); err == nil {
 		t.Fatal("bf:0 must be rejected")
+	}
+	if _, err := ParseForwardStrategy("bf", 0); err == nil {
+		t.Fatal("bare bf without a default batch must be rejected")
 	}
 }
 
