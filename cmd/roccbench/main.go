@@ -9,6 +9,10 @@
 //	roccbench -exp fig16 -parallel 8            # fan replications over 8 workers
 //	roccbench -exp fig17 -cpuprofile cpu.pprof  # profile the regeneration
 //
+// -policy overrides the candidate strategy of the experiments that take
+// one (ext-adaptive-bf); with no such experiment selected it is a usage
+// error.
+//
 // -parallel N fans the independent simulation runs of an experiment
 // (replications, factorial rows, sweep points) over N worker goroutines;
 // 0 means one per core, 1 forces the serial path. Output is byte-identical
@@ -116,6 +120,17 @@ func main() {
 	}
 	opt.Calendar = cal
 
+	ids := expandIDs(*exp)
+	if *exp == "all" {
+		ids = experiments.IDs()
+	}
+	if opt.Policy != nil {
+		if err := checkPolicy(ids); err != nil {
+			fmt.Fprintln(os.Stderr, "roccbench:", err)
+			os.Exit(2)
+		}
+	}
+
 	if *exp == "all" {
 		if err := experiments.RunAll(os.Stdout, opt); err != nil {
 			fmt.Fprintln(os.Stderr, "roccbench:", err)
@@ -124,7 +139,7 @@ func main() {
 		return
 	}
 	// Comma-separated lists run in order: roccbench -exp fig17,fig18,fig19
-	for _, id := range expandIDs(*exp) {
+	for _, id := range ids {
 		e, ok := experiments.ByID(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "roccbench: unknown experiment %q (try -list)\n", id)
@@ -136,6 +151,18 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkPolicy refuses -policy unless one of the selected experiments ids
+// reads it, so a policy nothing applies is a usage error rather than a
+// flag silently ignored.
+func checkPolicy(ids []string) error {
+	for _, id := range ids {
+		if e, ok := experiments.ByID(id); ok && e.ReadsPolicy {
+			return nil
+		}
+	}
+	return fmt.Errorf("-policy is read only by %s, and -exp selects none of them", strings.Join(experiments.PolicyReaders(), ", "))
 }
 
 // expandIDs resolves a comma-separated -exp list.

@@ -83,17 +83,17 @@ func digestPinCells() map[string]pinCell {
 
 	return map[string]pinCell{
 		"now32-cf-direct": {nowCF,
-			"0974159602a873fe67d5513b370408d187acb0546caf586189fbc563d8163931", 22867, 1800},
+			"54b8925a7cfe2370a3be4f97f8d142a86555e1ae680cdf7328ebf68b18dc2632", 22442, 1800},
 		"mpp256-tree-pipe8": {mppTree,
-			"ff195ba360246e5e1764764d2509cfdcd01d6276beaf0c0fb8ed3f409e7a6552", 77878, 13700},
+			"43bc3d42b17324766c0690ba2048a7186d0088544c837b59d162fcd923b9c725", 78096, 13700},
 		"now16-abf-chaos": {chaos,
-			"c444cf8dfc7d9af6755af8d5030f3ef699ec42209552b57d5043a74b5c0ef545", 27114, 1950},
+			"a2c5e89dacc1998d2d440339a8f3024a3221e2d14cb924f9f5a435de31047b52", 27810, 1950},
 		"mpp8-tree-retransmit": {tree,
-			"bd797d88e3b18495671f9748674b3728e4c3e9d22934999acfcc5cdde1eb436c", 17225, 1250},
+			"11e3cf1e307d78a1856fbbb9188e8a4e260ece3c57ca73abe4d0bfbb781ce6fe", 17383, 1250},
 		"smp16-cf-shared-pool": {smpCF,
-			"9ec42cfcc582720446fa4ac32fdd33c896bc3fa1f722ae09bd0d9fea8c91fbc6", 20436, 25400},
+			"77014a7ab5661d04b2688333a4f242533e64b8fa293b4181f57fd493c2e1a5b1", 22032, 25400},
 		"now32-cf-shared-host": {sharedCF,
-			"0f8d1e086b4259fc4b687ef15ae92c3959575b85753c2d7e9938aa9717b98831", 22527, 1800},
+			"3db5f91fe627f50e52d14f22f2c3527b977731a1e163292689f0cd546f776476", 22125, 1800},
 	}
 }
 

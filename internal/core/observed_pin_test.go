@@ -65,8 +65,8 @@ func TestObservedOutputPins(t *testing.T) {
 		t.Skipf("output pins are recorded on amd64; %s may round floats differently", runtime.GOARCH)
 	}
 	const (
-		wantExpo  = "e8dac12cd9be4f8d17af6c63e4bada7734e0ed69cb5e74e0d590b5bae220b75a"
-		wantTrace = "e1b4d66867fddac4ef992583204856a3f9e8aec79a234c2a3e1c2a5c3e02a802"
+		wantExpo  = "3b74129d01d46c13c609c7c99549aa7fccce03d125b8e6894bc6c093a1695f63"
+		wantTrace = "a7e355dfac0e5208b1e007e5b7729e8ced3e44dac674823b59e6a87960431a2d"
 
 		// About 1.25x the 78 and 13 allocations measured.
 		maxRenderAllocs = 98

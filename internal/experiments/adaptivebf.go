@@ -15,6 +15,7 @@ func init() {
 	register("ext-adaptive-bf",
 		"Extension: adaptive batch-size controller vs CF and fixed BF on the Figure 19 grid",
 		runExtAdaptiveBF)
+	readsPolicy("ext-adaptive-bf")
 }
 
 // AdaptiveBFOptions parameterizes the adaptive-batching sweep: the

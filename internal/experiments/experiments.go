@@ -44,10 +44,10 @@ type Options struct {
 	// results are byte-identical for every kind.
 	Calendar des.CalendarKind
 	// Policy, when non-nil, overrides the candidate forwarding strategy of
-	// the experiments that take one (roccbench -policy): ext-adaptive-bf
-	// swaps its adaptive candidate for this strategy. Experiments whose
-	// policy axis the paper pins (the tables and figures) ignore it, so
-	// their output stays byte-identical.
+	// the experiments that take one (Experiment.ReadsPolicy; roccbench
+	// -policy): ext-adaptive-bf swaps its adaptive candidate for this
+	// strategy. Experiments whose policy axis the paper pins (the tables
+	// and figures) ignore it, so their output stays byte-identical.
 	Policy forward.Strategy
 }
 
@@ -95,6 +95,9 @@ type Experiment struct {
 	Title string
 	// Run regenerates the experiment and writes its output.
 	Run func(w io.Writer, opt Options) error
+	// ReadsPolicy reports that Run reads Options.Policy; every other
+	// experiment ignores it.
+	ReadsPolicy bool
 }
 
 var registry = map[string]Experiment{}
@@ -106,6 +109,26 @@ func register(id, title string, run func(io.Writer, Options) error) {
 	}
 	registry[id] = Experiment{ID: id, Title: title, Run: run}
 	order = append(order, id)
+}
+
+// readsPolicy marks the registered experiment id as one whose Run reads
+// Options.Policy.
+func readsPolicy(id string) {
+	e := registry[id]
+	e.ReadsPolicy = true
+	registry[id] = e
+}
+
+// PolicyReaders returns the ids of the experiments that read
+// Options.Policy, in registration order.
+func PolicyReaders() []string {
+	var ids []string
+	for _, id := range order {
+		if registry[id].ReadsPolicy {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // ByID looks up an experiment.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"rocc/internal/des"
+	"rocc/internal/forward"
 )
 
 var update = flag.Bool("update", false, "re-record testdata/manifest.txt from the current outputs")
@@ -42,7 +43,10 @@ func manifestOptions() Options {
 // testdata/manifest.txt. Each experiment runs once under the heap
 // calendar and once under the bucket calendar, and the two outputs must
 // be equal, so the "same bytes at any calendar" contract covers every
-// artifact. A change that alters an artifact on purpose re-records the
+// artifact. The heap run of an experiment that does not read
+// Options.Policy (Experiment.ReadsPolicy) also carries a policy override,
+// so the same comparison holds it to ignoring one, as roccbench -policy
+// assumes. A change that alters an artifact on purpose re-records the
 // manifest with
 //
 //	go test ./internal/experiments -run TestArtifactManifest -update
@@ -63,6 +67,9 @@ func TestArtifactManifest(t *testing.T) {
 		for i, cal := range []des.CalendarKind{des.CalendarHeap, des.CalendarBucket} {
 			opt := manifestOptions()
 			opt.Calendar = cal
+			if cal == des.CalendarHeap && !e.ReadsPolicy {
+				opt.Policy = forward.NewFixedBF(3)
+			}
 			var buf bytes.Buffer
 			if err := e.Run(&buf, opt); err != nil {
 				t.Fatalf("%s (%s calendar): %v", id, cal, err)
@@ -70,7 +77,7 @@ func TestArtifactManifest(t *testing.T) {
 			outs[i] = buf.Bytes()
 		}
 		if !bytes.Equal(outs[0], outs[1]) {
-			t.Errorf("%s: heap and bucket calendars print different bytes", id)
+			t.Errorf("%s: heap and bucket calendars print different bytes (the heap run with a policy override, unless the experiment reads it)", id)
 		}
 		sum := sha256.Sum256(outs[0])
 		fmt.Fprintf(&got, "%s %s %d\n", id, hex.EncodeToString(sum[:]), len(outs[0]))

@@ -13,10 +13,17 @@ package forward
 // A pool belongs to one simulation and is not safe for concurrent use.
 // It draws no random numbers and schedules nothing, so pooling cannot
 // change a run's results.
+//
+// Fresh messages are cut from slabs that double up to maxMsgSlab
+// messages, so a backlog of messages in flight costs one allocation per
+// slab, not one per message.
 type MessagePool struct {
 	free      []*Message
+	slab      []Message
 	allocated int
 }
+
+const maxMsgSlab = 64
 
 // Get returns a live message with no samples; its sample array keeps the
 // capacity of its previous use.
@@ -28,8 +35,13 @@ func (p *MessagePool) Get() *Message {
 		m.released = false
 		return m
 	}
+	if len(p.slab) == 0 {
+		p.slab = make([]Message, min(max(p.allocated, 1), maxMsgSlab))
+	}
 	p.allocated++
-	return &Message{}
+	m := &p.slab[0]
+	p.slab = p.slab[1:]
+	return m
 }
 
 // Put releases m to the pool. The caller gives up ownership: m must not

@@ -69,8 +69,11 @@ type PdDaemon struct {
 	thinSeq    int
 	flushTimer *des.Event
 
-	// jobFree recycles job records (see daemonJob).
-	jobFree []*daemonJob
+	// jobFree recycles job records; jobSlab holds fresh ones not yet
+	// handed out, and jobsMade counts those handed out (see daemonJob).
+	jobFree  []*daemonJob
+	jobSlab  []daemonJob
+	jobsMade int
 
 	// Metrics.
 	MessagesForwarded int
@@ -213,7 +216,7 @@ func (d *PdDaemon) Wake() {
 		j.epoch, j.msg, j.relay = d.epoch, d.relayQ.Pop(), true
 		j.msg.MustBeLive("procs.PdDaemon relay job")
 		d.busy = true
-		d.CPU.Submit(OwnerPd, d.Cost.MergeCPU(d.R), j.cpuDone)
+		d.CPU.Submit(OwnerPd, d.Cost.MergeCPU(d.R), j.done)
 		return
 	}
 	capTotal := d.capacity()
@@ -293,7 +296,7 @@ func (d *PdDaemon) collect(msg *forward.Message) {
 	j := d.newJob()
 	j.epoch, j.msg = d.epoch, msg
 	d.busy = true
-	d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(msg.Samples)), j.cpuDone)
+	d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(msg.Samples)), j.done)
 }
 
 func (d *PdDaemon) cancelFlush() {
@@ -348,19 +351,28 @@ func (d *PdDaemon) drain(want int) *forward.Message {
 // daemonJob carries one message through the daemon: the CPU work that
 // produces it (merging a relayed message, or collecting a local batch),
 // then its network transfer. The job owns the message until delivery.
-// Records are free-listed per daemon with both completion closures bound
-// once, and messages come from the pool, so the sample path allocates
-// nothing in steady state. A crash does not withdraw a job from the CPU,
-// so after Restore a stale job and a new one can be outstanding together
-// and finish in either order; each owns its record and epoch.
+// Records are free-listed per daemon with their one completion closure
+// bound once, and messages come from the pool, so the sample path
+// allocates nothing in steady state. Fresh records are cut from slabs
+// that double up to maxJobSlab records, so a backlog of jobs (a
+// saturated network holds one per queued transfer) costs one closure per
+// record and few slabs, while a daemon that needs two records makes no
+// more. A crash does not withdraw a job from the CPU, so after Restore a
+// stale job and a new one can be outstanding together and finish in
+// either order; each owns its record and epoch.
 type daemonJob struct {
 	epoch   int
 	msg     *forward.Message
 	relay   bool // merging a child's message, not collecting a local batch
+	sending bool // the CPU work is done and the transfer is under way
 	deliver func(*forward.Message)
-	cpuDone func() // calls PdDaemon.jobDone(this)
-	netDone func() // calls PdDaemon.sent(this)
+	// done is the completion callback of both stages: it calls
+	// PdDaemon.jobDone(this) when the CPU work ends and PdDaemon.sent(this)
+	// when the transfer does.
+	done func()
 }
+
+const maxJobSlab = 64
 
 func (d *PdDaemon) newJob() *daemonJob {
 	if n := len(d.jobFree); n > 0 {
@@ -369,15 +381,25 @@ func (d *PdDaemon) newJob() *daemonJob {
 		d.jobFree = d.jobFree[:n-1]
 		return j
 	}
-	j := &daemonJob{}
-	j.cpuDone = func() { d.jobDone(j) }
-	j.netDone = func() { d.sent(j) }
+	if len(d.jobSlab) == 0 {
+		d.jobSlab = make([]daemonJob, min(max(d.jobsMade, 1), maxJobSlab))
+	}
+	j := &d.jobSlab[0]
+	d.jobSlab = d.jobSlab[1:]
+	d.jobsMade++
+	j.done = func() {
+		if j.sending {
+			d.sent(j)
+		} else {
+			d.jobDone(j)
+		}
+	}
 	return j
 }
 
 // release clears a record's payload and returns it to the free list.
 func (d *PdDaemon) release(j *daemonJob) {
-	*j = daemonJob{cpuDone: j.cpuDone, netDone: j.netDone}
+	*j = daemonJob{done: j.done}
 	d.jobFree = append(d.jobFree, j)
 }
 
@@ -421,8 +443,8 @@ func (d *PdDaemon) send(j *daemonJob) {
 		d.Obs.MessageForwarded(d.Node, d.Sim.Now(), msg.Samples, msg.Hops)
 	}
 	netLen := d.Cost.MsgNet(d.R, len(msg.Samples))
-	j.deliver = d.Deliver
-	d.Net.Submit(OwnerPd, netLen, j.netDone)
+	j.deliver, j.sending = d.Deliver, true
+	d.Net.Submit(OwnerPd, netLen, j.done)
 }
 
 // sent runs when j's transfer completes and hands the message to Deliver.

@@ -161,7 +161,7 @@ func (m Mixture) Sample(r *Stream) float64 {
 	if total <= 0 {
 		return m.Components[r.Intn(len(m.Components))].Sample(r)
 	}
-	u := r.Float64() * total
+	u := float64(r.Float64() * total)
 	for i, w := range m.Weights {
 		if u < w {
 			return m.Components[i].Sample(r)
@@ -183,7 +183,7 @@ func (m Mixture) Mean() float64 {
 			w = m.Weights[i]
 		}
 		total += w
-		sum += w * c.Mean()
+		sum += float64(w * c.Mean())
 	}
 	if total <= 0 {
 		return 0

@@ -11,7 +11,7 @@ func (r *Stream) Gamma(shape, scale float64) float64 {
 	if shape < 1 {
 		// Boost: G(a) = G(a+1) * U^(1/a).
 		u := r.open()
-		return r.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
+		return r.Gamma(shape+1, scale) * exp(logNormal(u)/shape)
 	}
 	d := shape - 1.0/3
 	c := 1 / math.Sqrt(9*d)
@@ -19,17 +19,18 @@ func (r *Stream) Gamma(shape, scale float64) float64 {
 		var x, v float64
 		for {
 			x = r.Normal(0, 1)
-			v = 1 + c*x
+			v = 1 + float64(c*x)
 			if v > 0 {
 				break
 			}
 		}
-		v = v * v * v
+		v = float64(float64(v*v) * v)
 		u := r.open()
-		if u < 1-0.0331*x*x*x*x {
+		x2 := float64(x * x)
+		if u < 1-float64(float64(0.0331*x2)*x2) {
 			return scale * d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if logNormal(u) < float64(0.5*x2)+float64(d*(1-v+log(v))) {
 			return scale * d * v
 		}
 	}

@@ -33,7 +33,13 @@ import "math"
 // s = f/(2+f), log(1+f) = 2s + s·R(s²), where a degree-14 polynomial
 // approximates R within 2^-58.45; then log(x) = k·ln2 + log(1+f), with
 // ln2 split into a high part exact under small multiples and a low part.
-func logNormal(x float64) float64 {
+func logNormal(x float64) float64 { return logScaled(x, 0) }
+
+// logScaled returns log(x·2^dk) for a positive normal x: the exponent
+// adjustment joins k before k·ln2 is formed, so log can take a
+// subnormal argument pre-scaled into the normal range at no extra
+// rounding.
+func logScaled(x float64, dk int) float64 {
 	const (
 		Ln2Hi = 6.93147180369123816490e-01 /* 3fe62e42 fee00000 */
 		Ln2Lo = 1.90821492927058770002e-10 /* 3dea39ef 35793c76 */
@@ -57,7 +63,7 @@ func logNormal(x float64) float64 {
 	frac := bits & fracMask
 	lt := (frac - hSqrt2) >> 63 // 1 when frac < hSqrt2
 	f1 := math.Float64frombits(frac | (1022+lt)<<52)
-	k := float64(int(bits>>52) - 1022 - int(lt))
+	k := float64(int(bits>>52) - 1022 - int(lt) + dk)
 	f := f1 - 1
 
 	// compute; every product is rounded on its own (float64(…)), so no

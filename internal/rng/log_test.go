@@ -7,11 +7,12 @@ import (
 )
 
 // logNormal gives the amd64 math.Log kernel's bits on the inputs the
-// variates hand it: the 2^-53 grid of open() (Exp, Weibull), polar-method
-// s values (Normal), and random positive normal doubles across the whole
-// exponent range. Elsewhere math.Log is the pure-Go code the port came
-// from, compiled with whatever multiply-adds the platform fuses, so it is
-// no fixed reference.
+// variates hand it: the 2^-53 grid of open() (the ziggurat tails and
+// Gamma's rejection test) and ziggurat exponentials (Weibull), and on
+// random positive normal doubles across the whole exponent range.
+// Elsewhere math.Log is the pure-Go code the port came from, compiled
+// with whatever multiply-adds the platform fuses, so it is no fixed
+// reference.
 func TestLogNormalMatchesMathLog(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("math.Log on %s may fuse multiply-adds; the reference is the amd64 kernel", runtime.GOARCH)
@@ -36,9 +37,8 @@ func TestLogNormalMatchesMathLog(t *testing.T) {
 	r := New(7)
 	for i := 0; i < n; i++ {
 		check("open grid", r.open())
-		u, v := 2*r.Float64()-1, 2*r.Float64()-1
-		if s := u*u + v*v; s > 0 && s < 1 {
-			check("polar s", s)
+		if e := r.expZig(); e > 0 {
+			check("ziggurat exponential", e)
 		}
 		check("[0,2) uniform", 2*r.open())
 		// A random positive normal double: any exponent, any mantissa.

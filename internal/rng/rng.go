@@ -28,10 +28,6 @@ func splitMix64(state *uint64) uint64 {
 // or Seed or DeriveInto to set up a stream in place.
 type Stream struct {
 	s [4]uint64
-
-	// spare holds a cached standard-normal deviate from the polar method.
-	spare    float64
-	hasSpare bool
 }
 
 // New returns a stream seeded from seed. Distinct seeds give streams that
@@ -94,7 +90,7 @@ func (r *Stream) Float64() float64 {
 }
 
 // open returns a uniform variate in (0, 1), never exactly zero, suitable for
-// logarithms in inversion methods.
+// the logarithms of the ziggurat tails and the gamma rejection test.
 func (r *Stream) open() float64 {
 	for {
 		u := r.Float64()
@@ -136,37 +132,23 @@ func mul64(a, b uint64) (hi, lo uint64) {
 
 // Uniform returns a variate uniform on [a, b).
 func (r *Stream) Uniform(a, b float64) float64 {
-	return a + (b-a)*r.Float64()
+	return a + float64((b-a)*r.Float64())
 }
 
 // Exp returns an exponential variate with the given mean (inter-arrival form
-// used throughout Table 2). It panics if mean <= 0.
+// used throughout Table 2), drawn by the ziggurat method. It panics if
+// mean <= 0.
 func (r *Stream) Exp(mean float64) float64 {
 	if mean <= 0 {
 		panic("rng: Exp with non-positive mean")
 	}
-	return -mean * logNormal(r.open())
+	return float64(mean * r.expZig())
 }
 
-// Normal returns a normal variate with mean mu and standard deviation sigma
-// using the Marsaglia polar method.
+// Normal returns a normal variate with mean mu and standard deviation sigma,
+// drawn by the ziggurat method.
 func (r *Stream) Normal(mu, sigma float64) float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return mu + sigma*r.spare
-	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * logNormal(s) / s)
-		r.spare = v * f
-		r.hasSpare = true
-		return mu + sigma*u*f
-	}
+	return mu + float64(sigma*r.normZig())
 }
 
 // LognormalParams converts a desired mean and standard deviation of a
@@ -179,9 +161,9 @@ func LognormalParams(mean, sd float64) (mu, sigma float64) {
 	if sd < 0 {
 		panic("rng: lognormal sd must be non-negative")
 	}
-	cv2 := (sd / mean) * (sd / mean)
-	sigma2 := math.Log(1 + cv2)
-	mu = math.Log(mean) - sigma2/2
+	cv2 := float64((sd / mean) * (sd / mean))
+	sigma2 := log(1 + cv2)
+	mu = log(mean) - float64(sigma2/2)
 	return mu, math.Sqrt(sigma2)
 }
 
@@ -197,16 +179,20 @@ func (r *Stream) Lognormal(mean, sd float64) float64 {
 // both Stream.Lognormal and a Prepare'd Lognormal, so the two give
 // bit-identical draws.
 func (r *Stream) lognormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
+	return exp(r.Normal(mu, sigma))
 }
 
-// Weibull returns a Weibull variate with the given shape and scale via
-// inversion.
+// Weibull returns a Weibull variate with the given shape and scale as
+// scale·E^(1/shape) for a standard exponential E.
 func (r *Stream) Weibull(shape, scale float64) float64 {
 	if shape <= 0 || scale <= 0 {
 		panic("rng: Weibull parameters must be positive")
 	}
-	return scale * math.Pow(-logNormal(r.open()), 1/shape)
+	e := r.expZig()
+	if e == 0 {
+		return 0
+	}
+	return float64(scale * exp(logNormal(e)/shape))
 }
 
 // Bernoulli returns true with probability p.

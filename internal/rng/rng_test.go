@@ -73,14 +73,13 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
-// DeriveInto overwrites a used stream — advanced, with a cached normal
-// spare — with exactly the substream Derive returns, and Derive's draws
+// DeriveInto overwrites a used stream — advanced by variate draws — with exactly the substream Derive returns, and Derive's draws
 // keep the values they had when it built a fresh stream itself.
 func TestDeriveIntoMatchesDerive(t *testing.T) {
 	parent := New(7)
 	var st Stream
 	parent.DeriveInto(&st, 3)
-	st.Normal(0, 1) // leaves a spare behind
+	st.Normal(0, 1)
 	st.Uint64()
 	parent.DeriveInto(&st, 9)
 	want := parent.Derive(9)
@@ -368,7 +367,7 @@ func TestPrepareDrawsBitIdentical(t *testing.T) {
 				t.Fatalf("%v draw %d: prepared %v, plain %v", d, i, y, x)
 			}
 		}
-		if a.Uint64() != b.Uint64() || a.hasSpare != b.hasSpare || a.spare != b.spare {
+		if *a != *b {
 			t.Fatalf("%v: streams diverged", d)
 		}
 		if math.Float64bits(p.Mean()) != math.Float64bits(d.Mean()) || p.String() != d.String() {

@@ -296,10 +296,20 @@ func (h *BucketHistogram) Snapshot() BucketSnapshot {
 }
 
 // Quantile estimates the p-quantile (0 <= p <= 1) by locating the bucket
-// holding the target rank and interpolating linearly within it, on the
-// usual assumption of uniform spread inside a bucket. The estimate is
+// holding the target rank and interpolating within it. The estimate is
 // clamped to the observed [Min, Max], which also gives exact answers for
 // the overflow bucket and single-bucket edge cases. Returns 0 when empty.
+//
+// Inside a bucket whose two neighbours are bounded, the density is taken
+// to be linear rather than flat: its slope is the central difference of
+// the neighbours' densities (count over width), capped so the density
+// stays non-negative across the bucket, and the rank is found on the
+// resulting quadratic CDF. In the tail of a distribution the density
+// falls across a bucket, so the flat assumption puts upper quantiles too
+// high by up to the bucket's width; the slope removes that first-order
+// bias. Where the neighbours are equally dense, or a neighbour or the
+// bucket itself has no finite bounds, or the bucket is clamped to Min or
+// Max, the interpolation is linear.
 func (h *BucketHistogram) Quantile(p float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -333,12 +343,37 @@ func (h *BucketHistogram) Quantile(p float64) float64 {
 			if hi < lo {
 				hi = lo
 			}
-			frac := (rank - cum) / float64(c)
-			return lo + frac*(hi-lo)
+			q := (rank - cum) / float64(c)
+			return lo + h.slopedFrac(i, lo, hi, q)*(hi-lo)
 		}
 		cum = next
 	}
 	return h.max
+}
+
+// slopedFrac returns how far through bucket i, spanning [lo, hi], the
+// fraction q of its count is reached under a linear density (see
+// Quantile); it returns q itself where that density is flat or unknown.
+func (h *BucketHistogram) slopedFrac(i int, lo, hi, q float64) float64 {
+	if i < 2 || i+1 >= len(h.bounds) || lo != h.bounds[i-1] || hi != h.bounds[i] {
+		return q
+	}
+	b := h.bounds
+	prevLo, nextHi := b[i-2], b[i+1]
+	if math.IsInf(prevLo, 0) || math.IsInf(nextHi, 0) {
+		return q
+	}
+	w := hi - lo
+	d := float64(h.counts[i]) / w
+	dPrev := float64(h.counts[i-1]) / (lo - prevLo)
+	dNext := float64(h.counts[i+1]) / (nextHi - hi)
+	slope := (dNext - dPrev) / ((hi+nextHi)/2 - (prevLo+lo)/2)
+	// The density d + slope·(x − mid) over the bucket integrates, as a
+	// fraction of the count, to F(t) = t + a·(t² − t) at x = lo + t·w,
+	// with a = slope·w/(2d); |a| <= 1 keeps the density non-negative.
+	a := math.Max(-1, math.Min(1, slope*w/(2*d)))
+	// Solve F(t) = q in the form that is stable as a → 0.
+	return 2 * q / ((1 - a) + math.Sqrt((1-a)*(1-a)+4*a*q))
 }
 
 // Reset zeroes the histogram in place (identity-preserving, so live

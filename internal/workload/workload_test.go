@@ -61,13 +61,18 @@ func TestCharacterizeFitsMatchFigure8(t *testing.T) {
 		t.Fatalf("want 4 candidates, got %d", len(appFit.Candidates))
 	}
 	// Figure 8b: application network requests are exponential (the Weibull
-	// family nests the exponential, so accept shape~1 Weibull too).
+	// and gamma families nest the exponential, so accept shape~1 Weibull or
+	// gamma too).
 	netFit := c.Fits[ClassResource{trace.ProcApplication, trace.Network}]
 	switch d := netFit.Best.Dist.(type) {
 	case stats.ExpFit:
 	case stats.WeibullFit:
 		if math.Abs(d.Shape-1) > 0.1 {
 			t.Fatalf("net fit weibull shape %v", d.Shape)
+		}
+	case stats.GammaFit:
+		if math.Abs(d.Shape-1) > 0.1 {
+			t.Fatalf("net fit gamma shape %v", d.Shape)
 		}
 	default:
 		t.Fatalf("app net best fit %s", netFit.Best.Dist.Name())
