@@ -1,13 +1,16 @@
-// Command paradyn runs the real measurement testbed of Section 5: an
-// instrumented NAS-like kernel forwards samples through a daemon over
-// loopback TCP to a collector, under the CF or BF policy, and reports the
-// measured direct overheads.
+// Command paradyn runs the real measurement testbed of Section 5: on each
+// node an instrumented NAS-like kernel forwards samples through a daemon
+// over loopback TCP to one collector, directly or through a binary tree of
+// relays, under the CF or BF policy, and reports the measured direct
+// overheads.
 //
 // Examples:
 //
 //	paradyn -kernel bt -policy cf -sp 10ms -duration 5s
 //	paradyn -kernel is -policy bf:32 -sp 10ms -duration 5s
-//	paradyn -compare -duration 2s     # CF vs BF side by side
+//	paradyn -compare -duration 2s            # CF vs BF side by side
+//	paradyn -nodes 7 -tree                   # seven nodes through relays
+//	paradyn -compare -nodes 4 -duration 2s   # CF vs BF over four nodes
 package main
 
 import (
@@ -32,32 +35,31 @@ func main() {
 		pipeCap  = flag.Int("pipe", 256, "pipe capacity (samples)")
 		seed     = flag.Uint64("seed", 1, "kernel seed")
 		compare  = flag.Bool("compare", false, "run CF and BF back to back and report the reduction")
-		nodes    = flag.Int("nodes", 1, "number of nodes (app+daemon pairs); >1 runs the cluster testbed")
-		tree     = flag.Bool("tree", false, "route cluster traffic through a binary tree of relays")
+		nodes    = flag.Int("nodes", 1, "number of nodes (app+daemon pairs)")
+		tree     = flag.Bool("tree", false, "route traffic through a binary tree of relays")
 	)
 	flag.Parse()
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "paradyn: -nodes must be at least 1, got %d\n", *nodes)
+		os.Exit(2)
+	}
 
 	strategy := policy.Strategy()
 	if strategy == nil {
 		strategy = forward.NewCF()
 	}
-
-	if *nodes > 1 || *tree {
-		runCluster(*nodes, *kernel, *size, strategy, *sp, *duration, *pipeCap, *seed, *tree)
-		return
+	cfg := testbed.Config{
+		Nodes:          *nodes,
+		Kernel:         *kernel,
+		KernelSize:     *size,
+		SamplingPeriod: *sp,
+		Duration:       *duration,
+		PipeCapacity:   *pipeCap,
+		Seed:           *seed,
+		Tree:           *tree,
 	}
-
-	mkCfg := func(s forward.Strategy) testbed.ExpConfig {
-		return testbed.ExpConfig{
-			Kernel:         *kernel,
-			KernelSize:     *size,
-			Strategy:       s,
-			SamplingPeriod: *sp,
-			Duration:       *duration,
-			PipeCapacity:   *pipeCap,
-			Seed:           *seed,
-		}
-	}
+	setup := fmt.Sprintf("%s on %d node(s), %s forwarding (SP=%v, %v run)",
+		*kernel, *nodes, forwarding(*tree), *sp, *duration)
 
 	if *compare {
 		// CF beside the -policy BF strategy, or bf:32 when -policy names none.
@@ -65,93 +67,85 @@ func main() {
 		if p, _ := forward.PolicyOf(strategy); p == forward.BF {
 			bfStrategy = strategy
 		}
-		cf, err := testbed.Run(mkCfg(forward.NewCF()))
-		if err != nil {
-			fatal("%v", err)
-		}
-		bf, err := testbed.Run(mkCfg(bfStrategy))
-		if err != nil {
-			fatal("%v", err)
-		}
-		t := report.NewTable(fmt.Sprintf("CF vs BF on %s (SP=%v, %s, %v run)", *kernel, *sp, bfStrategy, *duration),
-			"metric", "CF", "BF")
-		t.AddRow("daemon CPU time (sec)", report.F(cf.Daemon.BusySec), report.F(bf.Daemon.BusySec))
+		cfg.Strategy = forward.NewCF()
+		cf := run(cfg)
+		cfg.Strategy = bfStrategy
+		bf := run(cfg)
+		cfBusy, bfBusy := sum(cf, daemonBusy), sum(bf, daemonBusy)
+		cfWrites, bfWrites := sum(cf, writes), sum(bf, writes)
+		t := report.NewTable(fmt.Sprintf("CF vs %s: %s", bfStrategy, setup), "metric", "CF", "BF")
+		t.AddRow("daemon CPU time, all nodes (sec)", report.F(cfBusy), report.F(bfBusy))
 		t.AddRow("main CPU time (sec)", report.F(cf.Collector.BusySec), report.F(bf.Collector.BusySec))
-		t.AddRow("write syscalls", fmt.Sprint(cf.Daemon.Writes), fmt.Sprint(bf.Daemon.Writes))
+		t.AddRow("write syscalls", fmt.Sprint(cfWrites), fmt.Sprint(bfWrites))
 		t.AddRow("samples received", fmt.Sprint(cf.Collector.Samples), fmt.Sprint(bf.Collector.Samples))
 		t.AddRow("mean latency (sec)", report.F(cf.Collector.MeanLatencySec), report.F(bf.Collector.MeanLatencySec))
-		t.AddRow("app steps", fmt.Sprint(cf.App.Steps), fmt.Sprint(bf.App.Steps))
-		if err := t.Render(os.Stdout); err != nil {
-			fatal("%v", err)
-		}
-		if cf.Daemon.BusySec > 0 {
+		t.AddRow("app steps", fmt.Sprint(sum(cf, steps)), fmt.Sprint(sum(bf, steps)))
+		render(t)
+		if cfBusy > 0 {
 			fmt.Printf("\nBF reduces daemon overhead by %.0f%% and syscalls by %.0f%%\n",
-				(1-bf.Daemon.BusySec/cf.Daemon.BusySec)*100,
-				(1-float64(bf.Daemon.Writes)/float64(cf.Daemon.Writes))*100)
+				(1-bfBusy/cfBusy)*100, (1-float64(bfWrites)/float64(cfWrites))*100)
 		}
 		return
 	}
 
-	res, err := testbed.Run(mkCfg(strategy))
-	if err != nil {
-		fatal("%v", err)
+	cfg.Strategy = strategy
+	res := run(cfg)
+	nt := report.NewTable(fmt.Sprintf("Measurement run: %s under %s", setup, strategy),
+		"node", "app steps", "app ops", "samples generated", "app blocked on pipe (sec)",
+		"daemon CPU time (sec)", "daemon write syscalls", "messages forwarded")
+	for i, nr := range res.Nodes {
+		nt.AddRow(fmt.Sprint(i), fmt.Sprint(nr.App.Steps), fmt.Sprint(nr.App.Ops),
+			fmt.Sprint(nr.App.SamplesGenerated), report.F(nr.App.BlockedSec),
+			report.F(nr.Daemon.BusySec), fmt.Sprint(nr.Daemon.Writes), fmt.Sprint(nr.Daemon.MessagesForwarded))
 	}
-	t := report.NewTable(fmt.Sprintf("Measurement run: %s under %s (SP=%v, %v)", *kernel, strategy, *sp, *duration),
-		"metric", "value")
-	t.AddRow("application steps", fmt.Sprint(res.App.Steps))
-	t.AddRow("application ops", fmt.Sprint(res.App.Ops))
-	t.AddRow("samples generated", fmt.Sprint(res.App.SamplesGenerated))
-	t.AddRow("app blocked on pipe (sec)", report.F(res.App.BlockedSec))
-	t.AddRow("daemon CPU time (sec)", report.F(res.Daemon.BusySec))
-	t.AddRow("daemon write syscalls", fmt.Sprint(res.Daemon.Writes))
-	t.AddRow("messages forwarded", fmt.Sprint(res.Daemon.MessagesForwarded))
+	render(nt)
+	fmt.Println()
+	t := report.NewTable("Collector and all nodes", "metric", "value")
 	t.AddRow("collector CPU time (sec)", report.F(res.Collector.BusySec))
 	t.AddRow("samples received", fmt.Sprint(res.Collector.Samples))
+	t.AddRow("messages received", fmt.Sprint(res.Collector.Messages))
 	t.AddRow("mean monitoring latency (sec)", report.F(res.Collector.MeanLatencySec))
 	t.AddRow("max monitoring latency (sec)", report.F(res.Collector.MaxLatencySec))
+	t.AddRow("average daemon CPU time (sec/node)", report.F(res.MeanDaemonBusySec))
 	t.AddRow("normalized Pd occupancy (%)", report.F(res.NormalizedPdPct))
-	if err := t.Render(os.Stdout); err != nil {
-		fatal("%v", err)
+	if *tree {
+		t.AddRow("relay merge work (sec)", report.F(res.TotalRelayBusySec))
 	}
+	render(t)
 }
 
-// runCluster executes the multi-node testbed (the Figure 29 setup) and
-// prints per-node and aggregate overheads.
-func runCluster(nodes int, kernel string, size int, strategy forward.Strategy,
-	sp, duration time.Duration, pipeCap int, seed uint64, tree bool) {
-	res, err := testbed.RunCluster(testbed.ClusterConfig{
-		Nodes:          nodes,
-		Kernel:         kernel,
-		KernelSize:     size,
-		Strategy:       strategy,
-		SamplingPeriod: sp,
-		Duration:       duration,
-		PipeCapacity:   pipeCap,
-		Seed:           seed,
-		Tree:           tree,
-	})
+func forwarding(tree bool) string {
+	if tree {
+		return "tree"
+	}
+	return "direct"
+}
+
+func run(cfg testbed.Config) testbed.Result {
+	res, err := testbed.Run(cfg)
 	if err != nil {
 		fatal("%v", err)
 	}
-	cfgName := "direct"
-	if tree {
-		cfgName = "tree"
+	return res
+}
+
+func daemonBusy(nr testbed.NodeResult) float64 { return nr.Daemon.BusySec }
+func writes(nr testbed.NodeResult) int         { return nr.Daemon.Writes }
+func steps(nr testbed.NodeResult) int64        { return nr.App.Steps }
+
+// sum totals one node statistic over every node of a run.
+func sum[T int | int64 | float64](res testbed.Result, stat func(testbed.NodeResult) T) T {
+	var s T
+	for _, nr := range res.Nodes {
+		s += stat(nr)
 	}
-	t := report.NewTable(fmt.Sprintf("Cluster run: %d nodes, %s under %s (%s forwarding)", nodes, kernel, strategy, cfgName),
-		"node", "app steps", "samples", "daemon CPU (sec)", "writes", "blocked (sec)")
-	for i, nr := range res.Nodes {
-		t.AddRow(fmt.Sprint(i), fmt.Sprint(nr.App.Steps), fmt.Sprint(nr.App.SamplesGenerated),
-			report.F(nr.Daemon.BusySec), fmt.Sprint(nr.Daemon.Writes), report.F(nr.App.BlockedSec))
-	}
+	return s
+}
+
+func render(t *report.Table) {
 	if err := t.Render(os.Stdout); err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("\naverage direct daemon overhead: %s sec/node\n", report.F(res.MeanDaemonBusySec))
-	if tree {
-		fmt.Printf("relay merge work (tree forwarding extra cost): %s sec total\n", report.F(res.TotalRelayBusySec))
-	}
-	fmt.Printf("collector: %d samples in %d messages, mean latency %s sec\n",
-		res.Collector.Samples, res.Collector.Messages, report.F(res.Collector.MeanLatencySec))
 }
 
 func fatal(format string, args ...any) {

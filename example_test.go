@@ -60,7 +60,7 @@ func ExampleMeasure() {
 		log.Fatal(err)
 	}
 	fmt.Printf("every forwarded sample arrived: %v\n",
-		res.Collector.Samples == res.Daemon.SamplesForwarded)
+		res.Collector.Samples == res.Nodes[0].Daemon.SamplesForwarded)
 	// Output: every forwarded sample arrived: true
 }
 

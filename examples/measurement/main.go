@@ -28,16 +28,17 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			d := res.Nodes[0].Daemon
 			fmt.Printf("  %s: daemon %.4f s (%d write syscalls), collector %.4f s, "+
 				"%d samples, mean latency %.3f ms\n",
-				strategy, res.Daemon.BusySec, res.Daemon.Writes, res.Collector.BusySec,
+				strategy, d.BusySec, d.Writes, res.Collector.BusySec,
 				res.Collector.Samples, res.Collector.MeanLatencySec*1000)
 			if i == 0 {
 				cf = res
-			} else if cf.Daemon.BusySec > 0 {
+			} else if c := cf.Nodes[0].Daemon; c.BusySec > 0 {
 				fmt.Printf("  -> BF: %.0f%% fewer syscalls, %.0f%% less daemon overhead\n",
-					(1-float64(res.Daemon.Writes)/float64(cf.Daemon.Writes))*100,
-					(1-res.Daemon.BusySec/cf.Daemon.BusySec)*100)
+					(1-float64(d.Writes)/float64(c.Writes))*100,
+					(1-d.BusySec/c.BusySec)*100)
 			}
 		}
 		fmt.Println()

@@ -7,6 +7,7 @@ import (
 	"rocc/internal/core"
 	"rocc/internal/forward"
 	"rocc/internal/report"
+	"rocc/internal/rng"
 	"rocc/internal/stats"
 	"rocc/internal/trace"
 	"rocc/internal/workload"
@@ -145,27 +146,49 @@ func runTable2(w io.Writer, opt Options) error {
 		trace.ProcOther:       "Other processes",
 		trace.ProcParadyn:     "Main Paradyn process",
 	}
+	// The rows print what Workload hands a run: a fitted distribution, or
+	// the Table 2 default it falls back to when the trace has too few
+	// requests to fit, marked in the last column so that the fitted rows
+	// keep their widths. The Paradyn daemon's rows are fitted for
+	// reference; a run takes the daemon's costs from its Config.
+	const fallback = "(Table 2 default: too few requests in trace)"
+	wl := c.Workload()
+	used := map[workload.ClassResource]rng.Dist{
+		{Class: trace.ProcApplication, Resource: trace.CPU}:     wl.AppCPU,
+		{Class: trace.ProcApplication, Resource: trace.Network}: wl.AppNet,
+		{Class: trace.ProcPvmd, Resource: trace.CPU}:            wl.PvmCPU,
+		{Class: trace.ProcPvmd, Resource: trace.Network}:        wl.PvmNet,
+		{Class: trace.ProcOther, Resource: trace.CPU}:           wl.OtherCPU,
+		{Class: trace.ProcOther, Resource: trace.Network}:       wl.OtherNet,
+		{Class: trace.ProcParadyn, Resource: trace.CPU}:         wl.MainCPU,
+	}
 	for _, class := range c.Classes() {
 		for _, res := range []trace.Resource{trace.CPU, trace.Network} {
 			key := workload.ClassResource{Class: class, Resource: res}
-			fit, ok := c.Fits[key]
-			if !ok {
-				continue
+			label := fmt.Sprintf("%s: length of %s request", name[class], res)
+			if fit, ok := c.Fits[key]; ok {
+				t.AddRow(label, fit.Best.Dist.String(), report.F(fit.Best.KS))
+			} else if d, ok := used[key]; ok {
+				t.AddRow(label, d.String(), fallback)
 			}
-			t.AddRow(fmt.Sprintf("%s: length of %s request", name[class], res),
-				fit.Best.Dist.String(), report.F(fit.Best.KS))
 		}
 	}
+	t.AddRow("Paradyn daemon: inter-arrival (sampling period)",
+		fmt.Sprintf("exponential(%s)", report.F(c.SamplingPeriod())), "")
 	for _, ia := range []struct {
-		key string
-		m   float64
+		label string
+		key   workload.ClassResource
+		used  rng.Dist
 	}{
-		{"Paradyn daemon: inter-arrival (sampling period)", c.SamplingPeriod()},
-		{"PVM daemon: inter-arrival", c.Interarrival[workload.ClassResource{Class: trace.ProcPvmd, Resource: trace.CPU}]},
-		{"Other: inter-arrival of CPU requests", c.Interarrival[workload.ClassResource{Class: trace.ProcOther, Resource: trace.CPU}]},
-		{"Other: inter-arrival of network requests", c.Interarrival[workload.ClassResource{Class: trace.ProcOther, Resource: trace.Network}]},
+		{"PVM daemon: inter-arrival", workload.ClassResource{Class: trace.ProcPvmd, Resource: trace.CPU}, wl.PvmInterarrival},
+		{"Other: inter-arrival of CPU requests", workload.ClassResource{Class: trace.ProcOther, Resource: trace.CPU}, wl.OtherCPUInterarrival},
+		{"Other: inter-arrival of network requests", workload.ClassResource{Class: trace.ProcOther, Resource: trace.Network}, wl.OtherNetInterarrival},
 	} {
-		t.AddRow(ia.key, fmt.Sprintf("exponential(%s)", report.F(ia.m)), "")
+		if m := c.Interarrival[ia.key]; m > 0 {
+			t.AddRow(ia.label, fmt.Sprintf("exponential(%s)", report.F(m)), "")
+		} else {
+			t.AddRow(ia.label, ia.used.String(), fallback)
+		}
 	}
 	return t.Render(w)
 }

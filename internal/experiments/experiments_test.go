@@ -288,15 +288,79 @@ func TestMeasurementExperimentsRun(t *testing.T) {
 		t.Skip("testbed experiments skipped in -short")
 	}
 	opt := tinyOptions()
-	opt.Reps = 1
-	for _, id := range []string{"fig30", "fig31"} {
+	opt.Reps = 2
+	run := func(id string) string {
+		t.Helper()
 		e, _ := ByID(id)
 		var buf bytes.Buffer
 		if err := e.Run(&buf, opt); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if !strings.Contains(buf.String(), "CF") || !strings.Contains(buf.String(), "BF") {
-			t.Fatalf("%s missing policy rows:\n%s", id, buf.String())
+		return buf.String()
+	}
+	// rowLabels returns the first field of every line of out.
+	rowLabels := func(out string) map[string]int {
+		labels := map[string]int{}
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 0 {
+				labels[f[0]]++
+			}
+		}
+		return labels
+	}
+	for _, id := range []string{"fig30", "fig31"} {
+		out := run(id)
+		if !strings.Contains(out, "CF") || !strings.Contains(out, "BF") {
+			t.Fatalf("%s missing policy rows:\n%s", id, out)
+		}
+	}
+	// Tables 7 and 8 print two allocation tables, each with a row per
+	// effect and one for the error.
+	for _, id := range []string{"table7", "table8"} {
+		out := run(id)
+		labels := rowLabels(out)
+		for _, row := range []string{"A", "B", "AB", "error"} {
+			if labels[row] != 2 {
+				t.Fatalf("%s: %d %q rows, want 2:\n%s", id, labels[row], row, out)
+			}
+		}
+	}
+	out := run("ext-cluster")
+	labels := rowLabels(out)
+	if labels["direct"] != 1 || labels["tree"] != 1 {
+		t.Fatalf("ext-cluster missing its direct and tree rows:\n%s", out)
+	}
+}
+
+// Table 2 prints what Characterization.Workload hands a run: where the
+// trace has too few requests to fit (here the "other" processes' network
+// requests, whose Table 2 inter-arrival is 5.6 s), the row shows the
+// Table 2 default and says so, never a mean-0 exponential or no row.
+func TestTable2PrintsWorkloadDefaults(t *testing.T) {
+	e, _ := ByID("table2")
+	for _, dur := range []float64{2e5, 1e6} {
+		opt := tinyOptions()
+		opt.DurationUS = dur
+		var buf bytes.Buffer
+		if err := e.Run(&buf, opt); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if strings.Contains(out, "exponential(0)") {
+			t.Fatalf("duration %v: a mean-0 exponential no run uses:\n%s", dur, out)
+		}
+		rows := map[string]string{}
+		for _, line := range strings.Split(out, "\n") {
+			if label, rest, ok := strings.Cut(line, "  "); ok {
+				rows[label] = strings.Join(strings.Fields(rest), " ")
+			}
+		}
+		if _, ok := rows["Other processes: length of net request"]; !ok {
+			t.Fatalf("duration %v: no row for the other processes' network requests:\n%s", dur, out)
+		}
+		want := "exponential(5.598903e+06) (Table 2 default: too few requests in trace)"
+		if got := rows["Other: inter-arrival of network requests"]; got != want {
+			t.Fatalf("duration %v: other network inter-arrival %q, want %q", dur, got, want)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func runExtCluster(w io.Writer, opt Options) error {
 		"configuration", "avg daemon CPU (sec/node)", "relay merge work (sec)",
 		"samples", "mean latency (sec)")
 	for _, tree := range []bool{false, true} {
-		res, err := testbed.RunCluster(testbed.ClusterConfig{
+		res, err := testbed.Run(testbed.Config{
 			Nodes:          7,
 			Kernel:         "is",
 			Strategy:       forward.NewCF(),
@@ -59,26 +59,69 @@ func runExtCluster(w io.Writer, opt Options) error {
 	return err
 }
 
-// measureCell runs one testbed experiment r times and returns the daemon
-// and collector overhead replicates in seconds.
-func measureCell(cfg testbed.ExpConfig, reps int) (pd, main []float64, err error) {
+// measureCell runs one testbed experiment reps times, with seeds Seed,
+// Seed+1, ….
+func measureCell(cfg testbed.Config, reps int) ([]testbed.Result, error) {
+	var out []testbed.Result
 	for i := 0; i < reps; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)
 		res, err := testbed.Run(c)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		pd = append(pd, res.Daemon.BusySec)
-		main = append(main, res.Collector.BusySec)
+		out = append(out, res)
 	}
-	return pd, main, nil
+	return out, nil
+}
+
+// allocationPart names one metric of a measured allocation-of-variation
+// table.
+type allocationPart struct {
+	name   string
+	metric func(testbed.Result) float64
+}
+
+// renderAllocation measures every cell of a 2^2 design opt.Reps times and
+// renders, for each part, the fraction of the metric's variation each
+// factor explains: Tables 7 and 8.
+func renderAllocation(w io.Writer, opt Options, table string, cells []testbed.Config, factors []string, parts []allocationPart) error {
+	rows := make([][][]float64, len(parts))
+	for _, c := range cells {
+		results, err := measureCell(c, opt.Reps)
+		if err != nil {
+			return err
+		}
+		for i, part := range parts {
+			var reps []float64
+			for _, res := range results {
+				reps = append(reps, part.metric(res))
+			}
+			rows[i] = append(rows[i], reps)
+		}
+	}
+	for i, part := range parts {
+		an, err := doe.Analyze2KR(factors, rows[i])
+		if err != nil {
+			return err
+		}
+		t := report.NewTable(table+": variation explained for "+part.name, "factor", "fraction")
+		for _, e := range an.Effects {
+			t.AddRow(e.Term, report.Pct(e.Fraction*100))
+		}
+		t.AddRow("error", report.Pct(an.ErrorFraction*100))
+		if err := t.Render(w); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "factors: %s\n", factorLegend(factors))
+	}
+	return nil
 }
 
 // fig30Design is the 2^2 design of Section 5.2: A = scheduling policy
 // (CF/BF), B = sampling period (10/30 ms — scaled to the testbed run
 // length so each cell still sees hundreds of samples).
-func fig30Design(opt Options) []testbed.ExpConfig {
+func fig30Design(opt Options) []testbed.Config {
 	// Scale sampling periods to the run length: the paper used 10/30 ms
 	// over minutes; for sub-second runs use 1/3 ms to keep sample counts
 	// statistically useful.
@@ -86,14 +129,14 @@ func fig30Design(opt Options) []testbed.ExpConfig {
 	if opt.TestbedDuration < 10*time.Second {
 		spLow, spHigh = time.Millisecond, 3*time.Millisecond
 	}
-	base := testbed.ExpConfig{
+	base := testbed.Config{
 		Kernel:         "bt",
 		Duration:       opt.TestbedDuration,
 		PipeCapacity:   256,
 		Seed:           opt.Seed,
 		SamplingPeriod: spLow,
 	}
-	var cells []testbed.ExpConfig
+	var cells []testbed.Config
 	for i := 0; i < 4; i++ {
 		c := base
 		if i>>0&1 == 1 {
@@ -118,10 +161,11 @@ func runFig30(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		busy[i] = res.Daemon.BusySec
+		d := res.Nodes[0].Daemon
+		busy[i] = d.BusySec
 		t.AddRow(policyOf(c), c.SamplingPeriod.String(),
-			report.F(res.Daemon.BusySec), report.F(res.Collector.BusySec),
-			fmt.Sprint(res.Daemon.Writes), fmt.Sprint(res.Collector.Samples))
+			report.F(d.BusySec), report.F(res.Collector.BusySec),
+			fmt.Sprint(d.Writes), fmt.Sprint(res.Collector.Samples))
 	}
 	if err := t.Render(w); err != nil {
 		return err
@@ -137,56 +181,29 @@ func runFig30(w io.Writer, opt Options) error {
 
 func runTable7(w io.Writer, opt Options) error {
 	opt = opt.normalized()
-	cells := fig30Design(opt)
-	var pdRows, mainRows [][]float64
-	for _, c := range cells {
-		pd, main, err := measureCell(c, opt.Reps)
-		if err != nil {
-			return err
-		}
-		pdRows = append(pdRows, pd)
-		mainRows = append(mainRows, main)
-	}
-	factors := []string{"scheduling policy", "sampling period"}
-	for _, part := range []struct {
-		name string
-		data [][]float64
-	}{
-		{"Paradyn daemon CPU time", pdRows},
-		{"main Paradyn process CPU time", mainRows},
-	} {
-		an, err := doe.Analyze2KR(factors, part.data)
-		if err != nil {
-			return err
-		}
-		t := report.NewTable("Table 7: variation explained for "+part.name, "factor", "fraction")
-		for _, e := range an.Effects {
-			t.AddRow(e.Term, report.Pct(e.Fraction*100))
-		}
-		t.AddRow("error", report.Pct(an.ErrorFraction*100))
-		if err := t.Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "factors: %s\n", factorLegend(factors))
-	}
-	return nil
+	return renderAllocation(w, opt, "Table 7", fig30Design(opt),
+		[]string{"scheduling policy", "sampling period"},
+		[]allocationPart{
+			{"Paradyn daemon CPU time", func(r testbed.Result) float64 { return r.Nodes[0].Daemon.BusySec }},
+			{"main Paradyn process CPU time", func(r testbed.Result) float64 { return r.Collector.BusySec }},
+		})
 }
 
 // fig31Design is the 2^2 design of the second measurement set:
 // A = scheduling policy, B = application program (pvmbt / pvmis).
-func fig31Design(opt Options) []testbed.ExpConfig {
+func fig31Design(opt Options) []testbed.Config {
 	sp := 10 * time.Millisecond
 	if opt.TestbedDuration < 10*time.Second {
 		sp = time.Millisecond
 	}
-	base := testbed.ExpConfig{
+	base := testbed.Config{
 		Duration:       opt.TestbedDuration,
 		PipeCapacity:   256,
 		Seed:           opt.Seed,
 		SamplingPeriod: sp,
 		Kernel:         "bt",
 	}
-	var cells []testbed.ExpConfig
+	var cells []testbed.Config
 	for i := 0; i < 4; i++ {
 		c := base
 		if i>>0&1 == 1 {
@@ -219,50 +236,16 @@ func runFig31(w io.Writer, opt Options) error {
 
 func runTable8(w io.Writer, opt Options) error {
 	opt = opt.normalized()
-	cells := fig31Design(opt)
-	var pdRows, mainRows [][]float64
-	for _, c := range cells {
-		var pd, main []float64
-		for i := 0; i < opt.Reps; i++ {
-			cc := c
-			cc.Seed = c.Seed + uint64(i)
-			res, err := testbed.Run(cc)
-			if err != nil {
-				return err
-			}
-			pd = append(pd, res.NormalizedPdPct)
-			main = append(main, res.NormalizedMainPct)
-		}
-		pdRows = append(pdRows, pd)
-		mainRows = append(mainRows, main)
-	}
-	factors := []string{"scheduling policy", "application program"}
-	for _, part := range []struct {
-		name string
-		data [][]float64
-	}{
-		{"Paradyn daemon normalized CPU time", pdRows},
-		{"main process normalized CPU time", mainRows},
-	} {
-		an, err := doe.Analyze2KR(factors, part.data)
-		if err != nil {
-			return err
-		}
-		t := report.NewTable("Table 8: variation explained for "+part.name, "factor", "fraction")
-		for _, e := range an.Effects {
-			t.AddRow(e.Term, report.Pct(e.Fraction*100))
-		}
-		t.AddRow("error", report.Pct(an.ErrorFraction*100))
-		if err := t.Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "factors: %s\n", factorLegend(factors))
-	}
-	return nil
+	return renderAllocation(w, opt, "Table 8", fig31Design(opt),
+		[]string{"scheduling policy", "application program"},
+		[]allocationPart{
+			{"Paradyn daemon normalized CPU time", func(r testbed.Result) float64 { return r.NormalizedPdPct }},
+			{"main process normalized CPU time", func(r testbed.Result) float64 { return r.NormalizedMainPct }},
+		})
 }
 
 // policyOf labels a measurement cell's policy column: CF or BF.
-func policyOf(c testbed.ExpConfig) string {
+func policyOf(c testbed.Config) string {
 	p, _ := forward.PolicyOf(c.Strategy)
 	return p.String()
 }

@@ -7,8 +7,8 @@ import (
 	"rocc/internal/forward"
 )
 
-func clusterCfg(nodes int, tree bool) ClusterConfig {
-	return ClusterConfig{
+func clusterCfg(nodes int, tree bool) Config {
+	return Config{
 		Nodes:          nodes,
 		Kernel:         "is",
 		KernelSize:     1 << 11,
@@ -20,7 +20,7 @@ func clusterCfg(nodes int, tree bool) ClusterConfig {
 }
 
 func TestClusterDirect(t *testing.T) {
-	res, err := RunCluster(clusterCfg(3, false))
+	res, err := Run(clusterCfg(3, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestClusterDirect(t *testing.T) {
 }
 
 func TestClusterTree(t *testing.T) {
-	res, err := RunCluster(clusterCfg(7, true))
+	res, err := Run(clusterCfg(7, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestClusterTree(t *testing.T) {
 
 func TestClusterBFReducesMeanOverheadWrites(t *testing.T) {
 	cf := clusterCfg(2, false)
-	cfRes, err := RunCluster(cf)
+	cfRes, err := Run(cf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bf := cf
 	bf.Strategy = forward.NewFixedBF(16)
-	bfRes, err := RunCluster(bf)
+	bfRes, err := Run(bf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +107,10 @@ func TestClusterBFReducesMeanOverheadWrites(t *testing.T) {
 }
 
 func TestClusterErrors(t *testing.T) {
-	bad := []ClusterConfig{
+	bad := []Config{
 		{},
 		{Nodes: 1},
+		{Nodes: -1, Duration: time.Millisecond, SamplingPeriod: time.Millisecond, Kernel: "is"},
 		{Nodes: 1, Duration: time.Millisecond},
 		{Nodes: 1, Duration: time.Millisecond, SamplingPeriod: time.Millisecond,
 			Kernel: "is", Strategy: forward.NewAdaptiveBF(forward.ControllerConfig{})},
@@ -117,7 +118,7 @@ func TestClusterErrors(t *testing.T) {
 			Kernel: "nope"},
 	}
 	for i, cfg := range bad {
-		if _, err := RunCluster(cfg); err == nil {
+		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d should fail", i)
 		}
 	}
@@ -125,7 +126,7 @@ func TestClusterErrors(t *testing.T) {
 
 func TestClusterSingleNodeTree(t *testing.T) {
 	// Tree with one node degenerates to direct.
-	res, err := RunCluster(clusterCfg(1, true))
+	res, err := Run(clusterCfg(1, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package testbed
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"rocc/internal/forward"
@@ -52,34 +53,59 @@ func runApp(kernel nas.Kernel, pipe chan<- Sample, samplingPeriod, duration time
 	return st
 }
 
-// ExpConfig describes one measurement experiment (one cell of the
-// Figure 30 / Figure 31 designs).
-type ExpConfig struct {
+// Config describes one measurement experiment: the Figure 29 setup, with
+// one instrumented application and one daemon per node, all forwarding to
+// a single collector — directly or through a binary tree of relays
+// (Figure 4). A one-node run is a cell of the Figure 30 / Figure 31
+// designs.
+type Config struct {
+	// Nodes is the number of application+daemon pairs; zero means one.
+	Nodes int
+
 	// Kernel selects the application: "bt" (pvmbt) or "is" (pvmis).
 	Kernel string
 	// KernelSize scales the kernel (BT grid edge / IS key count); zero
 	// picks a default sized so one step takes ~a millisecond.
 	KernelSize int
 
-	// Strategy is the daemon's forwarding policy: nil or forward.NewCF,
+	// Strategy is the daemons' forwarding policy: nil or forward.NewCF,
 	// or forward.NewFixedBF. Adaptive strategies are rejected.
 	Strategy forward.Strategy
 
 	SamplingPeriod time.Duration
 	Duration       time.Duration
-	PipeCapacity   int
-	Seed           uint64
+	// PipeCapacity is each node's pipe size in samples; zero means 256.
+	PipeCapacity int
+	// Seed seeds node 0's kernel; node i's kernel gets Seed+i.
+	Seed uint64
+
+	// Tree routes node i's daemon through a relay chain following the
+	// binary-tree parent relation (node 0's traffic goes straight to the
+	// collector).
+	Tree bool
 }
 
-// ExpResult is the outcome of one measurement experiment.
-type ExpResult struct {
-	App       AppStats
-	Daemon    DaemonStats
+// NodeResult is one node's application and daemon statistics.
+type NodeResult struct {
+	App    AppStats
+	Daemon DaemonStats
+}
+
+// Result is the outcome of a measurement experiment.
+type Result struct {
+	Nodes     []NodeResult
+	Relays    []RelayStats
 	Collector CollectorStats
 
-	// NormalizedPdPct is daemon busy time normalized by total observed
-	// CPU occupancy at the node (daemon + application), the Figure 31
-	// normalization.
+	// MeanDaemonBusySec is the per-node average daemon overhead — the
+	// "average direct overhead" global metric of §2.1.
+	MeanDaemonBusySec float64
+	// TotalRelayBusySec is the extra merge work of tree forwarding.
+	TotalRelayBusySec float64
+
+	// NormalizedPdPct is the nodes' total daemon busy time normalized by
+	// their total observed CPU occupancy (daemon + application), the
+	// Figure 31 normalization.
 	NormalizedPdPct float64
 	// NormalizedMainPct is collector busy time normalized the same way.
 	NormalizedMainPct float64
@@ -102,67 +128,132 @@ func NewKernel(name string, size int, seed uint64) (nas.Kernel, error) {
 	return nil, fmt.Errorf("testbed: unknown kernel %q", name)
 }
 
-// Run executes one measurement experiment end to end: collector, daemon,
-// and instrumented application on real goroutines and sockets.
-func Run(cfg ExpConfig) (ExpResult, error) {
-	if cfg.Duration <= 0 {
-		return ExpResult{}, errors.New("testbed: Duration must be positive")
+// drainWait bounds how long Run waits, once every daemon has flushed, for
+// messages still in flight to reach the collector.
+const drainWait = 3 * time.Second
+
+// Run executes one measurement experiment end to end: collector, relays,
+// daemons and instrumented applications on real goroutines and sockets.
+func Run(cfg Config) (Result, error) {
+	switch {
+	case cfg.Nodes < 0:
+		return Result{}, errors.New("testbed: Nodes must not be negative")
+	case cfg.Duration <= 0:
+		return Result{}, errors.New("testbed: Duration must be positive")
+	case cfg.SamplingPeriod <= 0:
+		return Result{}, errors.New("testbed: SamplingPeriod must be positive")
 	}
-	if cfg.SamplingPeriod <= 0 {
-		return ExpResult{}, errors.New("testbed: SamplingPeriod must be positive")
+	if cfg.Nodes == 0 {
+		cfg.Nodes = 1
 	}
 	if cfg.PipeCapacity <= 0 {
 		cfg.PipeCapacity = 256
 	}
 	if _, err := fixedBatch(cfg.Strategy); err != nil {
-		return ExpResult{}, err
+		return Result{}, err
 	}
-	kernel, err := NewKernel(cfg.Kernel, cfg.KernelSize, cfg.Seed)
-	if err != nil {
-		return ExpResult{}, err
+	kernels := make([]nas.Kernel, cfg.Nodes)
+	for i := range kernels {
+		k, err := NewKernel(cfg.Kernel, cfg.KernelSize, cfg.Seed+uint64(i))
+		if err != nil {
+			return Result{}, err
+		}
+		kernels[i] = k
 	}
 
 	collector, err := NewCollector()
 	if err != nil {
-		return ExpResult{}, err
+		return Result{}, err
 	}
 	defer collector.Close()
 
-	pipe := make(chan Sample, cfg.PipeCapacity)
-	daemon := &Daemon{Strategy: cfg.Strategy}
-	daemonDone := make(chan struct{})
-	var dstats DaemonStats
-	var derr error
-	go func() {
-		defer close(daemonDone)
-		dstats, derr = daemon.Run(collector.Addr(), pipe)
-	}()
-
-	appStats := runApp(kernel, pipe, cfg.SamplingPeriod, cfg.Duration)
-	close(pipe)
-	<-daemonDone
-	if derr != nil {
-		return ExpResult{}, derr
-	}
-	if err := kernel.Verify(); err != nil {
-		return ExpResult{}, fmt.Errorf("testbed: kernel verification: %w", err)
-	}
-	// Give in-flight messages a moment to land, then settle.
-	deadline := time.Now().Add(2 * time.Second)
-	var cstats CollectorStats
-	for {
-		cstats = collector.Stats()
-		if cstats.Samples >= dstats.SamplesForwarded || time.Now().After(deadline) {
-			break
+	// Relay i carries the traffic of node i's children to where node i's
+	// own daemon sends: the collector for node 0, its parent's relay
+	// otherwise. Relays are built top-down so parents exist before
+	// children, and closed children first so upstream writes drain.
+	var relays []*Relay
+	defer func() {
+		for i := len(relays) - 1; i >= 0; i-- {
+			relays[i].Close()
 		}
+	}()
+	tree := cfg.Tree && cfg.Nodes > 1
+	dest := func(i int) string {
+		if !tree || i == 0 {
+			return collector.Addr()
+		}
+		return relays[(i-1)/2].Addr()
+	}
+	for i := 0; tree && i < cfg.Nodes; i++ {
+		r, err := NewRelay(dest(i))
+		if err != nil {
+			return Result{}, err
+		}
+		relays = append(relays, r)
+	}
+
+	res := Result{Nodes: make([]NodeResult, cfg.Nodes)}
+	errs := make([]error, cfg.Nodes)
+	var wg sync.WaitGroup
+	for i, kernel := range kernels {
+		addr := dest(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res.Nodes[i], errs[i] = runNode(i, kernel, addr, cfg)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return Result{}, err
+	}
+
+	want := 0
+	for _, nr := range res.Nodes {
+		want += nr.Daemon.SamplesForwarded
+	}
+	deadline := time.Now().Add(drainWait)
+	for collector.Stats().Samples < want && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-
-	res := ExpResult{App: appStats, Daemon: dstats, Collector: cstats}
-	total := appStats.RunSec + dstats.BusySec
-	if total > 0 {
-		res.NormalizedPdPct = dstats.BusySec / total * 100
-		res.NormalizedMainPct = cstats.BusySec / total * 100
+	res.Collector = collector.Stats()
+	for _, r := range relays {
+		st := r.Stats()
+		res.Relays = append(res.Relays, st)
+		res.TotalRelayBusySec += st.BusySec
+	}
+	var appSec, pdSec float64
+	for _, nr := range res.Nodes {
+		appSec += nr.App.RunSec
+		pdSec += nr.Daemon.BusySec
+	}
+	res.MeanDaemonBusySec = pdSec / float64(cfg.Nodes)
+	if total := appSec + pdSec; total > 0 {
+		res.NormalizedPdPct = pdSec / total * 100
+		res.NormalizedMainPct = res.Collector.BusySec / total * 100
 	}
 	return res, nil
+}
+
+// runNode runs node i: its instrumented application, and its daemon
+// forwarding to addr. It verifies the kernel's result once both are done.
+func runNode(i int, kernel nas.Kernel, addr string, cfg Config) (NodeResult, error) {
+	pipe := make(chan Sample, cfg.PipeCapacity)
+	var nr NodeResult
+	var derr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		nr.Daemon, derr = (&Daemon{Strategy: cfg.Strategy}).Run(addr, pipe)
+	}()
+	nr.App = runApp(kernel, pipe, cfg.SamplingPeriod, cfg.Duration)
+	close(pipe)
+	<-done
+	if derr != nil {
+		return nr, derr
+	}
+	if err := kernel.Verify(); err != nil {
+		return nr, fmt.Errorf("testbed: node %d kernel verification: %w", i, err)
+	}
+	return nr, nil
 }

@@ -50,6 +50,96 @@ func encodeMessage(buf []byte, batch []Sample) []byte {
 	return buf
 }
 
+// maxFrameSamples bounds the sample count a message header may carry, so
+// a corrupt header cannot make a reader allocate gigabytes.
+const maxFrameSamples = 1 << 20
+
+// readFrame reads one length-prefixed message from r into buf, grown as
+// needed: the 4-byte sample count, then the samples. It returns the whole
+// frame, its sample count and the time the header arrived. A count of 0
+// or over maxFrameSamples is an error, as is a short read.
+func readFrame(r io.Reader, buf []byte) (frame []byte, n int, start time.Time, err error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 0, 4096)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return nil, 0, time.Time{}, err
+	}
+	start = time.Now()
+	count := binary.LittleEndian.Uint32(buf[:4])
+	if count == 0 || count > maxFrameSamples {
+		return nil, 0, start, fmt.Errorf("testbed: message of %d samples", count)
+	}
+	n = int(count)
+	need := 4 + n*sampleWireBytes
+	if cap(buf) < need {
+		grown := make([]byte, need)
+		copy(grown, buf[:4])
+		buf = grown
+	}
+	frame = buf[:need]
+	if _, err := io.ReadFull(r, frame[4:]); err != nil {
+		return nil, 0, start, err
+	}
+	return frame, n, start, nil
+}
+
+// frameHandler takes one received message (see readFrame) and returns
+// false to end the connection it came on.
+type frameHandler func(frame []byte, n int, start time.Time) bool
+
+// server is the receiving side the collector and the relays share: a
+// loopback listener that serves each connection on its own goroutine,
+// handing every message to one handler until the peer closes or sends a
+// malformed message.
+type server struct {
+	ln net.Listener
+	wg sync.WaitGroup
+}
+
+func (s *server) listen(handle frameHandler) error {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	s.ln = ln
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				defer conn.Close()
+				var buf []byte
+				for {
+					frame, n, start, err := readFrame(conn, buf)
+					if err != nil || !handle(frame, n, start) {
+						return
+					}
+					buf = frame
+				}
+			}()
+		}
+	}()
+	return nil
+}
+
+// Addr returns the dial address.
+func (s *server) Addr() string { return s.ln.Addr().String() }
+
+// Close stops accepting connections and waits for the handlers of open
+// ones to finish, which they do when their peers close.
+func (s *server) Close() error {
+	err := s.ln.Close()
+	s.wg.Wait()
+	return err
+}
+
 // CollectorStats summarizes what the collector observed.
 type CollectorStats struct {
 	Samples  int
@@ -65,7 +155,7 @@ type CollectorStats struct {
 // Collector is the main-Paradyn-process stand-in: a loopback TCP server
 // that receives forwarded sample messages.
 type Collector struct {
-	ln net.Listener
+	server
 
 	mu       sync.Mutex
 	samples  int
@@ -73,79 +163,36 @@ type Collector struct {
 	busy     time.Duration
 	latency  stats.Accumulator
 	maxLat   float64
-
-	wg sync.WaitGroup
 }
 
 // NewCollector starts a collector listening on an ephemeral loopback port.
 func NewCollector() (*Collector, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	c := &Collector{}
+	if err := c.listen(c.receive); err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	c := &Collector{ln: ln}
-	c.wg.Add(1)
-	go c.acceptLoop()
 	return c, nil
 }
 
-// Addr returns the collector's dial address.
-func (c *Collector) Addr() string { return c.ln.Addr().String() }
-
-func (c *Collector) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return // listener closed
+func (c *Collector) receive(frame []byte, n int, start time.Time) bool {
+	now := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := 0; i < n; i++ {
+		genNanos := int64(binary.LittleEndian.Uint64(frame[4+i*sampleWireBytes:]))
+		lat := float64(now.UnixNano()-genNanos) / 1e9
+		if lat < 0 {
+			lat = 0
 		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.serve(conn)
-		}()
+		c.latency.Add(lat)
+		if lat > c.maxLat {
+			c.maxLat = lat
+		}
 	}
-}
-
-func (c *Collector) serve(conn net.Conn) {
-	defer conn.Close()
-	var hdr [4]byte
-	body := make([]byte, 0, 4096)
-	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		start := time.Now()
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n == 0 || n > 1<<20 {
-			return
-		}
-		need := int(n) * sampleWireBytes
-		if cap(body) < need {
-			body = make([]byte, need)
-		}
-		body = body[:need]
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
-		}
-		now := time.Now()
-		c.mu.Lock()
-		for i := 0; i < int(n); i++ {
-			genNanos := int64(binary.LittleEndian.Uint64(body[i*sampleWireBytes:]))
-			lat := float64(now.UnixNano()-genNanos) / 1e9
-			if lat < 0 {
-				lat = 0
-			}
-			c.latency.Add(lat)
-			if lat > c.maxLat {
-				c.maxLat = lat
-			}
-		}
-		c.samples += int(n)
-		c.messages++
-		c.busy += time.Since(start)
-		c.mu.Unlock()
-	}
+	c.samples += n
+	c.messages++
+	c.busy += time.Since(start)
+	return true
 }
 
 // Stats returns a snapshot of the collector's accounting.
@@ -161,10 +208,66 @@ func (c *Collector) Stats() CollectorStats {
 	}
 }
 
-// Close stops the collector and waits for connection handlers to finish.
-func (c *Collector) Close() error {
-	err := c.ln.Close()
-	c.wg.Wait()
+// RelayStats summarizes a relay's work.
+type RelayStats struct {
+	BusySec  float64
+	Messages int
+	Samples  int
+}
+
+// Relay is a non-leaf Paradyn daemon in the binary-tree forwarding
+// configuration (Figure 4b), realized over real sockets: it accepts
+// messages from its children, accounts the merge work, and re-forwards
+// each message upstream.
+type Relay struct {
+	server
+	upstream net.Conn
+
+	mu       sync.Mutex
+	busy     time.Duration
+	messages int
+	samples  int
+}
+
+// NewRelay starts a relay listening on an ephemeral loopback port and
+// forwarding to upstreamAddr.
+func NewRelay(upstreamAddr string) (*Relay, error) {
+	up, err := net.Dial("tcp", upstreamAddr)
+	if err != nil {
+		return nil, fmt.Errorf("testbed: relay upstream: %w", err)
+	}
+	r := &Relay{upstream: up}
+	if err := r.listen(r.forward); err != nil {
+		up.Close()
+		return nil, fmt.Errorf("testbed: relay listen: %w", err)
+	}
+	return r, nil
+}
+
+// forward re-sends a received message upstream as one write (the paper's
+// note that a merged sample costs the same network occupancy as a local
+// one).
+func (r *Relay) forward(frame []byte, n int, start time.Time) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, err := r.upstream.Write(frame)
+	r.messages++
+	r.samples += n
+	r.busy += time.Since(start)
+	return err == nil
+}
+
+// Stats returns a snapshot of the relay's accounting.
+func (r *Relay) Stats() RelayStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return RelayStats{BusySec: r.busy.Seconds(), Messages: r.messages, Samples: r.samples}
+}
+
+// Close stops the relay (listener first, then the upstream link).
+func (r *Relay) Close() error {
+	err := r.server.Close()
+	r.upstream.Close()
 	return err
 }
 

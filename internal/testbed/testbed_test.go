@@ -1,23 +1,31 @@
 package testbed
 
 import (
+	"encoding/binary"
+	"errors"
+	"net"
 	"testing"
 	"time"
 
 	"rocc/internal/forward"
 )
 
-func runExp(t *testing.T, cfg ExpConfig) ExpResult {
+// runExp runs a one-node experiment and returns its result with the
+// node's statistics.
+func runExp(t *testing.T, cfg Config) (Result, NodeResult) {
 	t.Helper()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	if len(res.Nodes) != 1 {
+		t.Fatalf("%d node results for a one-node run", len(res.Nodes))
+	}
+	return res, res.Nodes[0]
 }
 
-func baseCfg() ExpConfig {
-	return ExpConfig{
+func baseCfg() Config {
+	return Config{
 		Kernel:         "is",
 		KernelSize:     1 << 12,
 		SamplingPeriod: 2 * time.Millisecond,
@@ -27,27 +35,27 @@ func baseCfg() ExpConfig {
 }
 
 func TestEndToEndCF(t *testing.T) {
-	res := runExp(t, baseCfg())
-	if res.App.Steps == 0 {
+	res, node := runExp(t, baseCfg())
+	if node.App.Steps == 0 {
 		t.Fatal("application did no work")
 	}
-	if res.App.SamplesGenerated < 50 {
-		t.Fatalf("only %d samples generated", res.App.SamplesGenerated)
+	if node.App.SamplesGenerated < 50 {
+		t.Fatalf("only %d samples generated", node.App.SamplesGenerated)
 	}
-	if res.Daemon.SamplesForwarded != res.App.SamplesGenerated {
-		t.Fatalf("forwarded %d of %d", res.Daemon.SamplesForwarded, res.App.SamplesGenerated)
+	if node.Daemon.SamplesForwarded != node.App.SamplesGenerated {
+		t.Fatalf("forwarded %d of %d", node.Daemon.SamplesForwarded, node.App.SamplesGenerated)
 	}
 	// CF: one write per sample.
-	if res.Daemon.Writes != res.Daemon.SamplesForwarded {
-		t.Fatalf("CF writes %d != samples %d", res.Daemon.Writes, res.Daemon.SamplesForwarded)
+	if node.Daemon.Writes != node.Daemon.SamplesForwarded {
+		t.Fatalf("CF writes %d != samples %d", node.Daemon.Writes, node.Daemon.SamplesForwarded)
 	}
-	if res.Collector.Samples != res.Daemon.SamplesForwarded {
-		t.Fatalf("collector got %d of %d", res.Collector.Samples, res.Daemon.SamplesForwarded)
+	if res.Collector.Samples != node.Daemon.SamplesForwarded {
+		t.Fatalf("collector got %d of %d", res.Collector.Samples, node.Daemon.SamplesForwarded)
 	}
 	if res.Collector.MeanLatencySec <= 0 || res.Collector.MeanLatencySec > 1 {
 		t.Fatalf("implausible latency %v", res.Collector.MeanLatencySec)
 	}
-	if res.Daemon.BusySec <= 0 {
+	if node.Daemon.BusySec <= 0 {
 		t.Fatal("daemon overhead not measured")
 	}
 }
@@ -55,17 +63,17 @@ func TestEndToEndCF(t *testing.T) {
 func TestEndToEndBF(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Strategy = forward.NewFixedBF(16)
-	res := runExp(t, cfg)
-	if res.Daemon.SamplesForwarded != res.App.SamplesGenerated {
-		t.Fatalf("forwarded %d of %d (flush missing?)", res.Daemon.SamplesForwarded, res.App.SamplesGenerated)
+	res, node := runExp(t, cfg)
+	if node.Daemon.SamplesForwarded != node.App.SamplesGenerated {
+		t.Fatalf("forwarded %d of %d (flush missing?)", node.Daemon.SamplesForwarded, node.App.SamplesGenerated)
 	}
 	// BF: roughly samples/16 writes (+1 for the final partial flush).
-	maxWrites := res.App.SamplesGenerated/16 + 2
-	if res.Daemon.Writes > maxWrites {
-		t.Fatalf("BF writes %d exceed %d", res.Daemon.Writes, maxWrites)
+	maxWrites := node.App.SamplesGenerated/16 + 2
+	if node.Daemon.Writes > maxWrites {
+		t.Fatalf("BF writes %d exceed %d", node.Daemon.Writes, maxWrites)
 	}
-	if res.Collector.Samples != res.App.SamplesGenerated {
-		t.Fatalf("collector got %d of %d", res.Collector.Samples, res.App.SamplesGenerated)
+	if res.Collector.Samples != node.App.SamplesGenerated {
+		t.Fatalf("collector got %d of %d", res.Collector.Samples, node.App.SamplesGenerated)
 	}
 }
 
@@ -76,11 +84,11 @@ func TestBFBeatsCFOnRealSyscalls(t *testing.T) {
 	cf := baseCfg()
 	cf.Duration = 400 * time.Millisecond
 	cf.SamplingPeriod = time.Millisecond
-	rcf := runExp(t, cf)
+	_, rcf := runExp(t, cf)
 
 	bf := cf
 	bf.Strategy = forward.NewFixedBF(32)
-	rbf := runExp(t, bf)
+	_, rbf := runExp(t, bf)
 
 	if rcf.Daemon.Writes < 10*rbf.Daemon.Writes {
 		t.Fatalf("CF writes %d vs BF %d: batching not amortizing syscalls",
@@ -98,8 +106,8 @@ func TestBTKernelRunsInTestbed(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Kernel = "bt"
 	cfg.KernelSize = 6
-	res := runExp(t, cfg)
-	if res.App.Steps == 0 || res.App.Ops == 0 {
+	res, node := runExp(t, cfg)
+	if node.App.Steps == 0 || node.App.Ops == 0 {
 		t.Fatal("bt did no work")
 	}
 	if res.Collector.Samples == 0 {
@@ -114,8 +122,8 @@ func TestPipeBlockingWithSlowDrain(t *testing.T) {
 	cfg := baseCfg()
 	cfg.PipeCapacity = 1
 	cfg.SamplingPeriod = 500 * time.Microsecond
-	res := runExp(t, cfg)
-	if res.App.BlockedSec < 0 {
+	res, node := runExp(t, cfg)
+	if node.App.BlockedSec < 0 {
 		t.Fatal("negative blocked time")
 	}
 	if res.Collector.Samples == 0 {
@@ -124,7 +132,7 @@ func TestPipeBlockingWithSlowDrain(t *testing.T) {
 }
 
 func TestRunConfigErrors(t *testing.T) {
-	bad := []ExpConfig{
+	bad := []Config{
 		{},
 		{Kernel: "is", Duration: time.Millisecond},                                     // no sampling period
 		{Kernel: "nope", Duration: time.Millisecond, SamplingPeriod: time.Millisecond}, // bad kernel
@@ -164,26 +172,84 @@ func TestEncodeMessageLayout(t *testing.T) {
 	}
 }
 
+// A one-node run's normalized occupancies are its own daemon and
+// collector busy time over the node's application run time plus daemon
+// busy time.
+func TestNormalizedOccupancyOneNode(t *testing.T) {
+	res, node := runExp(t, baseCfg())
+	total := node.App.RunSec + node.Daemon.BusySec
+	if want := node.Daemon.BusySec / total * 100; res.NormalizedPdPct != want {
+		t.Fatalf("NormalizedPdPct %v, want %v", res.NormalizedPdPct, want)
+	}
+	if want := res.Collector.BusySec / total * 100; res.NormalizedMainPct != want {
+		t.Fatalf("NormalizedMainPct %v, want %v", res.NormalizedMainPct, want)
+	}
+	if res.NormalizedPdPct <= 0 || res.NormalizedPdPct >= 100 {
+		t.Fatalf("NormalizedPdPct %v outside (0, 100)", res.NormalizedPdPct)
+	}
+}
+
+// The collector and a relay drop a connection whose message header counts
+// 0 samples or more than maxFrameSamples, without counting anything, and
+// still take a valid message on a fresh connection.
 func TestCollectorRejectsOversizedMessage(t *testing.T) {
 	c, err := NewCollector()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	d := &Daemon{}
-	pipe := make(chan Sample, 1)
-	pipe <- Sample{GenTime: time.Now()}
-	close(pipe)
-	if _, err := d.Run(c.Addr(), pipe); err != nil {
+	r, err := NewRelay(c.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Allow delivery.
-	deadline := time.Now().Add(time.Second)
-	for c.Stats().Samples == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	defer r.Close()
+
+	for _, bad := range []uint32{0, maxFrameSamples + 1} {
+		for _, addr := range []string{c.Addr(), r.Addr()} {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hdr [4]byte
+			binary.LittleEndian.PutUint32(hdr[:], bad)
+			if _, err := conn.Write(hdr[:]); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			_, err = conn.Read(make([]byte, 1))
+			conn.Close()
+			var ne net.Error
+			if err == nil || errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("count %d to %s: connection left open (%v)", bad, addr, err)
+			}
+		}
 	}
-	if got := c.Stats().Samples; got != 1 {
-		t.Fatalf("collector samples %d", got)
+	if st := c.Stats(); st.Samples != 0 || st.Messages != 0 {
+		t.Fatalf("collector counted malformed messages: %+v", st)
+	}
+	if st := r.Stats(); st.Samples != 0 || st.Messages != 0 {
+		t.Fatalf("relay counted malformed messages: %+v", st)
+	}
+
+	for i, addr := range []string{c.Addr(), r.Addr()} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(encodeMessage(nil, []Sample{{GenTime: time.Now()}})); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Stats().Samples < i+1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if st := c.Stats(); st.Samples != 2 || st.Messages != 2 {
+		t.Fatalf("collector after valid messages: %+v, want 2 samples in 2 messages", st)
+	}
+	if st := r.Stats(); st.Samples != 1 || st.Messages != 1 {
+		t.Fatalf("relay after a valid message: %+v, want 1 sample in 1 message", st)
 	}
 }
 

@@ -89,8 +89,7 @@ const (
 )
 
 // Pluggable forwarding strategies: the one value that names a forwarding
-// policy, in Config.Strategy, MeasureConfig.Strategy and
-// ClusterConfig.Strategy. A Strategy decides, at every daemon decision
+// policy, in Config.Strategy and MeasureConfig.Strategy. A Strategy decides, at every daemon decision
 // point, whether to forward a batch or keep accumulating, and receives
 // completion feedback per forwarded batch (see internal/forward for the
 // contract).
@@ -172,16 +171,18 @@ type (
 // DefaultAnalyticParams returns the Table 2 analytic parameterization.
 func DefaultAnalyticParams() AnalyticParams { return analytic.DefaultParams() }
 
-// Measurement testbed (Section 5).
+// Measurement testbed (Section 5, the Figure 29 setup over real sockets).
 type (
-	// MeasureConfig describes one real measurement run.
-	MeasureConfig = testbed.ExpConfig
-	// MeasureResult is its outcome.
-	MeasureResult = testbed.ExpResult
+	// MeasureConfig describes one real measurement run on one or more
+	// nodes.
+	MeasureConfig = testbed.Config
+	// MeasureResult is its outcome, per node and over all nodes.
+	MeasureResult = testbed.Result
 )
 
-// Measure runs the real mini instrumentation system: an instrumented
-// kernel ("bt" or "is"), a forwarding daemon, and a TCP collector.
+// Measure runs the real mini instrumentation system: on each node an
+// instrumented kernel ("bt" or "is") and a forwarding daemon, all sending
+// to one TCP collector, directly or through a binary tree of relays.
 func Measure(cfg MeasureConfig) (MeasureResult, error) { return testbed.Run(cfg) }
 
 // Adaptive IS self-regulation (the Section 6 extension).
@@ -225,19 +226,6 @@ const (
 func SearchBottlenecks(simCfg Config, cCfg ConsultantConfig, intervalUS float64, intervals int) (SearchResult, error) {
 	return consultant.Search(simCfg, cCfg, intervalUS, intervals)
 }
-
-// Multi-node measurement testbed (the Figure 29 setup over real sockets).
-type (
-	// ClusterConfig describes a multi-node measurement experiment.
-	ClusterConfig = testbed.ClusterConfig
-	// ClusterResult is its outcome.
-	ClusterResult = testbed.ClusterResult
-)
-
-// MeasureCluster runs the multi-node real testbed: one instrumented
-// application and daemon per node forwarding to a single collector,
-// directly or through a binary tree of relays.
-func MeasureCluster(cfg ClusterConfig) (ClusterResult, error) { return testbed.RunCluster(cfg) }
 
 // Experiment harness: regenerate the paper's tables and figures.
 type (
