@@ -178,14 +178,14 @@ func (m *Model) collect() Result {
 	mainBusy := m.HostCPU.Busy(procs.OwnerMain)
 
 	res.PdCPUTimePerNodeSec = pdBusy / nodes / 1e6
-	res.PdCPUUtilPct = pdBusy / (nodes * durUS) * 100
+	res.PdCPUUtilPct = float64(pdBusy / (nodes * durUS) * 100)
 	res.MainCPUTimeSec = mainBusy / 1e6
 	if cfg.Arch == SMP {
 		res.MainCPUUtilPct = mainBusy / (nodes * durUS) * 100
 		res.ISCPUUtilPct = (pdBusy + mainBusy) / (nodes * durUS) * 100
 	} else {
 		res.MainCPUUtilPct = mainBusy / durUS * 100
-		res.ISCPUUtilPct = res.PdCPUUtilPct + mainBusy/(nodes*durUS)*100
+		res.ISCPUUtilPct = res.PdCPUUtilPct + float64(mainBusy/(nodes*durUS)*100)
 	}
 	res.AppCPUTimePerNodeSec = appBusy / nodes / 1e6
 	res.AppCPUUtilPct = appBusy / (nodes * durUS) * 100

@@ -1,6 +1,9 @@
 package des
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // BucketCalendar is a calendar-queue future event list (Brown 1988, the
 // structure behind PARSIR-style O(1) schedulers): events hash into
@@ -66,14 +69,10 @@ type BucketCalendar struct {
 	// back on Push. Using the integer virtual index for the qualification
 	// test (head.bslot <= cur) instead of a float bucket-top comparison
 	// removes any chance of rounding disagreement between the Push mapping
-	// and the Pop window.
+	// and the Pop window. Once a scan has found the earliest event, cur
+	// is its virtual index, so the next Peek or Pop finds it in cur's
+	// bucket at once: no separate cache of the minimum is needed.
 	cur int64
-
-	// peeked caches the minimum event located by Peek so the Pop that
-	// Simulator.Run issues right after costs O(1). Invalidated by resize
-	// and by removal; a Push that beats the cached minimum replaces it
-	// (the new event is necessarily its bucket's head).
-	peeked *Event
 
 	// spare retains the bucket array released by the last resize so the
 	// next resize to that size reuses it instead of reallocating.
@@ -156,8 +155,44 @@ func eventAfter(a, b *Event) bool {
 
 // Push implements Calendar.
 func (c *BucketCalendar) Push(e *Event) {
+	if c.fitsEmpty(e) {
+		c.linkEmpty(e)
+	} else {
+		c.pushSlow(e)
+	}
+}
+
+// fitsEmpty reports whether pushing e is Push's common case, which
+// Simulator.At also takes: an event into an empty calendar, or into an
+// empty bucket at or after cur, with neither a grow nor a recalibration
+// due after it. linkEmpty then pushes e; otherwise pushSlow does.
+// fitsEmpty stores e's bucket index, which both read, and calls nothing,
+// so the compiler inlines it into its callers.
+func (c *BucketCalendar) fitsEmpty(e *Event) bool {
 	vb := int64(e.time * c.inv)
 	e.bslot = vb
+	return (c.n == 0 || c.buckets[vb&c.mask] == nil && vb >= c.cur) &&
+		c.n < len(c.buckets)>>growShift && c.misfit <= len(c.buckets)
+}
+
+// linkEmpty pushes e, for which fitsEmpty holds, into its empty bucket.
+// An empty calendar moves cur onto e, as pushSlow does.
+func (c *BucketCalendar) linkEmpty(e *Event) {
+	i := e.bslot & c.mask
+	if c.n == 0 {
+		c.cur = e.bslot
+	}
+	e.next, e.prev = nil, e
+	c.buckets[i] = e
+	c.occ[i>>6] |= 1 << (i & 63)
+	c.n++
+}
+
+// pushSlow is Push in every case, given the bucket index fitsEmpty
+// stored: it moves cur back or onto e when needed, inserts e, and grows
+// or recalibrates the calendar once that is due.
+func (c *BucketCalendar) pushSlow(e *Event) {
+	vb := e.bslot
 	if c.n == 0 || vb < c.cur {
 		// Keep the scan invariant (cur <= every queued bslot). An empty
 		// calendar jumps forward too, so a sparse schedule doesn't force
@@ -166,9 +201,6 @@ func (c *BucketCalendar) Push(e *Event) {
 	}
 	c.insert(e)
 	c.n++
-	if c.peeked != nil && eventAfter(c.peeked, e) {
-		c.peeked = e
-	}
 	if c.n > len(c.buckets)>>growShift {
 		c.resize(2 * len(c.buckets))
 	} else if c.misfit > len(c.buckets) {
@@ -217,16 +249,62 @@ func (c *BucketCalendar) insert(e *Event) {
 }
 
 // Peek implements Calendar: the next event without removing it.
-func (c *BucketCalendar) Peek() *Event { return c.locateMin() }
+func (c *BucketCalendar) Peek() *Event {
+	if e := c.head(); e != nil {
+		return e
+	}
+	return c.locateMin()
+}
 
 // Pop implements Calendar.
-func (c *BucketCalendar) Pop() *Event {
-	e := c.locateMin()
+func (c *BucketCalendar) Pop() *Event { return c.pop(math.Inf(1)) }
+
+// pop removes and returns the earliest event if it is due by until, and
+// returns nil when the calendar is empty or its earliest event is later.
+// Pop and the Simulator's dispatch loop both come here. The common case,
+// an earliest event that head finds and whose removal leaves no shrink
+// due, runs inlined; a longer scan goes to locateMin and a shrink to
+// resize.
+func (c *BucketCalendar) pop(until Time) *Event {
+	e := c.head()
 	if e == nil {
+		if e = c.locateMin(); e == nil {
+			return nil
+		}
+	}
+	if e.time > until {
 		return nil
 	}
-	c.removeHead(e)
+	c.unlink(e)
+	if len(c.buckets) > minBucketCount && c.n < len(c.buckets)>>shrinkShift {
+		c.resize(len(c.buckets) / 2)
+	}
 	return e
+}
+
+// head returns the earliest event when it is at hand: the head of cur's
+// bucket, or else the first event in cur's bitmap word after cur, when
+// its virtual index has been reached. That is the first step of
+// locateMin's scan, and head moves cur onto the event as the scan would.
+// A bucket's head is its minimum and no queued event lies before cur, so
+// the event is the earliest. Otherwise head returns nil and changes
+// nothing, and locateMin scans. It calls nothing, so the compiler inlines
+// it into its callers. Checking cur's bucket first costs one load and
+// spares a dense schedule, whose next event is often where the last one
+// was, the bitmap read.
+func (c *BucketCalendar) head() *Event {
+	i := c.cur & c.mask
+	if e := c.buckets[i]; e != nil && e.bslot <= c.cur {
+		return e
+	}
+	if w := c.occ[i>>6] >> (i & 63); w != 0 {
+		skip := int64(bits.TrailingZeros64(w))
+		if e := c.buckets[i+skip]; e.bslot <= c.cur+skip {
+			c.cur += skip
+			return e
+		}
+	}
+	return nil
 }
 
 // nextOccupied returns the index of the first non-empty bucket at or after
@@ -246,24 +324,19 @@ func (c *BucketCalendar) nextOccupied(i int) int {
 	return len(c.buckets)
 }
 
-// locateMin finds (and caches) the earliest queued event. The year scan
-// starts at cur and visits each bucket at most once, jumping over empty
-// ones through the occupancy bitmap; a bucket's head is its minimum, and
-// the head qualifies when its virtual index has been reached. If a whole
-// year turns up nothing, the queue has grown sparse relative to the bucket
-// width, so the calendar recalibrates the width in place: the resize puts
-// cur on the earliest event, where the next scan finds it at once.
+// locateMin finds the earliest queued event when head has not: the
+// calendar is empty, or the first event at or after cur in cur's bitmap
+// word is missing or of a later year. The year scan starts at cur and
+// visits each bucket at most once, jumping over empty ones through the
+// occupancy bitmap; a bucket's head is its minimum, and the head
+// qualifies when its virtual index has been reached. The scan leaves cur
+// on the event, so head finds it again at once. If a whole year turns up
+// nothing, the queue has grown sparse relative to the bucket width, so
+// the calendar recalibrates the width in place: the resize puts cur on
+// the earliest event, where the next scan finds it at once.
 func (c *BucketCalendar) locateMin() *Event {
 	if c.n == 0 {
 		return nil
-	}
-	if c.peeked != nil {
-		return c.peeked
-	}
-	// Dense schedules find the minimum where the last one was.
-	if h := c.buckets[c.cur&c.mask]; h != nil && h.bslot <= c.cur {
-		c.peeked = h
-		return h
 	}
 	nb := len(c.buckets)
 	for left := nb; ; {
@@ -281,7 +354,6 @@ func (c *BucketCalendar) locateMin() *Event {
 			continue // wrapped around to bucket 0
 		}
 		if h := c.buckets[j]; h.bslot <= c.cur {
-			c.peeked = h
 			return h
 		}
 		c.misfit++
@@ -290,11 +362,11 @@ func (c *BucketCalendar) locateMin() *Event {
 	}
 }
 
-// removeHead unlinks e, which locateMin guarantees is the head of its
-// bucket, and marks the bucket empty if e was its last event; otherwise the
-// new head takes over the link to the tail. e's links are cleared so a
-// recycled event never carries stale ones.
-func (c *BucketCalendar) removeHead(e *Event) {
+// unlink removes e, the head of its bucket, and marks the bucket empty if
+// e was its last event; otherwise the new head takes over the link to the
+// tail. e's links are cleared so a recycled event never carries stale
+// ones.
+func (c *BucketCalendar) unlink(e *Event) {
 	i := e.bslot & c.mask
 	if h := e.next; h != nil {
 		h.prev = e.prev
@@ -305,11 +377,6 @@ func (c *BucketCalendar) removeHead(e *Event) {
 	}
 	e.next, e.prev = nil, nil
 	c.n--
-	c.peeked = nil
-	e.index = -1
-	if len(c.buckets) > minBucketCount && c.n < len(c.buckets)>>shrinkShift {
-		c.resize(len(c.buckets) / 2)
-	}
 }
 
 // resize rebuilds the calendar with nb buckets (a power of two; the
@@ -393,7 +460,6 @@ func (c *BucketCalendar) resize(nb int) {
 		c.occ = getArray[uint64](words)
 	}
 	c.mask = int64(nb - 1)
-	c.peeked = nil
 	c.cur = int64(minT * c.inv)
 
 	for e := all; e != nil; {

@@ -30,15 +30,12 @@ func (h *HeapCalendar) less(i, j int) bool {
 
 func (h *HeapCalendar) swap(i, j int) {
 	h.events[i], h.events[j] = h.events[j], h.events[i]
-	h.events[i].index = i
-	h.events[j].index = j
 }
 
 // Push implements Calendar.
 func (h *HeapCalendar) Push(e *Event) {
-	e.index = len(h.events)
 	h.events = append(h.events, e)
-	h.up(e.index)
+	h.up(len(h.events) - 1)
 }
 
 // Pop implements Calendar.
@@ -54,7 +51,6 @@ func (h *HeapCalendar) Pop() *Event {
 	if last > 0 {
 		h.down(0)
 	}
-	top.index = -1
 	return top
 }
 

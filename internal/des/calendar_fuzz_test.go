@@ -10,8 +10,9 @@ import (
 // from the fuzz input, through HeapCalendar (the oracle) and
 // BucketCalendar in lockstep, and asserts that at every step both agree
 // on Len() and pop the same (time, seq, canceled) event. Events are
-// distinct structs per calendar (each implementation owns its queued
-// events' index/bslot fields) but share time, seq, and cancellation fate.
+// distinct structs per calendar (the bucket calendar owns its queued
+// events' bslot and list links) but share time, seq, and cancellation
+// fate.
 //
 // Op byte decoding (two bytes consumed per op):
 //   - b%8 == 0..2 → Push at a time derived from the second byte (equal
@@ -122,7 +123,7 @@ func FuzzCalendarDifferential(f *testing.F) {
 		var seq uint64
 		push := func(tm Time) {
 			for k, c := range cals {
-				e := &Event{time: tm, seq: seq, index: -1}
+				e := &Event{time: tm, seq: seq}
 				c.Push(e)
 				pending[k] = append(pending[k], e)
 			}

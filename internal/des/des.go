@@ -35,7 +35,6 @@ type Event struct {
 	fn       func()
 	canceled bool
 	fired    bool
-	index    int    // heap index; -1 when not queued
 	bslot    int64  // virtual bucket index while queued in a BucketCalendar
 	next     *Event // successor in its BucketCalendar bucket while queued
 	prev     *Event // predecessor in its bucket, or for the bucket's head its tail
@@ -87,6 +86,11 @@ type Simulator struct {
 	cal Calendar
 	seq uint64
 
+	// bc is cal when cal is a *BucketCalendar, and nil otherwise. The
+	// dispatch loop and At call it directly, so a bucket calendar's push
+	// and pop take no interface call and its common cases inline.
+	bc *BucketCalendar
+
 	// free recycles fired and discarded-canceled events so steady-state
 	// scheduling allocates nothing (see the Event recycling contract).
 	// batch is the holder that carried free in from eventBatches, kept to
@@ -121,6 +125,7 @@ var eventBatches sync.Pool
 // Its free list starts as a released simulator's, when one is pooled.
 func NewWithCalendar(c Calendar) *Simulator {
 	s := &Simulator{cal: c}
+	s.bc, _ = c.(*BucketCalendar)
 	if b, _ := eventBatches.Get().(*eventBatch); b != nil {
 		s.free, s.batch = b.events, b
 		b.events = nil
@@ -180,12 +185,18 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*e = Event{time: t, seq: s.seq, fn: fn, index: -1}
+		*e = Event{time: t, seq: s.seq, fn: fn}
 	} else {
-		e = &Event{time: t, seq: s.seq, fn: fn, index: -1}
+		e = &Event{time: t, seq: s.seq, fn: fn}
 	}
 	s.seq++
-	s.cal.Push(e)
+	if c := s.bc; c == nil {
+		s.cal.Push(e)
+	} else if c.fitsEmpty(e) {
+		c.linkEmpty(e)
+	} else {
+		c.pushSlow(e)
+	}
 	return e
 }
 
@@ -199,13 +210,32 @@ func (s *Simulator) release(e *Event) {
 	}
 }
 
+// popCal is the dispatch loop's pop for a calendar other than a
+// BucketCalendar, through the Calendar interface: the earliest event if
+// it is due by until, and nil when the calendar is empty or its earliest
+// event is later. Without a horizon to check it is one Pop.
+func (s *Simulator) popCal(until Time) *Event {
+	if math.IsInf(until, 1) {
+		return s.cal.Pop()
+	}
+	if e := s.cal.Peek(); e == nil || e.time > until {
+		return nil
+	}
+	return s.cal.Pop()
+}
+
 // Step dispatches the next event. It returns false when the calendar is
 // empty. Canceled events are discarded without advancing Dispatched, but do
 // advance the clock to their timestamp (harmless: a later real event can
 // only be at an equal or later time).
 func (s *Simulator) Step() bool {
 	for {
-		e := s.cal.Pop()
+		var e *Event
+		if c := s.bc; c != nil {
+			e = c.pop(math.Inf(1))
+		} else {
+			e = s.popCal(math.Inf(1))
+		}
 		if e == nil {
 			return false
 		}
@@ -228,11 +258,9 @@ func (s *Simulator) Step() bool {
 }
 
 // fire runs an event's callback exactly once, marking it fired and
-// releasing the closure so a retained *Event cannot pin captured state or
-// carry a stale heap index.
+// releasing the closure so a retained *Event cannot pin captured state.
 func (s *Simulator) fire(e *Event) {
 	e.fired = true
-	e.index = -1
 	fn := e.fn
 	e.fn = nil
 	fn()
@@ -242,18 +270,22 @@ func (s *Simulator) fire(e *Event) {
 // after until; the clock finishes exactly at until and never exceeds it,
 // even when the head of the calendar is a canceled event past the horizon
 // (such events stay queued for a later Run call). Events scheduled at
-// time == until are dispatched. Peek keeps the horizon check off the
-// Pop/Push round-trip the old implementation paid at every Run boundary.
+// time == until are dispatched. A bucket calendar is popped directly, so
+// its common case costs no call beyond the pop itself.
 func (s *Simulator) Run(until Time) {
 	if until < s.now {
 		panic("des: Run target before current time")
 	}
 	for {
-		e := s.cal.Peek()
-		if e == nil || e.time > until {
+		var e *Event
+		if c := s.bc; c != nil {
+			e = c.pop(until)
+		} else {
+			e = s.popCal(until)
+		}
+		if e == nil {
 			break
 		}
-		s.cal.Pop()
 		s.now = e.time
 		if e.canceled {
 			s.release(e)

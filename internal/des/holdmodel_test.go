@@ -102,7 +102,7 @@ func holdSteady(cal Calendar, d holdDist, n, rounds int, r *rng.Stream) uint64 {
 		} else {
 			t = d.next(r, 0)
 		}
-		cal.Push(&Event{time: t, seq: seq, index: -1})
+		cal.Push(&Event{time: t, seq: seq})
 		seq++
 	}
 	for i := 0; i < rounds*n; i++ {

@@ -193,7 +193,7 @@ func (l *Link) attempt(p *pendingMsg, msg *forward.Message) {
 		l.pool.Put(msg)
 		return
 	}
-	rto := l.plan.Resilience.RTO * math.Pow(l.plan.Resilience.Backoff, float64(p.attempts))
+	rto := float64(l.plan.Resilience.RTO * math.Pow(l.plan.Resilience.Backoff, float64(p.attempts)))
 	p.timer = l.sim.Schedule(rto, p.timeoutFn)
 }
 

@@ -107,7 +107,7 @@ func (c CostModel) MsgCPU(r *rng.Stream, nsamples int) float64 {
 	if nsamples <= 0 {
 		return 0
 	}
-	return c.PerMsgCPU.Sample(r) + c.PerSampleCPU*float64(nsamples-1)
+	return c.PerMsgCPU.Sample(r) + float64(c.PerSampleCPU*float64(nsamples-1))
 }
 
 // MsgNet samples the network demand to transmit a message of nsamples
@@ -116,7 +116,7 @@ func (c CostModel) MsgNet(r *rng.Stream, nsamples int) float64 {
 	if nsamples <= 0 {
 		return 0
 	}
-	return c.PerMsgNet.Sample(r) + c.PerSampleNet*float64(nsamples-1)
+	return c.PerMsgNet.Sample(r) + float64(c.PerSampleNet*float64(nsamples-1))
 }
 
 // MergeCPU samples the CPU demand for a non-leaf daemon to merge one

@@ -378,7 +378,7 @@ func (s *AdaptiveBFStrategy) Observe(fb Feedback) {
 	// pin the controller high after a surge. What remains — CPU queueing
 	// wait plus the per-message service terms — is comparable across
 	// batch sizes.
-	lat := fb.NewestAgeUS - s.cost.PerSampleCPU*float64(fb.Samples-1) + s.cost.PerMsgNet.Mean()
+	lat := fb.NewestAgeUS - float64(s.cost.PerSampleCPU*float64(fb.Samples-1)) + s.cost.PerMsgNet.Mean()
 	if lat < 0 {
 		lat = 0
 	}
@@ -387,8 +387,8 @@ func (s *AdaptiveBFStrategy) Observe(fb Feedback) {
 	if !s.warm {
 		s.ewmaLat, s.ewmaOcc, s.warm = lat, occ, true
 	} else {
-		s.ewmaLat += alpha * (lat - s.ewmaLat)
-		s.ewmaOcc += alpha * (occ - s.ewmaOcc)
+		s.ewmaLat += float64(alpha * (lat - s.ewmaLat))
+		s.ewmaOcc += float64(alpha * (occ - s.ewmaOcc))
 	}
 	s.count++
 	if s.count%s.cfg.Window != 0 {

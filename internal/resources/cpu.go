@@ -95,30 +95,45 @@ func (c *CPU) Submit(owner string, length float64, onDone func()) {
 		}
 		return
 	}
-	c.ready.Push(cpuReq{owner: owner, remaining: length, onDone: onDone})
+	req := cpuReq{owner: owner, remaining: length, onDone: onDone}
+	if c.running < c.cores && c.ready.Len() == 0 {
+		c.start(req)
+		return
+	}
+	c.ready.Push(req)
 	c.dispatch()
 }
 
+// dispatch starts waiting requests, oldest first, while a core is free.
 func (c *CPU) dispatch() {
 	for c.running < c.cores && c.ready.Len() > 0 {
-		var slot *cpuSlot
-		if n := len(c.free); n > 0 {
-			slot = c.free[n-1]
-			c.free[n-1] = nil
-			c.free = c.free[:n-1]
-		} else {
-			slot = &cpuSlot{}
-			slot.fire = func() { c.complete(slot) }
-		}
-		slot.req = c.ready.Pop()
-		c.running++
-		slice := slot.req.remaining
-		if slice > c.quantum {
-			slice = c.quantum
-		}
-		slot.slice = slice
-		c.sim.Schedule(slice, slot.fire)
+		c.start(c.ready.Pop())
 	}
+}
+
+// start puts req on a free core for its next quantum slice. Submit and
+// complete call it directly when no request waits for a core (a new
+// request on an idle core, a lone request's next quantum), which is
+// exactly what queueing req and dispatching would do, without the ready
+// queue's push and pop.
+func (c *CPU) start(req cpuReq) {
+	var slot *cpuSlot
+	if n := len(c.free); n > 0 {
+		slot = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		slot = &cpuSlot{}
+		slot.fire = func() { c.complete(slot) }
+	}
+	slot.req = req
+	c.running++
+	slice := req.remaining
+	if slice > c.quantum {
+		slice = c.quantum
+	}
+	slot.slice = slice
+	c.sim.Schedule(slice, slot.fire)
 }
 
 // complete runs at a slice's expiry: account the slice, free the core
@@ -134,14 +149,18 @@ func (c *CPU) complete(slot *cpuSlot) {
 	}
 	req.remaining -= slice
 	c.running--
-	if req.remaining <= epsilon {
+	switch {
+	case req.remaining <= epsilon:
 		if req.onDone != nil {
 			req.onDone()
 		}
-	} else {
+		c.dispatch()
+	case c.ready.Len() == 0:
+		c.start(req)
+	default:
 		c.ready.Push(req)
+		c.dispatch()
 	}
-	c.dispatch()
 }
 
 // Release gives the ready queue's ring to des's process-wide pool (see
